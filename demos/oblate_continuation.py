@@ -11,7 +11,7 @@ import numpy as np
 from rotstar.axisym import Discretization
 from rotstar.eos import constant_rotation, power_law
 from rotstar.radial import solve_radial
-from rotstar.rotating import first_order_shape, newton_continue
+from rotstar.rotating import EPModel, first_order_shape, newton_continue
 
 if __name__ == "__main__":
     star = solve_radial(power_law(1.5), 1.0)
@@ -23,7 +23,7 @@ if __name__ == "__main__":
     print(f"predicted d(R_eq - R_pole)/dkappa = {slope:.4f}")
 
     disc = Discretization(star.R)
-    sols = newton_continue(star, prof, [5e-4, 1e-3], disc=disc, shape=shape)
+    sols = newton_continue(EPModel(star, prof), [5e-4, 1e-3], disc=disc)
     print("\n kappa      R_eq       R_pole     mass rel err   iters")
     for s in sols:
         merr = abs(s.mass_value - star.mass) / star.mass

@@ -12,8 +12,9 @@ import numpy as np
 from rotstar.axisym import Discretization
 from rotstar.eos import power_law
 from rotstar.radial import solve_radial
-from rotstar.vlasov import (VlasovAnsatz, kappa_derivative_norm,
-                            scaling_response, solve_vp_radial, vp_newton)
+from rotstar.rotating import newton_continue
+from rotstar.vlasov import (VPModel, VlasovAnsatz, kappa_derivative_norm,
+                            scaling_response, solve_vp_radial)
 
 if __name__ == "__main__":
     mu = 0.25
@@ -33,7 +34,7 @@ if __name__ == "__main__":
     print(f"\n|dF/dkappa(0,0)| = "
           f"{kappa_derivative_norm(star, ans):.1e} (even ansatz)")
     disc = Discretization(star.R)
-    sols = vp_newton(star, ans, [1e-2, 2e-2], disc=disc)
+    sols = newton_continue(VPModel(star, ans), [1e-2, 2e-2], disc=disc)
     n1 = sols[0].zeta_field().xnorm()
     n2 = sols[1].zeta_field().xnorm()
     print(" kappa     ||zeta||_X    R_eq - R_pole")

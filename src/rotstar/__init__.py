@@ -16,13 +16,11 @@ from .dilation import (DeformationField, DilationMap, mass_factor, extend,
 from .linop import (ModeOperator, assemble_mode, kernel_margin_ladder, apply,
                     solve)
 from .axisym import Discretization, Geometry, ModalField
-from .rotating import (RotatingSolution, ShapeReport, centrifugal_rhs,
-                       first_order_shape, evaluate_F, frechet_apply,
-                       newton_continue)
-from .vlasov import (VlasovAnsatz, VlasovStar, G_of_u, w_eval,
-                     solve_vp_radial, scaling_response, assemble_L_vp,
-                     vp_rotation_response, vp_newton, evaluate_F_vp,
-                     frechet_apply_vp)
+from .rotating import (EPModel, RotatingSolution, ShapeReport,
+                       centrifugal_rhs, first_order_shape, evaluate_F,
+                       frechet_apply, newton_continue)
+from .vlasov import (VlasovAnsatz, VlasovStar, VPModel, solve_vp_radial,
+                     scaling_response, assemble_L_vp, vp_rotation_response)
 from .errors import (RotstarError, ConfigError, SolverError, StiffnessError,
                      NoEventError, UnboundStarError, EOSError,
                      NonIntegrableEnthalpyError, DegenerateOperatorError,

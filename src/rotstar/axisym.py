@@ -11,6 +11,7 @@ at the deformed collocation radii.
 import numpy as np
 
 from .dilation import DeformationField
+from .errors import DeformationError
 from .numerics import Panels, Ytilde, dY_dtheta, gl_nodes
 from .potentials import mode_potential_matrices
 
@@ -137,12 +138,14 @@ class Discretization:
 
 
 class Geometry:
-    """Deformation-dependent caches shared by evaluate/frechet for one zeta."""
+    """Deformation-dependent caches shared by evaluate/frechet for one zeta,
+    plus the fields of each model evaluated on it (model_fields)."""
 
     def __init__(self, zeta, star, disc):
         self.zeta = zeta
         self.star = star
         self.disc = disc
+        self._fields = {}
         R = star.R
         th = disc.theta
         n_mu = len(th)
@@ -176,6 +179,9 @@ class Geometry:
                     z = zn
                     break
                 z = zn
+            else:
+                raise DeformationError(
+                    "ray inversion did not converge in 200 iterations")
             self.z0 = np.where(self.inside, np.minimum(z, R), np.nan)
         self.T2, self.TH2 = T2, TH2
 
@@ -214,7 +220,7 @@ class Geometry:
         ru = disc.panels_u.x
         RU, THU = np.meshgrid(ru, th, indexing="ij")
         self.RU, self.THU = RU, THU
-        self.rho_u = np.atleast_1d(star.rho0_of(ru))
+        self.rho_u = star.rho0_of(ru)
         if zeta is None:
             self.lam_u = np.ones_like(RU)
             self.g1_u = np.ones_like(RU)
@@ -224,7 +230,6 @@ class Geometry:
             self.g1_u = self.lam_u + w1u
         self.det_u = self.lam_u ** 2 * self.g1_u
         if np.any(self.det_u <= 0):
-            from .errors import DeformationError
             raise DeformationError("fold: det Dg <= 0 on the volume grid")
         # int rho0 det Dg dx (weights: 2 * 2 pi t^2 dt dmu, evenness doubled)
         wu = disc.panels_u.w * ru ** 2
@@ -232,6 +237,13 @@ class Geometry:
             "i,ij,j->", wu, self.rho_u[:, None] * self.det_u, disc.wmu)
 
     # ------------------------------------------------------------------
+
+    def model_fields(self, model, kappa):
+        """model.fields(self, kappa), computed once per model and kappa."""
+        key = (model, kappa)
+        if key not in self._fields:
+            self._fields[key] = model.fields(self, kappa)
+        return self._fields[key]
 
     def project_modes(self, vals_src):
         """Mode profiles (n_l, n_tq) of a field sampled on the source grid."""

@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from . import linop, radial, rotating, vlasov
-from .axisym import Discretization
 from .eos import (check_mass_condition_b, constant_rotation, power_law,
                   power_sum, validate_assumptions)
 from .errors import ConfigError, DegenerateOperatorError, RotstarError
+from .numerics import Ytilde
 
 
 def _atomic_write(path, writer):
@@ -69,7 +69,7 @@ def parse_config(path):
 class RunConfig:
     """Validated run parameters shared by the subcommands."""
 
-    def __init__(self, data, out_dir=None, threads=None):
+    def __init__(self, data, out_dir=None):
         self.raw = dict(data)
         self.model = self._str("model", "ep")
         if self.model not in ("ep", "vp"):
@@ -93,24 +93,27 @@ class RunConfig:
         self.n_samples = self._int("n_samples", 9)
         self.mu = self._float("mu", 0.25)
         self.psi2 = self._float("psi2", 0.0)
-        psi0 = self.raw.get("psi0")
-        self.psi0 = float(psi0) if psi0 is not None else None
+        self.psi0 = self._float("psi0", None) if "psi0" in self.raw else None
         self.gamma = self._float("gamma", 1.5)
         self.eos_kind = self._str("eos", "power_law")
         self.terms = self._pairs("terms", [(1.0, 1.5), (1.0, 1.8)])
         self.out_dir = out_dir or self._str("out", ".")
-        env = os.environ.get("ROTSTAR_THREADS")
-        self.threads = threads or self._int("threads",
-                                            int(env) if env else 1)
 
     def _str(self, key, default):
         return self.raw.get(key, default)
 
-    def _float(self, key, default):
+    @staticmethod
+    def _number(key, text):
         try:
-            return float(self.raw.get(key, default))
+            x = float(text)
         except ValueError as e:
-            raise ConfigError(f"bad float for {key}: {self.raw[key]!r}") from e
+            raise ConfigError(f"bad float for {key}: {text!r}") from e
+        if not np.isfinite(x):
+            raise ConfigError(f"{key} must be finite, got {text!r}")
+        return x
+
+    def _float(self, key, default):
+        return self._number(key, self.raw.get(key, default))
 
     def _int(self, key, default):
         try:
@@ -121,22 +124,23 @@ class RunConfig:
     def _floats(self, key, default):
         if key not in self.raw:
             return list(default)
-        try:
-            return [float(x) for x in self.raw[key].split(",") if x.strip()]
-        except ValueError as e:
-            raise ConfigError(f"bad list for {key}: {self.raw[key]!r}") from e
+        vals = [self._number(key, x) for x in self.raw[key].split(",")
+                if x.strip()]
+        if not vals:
+            raise ConfigError(f"{key} needs at least one value")
+        return vals
 
     def _pairs(self, key, default):
         if key not in self.raw:
             return list(default)
-        try:
-            out = []
-            for item in self.raw[key].split(","):
-                c, g = item.split(":")
-                out.append((float(c), float(g)))
-            return out
-        except ValueError as e:
-            raise ConfigError(f"bad term list for {key}: {self.raw[key]!r}") from e
+        out = []
+        for item in self.raw[key].split(","):
+            parts = item.split(":")
+            if len(parts) != 2:
+                raise ConfigError(f"bad term list for {key}: "
+                                  f"{self.raw[key]!r}")
+            out.append(tuple(self._number(key, x) for x in parts))
+        return out
 
     def make_eos(self):
         if self.eos_kind == "power_law":
@@ -151,6 +155,13 @@ class RunConfig:
                                                             psi2=self.psi2)
         return vlasov.VlasovAnsatz(self.mu, psi0=self.psi0, psi2=self.psi2)
 
+    def make_star(self):
+        """The radial star of the configured model."""
+        if self.model == "vp":
+            return vlasov.solve_vp_radial(self.make_ansatz(), self.a,
+                                          tol=self.ode_tol)
+        return radial.solve_radial(self.make_eos(), self.a, tol=self.ode_tol)
+
     def path(self, name):
         os.makedirs(self.out_dir, exist_ok=True)
         return os.path.join(self.out_dir, name)
@@ -161,12 +172,17 @@ class RunConfig:
 
 
 def cmd_radial(cfg):
-    if cfg.model == "vp":
-        return cmd_vp_radial(cfg)
-    eos = cfg.make_eos()
-    star = radial.solve_radial(eos, cfg.a, tol=cfg.ode_tol)
-    mp, _ = radial.mass_derivative(eos, star, tol=cfg.ode_tol)
+    star = cfg.make_star()
     write_json(cfg.path("star.json"), star.to_json_dict())
+    if cfg.model == "vp":
+        # flux identity: R^2 u0'(R) = -M by the divergence theorem
+        flux = abs(star.R ** 2 * float(star.u0p_of(star.R)[0]) + star.mass) \
+            / star.mass
+        print(f"radial vp: mu={star.ansatz.mu:g} a={cfg.a:g} R={star.R:.9f} "
+              f"M={star.mass:.9f} flux-identity residual={flux:.3e}")
+        return 0
+    eos = star.eos
+    mp, _ = radial.mass_derivative(eos, star, tol=cfg.ode_tol)
     flag = ""
     if abs(mp) < 1e-6 * star.mass / star.a:
         gtxt = f" (gamma={eos.gamma:g})" if eos.gamma else ""
@@ -176,22 +192,10 @@ def cmd_radial(cfg):
     return 0
 
 
-def cmd_vp_radial(cfg):
-    ans = cfg.make_ansatz()
-    star = vlasov.solve_vp_radial(ans, cfg.a, tol=cfg.ode_tol)
-    write_json(cfg.path("star.json"), star.to_json_dict())
-    # flux identity: R^2 u0'(R) = -M by the divergence theorem
-    flux = abs(star.R ** 2 * float(star.u0p_of(star.R)[0]) + star.mass) \
-        / star.mass
-    print(f"radial vp: mu={ans.mu:g} a={cfg.a:g} R={star.R:.9f} "
-          f"M={star.mass:.9f} flux-identity residual={flux:.3e}")
-    return 0
-
-
 def cmd_mass_curve(cfg):
     eos = cfg.make_eos()
     curve = radial.mass_curve(eos, (cfg.a_min, cfg.a_max), cfg.n_samples,
-                              tol=cfg.ode_tol, threads=cfg.threads)
+                              tol=cfg.ode_tol)
     write_csv(cfg.path("mass_curve.csv"),
               ["a_enthalpy", "R_length", "M_mass", "Mprime_mass_per_enthalpy"],
               curve.samples)
@@ -202,66 +206,53 @@ def cmd_mass_curve(cfg):
 
 
 def cmd_kernel_margin(cfg):
-    if cfg.model == "vp":
-        star = vlasov.solve_vp_radial(cfg.make_ansatz(), cfg.a,
-                                      tol=cfg.ode_tol)
-        rank_one = "vp"
-    else:
-        star = radial.solve_radial(cfg.make_eos(), cfg.a, tol=cfg.ode_tol)
-        rank_one = "ep"
-    rows = linop.kernel_margin_ladder(star, ells=cfg.ells, ns=cfg.ns,
-                                      rank_one=rank_one)
+    rows = linop.kernel_margin_ladder(cfg.make_star(), ells=cfg.ells,
+                                      ns=cfg.ns, rank_one=cfg.model)
     write_csv(cfg.path("kernel_margin.csv"),
               ["l_mode", "n_nodes", "sigma_min_dimensionless"], rows)
     print(f"kernel-margin: {len(rows)} rows written")
     return 0
 
 
-def _write_shape_files(cfg, star, report, kappa):
-    thetas = np.linspace(0.0, np.pi / 2, 91)
-    disp = report.boundary_shift(thetas) * (kappa if kappa > 0 else 1.0)
-    write_csv(cfg.path("shape.csv"),
-              ["theta_rad", "boundary_displacement_length"],
-              list(zip(thetas, disp)))
-    write_csv(cfg.path("modes.csv"), ["l_mode", "xi_R_length_sq"],
-              [(l, report.xi_R[l]) for l in report.ells])
-
-
-def cmd_perturb(cfg):
-    if cfg.model == "vp":
-        return cmd_vp_perturb(cfg)
-    star = radial.solve_radial(cfg.make_eos(), cfg.a, tol=cfg.ode_tol)
-    prof = constant_rotation(cfg.omega)
-    report = rotating.first_order_shape(star, prof, n=cfg.n)
-    kappa = cfg.kappas[-1]
-    _write_shape_files(cfg, star, report, kappa)
-    print(f"perturb: xi_2(R)={report.xi_R[2]:.6e} "
-          f"oblateness slope={report.oblateness_slope():.6e}")
-    return 0
-
-
-def cmd_vp_perturb(cfg):
-    ans = cfg.make_ansatz()
-    star = vlasov.solve_vp_radial(ans, cfg.a, tol=cfg.ode_tol)
-    kappa = cfg.kappas[-1] if cfg.kappas[-1] > 0 else 1e-2
-    ops, xi = vlasov.vp_rotation_response(star, ans, kappa, n=cfg.n)
-    thetas = np.linspace(0.0, np.pi / 2, 91)
-    xi_R = {l: float(ops[l].panels.interp(xi[l], np.array([star.R]))[0])
-            for l in ops}
-    from .numerics import Ytilde
-    disp = sum(xi_R[l] * Ytilde(l, np.cos(thetas)) for l in ops) / star.R
+def _write_shape_files(cfg, thetas, disp, xi_R):
     write_csv(cfg.path("shape.csv"),
               ["theta_rad", "boundary_displacement_length"],
               list(zip(thetas, disp)))
     write_csv(cfg.path("modes.csv"), ["l_mode", "xi_R_length_sq"],
               sorted(xi_R.items()))
-    print(f"vp-perturb: kappa={kappa:g} xi_2(R)={xi_R[2]:.6e}")
+
+
+def cmd_perturb(cfg):
+    star = cfg.make_star()
+    thetas = np.linspace(0.0, np.pi / 2, 91)
+    if cfg.model == "vp":
+        kappa = cfg.kappas[-1] if cfg.kappas[-1] > 0 else 1e-2
+        ops, xi = vlasov.vp_rotation_response(star, star.ansatz, kappa,
+                                              n=cfg.n)
+        xi_R = {l: float(ops[l].panels.interp(xi[l], np.array([star.R]))[0])
+                for l in ops}
+        disp = sum(xi_R[l] * Ytilde(l, np.cos(thetas)) for l in ops) / star.R
+        _write_shape_files(cfg, thetas, disp, xi_R)
+        print(f"vp-perturb: kappa={kappa:g} xi_2(R)={xi_R[2]:.6e}")
+        return 0
+    report = rotating.first_order_shape(star, constant_rotation(cfg.omega),
+                                        n=cfg.n)
+    kappa = cfg.kappas[-1]
+    disp = report.boundary_shift(thetas) * (kappa if kappa > 0 else 1.0)
+    _write_shape_files(cfg, thetas, disp, report.xi_R)
+    print(f"perturb: xi_2(R)={report.xi_R[2]:.6e} "
+          f"oblateness slope={report.oblateness_slope():.6e}")
     return 0
 
 
-def _run_continuation(cfg, runner):
-    """Shared continue driver: per-kappa CSV rows flushed as they arrive, so
-    a partial curve survives solver failure."""
+def cmd_continue(cfg):
+    """Newton continuation of the configured model; per-kappa CSV rows are
+    flushed as they arrive, so a partial curve survives solver failure."""
+    star = cfg.make_star()
+    if cfg.model == "vp":
+        model = vlasov.VPModel(star, star.ansatz)
+    else:
+        model = rotating.EPModel(star, constant_rotation(cfg.omega))
     rows = []
     header = ["kappa_intensity", "R_eq_length", "R_pole_length", "M_mass",
               "residual_sup", "newton_iters"]
@@ -274,33 +265,10 @@ def _run_continuation(cfg, runner):
         sol.dump(cfg.path(f"solution_k{sol.kappa:.6e}.json"),
                  cfg.path(f"solution_k{sol.kappa:.6e}.csv"))
 
-    runner(record)
+    rotating.newton_continue(model, cfg.kappas, tol=cfg.tol,
+                             on_solution=record)
     print(f"continue: {len(rows)} kappa values written to {path}")
     return 0
-
-
-def cmd_continue(cfg):
-    if cfg.model == "vp":
-        return cmd_vp_continue(cfg)
-    star = radial.solve_radial(cfg.make_eos(), cfg.a, tol=cfg.ode_tol)
-    prof = constant_rotation(cfg.omega)
-    disc = Discretization(star.R)
-
-    def runner(record):
-        rotating.newton_continue(star, prof, list(cfg.kappas), disc=disc,
-                                 tol=cfg.tol, on_solution=record)
-    return _run_continuation(cfg, runner)
-
-
-def cmd_vp_continue(cfg):
-    ans = cfg.make_ansatz()
-    star = vlasov.solve_vp_radial(ans, cfg.a, tol=cfg.ode_tol)
-    disc = Discretization(star.R)
-
-    def runner(record):
-        vlasov.vp_newton(star, ans, list(cfg.kappas), disc=disc,
-                         tol=cfg.tol, on_solution=record)
-    return _run_continuation(cfg, runner)
 
 
 def cmd_eos_check(cfg):
@@ -321,25 +289,29 @@ COMMANDS = {
     "perturb": cmd_perturb,
     "continue": cmd_continue,
     "eos-check": cmd_eos_check,
-    "vp-radial": cmd_vp_radial,
-    "vp-perturb": cmd_vp_perturb,
-    "vp-continue": cmd_vp_continue,
 }
+
+#: kinetic spellings of the model-dispatching commands: run with model = vp
+ALIASES = {"vp-radial": "radial", "vp-perturb": "perturb",
+           "vp-continue": "continue"}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="rotstar",
                                  description="rotating self-gravitating "
                                              "steady states")
-    ap.add_argument("command", choices=sorted(COMMANDS))
+    ap.add_argument("command", choices=sorted([*COMMANDS, *ALIASES]))
     ap.add_argument("--config", required=True, help="flat key=value file")
     ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args(argv)
+    command = args.command
     try:
-        cfg = RunConfig(parse_config(args.config), out_dir=args.out,
-                        threads=args.threads)
-        return COMMANDS[args.command](cfg)
+        data = parse_config(args.config)
+        if command in ALIASES:
+            data["model"] = "vp"
+            command = ALIASES[command]
+        cfg = RunConfig(data, out_dir=args.out)
+        return COMMANDS[command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -17,7 +17,8 @@ class EquationOfState:
     """Barotropic pressure law with derived enthalpy machinery.
 
     Subclasses provide p, dp and either closed-form h/hinv or fall back to
-    the quadrature/Newton paths implemented here.
+    the quadrature/Newton paths implemented here.  Every method returns an
+    ndarray of the input's shape, 0-d for a scalar.
     """
 
     gamma = None        # small-s exponent of assum 3
@@ -38,22 +39,20 @@ class EquationOfState:
         out = np.zeros_like(s)
         pos = s > 0
         out[pos] = self.dp(s[pos]) / s[pos]
-        return out if out.ndim else float(out)
+        return out
 
     def k(self, s):
         """k(s) = h(s) - s h'(s) = h(s) - p'(s)."""
-        return self.h(s) - self.dp(s)
+        return np.asarray(self.h(s) - self.dp(s))
 
     def hinv(self, u):
         """Inverse enthalpy by safeguarded Newton (bracketed by monotonicity)."""
         u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u).astype(float)
         out = np.zeros_like(u)
         pos = u > 0
         if np.any(pos):
             out[pos] = self._hinv_newton(u[pos])
-        return float(out[0]) if scalar else out
+        return out
 
     def _hinv_newton(self, u):
         # initial bracket: grow the upper end until h(hi) >= u
@@ -83,14 +82,12 @@ class EquationOfState:
     def dhinv(self, u):
         """(h^-1)'(u) = 1 / h'(h^-1(u)); zero at u=0 for gamma < 2."""
         u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u).astype(float)
         out = np.zeros_like(u)
         pos = u > 0
         if np.any(pos):
-            s = np.atleast_1d(self.hinv(u[pos]))
+            s = self.hinv(u[pos])
             out[pos] = s / self.dp(s)
-        return float(out[0]) if scalar else out
+        return out
 
 
 class PowerLawEOS(EquationOfState):
@@ -109,13 +106,15 @@ class PowerLawEOS(EquationOfState):
         self._c = gamma / (gamma - 1.0)
 
     def p(self, s):
-        return np.asarray(s, dtype=float) ** self.gamma
+        return np.asarray(np.asarray(s, dtype=float) ** self.gamma)
 
     def dp(self, s):
-        return self.gamma * np.asarray(s, dtype=float) ** (self.gamma - 1.0)
+        return np.asarray(self.gamma
+                          * np.asarray(s, dtype=float) ** (self.gamma - 1.0))
 
     def h(self, rho):
-        return self._c * np.asarray(rho, dtype=float) ** (self.gamma - 1.0)
+        return np.asarray(self._c
+                          * np.asarray(rho, dtype=float) ** (self.gamma - 1.0))
 
     def hinv(self, u):
         u = np.asarray(u, dtype=float)
@@ -149,15 +148,16 @@ class PowerSumEOS(EquationOfState):
 
     def p(self, s):
         s = np.asarray(s, dtype=float)
-        return sum(c * s ** g for c, g in self.terms)
+        return np.asarray(sum(c * s ** g for c, g in self.terms))
 
     def dp(self, s):
         s = np.asarray(s, dtype=float)
-        return sum(c * g * s ** (g - 1.0) for c, g in self.terms)
+        return np.asarray(sum(c * g * s ** (g - 1.0) for c, g in self.terms))
 
     def h(self, rho):
         rho = np.asarray(rho, dtype=float)
-        return sum(c * g / (g - 1.0) * rho ** (g - 1.0) for c, g in self.terms)
+        return np.asarray(sum(c * g / (g - 1.0) * rho ** (g - 1.0)
+                              for c, g in self.terms))
 
 
 class CallableEOS(EquationOfState):
@@ -181,24 +181,22 @@ class CallableEOS(EquationOfState):
         self._h_eps = float(dp(eps)) / e  # int_0^eps C s^{e-1} ds = p'(eps)/e
 
     def p(self, s):
-        return self._p(np.asarray(s, dtype=float))
+        return np.asarray(self._p(np.asarray(s, dtype=float)))
 
     def dp(self, s):
-        return self._dp(np.asarray(s, dtype=float))
+        return np.asarray(self._dp(np.asarray(s, dtype=float)))
 
     def h(self, rho):
         rho = np.asarray(rho, dtype=float)
-        scalar = rho.ndim == 0
-        rho = np.atleast_1d(rho)
         out = np.zeros_like(rho)
-        for i, r in enumerate(rho):
+        for i, r in np.ndenumerate(rho):
             if r <= self._eps:
                 out[i] = self._h_eps * (r / self._eps) ** self._tail_exp
             else:
                 val, _ = quad(lambda s: self._dp(s) / s, self._eps, r,
                               epsabs=1e-13, epsrel=1e-12, limit=200)
                 out[i] = self._h_eps + val
-        return float(out[0]) if scalar else out
+        return out
 
 
 def power_law(gamma):
@@ -233,14 +231,13 @@ class RotationProfile:
     def J(self, r):
         from .numerics import gl_nodes
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
+        flat = r.ravel()
         x, w = gl_nodes(self._n)
         # map [-1,1] -> [0, r] per entry
-        t = 0.5 * r[:, None] * (x[None, :] + 1.0)
+        t = 0.5 * flat[:, None] * (x[None, :] + 1.0)
         vals = self.omega_sq(t) * t
-        out = 0.5 * r * np.einsum("ij,j->i", vals, w)
-        return float(out[0]) if scalar else out
+        out = 0.5 * flat * np.einsum("ij,j->i", vals, w)
+        return out.reshape(r.shape)
 
 
 def constant_rotation(omega=1.0):

@@ -68,8 +68,8 @@ def assemble_mode(star, l, n=256, order=8, rank_one="ep", n_sub=12):
         raise ValueError("harmonic index must be nonnegative")
     panels = Panels.graded(star.R, n, order=order)
     x = panels.x
-    u0p = np.atleast_1d(star.u0p_of(x))
-    rho0p = np.atleast_1d(star.rho0p_of(x))
+    u0p = star.u0p_of(x)
+    rho0p = star.rho0p_of(x)
     A, _ = mode_potential_matrices(panels, l, x, n_sub=n_sub)
     if l == 0:
         A0_zero, _ = mode_potential_matrices(panels, 0, np.array([0.0]), n_sub=n_sub)
@@ -78,11 +78,11 @@ def assemble_mode(star, l, n=256, order=8, rank_one="ep", n_sub=12):
     M = np.diag(u0p / x) - A * D[None, :]
     if l == 0 and rank_one is not None:
         if rank_one == "ep":
-            kvals = star.eos.k(np.atleast_1d(star.rho0_of(x)))
-            k0 = float(np.atleast_1d(star.eos.k(np.atleast_1d(star.eos.hinv(star.a))))[0])
+            kvals = star.eos.k(star.rho0_of(x))
+            k0 = float(star.eos.k(star.eos.hinv(star.a)))
             col = (kvals - k0) / star.mass
         elif rank_one == "vp":
-            col = (np.atleast_1d(star.u0_of(x)) - star.a) / star.mass
+            col = (star.u0_of(x) - star.a) / star.mass
         else:
             raise ValueError(f"unknown rank_one kind {rank_one!r}")
         row = 4.0 * np.pi * panels.w * x * rho0p

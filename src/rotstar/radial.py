@@ -59,7 +59,7 @@ class RadialStar:
         self.mass = float(M)
         self._traj = traj
         self._r0 = traj.t[0]
-        self._c2 = 4.0 * np.pi * float(np.atleast_1d(eos.hinv(a))[0]) / 6.0  # series curvature
+        self._c2 = 4.0 * np.pi * float(eos.hinv(a)) / 6.0  # series curvature
         self.grid = RadialGrid(np.linspace(0.0, R, n_grid))
         r = self.grid.nodes
         self.u0 = self.u0_of(r)
@@ -121,7 +121,7 @@ def solve_radial(eos, a, tol=1e-12, n_grid=N_GRID):
         raise EOSError("central enthalpy a must be positive")
 
     def source(v):
-        return 4.0 * np.pi * float(np.atleast_1d(eos.hinv(v))[0])
+        return 4.0 * np.pi * float(eos.hinv(v))
 
     R, traj = _shoot_profile(source, a, tol=tol)
     # the m-component already carries the 4 pi of the source
@@ -135,13 +135,13 @@ def mass_derivative(eos, star, tol=1e-12):
     v_a'' + (2/r) v_a' + 4 pi (h^-1)'(u0) v_a = 0, v_a(0)=1, v_a'(0)=0.
     """
     a = star.a
-    d0 = float(np.atleast_1d(eos.dhinv(a))[0])
+    d0 = float(eos.dhinv(a))
     r0 = 1e-4 * star.R
     c = 4.0 * np.pi * d0 / 6.0
     y0 = [1.0 - c * r0 ** 2, -2.0 * c * r0]
 
     def rhs(r, y):
-        d = float(np.atleast_1d(eos.dhinv(star.u0_of(r)))[0])
+        d = float(eos.dhinv(star.u0_of(r))[0])
         return [y[1], -2.0 / r * y[1] - 4.0 * np.pi * d * y[0]]
 
     traj = integrate_ivp(rhs, y0, r0, tol=tol, r_max=star.R)
@@ -189,22 +189,16 @@ class MassCurve:
                 w.writerow([repr(x) for x in row])
 
 
-def mass_curve(eos, a_range, n, tol=1e-12, threads=None):
+def mass_curve(eos, a_range, n, tol=1e-12):
     """n log-spaced samples of (a, R, M, M') over a_range = (a_lo, a_hi)."""
     a_lo, a_hi = a_range
     if not (0 < a_lo < a_hi) or n < 2:
         raise EOSError("need 0 < a_lo < a_hi and n >= 2")
     avals = np.logspace(np.log10(a_lo), np.log10(a_hi), n)
 
-    def one(a):
+    samples = []
+    for a in avals:
         star = solve_radial(eos, a, tol=tol)
         mp, _ = mass_derivative(eos, star, tol=tol)
-        return (a, star.R, star.mass, mp)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            samples = list(ex.map(one, avals))
-    else:
-        samples = [one(a) for a in avals]
+        samples.append((a, star.R, star.mass, mp))
     return MassCurve(samples)

@@ -11,9 +11,11 @@ mass factor restoring the total mass, and J(r) = int_0^r omega^2(s) s ds the
 centrifugal antiderivative.  At zeta = 0 the gravity and enthalpy terms
 cancel against the radial equilibrium and F = kappa J exactly.
 
-first_order_shape solves the linearized problem mode by mode; newton_continue
-runs Newton iteration on the spherical-harmonic coefficients of zeta along a
-schedule of rotation intensities kappa.
+EPModel carries this residual and its derivative; vlasov.VPModel carries the
+Vlasov-Poisson one through the same interface.  first_order_shape solves the
+linearized EP problem mode by mode; newton_continue runs Newton iteration on
+the spherical-harmonic coefficients of zeta for either model along a schedule
+of rotation intensities kappa.
 """
 
 import csv
@@ -44,7 +46,7 @@ def centrifugal_rhs(profile, star, ells=(0, 2, 4, 6, 8), nodes=None, n_mu=24):
     mu = 0.5 * (xm + 1.0)
     wmu = 0.5 * wm
     sth = np.sqrt(1.0 - mu ** 2)
-    Jvals = profile.J(np.outer(nodes, sth).ravel()).reshape(len(nodes), n_mu)
+    Jvals = profile.J(np.outer(nodes, sth))
     rhs = np.empty((len(ells), len(nodes)))
     for i, l in enumerate(ells):
         rhs[i] = Jvals @ (4.0 * np.pi * wmu * Ytilde(l, mu))
@@ -55,96 +57,122 @@ def centrifugal_rhs(profile, star, ells=(0, 2, 4, 6, 8), nodes=None, n_mu=24):
 # the nonlinear residual and its derivative
 
 
-def _model_fields(geo):
-    """EP caches on a geometry: transported density modes, its potential at
-    the targets, and the mass factor."""
-    if getattr(geo, "_ep", None) is not None:
-        return geo._ep
-    star = geo.star
-    rho_src = np.zeros_like(geo.T2)
-    if np.any(geo.inside):
-        rho_src[geo.inside] = star.rho0_of(geo.z0[geo.inside])
-    sigma = geo.project_modes(rho_src)
-    V, Vp, V0 = geo.potential_at_targets(sigma, deriv=True)
-    mfac = star.mass / geo.vol_rho_det
-    geo._ep = {"rho_src": rho_src, "sigma": sigma, "V": V, "Vp": Vp,
-               "V0": V0, "mfac": mfac}
-    return geo._ep
+class EPModel:
+    """Euler-Poisson fluid: the transported density rho0(z) plus the
+    centrifugal term kappa J(r_cyl), with the enthalpy evaluated at the
+    mass-restored density.
+
+    A model provides fields (cached per geometry by Geometry.model_fields),
+    the residual and its directional derivative on a geometry, and the
+    warm-start slope of the Newton unknowns per unit kappa."""
+
+    def __init__(self, star, profile):
+        self.star = star
+        self.profile = profile
+
+    def fields(self, geo, kappa):
+        """Transported density on the source grid, its potential at the
+        targets, and the mass factor."""
+        star = self.star
+        dens = np.zeros_like(geo.T2)
+        if np.any(geo.inside):
+            dens[geo.inside] = star.rho0_of(geo.z0[geo.inside])
+        sigma = geo.project_modes(dens)
+        V, Vp, V0 = geo.potential_at_targets(sigma, deriv=True)
+        return {"dens": dens, "V": V, "Vp": Vp, "V0": V0,
+                "mfac": star.mass / geo.vol_rho_det}
+
+    def residual(self, geo, kappa):
+        star = self.star
+        f = geo.model_fields(self, kappa)
+        mfac = f["mfac"]
+        r_cyl = geo.s_t * geo.disc.sin_theta[None, :]
+        grav = mfac * (f["V"] - f["V0"])
+        cent = kappa * self.profile.J(r_cyl)
+        rho_c = star.rho0_of(geo.rc)
+        rho_00 = float(star.rho0_of(0.0)[0])
+        h_term = -star.eos.h(mfac * rho_c) + float(star.eos.h(mfac * rho_00))
+        return grav + cent + h_term[:, None]
+
+    def derivative(self, geo, kappa, xi):
+        star, disc = self.star, geo.disc
+        f = geo.model_fields(self, kappa)
+        mfac = f["mfac"]
+        R = star.R
+
+        # mass-factor derivative: trace formula on the undeformed volume grid
+        ru = disc.panels_u.x
+        xi_u = xi.value(geo.RU, geo.THU)
+        xir_u = xi.d_r(geo.RU, geo.THU)
+        tr = (xir_u / geo.RU - xi_u / geo.RU ** 2) / geo.g1_u \
+            + 2.0 * xi_u / (geo.lam_u * geo.RU ** 2)
+        wu = disc.panels_u.w * ru ** 2
+        integral = 4.0 * np.pi * np.einsum(
+            "i,ij,j->", wu, geo.rho_u[:, None] * geo.det_u * tr, disc.wmu)
+        mfac_p = -star.mass / geo.vol_rho_det ** 2 * integral
+
+        # transported-density derivative: potential of
+        # q(z) = rho0'(z) (xi(z)/|z|) / (radial stretch)
+        zz = np.where(geo.inside, geo.z0, R)
+        q_src = np.zeros_like(geo.T2)
+        msk = geo.inside
+        rho0p_z = star.rho0p_of(zz)
+        q_src[msk] = rho0p_z[msk] \
+            * (xi.value(zz, geo.TH2)[msk] / np.maximum(zz[msk], 1e-6 * R)) \
+            / geo.g1_src[msk]
+        sig_q = geo.project_modes(q_src)
+        Vq, Vq0 = geo.potential_at_targets(sig_q)
+
+        xi_t = xi.value(geo.RC, geo.THC)
+        r_cyl = geo.s_t * disc.sin_theta[None, :]
+        omega2 = self.profile.omega_sq(r_cyl.ravel()).reshape(r_cyl.shape)
+
+        rho_c = star.rho0_of(geo.rc)
+        rho_00 = float(star.rho0_of(0.0)[0])
+        dh_c = star.eos.dh(mfac * rho_c)
+        dh_0 = float(star.eos.dh(mfac * rho_00))
+
+        out = mfac_p * (f["V"] - f["V0"])                         # M' F1
+        out += mfac * (-(Vq - Vq0))                               # moved density
+        out += mfac * f["Vp"] * (xi_t / geo.RC)                   # moved target
+        out += kappa * omega2 * r_cyl * xi_t * disc.sin_theta[None, :] / geo.RC
+        out += (-dh_c * rho_c + dh_0 * rho_00)[:, None] * mfac_p  # enthalpy terms
+        return out
+
+    def slope(self, disc):
+        """The first-order response sampled onto the collocation nodes, per
+        unit kappa."""
+        shape = first_order_shape(self.star, self.profile, ells=disc.ells)
+        return np.array([shape.ops[l].panels.interp(shape.xi[l],
+                                                    disc.panels_c.x)
+                         for l in disc.ells])
 
 
-def evaluate_F(zeta, kappa, star, profile, disc=None, geo=None):
-    """Residual field F(zeta, kappa) at the collocation targets.
+def _geometry(zeta, model, disc, geo):
+    if geo is not None:
+        return geo
+    if disc is None:
+        disc = Discretization(model.star.R)
+    return Geometry(zeta, model.star, disc)
+
+
+def evaluate_F(zeta, kappa, model, disc=None, geo=None):
+    """Residual field F(zeta, kappa) of model at the collocation targets.
 
     Returns (F, geo) with F of shape (n_rc, n_mu); geo can be reused for
     frechet_apply at the same zeta."""
-    if disc is None:
-        disc = Discretization(star.R)
-    if geo is None:
-        geo = Geometry(zeta, star, disc)
-    ep = _model_fields(geo)
-    mfac = ep["mfac"]
-    rc = geo.rc
-    r_cyl = geo.s_t * disc.sin_theta[None, :]
-    grav = mfac * (ep["V"] - ep["V0"])
-    cent = kappa * profile.J(r_cyl.ravel()).reshape(r_cyl.shape)
-    rho_c = np.atleast_1d(star.rho0_of(rc))
-    rho_00 = float(np.atleast_1d(star.rho0_of(np.array([0.0])))[0])
-    h_term = (-np.atleast_1d(star.eos.h(mfac * rho_c))
-              + float(np.atleast_1d(star.eos.h(np.array([mfac * rho_00])))[0]))
-    return grav + cent + h_term[:, None], geo
+    geo = _geometry(zeta, model, disc, geo)
+    return model.residual(geo, kappa), geo
 
 
-def frechet_apply(zeta, kappa, xi, star, profile, disc=None, geo=None):
-    """Directional derivative dF(zeta, kappa)[xi] at the collocation targets.
+def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
+    """Directional derivative dF(zeta, kappa)[xi] of model at the collocation
+    targets.
 
     xi is a DeformationField or ModalField; zeta may be None for the
     undeformed state."""
-    if disc is None:
-        disc = Discretization(star.R)
-    if geo is None:
-        geo = Geometry(zeta, star, disc)
-    ep = _model_fields(geo)
-    mfac = ep["mfac"]
-    R = star.R
-
-    # mass-factor derivative: trace formula on the undeformed volume grid
-    ru = disc.panels_u.x
-    xi_u = xi.value(geo.RU, geo.THU)
-    xir_u = xi.d_r(geo.RU, geo.THU)
-    tr = (xir_u / geo.RU - xi_u / geo.RU ** 2) / geo.g1_u \
-        + 2.0 * xi_u / (geo.lam_u * geo.RU ** 2)
-    wu = disc.panels_u.w * ru ** 2
-    integral = 4.0 * np.pi * np.einsum(
-        "i,ij,j->", wu, geo.rho_u[:, None] * geo.det_u * tr, disc.wmu)
-    mfac_p = -star.mass / geo.vol_rho_det ** 2 * integral
-
-    # transported-density derivative: potential of
-    # q(z) = rho0'(z) (xi(z)/|z|) / (radial stretch)
-    zz = np.where(geo.inside, geo.z0, R)
-    q_src = np.zeros_like(geo.T2)
-    msk = geo.inside
-    rho0p_z = np.atleast_1d(star.rho0p_of(zz))
-    q_src[msk] = rho0p_z[msk] \
-        * (xi.value(zz, geo.TH2)[msk] / np.maximum(zz[msk], 1e-6 * R)) \
-        / geo.g1_src[msk]
-    sig_q = geo.project_modes(q_src)
-    Vq, Vq0 = geo.potential_at_targets(sig_q)
-
-    xi_t = xi.value(geo.RC, geo.THC)
-    r_cyl = geo.s_t * disc.sin_theta[None, :]
-    omega2 = profile.omega_sq(r_cyl.ravel()).reshape(r_cyl.shape)
-
-    rho_c = np.atleast_1d(star.rho0_of(geo.rc))
-    rho_00 = float(np.atleast_1d(star.rho0_of(np.array([0.0])))[0])
-    dh_c = np.atleast_1d(star.eos.dh(mfac * rho_c))
-    dh_0 = float(np.atleast_1d(star.eos.dh(np.array([mfac * rho_00])))[0])
-
-    out = mfac_p * (ep["V"] - ep["V0"])                       # M' F1
-    out += mfac * (-(Vq - Vq0))                               # moved density
-    out += mfac * ep["Vp"] * (xi_t / geo.RC)                  # moved target
-    out += kappa * omega2 * r_cyl * xi_t * disc.sin_theta[None, :] / geo.RC
-    out += (-dh_c * rho_c + dh_0 * rho_00)[:, None] * mfac_p  # enthalpy terms
-    return out
+    geo = _geometry(zeta, model, disc, geo)
+    return model.derivative(geo, kappa, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +243,9 @@ def first_order_shape(star, profile, ells=(0, 2, 4, 6, 8), n=256, order=8,
 class RotatingSolution:
     """A converged rotating state: modal deformation plus diagnostics."""
 
-    def __init__(self, star, profile, kappa, disc, coefs, residual_sup,
-                 iters, mfac, mass_value):
+    def __init__(self, star, kappa, disc, coefs, residual_sup, iters, mfac,
+                 mass_value):
         self.star = star
-        self.profile = profile
         self.kappa = float(kappa)
         self.disc = disc
         self.coefs = coefs
@@ -266,8 +293,7 @@ def _project_residual(F, disc):
     return np.einsum("lj,ij->li", disc.proj, F)
 
 
-def _newton_at(star, profile, kappa, coefs, disc, evaluator, frechet,
-               tol, max_iter):
+def _newton_at(model, kappa, coefs, disc, tol, max_iter):
     """Newton iteration at fixed kappa from the warm start coefs."""
     ells = disc.ells
     n_l, n_c = len(ells), len(disc.panels_c)
@@ -282,7 +308,7 @@ def _newton_at(star, profile, kappa, coefs, disc, evaluator, frechet,
                 raise DeformationError(
                     f"deformation cap: ||zeta||_X = {xn:.4g} >= {EPS0} "
                     f"at kappa={kappa:g}")
-        F, geo = evaluator(field, kappa, disc)
+        F, geo = evaluate_F(field, kappa, model, disc)
         res_sup = float(np.max(np.abs(F)))
         if res_sup < tol:
             return coefs, geo, res_sup, it
@@ -297,51 +323,36 @@ def _newton_at(star, profile, kappa, coefs, disc, evaluator, frechet,
             e = np.zeros((n_l, n_c))
             e[divmod(col, n_c)] = 1.0
             basis = ModalField(disc.panels_c, ells, e)
-            dF = frechet(field, kappa, basis, disc, geo)
+            dF = frechet_apply(field, kappa, basis, model, disc, geo)
             J[:, col] = _project_residual(dF, disc).ravel()
         delta = np.linalg.solve(J, -res)
         coefs = coefs + delta.reshape(n_l, n_c)
     raise SolverError("unreachable")
 
 
-def _warm_start_coefs(shape, disc):
-    """Sample the first-order response onto the collocation nodes, per unit
-    kappa."""
-    coefs = np.zeros((len(disc.ells), len(disc.panels_c)))
-    for i, l in enumerate(disc.ells):
-        if l in shape.ells:
-            coefs[i] = shape.ops[l].panels.interp(shape.xi[l], disc.panels_c.x)
-    return coefs
-
-
-def newton_continue(star, profile, kappas, disc=None, tol=1e-8, max_iter=8,
-                    max_halvings=6, evaluator=None, frechet=None, shape=None,
-                    on_solution=None):
-    """Continuation in the rotation intensity kappa with exact mass.
+def newton_continue(model, kappas, disc=None, tol=1e-8, max_iter=8,
+                    max_halvings=6, on_solution=None):
+    """Continuation of model (EPModel or VPModel) in the rotation intensity
+    kappa with exact mass.
 
     Returns one RotatingSolution per requested kappa.  Steps between
     requested values are halved when Newton fails to converge.  on_solution
     is called with each accepted solution as it is produced, so callers can
     persist partial curves before a later step fails."""
+    kappas = list(kappas)
+    prev = 0.0
+    for target in kappas:
+        if target < prev - _TINY:
+            raise SolverError("kappa schedule must be nondecreasing")
+        prev = target
     if disc is None:
-        disc = Discretization(star.R)
-    if evaluator is None:
-        def evaluator(field, kappa, d):
-            return evaluate_F(field, kappa, star, profile, disc=d)
-    if frechet is None:
-        def frechet(field, kappa, basis, d, geo):
-            return frechet_apply(field, kappa, basis, star, profile,
-                                 disc=d, geo=geo)
-    if shape is None:
-        shape = first_order_shape(star, profile, ells=disc.ells)
-    slope = _warm_start_coefs(shape, disc)
+        disc = Discretization(model.star.R)
+    slope = model.slope(disc)
 
     sols = []
     k_cur = 0.0
     coefs = np.zeros((len(disc.ells), len(disc.panels_c)))
     for target in kappas:
-        if target < k_cur - _TINY:
-            raise SolverError("kappa schedule must be nondecreasing")
         step = max(target - k_cur, 0.0)
         halvings = 0
         done = False
@@ -350,8 +361,7 @@ def newton_continue(star, profile, kappas, disc=None, tol=1e-8, max_iter=8,
             warm = coefs + (k_try - k_cur) * slope
             try:
                 coefs_new, geo, res_sup, iters = _newton_at(
-                    star, profile, k_try, warm, disc, evaluator, frechet,
-                    tol, max_iter)
+                    model, k_try, warm, disc, tol, max_iter)
             except SolverError:
                 halvings += 1
                 if halvings > max_halvings:
@@ -360,12 +370,10 @@ def newton_continue(star, profile, kappas, disc=None, tol=1e-8, max_iter=8,
                 continue
             k_cur, coefs = k_try, coefs_new
             if abs(k_cur - target) <= _TINY:
-                model = getattr(geo, "_ep", None) or getattr(geo, "_vp", None)
-                mfac = model["mfac"]
-                dens = model.get("rho_src", model.get("w_src"))
-                mass_value = mfac * geo.volume_integral_src(dens)
-                sol = RotatingSolution(star, profile, k_cur, disc, coefs,
-                                       res_sup, iters, mfac, mass_value)
+                f = geo.model_fields(model, k_cur)
+                mass_value = f["mfac"] * geo.volume_integral_src(f["dens"])
+                sol = RotatingSolution(model.star, k_cur, disc, coefs,
+                                       res_sup, iters, f["mfac"], mass_value)
                 sols.append(sol)
                 if on_solution is not None:
                     on_solution(sol)

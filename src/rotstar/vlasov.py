@@ -9,18 +9,17 @@ density at rotation intensity kappa is
 
 with w(0, r, u) = G(u) closed-form in Beta functions.  The radial problem
 reuses the shooting core with source 4 pi G; the nonlinear rotation problem
-reuses the dilating-map geometry and Newton continuation with model-specific
-residual and derivative fields.
+is VPModel, run by the same Newton continuation as the Euler-Poisson model
+(rotating.newton_continue).
 """
 
 import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import roots_jacobi
 
-from .axisym import Discretization, Geometry
-from .errors import EOSError, SolverError, UnboundStarError
+from .errors import EOSError
 from .linop import assemble_mode, solve as linop_solve
-from .numerics import Ytilde, gl_nodes, integrate_ivp
+from .numerics import gl_nodes, integrate_ivp
 from .radial import N_GRID, RadialStar, _shoot_profile
 from . import rotating
 
@@ -118,14 +117,6 @@ class VlasovAnsatz:
             * float(np.dot(wj, f))
 
 
-def G_of_u(ansatz, u):
-    return ansatz.G(u)
-
-
-def w_eval(ansatz, kappa, r, u):
-    return ansatz.w(kappa, r, u)
-
-
 # ---------------------------------------------------------------------------
 # radial problem
 
@@ -169,7 +160,7 @@ def solve_vp_radial(ansatz, a, tol=1e-12, n_grid=N_GRID):
         raise EOSError("central value a must be positive")
 
     def source(v):
-        return 4.0 * np.pi * float(np.atleast_1d(ansatz.G(v))[0])
+        return 4.0 * np.pi * float(ansatz.G(v))
 
     R, traj = _shoot_profile(source, a, tol=tol)
     M = float(traj(R)[2])
@@ -182,15 +173,15 @@ def scaling_response(star, tol=1e-12):
     The scaling identities r u0' = 2 v_S (all r) and 2 v_S'(R) = -u0'(R)
     hold exactly on solutions; they are the standard consistency check."""
     ans = star.ansatz
-    s_a = 4.0 * np.pi * float(np.atleast_1d(ans.G(star.a))[0])
+    s_a = 4.0 * np.pi * float(ans.G(star.a))
     r0 = 1e-4 * star.R
     # series: v_S ~ -(s_a/6) r^2 near 0 (forced, homogeneous part higher order)
     y0 = [-s_a / 6.0 * r0 ** 2, -s_a / 3.0 * r0]
 
     def rhs(r, y):
         u = float(star.u0_of(r)[0])
-        gp = float(np.atleast_1d(ans.Gp(u))[0])
-        g = float(np.atleast_1d(ans.G(u))[0])
+        gp = float(ans.Gp(u))
+        g = float(ans.G(u))
         return [y[1], -2.0 / r * y[1] - 4.0 * np.pi * (gp * y[0] + g)]
 
     return integrate_ivp(rhs, y0, r0, tol=tol, r_max=star.R)
@@ -208,11 +199,10 @@ def assemble_L_vp(star, l, n=256, order=8, n_sub=12):
 def kappa_derivative_norm(star, ansatz, disc=None):
     """Sup norm of dF/dkappa at (0, 0), computed from the odd-in-kappa part
     of the residual (identically zero for an even ansatz)."""
-    if disc is None:
-        disc = Discretization(star.R)
     k = 1e-2
-    Fp, geo = _evaluate_F_vp(None, k, star, ansatz, disc)
-    Fm, _ = _evaluate_F_vp(None, -k, star, ansatz, disc, geo=geo)
+    model = VPModel(star, ansatz)
+    Fp, geo = rotating.evaluate_F(None, k, model, disc)
+    Fm, _ = rotating.evaluate_F(None, -k, model, disc, geo=geo)
     return float(np.max(np.abs(Fp - Fm)) / (2.0 * k))
 
 
@@ -241,7 +231,7 @@ def vp_rotation_response(star, ansatz, kappa, n=256, order=8, ells=(0, 2)):
         if l == 0:
             A0, _ = mode_potential_matrices(pan, 0, np.array([0.0]))
             phi = phi - float(A0[0] @ sig[0])
-            u_term = (np.atleast_1d(star.u0_of(t)) - star.a) * np.sqrt(4.0 * np.pi)
+            u_term = (star.u0_of(t) - star.a) * np.sqrt(4.0 * np.pi)
             phi = phi - u_term * M_kk / star.mass
         rhs = -(kappa ** 2 / 2.0) * phi
         xi[l] = linop_solve(ops[l], rhs)
@@ -252,88 +242,53 @@ def vp_rotation_response(star, ansatz, kappa, n=256, order=8, ells=(0, 2)):
 # nonlinear rotation problem
 
 
-def _model_fields_vp(geo, star, ansatz, kappa):
-    cache = getattr(geo, "_vp", None)
-    if cache is not None and cache["kappa"] == kappa:
-        return cache
-    u_z = np.zeros_like(geo.T2)
-    u_z[geo.inside] = star.u0_of(geo.z0[geo.inside])
-    r_cyl_y = geo.T2 * np.sqrt(1.0 - geo.disc.mu[None, :] ** 2)
-    W = np.where(geo.inside, ansatz.w(kappa, r_cyl_y, u_z), 0.0)
-    Mcal = geo.volume_integral_src(W)
-    sigma = geo.project_modes(W)
-    V, Vp, V0 = geo.potential_at_targets(sigma, deriv=True)
-    geo._vp = {"kappa": kappa, "u_z": u_z, "r_cyl_y": r_cyl_y, "w_src": W,
-               "Mcal": Mcal, "mfac": star.mass / Mcal, "V": V, "Vp": Vp,
-               "V0": V0}
-    return geo._vp
+class VPModel:
+    """Vlasov-Poisson rotation problem: the density w(kappa, r_cyl, u0(z)) on
+    the source grid, scaled by mfac to the radial star's mass, with the
+    residual a - u0 + mfac (V - V(0)).  Same interface as rotating.EPModel."""
 
+    def __init__(self, star, ansatz):
+        self.star = star
+        self.ansatz = ansatz
 
-def _evaluate_F_vp(zeta, kappa, star, ansatz, disc, geo=None):
-    if geo is None:
-        geo = Geometry(zeta, star, disc)
-    vp = _model_fields_vp(geo, star, ansatz, kappa)
-    u_c = np.atleast_1d(star.u0_of(geo.rc))
-    F = (star.a - u_c)[:, None] + vp["mfac"] * (vp["V"] - vp["V0"])
-    return F, geo
+    def fields(self, geo, kappa):
+        """Density and u0(z) on the source grid, its potential at the
+        targets, its integral Mcal and the mass factor."""
+        star = self.star
+        u_z = np.zeros_like(geo.T2)
+        u_z[geo.inside] = star.u0_of(geo.z0[geo.inside])
+        r_cyl_y = geo.T2 * np.sqrt(1.0 - geo.disc.mu[None, :] ** 2)
+        W = np.where(geo.inside, self.ansatz.w(kappa, r_cyl_y, u_z), 0.0)
+        Mcal = geo.volume_integral_src(W)
+        sigma = geo.project_modes(W)
+        V, Vp, V0 = geo.potential_at_targets(sigma, deriv=True)
+        return {"dens": W, "u_z": u_z, "r_cyl_y": r_cyl_y, "Mcal": Mcal,
+                "mfac": star.mass / Mcal, "V": V, "Vp": Vp, "V0": V0}
 
+    def residual(self, geo, kappa):
+        f = geo.model_fields(self, kappa)
+        u_c = self.star.u0_of(geo.rc)
+        return (self.star.a - u_c)[:, None] + f["mfac"] * (f["V"] - f["V0"])
 
-def _frechet_vp(zeta, kappa, xi, star, ansatz, disc, geo=None):
-    if geo is None:
-        geo = Geometry(zeta, star, disc)
-    vp = _model_fields_vp(geo, star, ansatz, kappa)
-    R = star.R
-    zz = np.where(geo.inside, geo.z0, R)
-    dw = np.where(geo.inside,
-                  ansatz.dw_du(kappa, vp["r_cyl_y"], vp["u_z"]), 0.0)
-    u0p_z = np.atleast_1d(star.u0p_of(zz))
-    q_src = dw * u0p_z * np.where(geo.inside, xi.value(zz, geo.TH2), 0.0) \
-        / np.maximum(zz, 1e-6 * R) / geo.g1_src
-    sig_q = geo.project_modes(q_src)
-    Vq, Vq0 = geo.potential_at_targets(sig_q)
-    xi_t = xi.value(geo.RC, geo.THC)
-    mfac = vp["mfac"]
-    Mcal_p = -geo.volume_integral_src(q_src)
-    out = -mfac * (Vq - Vq0)
-    out += mfac * vp["Vp"] * (xi_t / geo.RC)
-    out += -(mfac * Mcal_p / vp["Mcal"]) * (vp["V"] - vp["V0"])
-    return out
+    def derivative(self, geo, kappa, xi):
+        f = geo.model_fields(self, kappa)
+        R = self.star.R
+        zz = np.where(geo.inside, geo.z0, R)
+        dw = np.where(geo.inside,
+                      self.ansatz.dw_du(kappa, f["r_cyl_y"], f["u_z"]), 0.0)
+        u0p_z = self.star.u0p_of(zz)
+        q_src = dw * u0p_z * np.where(geo.inside, xi.value(zz, geo.TH2), 0.0) \
+            / np.maximum(zz, 1e-6 * R) / geo.g1_src
+        sig_q = geo.project_modes(q_src)
+        Vq, Vq0 = geo.potential_at_targets(sig_q)
+        xi_t = xi.value(geo.RC, geo.THC)
+        mfac = f["mfac"]
+        Mcal_p = -geo.volume_integral_src(q_src)
+        out = -mfac * (Vq - Vq0)
+        out += mfac * f["Vp"] * (xi_t / geo.RC)
+        out += -(mfac * Mcal_p / f["Mcal"]) * (f["V"] - f["V0"])
+        return out
 
-
-def evaluate_F_vp(zeta, kappa, star, ansatz, disc=None, geo=None):
-    """Vlasov-Poisson residual field at the collocation targets."""
-    if disc is None:
-        disc = Discretization(star.R)
-    return _evaluate_F_vp(zeta, kappa, star, ansatz, disc, geo=geo)
-
-
-def frechet_apply_vp(zeta, kappa, xi, star, ansatz, disc=None, geo=None):
-    """Directional derivative of the Vlasov-Poisson residual."""
-    if disc is None:
-        disc = Discretization(star.R)
-    return _frechet_vp(zeta, kappa, xi, star, ansatz, disc, geo=geo)
-
-
-class _ZeroShape:
-    """Warm-start stand-in: the Vlasov response is quadratic in kappa, so the
-    linear slope is zero."""
-    ells = ()
-
-
-def vp_newton(star, ansatz, kappas, disc=None, tol=1e-8, max_iter=8,
-              max_halvings=6, on_solution=None):
-    """Newton continuation of the rotating Vlasov-Poisson problem."""
-    if disc is None:
-        disc = Discretization(star.R)
-
-    def evaluator(field, kappa, d):
-        return _evaluate_F_vp(field, kappa, star, ansatz, d)
-
-    def frechet(field, kappa, basis, d, geo):
-        return _frechet_vp(field, kappa, basis, star, ansatz, d, geo=geo)
-
-    return rotating.newton_continue(star, None, kappas, disc=disc, tol=tol,
-                                    max_iter=max_iter,
-                                    max_halvings=max_halvings,
-                                    evaluator=evaluator, frechet=frechet,
-                                    shape=_ZeroShape(), on_solution=on_solution)
+    def slope(self, disc):
+        """Zero: w is even in kappa, so the response starts at kappa^2."""
+        return np.zeros((len(disc.ells), len(disc.panels_c)))

@@ -50,22 +50,33 @@ def ep_shape(star15, rot_profile):
 
 
 @pytest.fixture(scope="session")
-def ep_solutions(star15, rot_profile, ep_shape):
+def ep_model(star15, rot_profile):
+    from rotstar.rotating import EPModel
+    return EPModel(star15, rot_profile)
+
+
+@pytest.fixture(scope="session")
+def vp_model(vp_star, vp_ansatz):
+    from rotstar.vlasov import VPModel
+    return VPModel(vp_star, vp_ansatz)
+
+
+@pytest.fixture(scope="session")
+def ep_solutions(star15, ep_model):
     from rotstar.axisym import Discretization
     from rotstar.rotating import newton_continue
     disc = Discretization(star15.R)
     # kappa = 2e-3 already pushes ||zeta||_X past the injectivity cap 0.1
     # for gamma = 1.5, so the schedule stops at 1e-3
-    return newton_continue(star15, rot_profile, [5e-4, 1e-3], disc=disc,
-                           shape=ep_shape)
+    return newton_continue(ep_model, [5e-4, 1e-3], disc=disc)
 
 
 @pytest.fixture(scope="session")
-def vp_solutions(vp_star, vp_ansatz):
+def vp_solutions(vp_star, vp_model):
     from rotstar.axisym import Discretization
-    from rotstar.vlasov import vp_newton
+    from rotstar.rotating import newton_continue
     disc = Discretization(vp_star.R)
-    return vp_newton(vp_star, vp_ansatz, [1e-2, 2e-2], disc=disc)
+    return newton_continue(vp_model, [1e-2, 2e-2], disc=disc)
 
 
 def rand_deformation(rng, R, cap=0.04):

@@ -45,12 +45,6 @@ def test_runconfig_validation():
         cfg.make_eos()
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("ROTSTAR_THREADS", "3")
-    assert RunConfig({}).threads == 3
-    assert RunConfig({}, threads=2).threads == 2
-
-
 def test_radial_outputs(tmp_path, capsys):
     assert run(tmp_path, "radial", "gamma = 1.5\na = 1.0\n") == 0
     star = json.loads((tmp_path / "star.json").read_text())
@@ -76,6 +70,32 @@ def test_vp_radial_reports_flux_identity(tmp_path, capsys):
 
 def test_config_error_exit_code(tmp_path):
     assert run(tmp_path, "radial", "model = bogus\n") == 2
+
+
+def test_empty_list_is_config_error(tmp_path):
+    assert run(tmp_path, "continue", "kappas =\n") == 2
+    assert run(tmp_path, "kernel-margin", "ells = ,\n") == 2
+
+
+def test_nonfinite_float_is_config_error(tmp_path):
+    assert run(tmp_path, "radial", "a = inf\n") == 2
+    assert run(tmp_path, "radial", "gamma = nan\n") == 2
+    assert run(tmp_path, "continue", "kappas = 0,inf\n") == 2
+
+
+def test_psi0_is_validated(tmp_path):
+    assert run(tmp_path, "vp-radial", "psi0 = abc\n") == 2
+    assert run(tmp_path, "radial", "model = vp\npsi0 = nan\n") == 2
+
+
+def test_vp_aliases_match_model_vp(tmp_path):
+    text = "mu = 0.25\npsi2 = 0.1\nn = 64\nkappas = 0,1e-2\n"
+    for alias, base, name in (("vp-radial", "radial", "star.json"),
+                              ("vp-perturb", "perturb", "shape.csv")):
+        a, b = tmp_path / alias, tmp_path / base
+        assert run(tmp_path, alias, text, out=a) == 0
+        assert run(tmp_path, base, "model = vp\n" + text, out=b) == 0
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_mass_curve_csv_units_header(tmp_path):

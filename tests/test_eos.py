@@ -30,8 +30,22 @@ def test_power_law_bounds():
 @given(gamma=st.floats(1.05, 1.95), s=st.floats(1e-4, 1e3))
 def test_power_law_hinv_roundtrip(gamma, s):
     eos = power_law(gamma)
-    u = float(np.atleast_1d(eos.h(np.array([s])))[0])
-    assert float(np.atleast_1d(eos.hinv(u))[0]) == pytest.approx(s, rel=1e-10)
+    u = float(eos.h(s))
+    assert float(eos.hinv(u)) == pytest.approx(s, rel=1e-10)
+
+
+@pytest.mark.parametrize("eos", [
+    power_law(1.5), power_sum([(1.0, 1.5), (1.0, 1.8)]),
+    CallableEOS(lambda s: s ** 1.6, lambda s: 1.6 * s ** 0.6)],
+    ids=["power_law", "power_sum", "callable"])
+def test_scalar_in_gives_0d_array_out(eos):
+    for name in ("p", "dp", "h", "dh", "k", "hinv", "dhinv"):
+        out = getattr(eos, name)(2.0)
+        assert type(out) is np.ndarray and out.shape == (), name
+        assert getattr(eos, name)(np.full((2, 3), 2.0)).shape == (2, 3), name
+    J = constant_rotation(2.0).J
+    assert type(J(0.5)) is np.ndarray and J(0.5).shape == ()
+    assert np.allclose(J(np.full((2, 3), 0.5)), 4.0 * 0.25 / 2.0, rtol=1e-13)
 
 
 def test_power_sum_enthalpy_is_quadrature_of_dp_over_s():

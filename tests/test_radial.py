@@ -93,8 +93,6 @@ def test_invalid_central_value():
 def test_mass_curve_threads_and_csv(tmp_path):
     eos = power_sum([(1.0, 1.5), (1.0, 1.8)])
     c1 = mass_curve(eos, (0.5, 2.0), 5)
-    c2 = mass_curve(eos, (0.5, 2.0), 5, threads=3)
-    assert np.allclose(np.array(c1.samples), np.array(c2.samples), rtol=0, atol=0)
     p = tmp_path / "curve.csv"
     c1.to_csv(p)
     lines = p.read_text().strip().splitlines()

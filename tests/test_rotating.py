@@ -3,6 +3,7 @@ import pytest
 
 from conftest import rand_deformation
 from rotstar.axisym import Discretization, Geometry, ModalField
+from rotstar.dilation import DeformationField
 from rotstar.errors import DeformationError, SolverError
 from rotstar.linop import assemble_mode
 from rotstar.rotating import (centrifugal_rhs, evaluate_F, first_order_shape,
@@ -41,20 +42,30 @@ def test_geometry_undeformed_is_identity(star15, geo15):
     assert geo15.vol_rho_det == pytest.approx(star15.mass, rel=1e-10)
 
 
-def test_residual_vanishes_at_base_point(star15, rot_profile, disc15, geo15):
-    F, _ = evaluate_F(None, 0.0, star15, rot_profile, disc=disc15, geo=geo15)
+def test_geometry_rejects_unconverged_inversion(star15, disc15):
+    # the fixed-point map z -> t / (1 + zeta(z)/z^2) has slope 4/3 at z = R,
+    # so the ray inversion cannot converge near the boundary
+    R = star15.R
+    zeta = DeformationField.from_callable(
+        lambda r, th: 0.5 * r ** 6 / R ** 4 * np.ones_like(r * th), R)
+    with pytest.raises(DeformationError, match="inversion"):
+        Geometry(zeta, star15, disc15)
+
+
+def test_residual_vanishes_at_base_point(ep_model, disc15, geo15):
+    F, _ = evaluate_F(None, 0.0, ep_model, disc=disc15, geo=geo15)
     assert np.max(np.abs(F)) < 1e-9
 
 
-def test_kappa_term_is_exact_centrifugal(star15, rot_profile, disc15, geo15):
+def test_kappa_term_is_exact_centrifugal(ep_model, disc15, geo15):
     kap = 1e-3
-    F0, _ = evaluate_F(None, 0.0, star15, rot_profile, disc=disc15, geo=geo15)
-    Fk, _ = evaluate_F(None, kap, star15, rot_profile, disc=disc15, geo=geo15)
+    F0, _ = evaluate_F(None, 0.0, ep_model, disc=disc15, geo=geo15)
+    Fk, _ = evaluate_F(None, kap, ep_model, disc=disc15, geo=geo15)
     r_cyl = geo15.s_t * disc15.sin_theta[None, :]
     assert np.max(np.abs(Fk - F0 - kap * 0.5 * r_cyl ** 2)) < 1e-15
 
 
-def test_frechet_at_zero_matches_mode_operator(star15, rot_profile, disc15,
+def test_frechet_at_zero_matches_mode_operator(star15, ep_model, disc15,
                                                geo15):
     l = 2
     op = assemble_mode(star15, l, n=256)
@@ -63,8 +74,7 @@ def test_frechet_at_zero_matches_mode_operator(star15, rot_profile, disc15,
     coefs[i_l] = np.sin(np.pi * disc15.panels_c.x / star15.R) \
         * disc15.panels_c.x ** 2 / star15.R ** 2
     xi = ModalField(disc15.panels_c, disc15.ells, coefs)
-    dF = frechet_apply(None, 0.0, xi, star15, rot_profile, disc=disc15,
-                       geo=geo15)
+    dF = frechet_apply(None, 0.0, xi, ep_model, disc=disc15, geo=geo15)
     modes = np.einsum("lj,ij->li", disc15.proj, dF)
     xi_op = np.sin(np.pi * op.nodes / star15.R) * op.nodes ** 2 / star15.R ** 2
     want = op.panels.interp(op.matrix @ xi_op, disc15.panels_c.x)
@@ -98,29 +108,27 @@ def test_first_order_shape_oblate(star15, rot_profile):
     assert np.argmax(disp) == len(th) - 1
 
 
-def test_frechet_matches_finite_differences(star15, rot_profile, disc15):
+def test_frechet_matches_finite_differences(star15, ep_model, disc15):
     rng = np.random.default_rng(21)
     zeta = rand_deformation(rng, star15.R)
     xi = rand_deformation(rng, star15.R)
     kap = 2e-3
-    dF = frechet_apply(zeta, kap, xi, star15, rot_profile, disc=disc15)
+    dF = frechet_apply(zeta, kap, xi, ep_model, disc=disc15)
     s = 1e-5
-    Fp, _ = evaluate_F(zeta + xi.scaled(s), kap, star15, rot_profile,
-                       disc=disc15)
-    Fm, _ = evaluate_F(zeta + xi.scaled(-s), kap, star15, rot_profile,
-                       disc=disc15)
+    Fp, _ = evaluate_F(zeta + xi.scaled(s), kap, ep_model, disc=disc15)
+    Fm, _ = evaluate_F(zeta + xi.scaled(-s), kap, ep_model, disc=disc15)
     fd = (Fp - Fm) / (2 * s)
     assert np.max(np.abs(dF - fd)) < 1e-5 * np.max(np.abs(fd))
 
 
-def test_newton_continue_schedule_validation(star15, rot_profile, disc15):
+def test_newton_continue_schedule_validation(ep_model, disc15):
     with pytest.raises(SolverError):
-        newton_continue(star15, rot_profile, [1e-3, 5e-4], disc=disc15)
+        newton_continue(ep_model, [1e-3, 5e-4], disc=disc15)
 
 
-def test_newton_cap_failure(star15, rot_profile, disc15):
+def test_newton_cap_failure(ep_model, disc15):
     with pytest.raises(DeformationError, match="deformation cap"):
-        newton_continue(star15, rot_profile, [0.05], disc=disc15)
+        newton_continue(ep_model, [0.05], disc=disc15)
 
 
 def test_solution_dump(tmp_path, star15, rot_profile, disc15, ep_solutions):

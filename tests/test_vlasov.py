@@ -6,10 +6,10 @@ from rotstar.axisym import Discretization
 from rotstar.eos import power_law
 from rotstar.errors import EOSError
 from rotstar.radial import solve_radial
-from rotstar.vlasov import (VlasovAnsatz, assemble_L_vp, evaluate_F_vp,
-                            frechet_apply_vp, kappa_derivative_norm,
-                            scaling_response, solve_vp_radial, vp_newton,
-                            vp_rotation_response)
+from rotstar.rotating import evaluate_F, frechet_apply
+from rotstar.vlasov import (VlasovAnsatz, assemble_L_vp,
+                            kappa_derivative_norm, scaling_response,
+                            solve_vp_radial, vp_rotation_response)
 
 
 @pytest.fixture(scope="module")
@@ -100,22 +100,20 @@ def test_kappa_derivative_vanishes(vp_star, vp_ansatz, vp_disc):
     assert kappa_derivative_norm(vp_star, vp_ansatz, disc=vp_disc) == 0.0
 
 
-def test_residual_floor_at_base_point(vp_star, vp_ansatz, vp_disc):
-    F, _ = evaluate_F_vp(None, 0.0, vp_star, vp_ansatz, disc=vp_disc)
+def test_residual_floor_at_base_point(vp_star, vp_model, vp_disc):
+    F, _ = evaluate_F(None, 0.0, vp_model, disc=vp_disc)
     assert np.max(np.abs(F)) < 1e-7 * vp_star.a
 
 
-def test_frechet_matches_finite_differences(vp_star, vp_ansatz, vp_disc):
+def test_frechet_matches_finite_differences(vp_star, vp_model, vp_disc):
     rng = np.random.default_rng(11)
     zeta = rand_deformation(rng, vp_star.R)
     xi = rand_deformation(rng, vp_star.R)
     kap = 1e-2
-    dF = frechet_apply_vp(zeta, kap, xi, vp_star, vp_ansatz, disc=vp_disc)
+    dF = frechet_apply(zeta, kap, xi, vp_model, disc=vp_disc)
     s = 1e-5
-    Fp, _ = evaluate_F_vp(zeta + xi.scaled(s), kap, vp_star, vp_ansatz,
-                          disc=vp_disc)
-    Fm, _ = evaluate_F_vp(zeta + xi.scaled(-s), kap, vp_star, vp_ansatz,
-                          disc=vp_disc)
+    Fp, _ = evaluate_F(zeta + xi.scaled(s), kap, vp_model, disc=vp_disc)
+    Fm, _ = evaluate_F(zeta + xi.scaled(-s), kap, vp_model, disc=vp_disc)
     fd = (Fp - Fm) / (2 * s)
     assert np.max(np.abs(dF - fd)) < 1e-4 * np.max(np.abs(fd))
 
