@@ -11,16 +11,14 @@ from .eos import (EquationOfState, PowerLawEOS, PowerSumEOS, CallableEOS,
                   check_mass_condition_b)
 from .radial import (RadialStar, MassCurve, solve_radial, mass_derivative,
                      gamma_43_identity_check, mass_curve)
-from .dilation import (DeformationField, DilationMap, mass_factor, extend,
-                       EPS0)
 from .linop import (ModeOperator, assemble_mode, kernel_margin_ladder, apply,
                     solve)
-from .axisym import Discretization, Geometry, ModalField
+from .axisym import EPS0, Discretization, Geometry, ModalField
 from .rotating import (EPModel, RotatingSolution, ShapeReport,
                        centrifugal_rhs, first_order_shape, evaluate_F,
                        frechet_apply, newton_continue)
 from .vlasov import (VlasovAnsatz, VlasovStar, VPModel, solve_vp_radial,
-                     scaling_response, assemble_L_vp, vp_rotation_response)
+                     scaling_response, vp_rotation_response)
 from .errors import (RotstarError, ConfigError, SolverError, StiffnessError,
                      NoEventError, UnboundStarError, EOSError,
                      NonIntegrableEnthalpyError, DegenerateOperatorError,

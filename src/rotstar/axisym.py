@@ -1,19 +1,22 @@
 """Axisymmetric field machinery for the nonlinear solvers.
 
-Fields are represented either on a tensor (r, theta) grid (DeformationField)
-or as even spherical-harmonic mode profiles on composite Gauss-Legendre
-panels (ModalField).  Geometry caches everything that depends on the
-deformation but not on the model: the inverse map on the source grid, the
-dilating-map Jacobian pieces, and the per-mode potential matrices evaluated
-at the deformed collocation radii.
+A deformation zeta is stored as even spherical-harmonic mode profiles on
+composite Gauss-Legendre panels (ModalField).  Geometry applies the dilating
+map g_zeta(x) = (1 + zeta(x)/|x|^2) x: it caches everything that depends on
+the deformation but not on the model, namely the inverse map on the source
+grid, the Jacobian determinant det Dg with its fold check, the mass integral,
+and the per-mode potential matrices evaluated at the deformed collocation
+radii.
 """
 
 import numpy as np
 
-from .dilation import DeformationField
 from .errors import DeformationError
 from .numerics import Panels, Ytilde, dY_dtheta, gl_nodes
 from .potentials import mode_potential_matrices
+
+#: hard cap on the admissible X-norm
+EPS0 = 0.1
 
 
 def _bary_diff_matrix(x, bw):
@@ -30,8 +33,7 @@ def _bary_diff_matrix(x, bw):
 
 class ModalField:
     """zeta(x) = sum_l zeta_l(r) Y_l0(theta), even l only, nodal profiles on
-    composite panels.  Implements the same evaluation interface as
-    DeformationField so the dilating-map machinery accepts either."""
+    composite panels."""
 
     def __init__(self, panels, ells, coefs):
         self.panels = panels
@@ -95,14 +97,6 @@ class ModalField:
         zr = self.d_r(R, T)
         zt = self.d_theta(R, T)
         return float(np.max(np.sqrt(zr ** 2 + (zt / R) ** 2) / R))
-
-    def to_deformation_field(self, nr=128, ntheta=64):
-        r = np.linspace(0.0, self.R_dom, nr)
-        th = np.linspace(0.0, np.pi / 2, ntheta)
-        vals = self.value(r[:, None] * np.ones((1, ntheta)),
-                          th[None, :] * np.ones((nr, 1)))
-        vals[0] = 0.0
-        return DeformationField(r, th, vals)
 
 
 def field_ratio(zeta, r, theta):

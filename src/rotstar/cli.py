@@ -88,6 +88,8 @@ class RunConfig:
             raise ConfigError("kappa schedule must be nondecreasing")
         self.ells = [int(x) for x in self._floats("ells", [0, 1, 2, 3, 4])]
         self.ns = [int(x) for x in self._floats("ns", [128, 256, 512])]
+        if self.n < 1 or min(self.ns) < 1:
+            raise ConfigError("node counts n and ns must be at least 1")
         self.a_min = self._float("a_min", 0.5)
         self.a_max = self._float("a_max", 2.0)
         self.n_samples = self._int("n_samples", 9)
@@ -207,7 +209,7 @@ def cmd_mass_curve(cfg):
 
 def cmd_kernel_margin(cfg):
     rows = linop.kernel_margin_ladder(cfg.make_star(), ells=cfg.ells,
-                                      ns=cfg.ns, rank_one=cfg.model)
+                                      ns=cfg.ns)
     write_csv(cfg.path("kernel_margin.csv"),
               ["l_mode", "n_nodes", "sigma_min_dimensionless"], rows)
     print(f"kernel-margin: {len(rows)} rows written")

@@ -58,11 +58,11 @@ class ModeOperator:
                 w.writerow([repr(x) for x in row])
 
 
-def assemble_mode(star, l, n=256, order=8, rank_one="ep", n_sub=12):
+def assemble_mode(star, l, n=256, order=8, n_sub=12):
     """Assemble the mode-l block of L on n graded quadrature nodes.
 
-    rank_one selects the l=0 mass term: "ep" (Euler-Poisson, k-based),
-    "vp" (Vlasov-Poisson, potential-based) or None.
+    The l=0 mass term takes its column from star.mass_column, so the star's
+    model (Euler-Poisson or Vlasov-Poisson) decides it.
     """
     if l < 0:
         raise ValueError("harmonic index must be nonnegative")
@@ -76,22 +76,14 @@ def assemble_mode(star, l, n=256, order=8, rank_one="ep", n_sub=12):
         A = A - A0_zero  # the -1/|y| monopole correction
     D = rho0p / x
     M = np.diag(u0p / x) - A * D[None, :]
-    if l == 0 and rank_one is not None:
-        if rank_one == "ep":
-            kvals = star.eos.k(star.rho0_of(x))
-            k0 = float(star.eos.k(star.eos.hinv(star.a)))
-            col = (kvals - k0) / star.mass
-        elif rank_one == "vp":
-            col = (star.u0_of(x) - star.a) / star.mass
-        else:
-            raise ValueError(f"unknown rank_one kind {rank_one!r}")
+    if l == 0:
         row = 4.0 * np.pi * panels.w * x * rho0p
-        M = M + np.outer(col, row)
+        M = M + np.outer(star.mass_column(x), row)
     return ModeOperator(l, star, panels, M)
 
 
 def kernel_margin_ladder(star, ells=(0, 1, 2, 3, 4), ns=(128, 256, 512),
-                         order=2, rank_one="ep"):
+                         order=2):
     """Refinement study of sigma_min per mode.
 
     Uses a fixed low-order composite rule so the discretization error
@@ -102,7 +94,7 @@ def kernel_margin_ladder(star, ells=(0, 1, 2, 3, 4), ns=(128, 256, 512),
     rows = []
     for l in ells:
         for n in ns:
-            op = assemble_mode(star, l, n=n, order=order, rank_one=rank_one,
+            op = assemble_mode(star, l, n=n, order=order,
                                n_sub=max(4, order + 2))
             rows.append((l, n, op.sigma_min()))
     return rows

@@ -133,20 +133,6 @@ def smallest_singular_value(A):
     return float(s[-1]), Vt[-1]
 
 
-class RadialGrid:
-    """Strictly increasing nodes on [0, R], first node 0, last node R."""
-
-    def __init__(self, nodes):
-        nodes = np.asarray(nodes, dtype=float)
-        if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must start at 0 and increase strictly")
-        self.nodes = nodes
-        self.R = float(nodes[-1])
-
-    def __len__(self):
-        return len(self.nodes)
-
-
 def _bary_weights(x):
     """Barycentric interpolation weights for nodes x."""
     m = len(x)

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .errors import EOSError, UnboundStarError, NoEventError
-from .numerics import RadialGrid, integrate_ivp
+from .numerics import integrate_ivp
 
 #: default number of output-grid nodes for a star
 N_GRID = 512
@@ -60,8 +60,8 @@ class RadialStar:
         self._traj = traj
         self._r0 = traj.t[0]
         self._c2 = 4.0 * np.pi * float(eos.hinv(a)) / 6.0  # series curvature
-        self.grid = RadialGrid(np.linspace(0.0, R, n_grid))
-        r = self.grid.nodes
+        self.grid = np.linspace(0.0, R, n_grid)
+        r = self.grid
         self.u0 = self.u0_of(r)
         self.u0p = self.u0p_of(r)
         self.rho0 = np.asarray(eos.hinv(self.u0), dtype=float)
@@ -97,6 +97,13 @@ class RadialStar:
         """rho0'(r) = (h^-1)'(u0) u0'."""
         return np.asarray(self.eos.dhinv(self.u0_of(r)), dtype=float) * self.u0p_of(r)
 
+    def mass_column(self, r):
+        """Column of the l=0 rank-one mass term of the linearized operator:
+        (k(rho0(r)) - k(rho0(0)))/M for the Euler-Poisson fluid."""
+        kvals = self.eos.k(self.rho0_of(r))
+        k0 = float(self.eos.k(self.eos.hinv(self.a)))
+        return (kvals - k0) / self.mass
+
     # serialization -----------------------------------------------------------
 
     def to_json_dict(self):
@@ -104,7 +111,7 @@ class RadialStar:
             "a": self.a,
             "R": self.R,
             "mass": self.mass,
-            "grid": self.grid.nodes.tolist(),
+            "grid": self.grid.tolist(),
             "u0": self.u0.tolist(),
             "u0p": self.u0p.tolist(),
             "rho0": self.rho0.tolist(),

@@ -23,8 +23,7 @@ import json
 
 import numpy as np
 
-from .axisym import Discretization, Geometry, ModalField
-from .dilation import EPS0
+from .axisym import EPS0, Discretization, Geometry, ModalField
 from .errors import DeformationError, SolverError
 from .linop import assemble_mode, solve as linop_solve
 from .numerics import Ytilde, gl_nodes
@@ -169,8 +168,7 @@ def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
     """Directional derivative dF(zeta, kappa)[xi] of model at the collocation
     targets.
 
-    xi is a DeformationField or ModalField; zeta may be None for the
-    undeformed state."""
+    xi is a ModalField; zeta may be None for the undeformed state."""
     geo = _geometry(zeta, model, disc, geo)
     return model.derivative(geo, kappa, xi)
 
@@ -219,12 +217,12 @@ class ShapeReport:
 
 
 def first_order_shape(star, profile, ells=(0, 2, 4, 6, 8), n=256, order=8,
-                      rank_one="ep", n_mu=24):
+                      n_mu=24):
     """Solve L xi_l = -(dF/dkappa)_l for each even mode."""
     ops = {}
     xi = {}
     for l in ells:
-        op = assemble_mode(star, l, n=n, order=order, rank_one=rank_one)
+        op = assemble_mode(star, l, n=n, order=order)
         _, rhs = centrifugal_rhs(profile, star, ells=(l,), nodes=op.nodes,
                                  n_mu=n_mu)
         if np.max(np.abs(rhs[0])) < 1e-14 * max(1.0, star.R ** 2):

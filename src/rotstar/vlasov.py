@@ -24,12 +24,16 @@ from .radial import N_GRID, RadialStar, _shoot_profile
 from . import rotating
 
 
+def _check_mu(mu):
+    if not mu < 1.0:
+        raise EOSError(f"need mu < 1 for an integrable energy power, got {mu}")
+
+
 class VlasovAnsatz:
     """phi(E, L) = (-E)_+^{-mu} (psi0 + psi2 L^2), 0 < mu < 1."""
 
     def __init__(self, mu, psi0=1.0, psi2=0.0):
-        if not mu < 1.0:
-            raise EOSError(f"need mu < 1 for an integrable energy power, got {mu}")
+        _check_mu(mu)
         if psi0 <= 0:
             raise EOSError("psi0 must be positive")
         self.mu = float(mu)
@@ -47,6 +51,7 @@ class VlasovAnsatz:
     def matched_to_power_law(cls, mu, psi2=0.0):
         """psi0 chosen so that G(u) equals the inverse enthalpy of the
         power law p = s^gamma with gamma = 1 + 1/(3/2 - mu)."""
+        _check_mu(mu)
         n = 1.5 - mu
         gamma = 1.0 + 1.0 / n
         K = ((gamma - 1.0) / gamma) ** n
@@ -142,13 +147,17 @@ class VlasovStar(RadialStar):
         self.ansatz = ansatz
         super().__init__(_DensityOfU(ansatz), a, R, M, traj, n_grid=n_grid)
 
+    def mass_column(self, r):
+        """(u0(r) - u0(0))/M: the Vlasov-Poisson rank-one mass column."""
+        return (self.u0_of(r) - self.a) / self.mass
+
     def to_json_dict(self):
         return {
             "mu": self.ansatz.mu,
             "a": self.a,
             "R": self.R,
             "mass": self.mass,
-            "grid": self.grid.nodes.tolist(),
+            "grid": self.grid.tolist(),
             "u0": self.u0.tolist(),
             "rho0": self.rho0.tolist(),
         }
@@ -187,11 +196,6 @@ def scaling_response(star, tol=1e-12):
     return integrate_ivp(rhs, y0, r0, tol=tol, r_max=star.R)
 
 
-def assemble_L_vp(star, l, n=256, order=8, n_sub=12):
-    """Mode-l block of the linearized Vlasov-Poisson operator."""
-    return assemble_mode(star, l, n=n, order=order, rank_one="vp", n_sub=n_sub)
-
-
 # ---------------------------------------------------------------------------
 # rotation response
 
@@ -212,7 +216,7 @@ def vp_rotation_response(star, ansatz, kappa, n=256, order=8, ells=(0, 2)):
     The forcing r_cyl^2 d2w-potential splits into l=0 and l=2; returns
     (ops, xi) with nodal profiles of zeta per mode (kappa included)."""
     from .potentials import mode_potential_matrices
-    ops = {l: assemble_L_vp(star, l, n=n, order=order) for l in ells}
+    ops = {l: assemble_mode(star, l, n=n, order=order) for l in ells}
     pan = ops[ells[0]].panels
     t = pan.x
     d2 = ansatz.d2w_dkappa2_unit(star.u0_of(t))

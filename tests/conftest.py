@@ -80,8 +80,10 @@ def vp_solutions(vp_star, vp_model):
 
 
 def rand_deformation(rng, R, cap=0.04):
-    """A smooth random axisymmetric even deformation with X-norm below cap."""
-    from rotstar.dilation import DeformationField
+    """A smooth random axisymmetric even deformation with X-norm below cap,
+    as a ModalField on the collocation panels of Discretization(R)."""
+    from rotstar.axisym import ModalField
+    from rotstar.numerics import Panels, Ytilde, gl_nodes
     c = rng.standard_normal(6) * 0.01
 
     def f(r, th):
@@ -91,8 +93,20 @@ def rand_deformation(rng, R, cap=0.04):
                 + c[3] * x ** 4 * m ** 2 + c[4] * x ** 3 * (1 - m ** 2)
                 + c[5] * x ** 4 * m ** 4) * R ** 2 * np.ones_like(r * th)
 
-    z = DeformationField.from_callable(f, R)
+    # exact mode projections 2 pi int f Y_l dmu: f Y_l has degree <= 8 in mu
+    pan = Panels.graded(R, 48, 8)
+    ells = (0, 2, 4)
+    mu, wmu = gl_nodes(8)
+    vals = f(pan.x[:, None], np.arccos(mu)[None, :])
+    coefs = [2.0 * np.pi * vals @ (wmu * Ytilde(l, mu)) for l in ells]
+    z = ModalField(pan, ells, coefs)
     xn = z.xnorm()
     if xn > cap:
-        z = z.scaled(cap / xn)
+        z = ModalField(pan, ells, z.coefs * (cap / xn))
     return z
+
+
+def shifted(zeta, xi, s):
+    """The field zeta + s xi of two ModalFields on the same panels and modes."""
+    from rotstar.axisym import ModalField
+    return ModalField(zeta.panels, zeta.ells, zeta.coefs + s * xi.coefs)

@@ -9,7 +9,7 @@ fixtures in conftest.
 import numpy as np
 import pytest
 
-from conftest import rand_deformation
+from conftest import rand_deformation, shifted
 from rotstar.axisym import Discretization, Geometry
 from rotstar.eos import (check_mass_condition_b, constant_rotation,
                          power_law, power_sum)
@@ -106,6 +106,16 @@ def test_07b_oblateness_closed_form_gamma2(star2):
     assert abs(got - want) < 1e-10 * want
 
 
+def test_07c_oblateness_richardson(ep_shape, ep_solutions):
+    # the secant slope s(kappa) = s0 + c kappa + O(kappa^2): the Richardson
+    # value 2 s(kappa/2) - s(kappa) removes the O(kappa) curvature that
+    # test_07's 5% bound has to absorb
+    s1, s2 = ((sol.R_eq - sol.R_pole) / sol.kappa for sol in ep_solutions)
+    assert [sol.kappa for sol in ep_solutions] == [5e-4, 1e-3]
+    pred = ep_shape.oblateness_slope()
+    assert abs(2 * s1 - s2 - pred) < 0.01 * abs(pred)
+
+
 def _frechet_vs_fd(evalF, frechet, R, kap_scale, n_trials, seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -115,8 +125,8 @@ def _frechet_vs_fd(evalF, frechet, R, kap_scale, n_trials, seed):
         kap = kap_scale * rng.uniform(0.0, 1.0)
         dF = frechet(zeta, kap, xi)
         s = 1e-5
-        Fp, _ = evalF(zeta + xi.scaled(s), kap)
-        Fm, _ = evalF(zeta + xi.scaled(-s), kap)
+        Fp, _ = evalF(shifted(zeta, xi, s), kap)
+        Fm, _ = evalF(shifted(zeta, xi, -s), kap)
         fd = (Fp - Fm) / (2 * s)
         worst = max(worst, np.max(np.abs(dF - fd)) / np.max(np.abs(fd)))
     return worst

@@ -88,6 +88,22 @@ def test_psi0_is_validated(tmp_path):
     assert run(tmp_path, "radial", "model = vp\npsi0 = nan\n") == 2
 
 
+def test_vp_mu_at_least_one_is_solver_error(tmp_path, capsys):
+    # mu = 1.5 makes the matched power law divide by 3/2 - mu = 0
+    assert run(tmp_path, "radial", "model = vp\nmu = 1.5\n") == 3
+    err = capsys.readouterr().err
+    assert "need mu < 1" in err and "Traceback" not in err
+
+
+def test_node_count_n_must_be_positive(tmp_path):
+    assert run(tmp_path, "perturb", "gamma = 1.5\nn = 0\n") == 2
+
+
+def test_node_counts_ns_must_be_positive(tmp_path):
+    assert run(tmp_path, "kernel-margin",
+               "gamma = 1.5\nells = 0\nns = 64,-8\n") == 2
+
+
 def test_vp_aliases_match_model_vp(tmp_path):
     text = "mu = 0.25\npsi2 = 0.1\nn = 64\nkappas = 0,1e-2\n"
     for alias, base, name in (("vp-radial", "radial", "star.json"),

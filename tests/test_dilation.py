@@ -1,91 +1,90 @@
+"""The dilating map g_zeta(x) = (1 + zeta(x)/|x|^2) x as Geometry applies it
+to a ModalField, the path the Newton solver runs."""
+
 import numpy as np
 import pytest
 
 from conftest import rand_deformation
-from rotstar.dilation import (EPS0, DeformationField, DilationMap, extend,
-                              mass_factor)
+from rotstar.axisym import EPS0, Discretization, Geometry, ModalField
 from rotstar.errors import DeformationError
+from rotstar.numerics import Ytilde
 
 
-def test_uniform_field_basics():
-    z = DeformationField.uniform(0.03, 2.0)
-    assert z.xnorm() == pytest.approx(0.06, rel=1e-3)
+@pytest.fixture(scope="module")
+def disc15(star15):
+    return Discretization(star15.R)
+
+
+def radial_field(disc, p):
+    """The l = 0 field zeta(x) = p(|x|) on the collocation panels."""
+    pan = disc.panels_c
+    return ModalField(pan, (0,), [p(pan.x) / Ytilde(0, 1.0)])
+
+
+def test_uniform_field_basics(disc15):
+    c = 0.03
+    z = radial_field(disc15, lambda r: c * r * r)
+    assert z.xnorm() == pytest.approx(2 * c, rel=1e-3)
     r = np.array([0.5, 1.5])
     th = np.array([0.3, 1.2])
-    assert np.allclose(z.ratio(r, th), 0.03, atol=1e-10)
+    assert np.allclose(z.ratio(r, th), c, atol=1e-10)
 
 
-def test_field_requires_vanishing_center():
-    r = np.linspace(0, 1, 16)
-    th = np.linspace(0, np.pi / 2, 8)
-    vals = np.ones((16, 8))
-    with pytest.raises(DeformationError):
-        DeformationField(r, th, vals)
+def test_mass_factor_uniform_dilation(star15, disc15):
+    # g = (1+c) x has det (1+c)^3, so the factor is (1+c)^-3
+    c = 0.03
+    geo = Geometry(radial_field(disc15, lambda r: c * r * r), star15, disc15)
+    assert star15.mass / geo.vol_rho_det == pytest.approx((1 + c) ** -3,
+                                                          rel=1e-9)
 
 
-def test_map_cap_enforced():
-    with pytest.raises(DeformationError):
-        DilationMap(DeformationField.uniform(0.06, 1.0))  # X-norm 0.12 > 0.1
-    DilationMap(DeformationField.uniform(0.03, 1.0))
-
-
-def test_apply_invert_roundtrip():
+def test_apply_invert_roundtrip(star15, disc15):
     rng = np.random.default_rng(7)
-    z = rand_deformation(rng, 1.7)
-    g = DilationMap(z)
-    x = rng.uniform(-0.8, 0.8, size=(40, 3))
-    y = g.apply(x)
-    back = g.invert(y)
-    assert np.max(np.abs(back - x)) < 1e-11
+    z = rand_deformation(rng, star15.R)
+    geo = Geometry(z, star15, disc15)
+    sel = geo.inside & (geo.z0 < star15.R)
+    z0, th = geo.z0[sel], geo.TH2[sel]
+    assert z0.size > 0
+    assert np.max(np.abs(z0 * (1.0 + z.ratio(z0, th)) - geo.T2[sel])) < 1e-11
 
 
-def test_jacobian_det_matches_finite_volume():
-    # det Dg from the closed form vs numerical differentiation of g
+def _cartesian_map(z, x):
+    """g_zeta at cartesian points x of shape (..., 3)."""
+    r = np.linalg.norm(x, axis=-1)
+    th = np.arccos(x[..., 2] / r)
+    return (1.0 + z.ratio(r, th))[..., None] * x
+
+
+def test_jacobian_det_matches_finite_volume(star15, disc15):
+    # det Dg from Geometry vs numerical differentiation of g
     rng = np.random.default_rng(3)
-    z = rand_deformation(rng, 1.3)
-    g = DilationMap(z)
-    x0 = np.array([0.4, 0.2, 0.5])
+    z = rand_deformation(rng, star15.R)
+    geo = Geometry(z, star15, disc15)
+    x0 = np.stack([geo.RU * np.sin(geo.THU), np.zeros_like(geo.RU),
+                   geo.RU * np.cos(geo.THU)], axis=-1)
     h = 1e-6
-    D = np.empty((3, 3))
+    D = np.empty(geo.RU.shape + (3, 3))
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        D[:, j] = (g.apply(x0 + e) - g.apply(x0 - e)) / (2 * h)
-    assert g.jacobian_det(x0) == pytest.approx(np.linalg.det(D), rel=1e-6)
+        D[..., j] = (_cartesian_map(z, x0 + e)
+                     - _cartesian_map(z, x0 - e)) / (2 * h)
+    # ModalField.ratio holds zeta/|x|^2 constant inside |x| < 1e-3 R, where
+    # det_u keeps the unclamped derivative, so those nodes are left out
+    sel = geo.RU > 1e-3 * star15.R
+    assert np.count_nonzero(sel) > 0.9 * sel.size
+    rel = geo.det_u[sel] / np.linalg.det(D)[sel] - 1.0
+    assert np.max(np.abs(rel)) < 1e-6
 
 
-def test_fold_detection():
-    r = np.linspace(0, 1, 64)
-    th = np.linspace(0, np.pi / 2, 16)
-    # strongly compressive radial profile folds the map; the norm cap is
-    # relaxed because inside the cap folding is impossible by construction
-    vals = -0.5 * np.sin(np.pi * r)[:, None] ** 2 * np.ones((1, 16))
-    z = DeformationField(r, th, vals)
-    g = DilationMap(z, eps0=10.0)
-    with pytest.raises(DeformationError):
-        g.radial_det(np.linspace(0.05, 0.95, 50), 0.4 * np.ones(50))
-
-
-def test_mass_factor_uniform_dilation(star15):
-    # g = (1+c) x has det (1+c)^3, so the factor is (1+c)^-3
-    c = 0.03
-    g = DilationMap(DeformationField.uniform(c, star15.R))
-    assert mass_factor(g, star15) == pytest.approx((1 + c) ** -3, rel=1e-9)
-
-
-def test_extend_agrees_then_vanishes():
-    rng = np.random.default_rng(5)
-    z = rand_deformation(rng, 1.0)
-    ze = extend(z)
-    r = np.linspace(0.05, 0.999, 60)
-    th = 0.7 * np.ones_like(r)
-    assert np.max(np.abs(ze.value(r, th) - z.value(r, th))) < 1e-12
-    # C^1 across the old boundary
-    h = 1e-5
-    jump = ze.d_r(np.array([1.0 + h]), np.array([0.7])) \
-        - ze.d_r(np.array([1.0 - h]), np.array([0.7]))
-    assert abs(float(jump[0])) < 1e-2 * max(1.0, z.xnorm())
-    assert np.max(np.abs(ze.value(np.array([1.95]), np.array([0.7])))) < 1e-8
+def test_fold_detection(star15, disc15):
+    # a compressive shell just outside the star: the radial stretch turns
+    # negative on the volume grid while the ray inversion still converges
+    R = star15.R
+    z = radial_field(disc15, lambda r: -0.2 * r ** 2
+                     * np.exp(-((r - 1.1 * R) / (0.15 * R)) ** 2))
+    with pytest.raises(DeformationError, match="fold"):
+        Geometry(z, star15, disc15)
 
 
 def test_eps0_value():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import rand_deformation
+from conftest import rand_deformation, shifted
 from rotstar.axisym import Discretization, Geometry, ModalField
-from rotstar.dilation import DeformationField
 from rotstar.errors import DeformationError, SolverError
 from rotstar.linop import assemble_mode
+from rotstar.numerics import Ytilde
 from rotstar.rotating import (centrifugal_rhs, evaluate_F, first_order_shape,
                               frechet_apply, newton_continue)
 
@@ -27,7 +27,6 @@ def test_modal_field_evaluation_and_derivative(disc15):
     f = ModalField(pan, disc15.ells, coefs)
     r = np.linspace(0.2, pan.edges[-1] * 0.99, 40)
     th = 0.8 * np.ones_like(r)
-    from rotstar.numerics import Ytilde
     want = r ** 3 * Ytilde(2, np.cos(0.8))
     assert np.max(np.abs(f.value(r, th) - want)) < 1e-10
     assert np.max(np.abs(f.d_r(r, th) - 3 * r ** 2 * Ytilde(2, np.cos(0.8)))) < 1e-8
@@ -46,8 +45,8 @@ def test_geometry_rejects_unconverged_inversion(star15, disc15):
     # the fixed-point map z -> t / (1 + zeta(z)/z^2) has slope 4/3 at z = R,
     # so the ray inversion cannot converge near the boundary
     R = star15.R
-    zeta = DeformationField.from_callable(
-        lambda r, th: 0.5 * r ** 6 / R ** 4 * np.ones_like(r * th), R)
+    pan = disc15.panels_c
+    zeta = ModalField(pan, (0,), [0.5 * pan.x ** 6 / R ** 4 / Ytilde(0, 1.0)])
     with pytest.raises(DeformationError, match="inversion"):
         Geometry(zeta, star15, disc15)
 
@@ -115,8 +114,8 @@ def test_frechet_matches_finite_differences(star15, ep_model, disc15):
     kap = 2e-3
     dF = frechet_apply(zeta, kap, xi, ep_model, disc=disc15)
     s = 1e-5
-    Fp, _ = evaluate_F(zeta + xi.scaled(s), kap, ep_model, disc=disc15)
-    Fm, _ = evaluate_F(zeta + xi.scaled(-s), kap, ep_model, disc=disc15)
+    Fp, _ = evaluate_F(shifted(zeta, xi, s), kap, ep_model, disc=disc15)
+    Fm, _ = evaluate_F(shifted(zeta, xi, -s), kap, ep_model, disc=disc15)
     fd = (Fp - Fm) / (2 * s)
     assert np.max(np.abs(dF - fd)) < 1e-5 * np.max(np.abs(fd))
 

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import rand_deformation
+from conftest import rand_deformation, shifted
 from rotstar.axisym import Discretization
 from rotstar.eos import power_law
 from rotstar.errors import EOSError
+from rotstar.linop import assemble_mode
 from rotstar.radial import solve_radial
 from rotstar.rotating import evaluate_F, frechet_apply
-from rotstar.vlasov import (VlasovAnsatz, assemble_L_vp,
-                            kappa_derivative_norm, scaling_response,
-                            solve_vp_radial, vp_rotation_response)
+from rotstar.vlasov import (VlasovAnsatz, kappa_derivative_norm,
+                            scaling_response, solve_vp_radial,
+                            vp_rotation_response)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ def test_equivalence_with_power_law(vp_ansatz, vp_star):
 
 def test_mode_operators_healthy(vp_star):
     for l in (0, 2):
-        op = assemble_L_vp(vp_star, l, n=192)
+        op = assemble_mode(vp_star, l, n=192)
         assert op.sigma_min() > 1e-3
 
 
@@ -112,8 +113,8 @@ def test_frechet_matches_finite_differences(vp_star, vp_model, vp_disc):
     kap = 1e-2
     dF = frechet_apply(zeta, kap, xi, vp_model, disc=vp_disc)
     s = 1e-5
-    Fp, _ = evaluate_F(zeta + xi.scaled(s), kap, vp_model, disc=vp_disc)
-    Fm, _ = evaluate_F(zeta + xi.scaled(-s), kap, vp_model, disc=vp_disc)
+    Fp, _ = evaluate_F(shifted(zeta, xi, s), kap, vp_model, disc=vp_disc)
+    Fm, _ = evaluate_F(shifted(zeta, xi, -s), kap, vp_model, disc=vp_disc)
     fd = (Fp - Fm) / (2 * s)
     assert np.max(np.abs(dF - fd)) < 1e-4 * np.max(np.abs(fd))
 
