@@ -19,18 +19,6 @@ from .potentials import mode_potential_matrices
 EPS0 = 0.1
 
 
-def _bary_diff_matrix(x, bw):
-    """Differentiation matrix on polynomial nodes x with barycentric weights bw."""
-    m = len(x)
-    D = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                D[i, j] = (bw[j] / bw[i]) / (x[i] - x[j])
-        D[i, i] = -np.sum(D[i])
-    return D
-
-
 class ModalField:
     """zeta(x) = sum_l zeta_l(r) Y_l0(theta), even l only, nodal profiles on
     composite panels."""
@@ -40,16 +28,8 @@ class ModalField:
         self.ells = tuple(ells)
         self.coefs = np.asarray(coefs, dtype=float)  # (n_l, n_nodes)
         self.R_dom = float(panels.edges[-1])
-        xg = panels._xg
-        Dref = _bary_diff_matrix(xg, panels._ref_bw)
-        # nodal derivative values per mode (chain rule for the panel maps)
-        n_l, nq = self.coefs.shape
-        m = panels.order
-        self.dcoefs = np.empty_like(self.coefs)
-        for p in range(panels.n_panels):
-            scale = 2.0 / (panels.edges[p + 1] - panels.edges[p])
-            cols = slice(p * m, (p + 1) * m)
-            self.dcoefs[:, cols] = self.coefs[:, cols] @ (scale * Dref.T)
+        # nodal derivative values per mode
+        self.dcoefs = self.coefs @ panels.diff_matrix().T
 
     @classmethod
     def zeros(cls, panels, ells):
@@ -126,6 +106,10 @@ class Discretization:
         self.Yt = np.array([Ytilde(l, self.mu) for l in ells])        # (n_l, n_mu)
         self.proj = 4.0 * np.pi * self.wmu[None, :] * self.Yt         # full-sphere modes
         self.panels_u = Panels.graded(R, n_ru, order)   # undeformed volume grid
+        # rows taking nodal values on panels_c to values and radial
+        # derivatives on panels_u
+        self.interp_cu = self.panels_c.interp_rows(self.panels_u.x)
+        self.interp_cu_dr = self.interp_cu @ self.panels_c.diff_matrix()
 
     def n_unknowns(self):
         return len(self.ells) * len(self.panels_c)
@@ -133,13 +117,20 @@ class Discretization:
 
 class Geometry:
     """Deformation-dependent caches shared by evaluate/frechet for one zeta,
-    plus the fields of each model evaluated on it (model_fields)."""
+    plus the fields of each model evaluated on it (model_fields).
+
+    The *_jacobian and *_gradient methods give the derivative pieces that
+    the models' jacobian assembles, for every Newton basis field
+    xi = e_c(r) Y_k(theta) (e_c the nodal basis on disc.panels_c) at once:
+    columns are ordered (k, c) and rows (l, r_i), both mode-major, as
+    ModalField coefficients and projected residuals ravel."""
 
     def __init__(self, zeta, star, disc):
         self.zeta = zeta
         self.star = star
         self.disc = disc
         self._fields = {}
+        self._src_rows = None
         R = star.R
         th = disc.theta
         n_mu = len(th)
@@ -239,22 +230,26 @@ class Geometry:
             self._fields[key] = model.fields(self, kappa)
         return self._fields[key]
 
-    def project_modes(self, vals_src):
-        """Mode profiles (n_l, n_tq) of a field sampled on the source grid."""
-        return np.einsum("lj,ij->li", self.disc.proj, vals_src)
+    def project_modes(self, vals):
+        """Mode profiles (n_l, n_r, ...) of fields (n_r, n_mu, ...) sampled
+        at the quadrature colatitudes (source grid or collocation targets);
+        trailing axes index a batch of fields."""
+        return np.einsum("lj,ij...->li...", self.disc.proj, vals)
 
     def potential_at_targets(self, sigma, deriv=False):
         """Potential (and optionally d/ds) fields at the collocation targets
-        from mode source profiles sigma (n_l, n_tq); also the origin value."""
-        shp = self.s_t.shape
+        from mode source profiles sigma (n_l, n_tq, ...); also the origin
+        value.  Trailing axes of sigma index a batch of sources."""
+        shp = self.s_t.shape + sigma.shape[2:]
+        yshape = (1, -1) + (1,) * (sigma.ndim - 2)
         V = np.zeros(shp)
         Vp = np.zeros(shp) if deriv else None
         for i, l in enumerate(self.disc.ells):
-            phi = (self.A[l] @ sigma[i]).reshape(shp)
-            V += phi * self.disc.Yt[i][None, :]
+            Y = self.disc.Yt[i].reshape(yshape)
+            V += (self.A[l] @ sigma[i]).reshape(shp) * Y
             if deriv:
-                Vp += (self.Ap[l] @ sigma[i]).reshape(shp) * self.disc.Yt[i][None, :]
-        V0 = float(self.A0_zero @ sigma[0]) * Ytilde(0, 1.0)
+                Vp += (self.Ap[l] @ sigma[i]).reshape(shp) * Y
+        V0 = (self.A0_zero @ sigma[0]) * Ytilde(0, 1.0)
         if deriv:
             return V, Vp, V0
         return V, V0
@@ -263,3 +258,65 @@ class Geometry:
         """Integral over the ball of a field sampled on the source grid."""
         wt = self.panels_t.w * self.tq ** 2
         return 4.0 * np.pi * np.einsum("i,ij,j->", wt, vals_src, self.disc.wmu)
+
+    # derivative pieces on the Newton basis -------------------------------
+
+    def vol_rho_det_gradient(self):
+        """Derivative of vol_rho_det = int rho0 det Dg dx along every basis
+        field, shape (n_l n_c,), by the trace formula on the undeformed
+        volume grid."""
+        disc = self.disc
+        ru = disc.panels_u.x
+        W = 4.0 * np.pi * (disc.panels_u.w * ru ** 2 * self.rho_u)[:, None] \
+            * self.det_u * disc.wmu[None, :]
+        # d(det Dg)/det Dg = (xi_r/r - xi/r^2)/g1 + 2 xi/(lam r^2)
+        w_dr = W / (self.g1_u * self.RU)
+        w_val = W * (2.0 / self.lam_u - 1.0 / self.g1_u) / self.RU ** 2
+        return (np.einsum("ij,kj,ic->kc", w_dr, disc.Yt, disc.interp_cu_dr)
+                + np.einsum("ij,kj,ic->kc", w_val, disc.Yt, disc.interp_cu)
+                ).ravel()
+
+    def _source_basis(self, c):
+        """Per source radius, the basis values xi(z0) scaled by c on the
+        source grid, as a factor for a contraction over colatitudes:
+        returns (rows (n_tq, n_mu, n_c), weights c[i, j] Y_k(mu_j))."""
+        if self._src_rows is None:
+            zz = np.where(self.inside, self.z0, self.star.R)
+            self._src_rows = self.disc.panels_c.interp_rows(
+                zz.ravel()).reshape(zz.shape + (-1,))
+        return self._src_rows, c[:, None, :] * self.disc.Yt[None, :, :]
+
+    def density_jacobian(self, c):
+        """Projected residual modes of the potential difference V(q) - V(q)(0)
+        for the moved-density source q = c xi(z0) of every basis field;
+        c is sampled on the source grid.  Shape (n_l n_rc, n_l n_c)."""
+        disc = self.disc
+        rows, cY = self._source_basis(c)
+        n_tq, n_l, n_c = len(self.tq), len(disc.ells), rows.shape[-1]
+        # sigma[l, i, k, c] = sum_j proj[l, j] c[i, j] Y_k(mu_j) rows[i, j, c]
+        lhs = disc.proj[None, :, None, :] * cY[:, None, :, :]
+        sigma = (lhs.reshape(n_tq, n_l * n_l, -1) @ rows).reshape(
+            n_tq, n_l, n_l * n_c).transpose(1, 0, 2)
+        V, V0 = self.potential_at_targets(sigma)
+        return self.project_modes(V - V0).reshape(n_l * len(self.rc), -1)
+
+    def source_integral_gradient(self, c):
+        """Volume integral over the source grid of q = c xi(z0) for every
+        basis field, shape (n_l n_c,)."""
+        rows, cY = self._source_basis(c)
+        wt = 4.0 * np.pi * self.panels_t.w * self.tq ** 2
+        w = wt[:, None, None] * cY * self.disc.wmu[None, None, :]
+        return np.einsum("ikj,ijc->kc", w, rows).ravel()
+
+    def target_jacobian(self, weight):
+        """Projected residual modes of weight * xi at the collocation targets
+        for every basis field.  The targets sit on the nodes of
+        disc.panels_c, where the basis field e_c Y_k is delta_ic Y_k, so the
+        matrix is block diagonal in the radial node."""
+        disc = self.disc
+        n_l, n = len(disc.ells), len(self.rc)
+        blk = np.einsum("lj,ij,kj->ilk", disc.proj, weight, disc.Yt)
+        J = np.zeros((n_l, n, n_l, n))
+        idx = np.arange(n)
+        J[:, idx, :, idx] = blk
+        return J.reshape(n_l * n, n_l * n)

@@ -86,8 +86,8 @@ class RunConfig:
             raise ConfigError("kappa schedule must start at 0")
         if any(k2 < k1 for k1, k2 in zip(self.kappas, self.kappas[1:])):
             raise ConfigError("kappa schedule must be nondecreasing")
-        self.ells = [int(x) for x in self._floats("ells", [0, 1, 2, 3, 4])]
-        self.ns = [int(x) for x in self._floats("ns", [128, 256, 512])]
+        self.ells = self._counts("ells", [0, 1, 2, 3, 4])
+        self.ns = self._counts("ns", [128, 256, 512])
         if self.n < 1 or min(self.ns) < 1:
             raise ConfigError("node counts n and ns must be at least 1")
         self.a_min = self._float("a_min", 0.5)
@@ -131,6 +131,14 @@ class RunConfig:
         if not vals:
             raise ConfigError(f"{key} needs at least one value")
         return vals
+
+    def _counts(self, key, default):
+        """A list of nonnegative integers (mode indices, node counts)."""
+        vals = self._floats(key, default)
+        if any(x < 0 or x != int(x) for x in vals):
+            raise ConfigError(f"{key} must list nonnegative integers, got "
+                              f"{self.raw[key]!r}")
+        return [int(x) for x in vals]
 
     def _pairs(self, key, default):
         if key not in self.raw:

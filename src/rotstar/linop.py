@@ -55,7 +55,7 @@ class ModeOperator:
         with open(csv_path, "w", newline="") as f:
             w = csv.writer(f)
             for row in self.matrix:
-                w.writerow([repr(x) for x in row])
+                w.writerow([repr(float(x)) for x in row])
 
 
 def assemble_mode(star, l, n=256, order=8, n_sub=12):

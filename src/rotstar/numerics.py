@@ -133,6 +133,18 @@ def smallest_singular_value(A):
     return float(s[-1]), Vt[-1]
 
 
+def _bary_diff_matrix(x, bw):
+    """Differentiation matrix on polynomial nodes x with barycentric weights bw."""
+    m = len(x)
+    D = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                D[i, j] = (bw[j] / bw[i]) / (x[i] - x[j])
+        D[i, i] = -np.sum(D[i])
+    return D
+
+
 def _bary_weights(x):
     """Barycentric interpolation weights for nodes x."""
     m = len(x)
@@ -164,6 +176,7 @@ class Panels:
         self.n_panels = len(edges) - 1
         self._ref_bw = _bary_weights(xg)
         self._xg = xg
+        self._diff = None
 
     @classmethod
     def graded(cls, b, n_nodes, order=8, a=0.0):
@@ -204,6 +217,19 @@ class Panels:
             rows[exact.any(axis=1)] = exact[exact.any(axis=1)].astype(float)
             T[np.ix_(sel.nonzero()[0], np.arange(p * m, (p + 1) * m))] = rows
         return T
+
+    def diff_matrix(self):
+        """Block-diagonal matrix D with D @ fvals = nodal values of the
+        derivative of the piecewise interpolant (built once per Panels)."""
+        if self._diff is None:
+            Dref = _bary_diff_matrix(self._xg, self._ref_bw)
+            m = self.order
+            D = np.zeros((len(self.x), len(self.x)))
+            for p in range(self.n_panels):
+                scale = 2.0 / (self.edges[p + 1] - self.edges[p])
+                D[p * m:(p + 1) * m, p * m:(p + 1) * m] = scale * Dref
+            self._diff = D
+        return self._diff
 
     def interp(self, fvals, r):
         return self.interp_rows(r) @ np.asarray(fvals, dtype=float)

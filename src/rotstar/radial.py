@@ -193,7 +193,7 @@ class MassCurve:
             w = csv.writer(f)
             w.writerow(["a", "R", "M", "Mprime"])
             for row in self.samples:
-                w.writerow([repr(x) for x in row])
+                w.writerow([repr(float(x)) for x in row])
 
 
 def mass_curve(eos, a_range, n, tol=1e-12):

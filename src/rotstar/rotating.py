@@ -138,6 +138,36 @@ class EPModel:
         out += (-dh_c * rho_c + dh_0 * rho_00)[:, None] * mfac_p  # enthalpy terms
         return out
 
+    def jacobian(self, geo, kappa):
+        """The Newton matrix, shape (n_l n_rc, n_l n_c): derivative on every
+        basis field e_c(r) Y_k(theta) at once, projected onto the residual
+        modes.  It has the terms of derivative, assembled as dense
+        products."""
+        star, disc = self.star, geo.disc
+        f = geo.model_fields(self, kappa)
+        mfac = f["mfac"]
+        R = star.R
+        mfac_p = -star.mass / geo.vol_rho_det ** 2 * geo.vol_rho_det_gradient()
+
+        zz = np.where(geo.inside, geo.z0, R)
+        c = np.where(geo.inside, star.rho0p_of(zz)
+                     / np.maximum(zz, 1e-6 * R) / geo.g1_src, 0.0)
+        J = -mfac * geo.density_jacobian(c)                       # moved density
+
+        r_cyl = geo.s_t * disc.sin_theta[None, :]
+        omega2 = self.profile.omega_sq(r_cyl.ravel()).reshape(r_cyl.shape)
+        J += geo.target_jacobian(                                 # moved target
+            (mfac * f["Vp"] + kappa * omega2 * r_cyl * disc.sin_theta[None, :])
+            / geo.RC)
+
+        rho_c = star.rho0_of(geo.rc)
+        rho_00 = float(star.rho0_of(0.0)[0])
+        dh_c = star.eos.dh(mfac * rho_c)
+        dh_0 = float(star.eos.dh(mfac * rho_00))
+        F1 = (f["V"] - f["V0"]) + (-dh_c * rho_c + dh_0 * rho_00)[:, None]
+        J += np.outer(geo.project_modes(F1).ravel(), mfac_p)      # M' terms
+        return J
+
     def slope(self, disc):
         """The first-order response sampled onto the collocation nodes, per
         unit kappa."""
@@ -213,7 +243,7 @@ class ShapeReport:
             w.writerow(["l", "r", "xi"])
             for l in self.ells:
                 for r, v in zip(self.ops[l].nodes, self.xi[l]):
-                    w.writerow([l, repr(r), repr(v)])
+                    w.writerow([l, repr(float(r)), repr(float(v))])
 
 
 def first_order_shape(star, profile, ells=(0, 2, 4, 6, 8), n=256, order=8,
@@ -283,18 +313,12 @@ class RotatingSolution:
             w.writerow(["l", "r", "zeta_l"])
             for i, l in enumerate(self.disc.ells):
                 for r, v in zip(self.disc.panels_c.x, self.coefs[i]):
-                    w.writerow([l, repr(r), repr(v)])
-
-
-def _project_residual(F, disc):
-    """Harmonic coefficients (n_l, n_rc) of a target field."""
-    return np.einsum("lj,ij->li", disc.proj, F)
+                    w.writerow([l, repr(float(r)), repr(float(v))])
 
 
 def _newton_at(model, kappa, coefs, disc, tol, max_iter):
     """Newton iteration at fixed kappa from the warm start coefs."""
     ells = disc.ells
-    n_l, n_c = len(ells), len(disc.panels_c)
     coefs = coefs.copy()
     prev_res = np.inf
     for it in range(max_iter + 1):
@@ -315,16 +339,9 @@ def _newton_at(model, kappa, coefs, disc, tol, max_iter):
             raise SolverError(
                 f"Newton stalled at kappa={kappa:g}: residual {res_sup:.3e}")
         prev_res = res_sup
-        res = _project_residual(F, disc).ravel()
-        J = np.empty((n_l * n_c, n_l * n_c))
-        for col in range(n_l * n_c):
-            e = np.zeros((n_l, n_c))
-            e[divmod(col, n_c)] = 1.0
-            basis = ModalField(disc.panels_c, ells, e)
-            dF = frechet_apply(field, kappa, basis, model, disc, geo)
-            J[:, col] = _project_residual(dF, disc).ravel()
-        delta = np.linalg.solve(J, -res)
-        coefs = coefs + delta.reshape(n_l, n_c)
+        res = geo.project_modes(F).ravel()
+        delta = np.linalg.solve(model.jacobian(geo, kappa), -res)
+        coefs = coefs + delta.reshape(coefs.shape)
     raise SolverError("unreachable")
 
 

@@ -293,6 +293,23 @@ class VPModel:
         out += -(mfac * Mcal_p / f["Mcal"]) * (f["V"] - f["V0"])
         return out
 
+    def jacobian(self, geo, kappa):
+        """The Newton matrix: derivative on every basis field at once,
+        projected onto the residual modes (see rotating.EPModel.jacobian)."""
+        f = geo.model_fields(self, kappa)
+        R = self.star.R
+        zz = np.where(geo.inside, geo.z0, R)
+        dw = np.where(geo.inside,
+                      self.ansatz.dw_du(kappa, f["r_cyl_y"], f["u_z"]), 0.0)
+        c = dw * self.star.u0p_of(zz) / np.maximum(zz, 1e-6 * R) / geo.g1_src
+        mfac = f["mfac"]
+        Mcal_p = -geo.source_integral_gradient(c)
+        J = -mfac * geo.density_jacobian(c)
+        J += geo.target_jacobian(mfac * f["Vp"] / geo.RC)
+        J += np.outer(geo.project_modes(f["V"] - f["V0"]).ravel(),
+                      -(mfac / f["Mcal"]) * Mcal_p)
+        return J
+
     def slope(self, disc):
         """Zero: w is even in kappa, so the response starts at kappa^2."""
         return np.zeros((len(disc.ells), len(disc.panels_c)))

@@ -110,3 +110,24 @@ def shifted(zeta, xi, s):
     """The field zeta + s xi of two ModalFields on the same panels and modes."""
     from rotstar.axisym import ModalField
     return ModalField(zeta.panels, zeta.ells, zeta.coefs + s * xi.coefs)
+
+
+def jacobian_column_error(model, geo, kappa):
+    """Worst gap, relative to each column's max, between the columns of
+    model.jacobian(geo, kappa) and frechet_apply on the basis field of the
+    column, projected onto the residual modes."""
+    from rotstar.axisym import ModalField
+    from rotstar.rotating import frechet_apply
+    disc = geo.disc
+    J = model.jacobian(geo, kappa)
+    n_l, n_c = len(disc.ells), len(disc.panels_c)
+    worst = 0.0
+    for col in range(n_l * n_c):
+        e = np.zeros((n_l, n_c))
+        e[divmod(col, n_c)] = 1.0
+        xi = ModalField(disc.panels_c, disc.ells, e)
+        dF = frechet_apply(geo.zeta, kappa, xi, model, geo=geo)
+        want = geo.project_modes(dF).ravel()
+        worst = max(worst, np.max(np.abs(J[:, col] - want))
+                    / np.max(np.abs(want)))
+    return worst

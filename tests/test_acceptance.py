@@ -16,7 +16,8 @@ from rotstar.eos import (check_mass_condition_b, constant_rotation,
 from rotstar.linop import apply as linop_apply
 from rotstar.linop import assemble_mode, kernel_margin_ladder
 from rotstar.radial import mass_curve, mass_derivative, solve_radial
-from rotstar.rotating import evaluate_F, first_order_shape, frechet_apply
+from rotstar.rotating import (EPModel, evaluate_F, first_order_shape,
+                              frechet_apply, newton_continue)
 from rotstar.vlasov import kappa_derivative_norm, scaling_response
 
 
@@ -114,6 +115,16 @@ def test_07c_oblateness_richardson(ep_shape, ep_solutions):
     assert [sol.kappa for sol in ep_solutions] == [5e-4, 1e-3]
     pred = ep_shape.oblateness_slope()
     assert abs(2 * s1 - s2 - pred) < 0.01 * abs(pred)
+
+
+def test_07d_nonlinear_oblateness_closed_form_gamma2(star2):
+    # Newton at gamma = 2, Richardson-extrapolated to kappa -> 0, against
+    # the closed-form slope of test_07b
+    want = 15.0 / (4.0 * np.sqrt(2.0 * np.pi))
+    model = EPModel(star2, constant_rotation())
+    sols = newton_continue(model, [5e-4, 1e-3], disc=Discretization(star2.R))
+    s1, s2 = ((sol.R_eq - sol.R_pole) / sol.kappa for sol in sols)
+    assert abs(2 * s1 - s2 - want) < 1e-4 * want
 
 
 def _frechet_vs_fd(evalF, frechet, R, kap_scale, n_trials, seed):

@@ -104,6 +104,15 @@ def test_node_counts_ns_must_be_positive(tmp_path):
                "gamma = 1.5\nells = 0\nns = 64,-8\n") == 2
 
 
+def test_ells_and_ns_must_be_nonnegative_integers(tmp_path, capsys):
+    # a negative l used to end in a ValueError traceback, and int() truncated
+    # 2.7 and 64.5 silently to l = 2 and n = 64
+    for text in ("ells = -2\nns = 64\n", "ells = 2.7\nns = 64\n",
+                 "ells = 2\nns = 64.5\n"):
+        assert run(tmp_path, "kernel-margin", "gamma = 1.5\n" + text) == 2
+        assert "nonnegative integers" in capsys.readouterr().err
+
+
 def test_vp_aliases_match_model_vp(tmp_path):
     text = "mu = 0.25\npsi2 = 0.1\nn = 64\nkappas = 0,1e-2\n"
     for alias, base, name in (("vp-radial", "radial", "star.json"),

@@ -94,7 +94,10 @@ def test_mode_operator_dump(tmp_path, star15):
     import json
     meta = json.loads(jp.read_text())
     assert meta["l"] == 2 and meta["sigma_min"] > 0
-    assert len(cp.read_text().strip().splitlines()) == len(op.nodes)
+    rows = cp.read_text().strip().splitlines()
+    assert len(rows) == len(op.nodes)
+    vals = np.array([[float(x) for x in row.split(",")] for row in rows])
+    assert np.array_equal(vals, op.matrix)
 
 
 def test_negative_mode_rejected(star15):

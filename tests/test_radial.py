@@ -98,5 +98,7 @@ def test_mass_curve_threads_and_csv(tmp_path):
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "a,R,M,Mprime"
     assert len(lines) == 6
+    vals = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert vals == [list(row) for row in c1.samples]
     with pytest.raises(EOSError):
         mass_curve(eos, (2.0, 0.5), 5)

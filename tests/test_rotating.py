@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rand_deformation, shifted
+from conftest import jacobian_column_error, rand_deformation, shifted
 from rotstar.axisym import Discretization, Geometry, ModalField
 from rotstar.errors import DeformationError, SolverError
 from rotstar.linop import assemble_mode
@@ -120,6 +120,14 @@ def test_frechet_matches_finite_differences(star15, ep_model, disc15):
     assert np.max(np.abs(dF - fd)) < 1e-5 * np.max(np.abs(fd))
 
 
+@pytest.mark.parametrize("deformed", [False, True], ids=["zero", "deformed"])
+def test_jacobian_columns_match_frechet(star15, ep_model, disc15, deformed):
+    zeta = rand_deformation(np.random.default_rng(31), star15.R) \
+        if deformed else None
+    geo = Geometry(zeta, star15, disc15)
+    assert jacobian_column_error(ep_model, geo, 2e-3) < 1e-12
+
+
 def test_newton_continue_schedule_validation(ep_model, disc15):
     with pytest.raises(SolverError):
         newton_continue(ep_model, [1e-3, 5e-4], disc=disc15)
@@ -138,3 +146,8 @@ def test_solution_dump(tmp_path, star15, rot_profile, disc15, ep_solutions):
     meta = json.loads(jp.read_text())
     assert meta["kappa"] == sol.kappa
     assert meta["R_eq"] > meta["R_pole"]
+    rows = cp.read_text().strip().splitlines()
+    assert rows[0] == "l,r,zeta_l"
+    vals = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+    assert vals.shape == (sol.coefs.size, 3)
+    assert np.array_equal(vals[:, 2], sol.coefs.ravel())

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import rand_deformation, shifted
-from rotstar.axisym import Discretization
+from conftest import jacobian_column_error, rand_deformation, shifted
+from rotstar.axisym import Discretization, Geometry
 from rotstar.eos import power_law
 from rotstar.errors import EOSError
 from rotstar.linop import assemble_mode
@@ -117,6 +117,14 @@ def test_frechet_matches_finite_differences(vp_star, vp_model, vp_disc):
     Fm, _ = evaluate_F(shifted(zeta, xi, -s), kap, vp_model, disc=vp_disc)
     fd = (Fp - Fm) / (2 * s)
     assert np.max(np.abs(dF - fd)) < 1e-4 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("deformed", [False, True], ids=["zero", "deformed"])
+def test_jacobian_columns_match_frechet(vp_star, vp_model, vp_disc, deformed):
+    zeta = rand_deformation(np.random.default_rng(41), vp_star.R) \
+        if deformed else None
+    geo = Geometry(zeta, vp_star, vp_disc)
+    assert jacobian_column_error(vp_model, geo, 1e-2) < 1e-12
 
 
 def test_rotation_response_oblate(vp_star, vp_ansatz):
