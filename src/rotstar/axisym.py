@@ -31,10 +31,6 @@ class ModalField:
         # nodal derivative values per mode
         self.dcoefs = self.coefs @ panels.diff_matrix().T
 
-    @classmethod
-    def zeros(cls, panels, ells):
-        return cls(panels, ells, np.zeros((len(ells), len(panels))))
-
     def _eval(self, coefs, r, theta):
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float) * np.ones_like(r)
@@ -110,9 +106,6 @@ class Discretization:
         # derivatives on panels_u
         self.interp_cu = self.panels_c.interp_rows(self.panels_u.x)
         self.interp_cu_dr = self.interp_cu @ self.panels_c.diff_matrix()
-
-    def n_unknowns(self):
-        return len(self.ells) * len(self.panels_c)
 
 
 class Geometry:
@@ -192,13 +185,13 @@ class Geometry:
         s_flat = self.s_t.ravel()
         self.A = {}
         self.Ap = {}
-        for l in disc.ells:
-            A, Ap = mode_potential_matrices(self.panels_t, l, s_flat,
-                                            n_sub=disc.n_sub)
+        mats = mode_potential_matrices(self.panels_t, disc.ells, s_flat,
+                                       n_sub=disc.n_sub)
+        for l, (A, Ap) in zip(disc.ells, mats):
             self.A[l] = A
             self.Ap[l] = Ap
-        A0z, _ = mode_potential_matrices(self.panels_t, 0, np.array([0.0]),
-                                         n_sub=disc.n_sub)
+        [(A0z, _)] = mode_potential_matrices(self.panels_t, (0,), [0.0],
+                                             n_sub=disc.n_sub)
         self.A0_zero = A0z[0]
 
         # undeformed volume grid caches (mass factor, M'(zeta)xi)

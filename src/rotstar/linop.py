@@ -70,9 +70,9 @@ def assemble_mode(star, l, n=256, order=8, n_sub=12):
     x = panels.x
     u0p = star.u0p_of(x)
     rho0p = star.rho0p_of(x)
-    A, _ = mode_potential_matrices(panels, l, x, n_sub=n_sub)
+    [(A, _)] = mode_potential_matrices(panels, (l,), x, n_sub=n_sub)
     if l == 0:
-        A0_zero, _ = mode_potential_matrices(panels, 0, np.array([0.0]), n_sub=n_sub)
+        [(A0_zero, _)] = mode_potential_matrices(panels, (0,), [0.0], n_sub=n_sub)
         A = A - A0_zero  # the -1/|y| monopole correction
     D = rho0p / x
     M = np.diag(u0p / x) - A * D[None, :]

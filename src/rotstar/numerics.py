@@ -197,25 +197,29 @@ class Panels:
         idx = np.searchsorted(self.edges, r, side="right") - 1
         return np.clip(idx, 0, self.n_panels - 1)
 
+    def local_rows(self, p, r):
+        """Rows (..., order) interpolating the nodal values of panel p to
+        the points r (p and r broadcast together)."""
+        a, b = self.edges[p], self.edges[p + 1]
+        # map to reference [-1, 1]
+        xr = (2.0 * r - (a + b)) / (b - a)
+        diff = xr[..., None] - self._xg
+        exact = np.abs(diff) < 1e-14
+        diff = np.where(exact, 1.0, diff)
+        terms = self._ref_bw / diff
+        rows = terms / terms.sum(axis=-1, keepdims=True)
+        hit = exact.any(axis=-1)
+        rows[hit] = exact[hit]
+        return rows
+
     def interp_rows(self, r):
         """Matrix T with (T @ fvals)[i] = interpolant of f at r[i]."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         m = self.order
         T = np.zeros((len(r), len(self.x)))
         pidx = self.panel_of(r)
-        for p in np.unique(pidx):
-            sel = pidx == p
-            a, b = self.edges[p], self.edges[p + 1]
-            # map to reference [-1, 1]
-            xr = (2.0 * r[sel] - (a + b)) / (b - a)
-            nodes = self._xg
-            diff = xr[:, None] - nodes[None, :]
-            exact = np.abs(diff) < 1e-14
-            diff[exact] = 1.0
-            terms = self._ref_bw[None, :] / diff
-            rows = terms / terms.sum(axis=1, keepdims=True)
-            rows[exact.any(axis=1)] = exact[exact.any(axis=1)].astype(float)
-            T[np.ix_(sel.nonzero()[0], np.arange(p * m, (p + 1) * m))] = rows
+        cols = pidx[:, None] * m + np.arange(m)
+        T[np.arange(len(r))[:, None], cols] = self.local_rows(pidx, r)
         return T
 
     def diff_matrix(self):

@@ -1,5 +1,5 @@
-"""Newtonian potentials of axisymmetric densities, one spherical-harmonic
-mode at a time.
+"""Newtonian potentials of axisymmetric densities, per spherical-harmonic
+mode.
 
 For a density rho(y) = sum_l rho_l(t) Y_l0(theta), the potential
 V(x) = int rho(y)/|x-y| dy has modes
@@ -10,97 +10,69 @@ V(x) = int rho(y)/|x-y| dy has modes
 
 Densities live as nodal values on composite Gauss-Legendre panels; the
 min/max kink at t = s is handled exactly by splitting the containing panel
-at s and integrating the panel interpolant on each side.
+at s and integrating the panel interpolant on each side.  The split-panel
+quadrature does not depend on l, so one call builds it once for a whole
+set of modes.
 """
 
 import numpy as np
 
-from .numerics import Panels, Ytilde, gl_nodes
+from .numerics import gl_nodes
 
 
-def mode_projection(ells, mu, wmu):
-    """Weights P with sigma_l(t) = (P @ f(t, mu_j))_l for x3-even fields
-    sampled at Gauss nodes mu_j in (0, 1) with weights wmu."""
-    P = np.empty((len(ells), len(mu)))
-    for i, l in enumerate(ells):
-        P[i] = 4.0 * np.pi * wmu * Ytilde(l, mu)
-    return P
-
-
-def _sub_rows(panels, p, s, side, power, n_sub=12):
-    """Rows integrating interpolant * t^power over [a_p, s] (side='in') or
-    [s, b_p] (side='out') for each target s inside panel p.
-
-    Returns (rows over panel-node values, shape (len(s), order)).
-    """
+def _split_panels(panels, p, s, n_sub):
+    """Quadrature of [a_p, s] and [s, b_p] for each target s[i] inside panel
+    p[i]: per half, the sub-node abscissae t and weights w, shape
+    (len(s), n_sub), and the rows (len(s), n_sub, order) interpolating the
+    panel's nodal values to t."""
     a, b = panels.edges[p], panels.edges[p + 1]
     xg, wg = gl_nodes(n_sub)
-    if side == "in":
-        lo = np.full_like(s, a)
-        hi = s
-    else:
-        lo = s
-        hi = np.full_like(s, b)
-    half = 0.5 * (hi - lo)
-    t = half[:, None] * (xg[None, :] + 1.0) + lo[:, None]   # (ns, n_sub)
-    w = half[:, None] * wg[None, :]
-    # interpolation rows from panel nodes to the sub-nodes
-    xr = (2.0 * t - (a + b)) / (b - a)
-    nodes = panels._xg
-    diff = xr[..., None] - nodes[None, None, :]
-    near = np.abs(diff) < 1e-14
-    diff = np.where(near, 1.0, diff)
-    terms = panels._ref_bw[None, None, :] / diff
-    interp = terms / terms.sum(axis=-1, keepdims=True)
-    hit = near.any(axis=-1)
-    interp[hit] = near[hit].astype(float)
-    integrand = w * t ** power
-    return np.einsum("sq,sqm->sm", integrand, interp)
+    halves = []
+    for lo, hi in ((a, s), (s, b)):
+        half = 0.5 * (hi - lo)
+        t = half[:, None] * (xg[None, :] + 1.0) + lo[:, None]
+        w = half[:, None] * wg[None, :]
+        halves.append((t, w, panels.local_rows(p[:, None], t)))
+    return halves
 
 
-def mode_potential_matrices(panels, l, s_targets, n_sub=12):
+def mode_potential_matrices(panels, ells, s_targets, n_sub=12):
     """Matrices (A, Ap) with A @ sigma = Phi_l(s) and Ap @ sigma = Phi_l'(s)
-    for sigma given at panels.x."""
+    for sigma given at panels.x, one pair per mode l in ells."""
     s = np.asarray(s_targets, dtype=float)
-    n_s = len(s)
-    n_q = len(panels.x)
-    Iin = np.zeros((n_s, n_q))
-    Iout = np.zeros((n_s, n_q))
     b = panels.edges[-1]
     m = panels.order
     tiny = 1e-12 * b
     pidx = panels.panel_of(np.clip(s, panels.edges[0], b))
-    win = panels.w * panels.x ** (l + 2)
-    wout = panels.w * panels.x ** (1 - l)
-    for p in range(panels.n_panels):
-        cols = slice(p * m, (p + 1) * m)
-        below = panels.edges[p + 1] <= s + tiny
-        above = panels.edges[p] >= s - tiny
-        inside = (pidx == p) & ~below & ~above
-        Iin[below, cols] += win[cols]
-        Iout[above, cols] += wout[cols]
-        if np.any(inside):
-            idx = inside.nonzero()[0]
-            Iin[np.ix_(idx, np.arange(p * m, (p + 1) * m))] += \
-                _sub_rows(panels, p, s[idx], "in", l + 2, n_sub)
-            Iout[np.ix_(idx, np.arange(p * m, (p + 1) * m))] += \
-                _sub_rows(panels, p, s[idx], "out", 1 - l, n_sub)
-    pref = 4.0 * np.pi / (2 * l + 1)
+    # panel p lies wholly inside [0, s] (below) or [s, b] (above)
+    below = panels.edges[None, 1:] <= (s + tiny)[:, None]
+    above = panels.edges[None, :-1] >= (s - tiny)[:, None]
+    at = np.arange(len(s))
+    idx = (~below[at, pidx] & ~above[at, pidx]).nonzero()[0]
+    below = np.repeat(below, m, axis=1)
+    above = np.repeat(above, m, axis=1)
+    # targets inside a panel split it; their rows fill that panel's columns
+    cols = pidx[idx, None] * m + np.arange(m)
+    halves = _split_panels(panels, pidx[idx], s[idx], n_sub)
     small = s < tiny
     ss = np.where(small, 1.0, s)
-    A = pref * (ss[:, None] ** -(l + 1) * Iin + ss[:, None] ** l * Iout)
-    Ap = pref * (-(l + 1) * ss[:, None] ** -(l + 2) * Iin
-                 + l * ss[:, None] ** (l - 1) * Iout)
-    if np.any(small):
-        # limit s -> 0: only the l=0 outer integral survives in Phi; Phi'(0)=0
-        A[small] = 0.0
-        Ap[small] = 0.0
-        if l == 0:
-            A[small] = pref * wout[None, :]
-    return A, Ap
-
-
-def potential_at_zero_row(panels):
-    """Row vector R with R @ sigma_0 = full-space value of the potential at
-    the origin for the l=0 mode: Phi_0(0) = 4 pi int sigma_0(t) t dt."""
-    return 4.0 * np.pi * panels.w * panels.x
+    out = []
+    for l in ells:
+        win = panels.w * panels.x ** (l + 2)
+        wout = panels.w * panels.x ** (1 - l)
+        Iin = np.where(below, win, 0.0)
+        Iout = np.where(above, wout, 0.0)
+        for I, (t, w, T), power in zip((Iin, Iout), halves, (l + 2, 1 - l)):
+            I[idx[:, None], cols] += np.einsum("sq,sqm->sm", w * t ** power, T)
+        pref = 4.0 * np.pi / (2 * l + 1)
+        A = pref * (ss[:, None] ** -(l + 1) * Iin + ss[:, None] ** l * Iout)
+        Ap = pref * (-(l + 1) * ss[:, None] ** -(l + 2) * Iin
+                     + l * ss[:, None] ** (l - 1) * Iout)
+        if np.any(small):
+            # limit s -> 0: only the l=0 outer integral survives in Phi; Phi'(0)=0
+            A[small] = 0.0
+            Ap[small] = 0.0
+            if l == 0:
+                A[small] = pref * wout[None, :]
+        out.append((A, Ap))
+    return out

@@ -30,7 +30,10 @@ def _check_mu(mu):
 
 
 class VlasovAnsatz:
-    """phi(E, L) = (-E)_+^{-mu} (psi0 + psi2 L^2), 0 < mu < 1."""
+    """phi(E, L) = (-E)_+^{-mu} (psi0 + psi2 L^2) for any mu < 1.
+
+    The equivalent polytropic exponent is gamma = 1 + 1/(3/2 - mu), so the
+    paper's range 6/5 < gamma < 2 is -7/2 < mu < 1/2."""
 
     def __init__(self, mu, psi0=1.0, psi2=0.0):
         _check_mu(mu)
@@ -230,10 +233,10 @@ def vp_rotation_response(star, ansatz, kappa, n=256, order=8, ells=(0, 2)):
         if l not in sig:
             xi[l] = np.zeros_like(t)
             continue
-        A, _ = mode_potential_matrices(pan, l, t)
+        [(A, _)] = mode_potential_matrices(pan, (l,), t)
         phi = A @ sig[l]
         if l == 0:
-            A0, _ = mode_potential_matrices(pan, 0, np.array([0.0]))
+            [(A0, _)] = mode_potential_matrices(pan, (0,), [0.0])
             phi = phi - float(A0[0] @ sig[0])
             u_term = (star.u0_of(t) - star.a) * np.sqrt(4.0 * np.pi)
             phi = phi - u_term * M_kk / star.mass

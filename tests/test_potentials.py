@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from rotstar.numerics import Panels, Ytilde, gl_nodes
-from rotstar.potentials import (mode_potential_matrices, mode_projection,
-                                potential_at_zero_row)
+from rotstar.axisym import Discretization
+from rotstar.numerics import Panels, Ytilde
+from rotstar.potentials import mode_potential_matrices
 
 
 def _ode_mode_potential(sigma_of, l, b, s_eval):
@@ -33,12 +33,39 @@ def test_monopole_of_uniform_ball():
     pan = Panels.graded(b, 96, order=8)
     sigma = np.ones(len(pan)) * np.sqrt(4 * np.pi)  # Y00 coefficient of 1
     s = np.linspace(0.0, b, 41)
-    A, Ap = mode_potential_matrices(pan, 0, s)
+    [(A, Ap)] = mode_potential_matrices(pan, (0,), s)
     phi = (A @ sigma) * Ytilde(0, 1.0)
     exact = 4 * np.pi * (b ** 2 / 2 - s ** 2 / 6)
     assert np.max(np.abs(phi - exact)) < 1e-12
     dphi = (Ap @ sigma) * Ytilde(0, 1.0)
     assert np.max(np.abs(dphi - (-4 * np.pi * s / 3))) < 1e-11
+
+
+@pytest.mark.parametrize("order, n_nodes", [(8, 96), (2, 64)])
+def test_batched_blocks_equal_single_mode_calls(order, n_nodes):
+    b = 1.3
+    pan = Panels.graded(b, n_nodes, order=order)
+    rng = np.random.default_rng(7)
+    s = np.concatenate([[0.0], pan.edges, pan.x, rng.uniform(0.0, b, 40),
+                        [1.01 * b, 2.0 * b]])
+    ells = (0, 1, 2, 4, 12)
+    batched = mode_potential_matrices(pan, ells, s)
+    assert len(batched) == len(ells)
+    for l, (A, Ap) in zip(ells, batched):
+        [(A1, Ap1)] = mode_potential_matrices(pan, (l,), s)
+        assert np.array_equal(A, A1)
+        assert np.array_equal(Ap, Ap1)
+
+
+def test_uniform_ball_monopole_on_edges_and_nodes():
+    b = 1.3
+    pan = Panels.graded(b, 96, order=8)
+    sigma = np.ones(len(pan)) * np.sqrt(4 * np.pi)
+    s = np.concatenate([pan.edges, pan.x])
+    [(A, _)] = mode_potential_matrices(pan, (0,), s)
+    phi = (A @ sigma) * Ytilde(0, 1.0)
+    exact = 4 * np.pi * (b ** 2 / 2 - s ** 2 / 6)
+    assert np.max(np.abs(phi - exact)) < 1e-12
 
 
 def test_quadrupole_closed_form():
@@ -47,12 +74,12 @@ def test_quadrupole_closed_form():
     pan = Panels.graded(b, 96, order=8)
     sigma = pan.x ** 2
     s = np.linspace(0.05, b - 0.05, 31)
-    A, Ap = mode_potential_matrices(pan, 2, s)
+    [(A, Ap)] = mode_potential_matrices(pan, (2,), s)
     exact = 4 * np.pi / 5 * (s ** 4 / 7 + s ** 2 * (b ** 2 - s ** 2) / 2)
     assert np.max(np.abs(A @ sigma - exact)) < 1e-11
     h = 1e-6
-    Ah, _ = mode_potential_matrices(pan, 2, s + h)
-    Al, _ = mode_potential_matrices(pan, 2, s - h)
+    [(Ah, _)] = mode_potential_matrices(pan, (2,), s + h)
+    [(Al, _)] = mode_potential_matrices(pan, (2,), s - h)
     fd = (Ah @ sigma - Al @ sigma) / (2 * h)
     assert np.max(np.abs(Ap @ sigma - fd)) < 1e-4
 
@@ -62,8 +89,8 @@ def test_monopole_reproduces_radial_potential(star15):
     pan = Panels.graded(star15.R, 256, order=8)
     sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
     s = np.linspace(0.0, star15.R, 101)
-    A, _ = mode_potential_matrices(pan, 0, s)
-    A0, _ = mode_potential_matrices(pan, 0, np.array([0.0]))
+    [(A, _)] = mode_potential_matrices(pan, (0,), s)
+    [(A0, _)] = mode_potential_matrices(pan, (0,), [0.0])
     phi = ((A - A0) @ sigma) * Ytilde(0, 1.0)
     assert np.max(np.abs(phi - (star15.u0_of(s) - star15.a))) < 1e-11
 
@@ -72,7 +99,7 @@ def test_far_field_is_mass_over_radius(star15):
     pan = Panels.graded(star15.R, 256, order=8)
     sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
     s = np.array([2.0 * star15.R, 5.0 * star15.R])
-    A, _ = mode_potential_matrices(pan, 0, s)
+    [(A, _)] = mode_potential_matrices(pan, (0,), s)
     phi = (A @ sigma) * Ytilde(0, 1.0)
     assert np.allclose(phi, star15.mass / s, rtol=1e-10)
 
@@ -82,7 +109,7 @@ def test_mode_potential_against_ode_oracle(star15):
     pan = Panels.graded(star15.R, 256, order=8)
     sigma_vals = np.atleast_1d(star15.rho0p_of(pan.x)) * pan.x
     s = np.linspace(0.15, star15.R * 0.98, 25)
-    A, _ = mode_potential_matrices(pan, 2, s)
+    [(A, _)] = mode_potential_matrices(pan, (2,), s)
     direct = A @ sigma_vals
 
     def sigma_of(r):
@@ -95,18 +122,16 @@ def test_mode_potential_against_ode_oracle(star15):
 def test_potential_at_zero_row(star15):
     pan = Panels.graded(star15.R, 192, order=8)
     sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
-    val = float(potential_at_zero_row(pan) @ sigma) * Ytilde(0, 1.0)
+    [(A0, _)] = mode_potential_matrices(pan, (0,), [0.0])
+    val = float(A0[0] @ sigma) * Ytilde(0, 1.0)
     ref, _ = quad(lambda t: 4 * np.pi * float(star15.rho0_of(t)[0]) * t,
                   0.0, star15.R, limit=200)
     assert val == pytest.approx(ref, rel=1e-9)
 
 
 def test_mode_projection_recovers_band_limited_field():
-    mu, wmu = gl_nodes(24)
-    mu = 0.5 * (mu + 1.0)
-    wmu = 0.5 * wmu
-    P = mode_projection((0, 2, 4), mu, wmu)
+    disc = Discretization(1.0, ells=(0, 2, 4), n_mu=24)
     coef = {0: 0.7, 2: -1.2, 4: 0.4}
-    f = sum(c * Ytilde(l, mu) for l, c in coef.items())
-    got = P @ f
+    f = sum(c * Ytilde(l, disc.mu) for l, c in coef.items())
+    got = disc.proj @ f
     assert np.allclose(got, [0.7, -1.2, 0.4], atol=1e-13)
