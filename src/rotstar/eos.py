@@ -12,12 +12,15 @@ from scipy.integrate import quad
 
 from .errors import EOSError, NonIntegrableEnthalpyError
 
+_HINV_ITERS = 100  # step cap of the generic inverse-enthalpy Newton
+
 
 class EquationOfState:
     """Barotropic pressure law with derived enthalpy machinery.
 
-    Subclasses provide p, dp and either closed-form h/hinv or fall back to
-    the quadrature/Newton paths implemented here.  Every method returns an
+    Subclasses provide p, dp and h, and may override hinv/dhinv with closed
+    forms; otherwise hinv is a log-space Newton on h that meets
+    |h(s) - u| <= 1e-13 u or raises EOSError.  Every method returns an
     ndarray of the input's shape, 0-d for a scalar.
     """
 
@@ -46,48 +49,45 @@ class EquationOfState:
         return np.asarray(self.h(s) - self.dp(s))
 
     def hinv(self, u):
-        """Inverse enthalpy by safeguarded Newton (bracketed by monotonicity)."""
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        pos = u > 0
-        if np.any(pos):
-            out[pos] = self._hinv_newton(u[pos])
-        return out
+        """Inverse enthalpy h^-1(u), zero at u <= 0, for every entry at once.
 
-    def _hinv_newton(self, u):
-        # initial bracket: grow the upper end until h(hi) >= u
-        hi = np.ones_like(u)
-        for _ in range(200):
-            need = self.h(hi) < u
-            if not np.any(need):
-                break
-            hi[need] *= 2.0
-        lo = np.zeros_like(u)
-        x = 0.5 * hi
-        for _ in range(100):
-            f = self.h(x) - u
-            lo = np.where(f < 0, x, lo)
-            hi = np.where(f > 0, x, hi)
-            d = self.dh(np.maximum(x, 1e-300))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(d > 0, f / np.where(d > 0, d, 1.0), 0.0)
-            xn = x - step
-            bad = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
-            xn = np.where(bad, 0.5 * (lo + hi), xn)
-            if np.all(np.abs(self.h(xn) - u) < 1e-12 * np.maximum(1.0, u)):
-                return xn
-            x = xn
-        return x
+        Newton on log h(e^y) = log u from s = 1: s <- s (h/u)^(-h/p'), exact
+        in one step for a power law.  A step that leaves the bracket [lo, hi]
+        (from [0, inf]) or is not finite bisects instead: it doubles s while
+        hi = inf, else takes sqrt(lo) sqrt(hi), or hi/2 while lo = 0.  Stops
+        at |h(s) - u| <= 1e-13 u or when no double lies inside the bracket;
+        raises EOSError after _HINV_ITERS steps, e.g. when h stays below u
+        or h^-1(u) underflows.
+        """
+        return self._hinv_root(u)[0]
 
     def dhinv(self, u):
-        """(h^-1)'(u) = 1 / h'(h^-1(u)); zero at u=0 for gamma < 2."""
+        """(h^-1)'(u) = s/p'(s) at s = h^-1(u); zero at u <= 0."""
+        return self._hinv_root(u)[1]
+
+    def _hinv_root(self, u):
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
         pos = u > 0
-        if np.any(pos):
-            s = self.hinv(u[pos])
-            out[pos] = s / self.dp(s)
-        return out
+        t = np.where(pos, u, 1.0)
+        x, lo, hi = np.ones_like(t), np.zeros_like(t), np.full_like(t, np.inf)
+        with np.errstate(all="ignore"):
+            for _ in range(_HINV_ITERS):
+                hx, dpx = self.h(x), self.dp(x)
+                r = hx / t
+                lo = np.where(r < 1.0, x, lo)
+                hi = np.where(r > 1.0, x, hi)
+                done = ~pos | (np.abs(r - 1.0) <= 1e-13) | (hi <= np.nextafter(lo, hi))
+                if done.all():
+                    return np.where(pos, x, 0.0), np.where(pos, x / dpx, 0.0)
+                xn = x * r ** (-hx / dpx)
+                bad = ~((xn > lo) & (xn < hi))
+                if bad.any():
+                    mid = np.where(lo > 0, np.sqrt(lo) * np.sqrt(hi), 0.5 * hi)
+                    xn = np.where(bad, np.where(np.isinf(hi), 2.0 * x, mid), xn)
+                x = np.where(done, x, xn)
+        i = np.argmin(done)  # first unconverged entry
+        why = "h stays below u" if np.isinf(hi.flat[i]) else "no convergence"
+        raise EOSError(f"h^-1({t.flat[i]:.6g}): {why} after {_HINV_ITERS} steps")
 
 
 class PowerLawEOS(EquationOfState):

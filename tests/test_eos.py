@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from rotstar.eos import (CallableEOS, RotationProfile, check_mass_condition_b,
-                         constant_rotation, enthalpy, inverse_enthalpy,
-                         power_law, power_sum, validate_assumptions)
+from rotstar.eos import (CallableEOS, EquationOfState, RotationProfile,
+                         check_mass_condition_b, constant_rotation, enthalpy,
+                         inverse_enthalpy, power_law, power_sum,
+                         validate_assumptions)
 from rotstar.errors import EOSError, NonIntegrableEnthalpyError
 
 
@@ -65,6 +68,51 @@ def test_power_sum_generic_hinv_matches():
     h = 1e-6
     fd = (eos.hinv(u + h) - eos.hinv(u - h)) / (2 * h)
     assert np.allclose(eos.dhinv(u), fd, rtol=1e-6)
+
+
+@pytest.mark.parametrize("g", [1.2, 1.5, 1.8, 2.0])
+def test_generic_hinv_matches_power_law_closed_form(g):
+    # power_sum of one term runs the generic Newton; power_law is closed form
+    u = np.concatenate([np.logspace(-16, 3, 400), [0.0, -1.0, -1e-300]])
+    eos = power_sum([(1.0, g)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # gamma = 2 boundary
+        ref = power_law(g)
+    pos = u > 0
+    for name in ("hinv", "dhinv"):
+        got, want = getattr(eos, name)(u), getattr(ref, name)(u)
+        assert np.max(np.abs(got[pos] / want[pos] - 1.0)) <= 1e-12, name
+        assert np.all(got[~pos] == 0.0), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(1.05, 2.0)),
+                      min_size=1, max_size=3),
+       logs=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=8))
+def test_generic_hinv_roundtrip(terms, logs):
+    eos = power_sum(terms)
+    s = 10.0 ** np.array(logs)
+    assert np.allclose(eos.hinv(eos.h(s)), s, rtol=1e-11, atol=0.0)
+
+
+class _BoundedEnthalpy(EquationOfState):
+    """h(s) = s/(1+s) < 1: h^-1(u) does not exist for u >= 1."""
+
+    def dp(self, s):
+        return np.asarray(np.asarray(s, dtype=float) / (1.0 + s) ** 2)
+
+    def h(self, rho):
+        rho = np.asarray(rho, dtype=float)
+        return np.asarray(rho / (1.0 + rho))
+
+
+def test_generic_hinv_raises_when_bracket_never_closes():
+    eos = _BoundedEnthalpy()
+    assert float(eos.hinv(0.5)) == pytest.approx(1.0, rel=1e-13)
+    with pytest.raises(EOSError, match="h stays below u"):
+        eos.hinv(2.0)
+    with pytest.raises(EOSError):
+        eos.dhinv(np.array([0.5, 2.0]))
 
 
 def test_callable_eos_matches_power_law():
