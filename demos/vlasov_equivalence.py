@@ -26,9 +26,9 @@ if __name__ == "__main__":
     print(f"kinetic profile:   R = {star.R:.8f}  M = {star.mass:.8f}")
     print(f"polytrope profile: R = {ep.R:.8f}  M = {ep.mass:.8f}")
 
-    traj = scaling_response(star)
+    sol = scaling_response(star)
     r = 0.5 * star.R
-    resid = abs(r * float(star.u0p_of(r)[0]) - 2 * float(traj(r)[0]))
+    resid = abs(r * float(star.u0p_of(r)[0]) - 2 * float(sol.sol(r)[0]))
     print(f"scaling identity r u' = 2 v_S residual at R/2: {resid:.2e}")
 
     print(f"\n|dF/dkappa(0,0)| = "

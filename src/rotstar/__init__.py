@@ -6,9 +6,8 @@ continuation in the rotation intensity.
 """
 
 from .eos import (EquationOfState, PowerLawEOS, PowerSumEOS, CallableEOS,
-                  RotationProfile, power_law, power_sum, enthalpy,
-                  inverse_enthalpy, constant_rotation, validate_assumptions,
-                  check_mass_condition_b)
+                  RotationProfile, power_law, power_sum, constant_rotation,
+                  validate_assumptions, check_mass_condition_b)
 from .radial import (RadialStar, MassCurve, solve_radial, mass_derivative,
                      gamma_43_identity_check, mass_curve)
 from .linop import (ModeOperator, assemble_mode, kernel_margin_ladder, apply,
@@ -16,7 +15,7 @@ from .linop import (ModeOperator, assemble_mode, kernel_margin_ladder, apply,
 from .axisym import EPS0, Discretization, Geometry, ModalField
 from .rotating import (EPModel, RotatingSolution, ShapeReport,
                        centrifugal_rhs, first_order_shape, evaluate_F,
-                       frechet_apply, newton_continue)
+                       newton_continue)
 from .vlasov import (VlasovAnsatz, VlasovStar, VPModel, solve_vp_radial,
                      scaling_response, vp_rotation_response)
 from .errors import (RotstarError, ConfigError, SolverError, StiffnessError,

@@ -18,16 +18,21 @@ from .potentials import mode_potential_matrices
 #: hard cap on the admissible X-norm
 EPS0 = 0.1
 
+#: inside |x| < R_SMALL R the ratio zeta/|x|^2 is held at its value at
+#: R_SMALL R, so the map and its derivatives stay finite at the origin
+R_SMALL = 1e-3
+
 
 class ModalField:
-    """zeta(x) = sum_l zeta_l(r) Y_l0(theta), even l only, nodal profiles on
-    composite panels."""
+    """zeta(x) = sum_l zeta_l(r) Y_{l0}(theta), even l only, nodal profiles
+    on composite panels."""
 
     def __init__(self, panels, ells, coefs):
         self.panels = panels
         self.ells = tuple(ells)
         self.coefs = np.asarray(coefs, dtype=float)  # (n_l, n_nodes)
         self.R_dom = float(panels.edges[-1])
+        self.r_small = R_SMALL * self.R_dom
         # nodal derivative values per mode
         self.dcoefs = self.coefs @ panels.diff_matrix().T
 
@@ -59,11 +64,17 @@ class ModalField:
         return out.reshape(shp)
 
     def ratio(self, r, theta):
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float) * np.ones_like(r)
-        r_small = 1e-3 * self.R_dom
-        rr = np.maximum(r, r_small)
+        """zeta/|x|^2, held at its value at r_small inside r_small."""
+        rr = np.maximum(np.asarray(r, dtype=float), self.r_small)
         return self.value(rr, theta) / rr ** 2
+
+    def stretch(self, r, theta):
+        """r d(ratio)/dr under the same clamp (zero inside r_small), so the
+        radial stretch of g_zeta is 1 + ratio + stretch."""
+        r = np.asarray(r, dtype=float)
+        rr = np.maximum(r, self.r_small)
+        w = self.d_r(rr, theta) / rr - 2.0 * self.value(rr, theta) / rr ** 2
+        return np.where(r >= self.r_small, w, 0.0)
 
     def xnorm(self, nsample=(120, 25)):
         nr, nt = nsample
@@ -102,15 +113,22 @@ class Discretization:
         self.Yt = np.array([Ytilde(l, self.mu) for l in ells])        # (n_l, n_mu)
         self.proj = 4.0 * np.pi * self.wmu[None, :] * self.Yt         # full-sphere modes
         self.panels_u = Panels.graded(R, n_ru, order)   # undeformed volume grid
-        # rows taking nodal values on panels_c to values and radial
-        # derivatives on panels_u
-        self.interp_cu = self.panels_c.interp_rows(self.panels_u.x)
-        self.interp_cu_dr = self.interp_cu @ self.panels_c.diff_matrix()
+        # rows taking nodal values on panels_c to ModalField.ratio and
+        # ModalField.stretch on panels_u
+        self.r_small = R_SMALL * self.R
+        ru = self.panels_u.x
+        rr = np.maximum(ru, self.r_small)[:, None]
+        T = self.panels_c.interp_rows(rr[:, 0])
+        self.ratio_cu = T / rr ** 2
+        self.stretch_cu = np.where(
+            ru[:, None] >= self.r_small,
+            (T @ self.panels_c.diff_matrix()) / rr - 2.0 * T / rr ** 2, 0.0)
 
 
 class Geometry:
-    """Deformation-dependent caches shared by evaluate/frechet for one zeta,
-    plus the fields of each model evaluated on it (model_fields).
+    """Deformation-dependent caches shared by the residual and the Newton
+    matrix for one zeta, plus the fields of each model evaluated on it
+    (model_fields).
 
     The *_jacobian and *_gradient methods give the derivative pieces that
     the models' jacobian assembles, for every Newton basis field
@@ -168,10 +186,7 @@ class Geometry:
             self.g1_src = np.ones_like(T2)
         else:
             zz = np.where(self.inside, self.z0, R)
-            lam = 1.0 + field_ratio(zeta, zz, TH2)
-            w1 = zeta.d_r(zz, TH2) / np.maximum(zz, 1e-3 * R) \
-                - 2.0 * zeta.value(zz, TH2) / np.maximum(zz, 1e-3 * R) ** 2
-            self.g1_src = lam + w1
+            self.g1_src = 1.0 + zeta.ratio(zz, TH2) + zeta.stretch(zz, TH2)
 
         # deformed radii of the collocation targets
         rc = disc.panels_c.x
@@ -204,8 +219,7 @@ class Geometry:
             self.g1_u = np.ones_like(RU)
         else:
             self.lam_u = 1.0 + field_ratio(zeta, RU, THU)
-            w1u = zeta.d_r(RU, THU) / RU - 2.0 * zeta.value(RU, THU) / RU ** 2
-            self.g1_u = self.lam_u + w1u
+            self.g1_u = self.lam_u + zeta.stretch(RU, THU)
         self.det_u = self.lam_u ** 2 * self.g1_u
         if np.any(self.det_u <= 0):
             raise DeformationError("fold: det Dg <= 0 on the volume grid")
@@ -262,27 +276,31 @@ class Geometry:
         ru = disc.panels_u.x
         W = 4.0 * np.pi * (disc.panels_u.w * ru ** 2 * self.rho_u)[:, None] \
             * self.det_u * disc.wmu[None, :]
-        # d(det Dg)/det Dg = (xi_r/r - xi/r^2)/g1 + 2 xi/(lam r^2)
-        w_dr = W / (self.g1_u * self.RU)
-        w_val = W * (2.0 / self.lam_u - 1.0 / self.g1_u) / self.RU ** 2
-        return (np.einsum("ij,kj,ic->kc", w_dr, disc.Yt, disc.interp_cu_dr)
-                + np.einsum("ij,kj,ic->kc", w_val, disc.Yt, disc.interp_cu)
-                ).ravel()
+        # d(det Dg)/det Dg = 2 xi.ratio/lam + (xi.ratio + xi.stretch)/g1
+        w_ratio = W * (2.0 / self.lam_u + 1.0 / self.g1_u)
+        w_stretch = W / self.g1_u
+        return (np.einsum("ij,kj,ic->kc", w_ratio, disc.Yt, disc.ratio_cu)
+                + np.einsum("ij,kj,ic->kc", w_stretch, disc.Yt,
+                            disc.stretch_cu)).ravel()
 
     def _source_basis(self, c):
-        """Per source radius, the basis values xi(z0) scaled by c on the
-        source grid, as a factor for a contraction over colatitudes:
-        returns (rows (n_tq, n_mu, n_c), weights c[i, j] Y_k(mu_j))."""
+        """Per source point, |z0| xi.ratio(z0) of the basis fields (the
+        inverse map moves z0 by -|z0| xi.ratio(z0)/g1 along xi), scaled
+        by c on the source grid, as factors for a contraction over
+        colatitudes: returns (rows (n_tq, n_mu, n_c), weights
+        c[i, j] Y_k(mu_j))."""
         if self._src_rows is None:
             zz = np.where(self.inside, self.z0, self.star.R)
-            self._src_rows = self.disc.panels_c.interp_rows(
-                zz.ravel()).reshape(zz.shape + (-1,))
+            rr = np.maximum(zz, self.disc.r_small)
+            T = self.disc.panels_c.interp_rows(rr.ravel())
+            self._src_rows = T.reshape(zz.shape + (-1,)) \
+                * (zz / rr ** 2)[..., None]
         return self._src_rows, c[:, None, :] * self.disc.Yt[None, :, :]
 
     def density_jacobian(self, c):
         """Projected residual modes of the potential difference V(q) - V(q)(0)
-        for the moved-density source q = c xi(z0) of every basis field;
-        c is sampled on the source grid.  Shape (n_l n_rc, n_l n_c)."""
+        for the moved-density source q = c |z0| xi.ratio(z0) of every basis
+        field; c is sampled on the source grid.  Shape (n_l n_rc, n_l n_c)."""
         disc = self.disc
         rows, cY = self._source_basis(c)
         n_tq, n_l, n_c = len(self.tq), len(disc.ells), rows.shape[-1]
@@ -294,8 +312,8 @@ class Geometry:
         return self.project_modes(V - V0).reshape(n_l * len(self.rc), -1)
 
     def source_integral_gradient(self, c):
-        """Volume integral over the source grid of q = c xi(z0) for every
-        basis field, shape (n_l n_c,)."""
+        """Volume integral over the source grid of q = c |z0| xi.ratio(z0)
+        for every basis field, shape (n_l n_c,)."""
         rows, cY = self._source_basis(c)
         wt = 4.0 * np.pi * self.panels_t.w * self.tq ** 2
         w = wt[:, None, None] * cY * self.disc.wmu[None, None, :]

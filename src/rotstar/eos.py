@@ -209,14 +209,6 @@ def power_sum(terms):
     return PowerSumEOS(terms)
 
 
-def enthalpy(eos, rho):
-    return eos.h(rho)
-
-
-def inverse_enthalpy(eos, s):
-    return eos.hinv(s)
-
-
 def _log_slope(f, s0, s1):
     return float(np.log(f(s1) / f(s0)) / np.log(s1 / s0))
 

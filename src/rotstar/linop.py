@@ -1,7 +1,7 @@
 """The linearized operator L = dF/dzeta at the radial solution, one
 spherical-harmonic mode at a time.
 
-For xi(x) = xi_l(r) Y_l0(theta),
+For xi(x) = xi_l(r) Y_{l0}(theta),
 
     (L xi)_l(r) = (u0'/r) xi_l(r) - [Phi_l(r) - delta_{l0} Phi_0(0)]
                   + delta_{l0} rank-one mass term,
@@ -40,7 +40,7 @@ class ModeOperator:
         if self._sig is None:
             d = np.sqrt(self.panels.w) * self.nodes
             B = self.matrix * (d[:, None] / d[None, :])
-            self._sig = smallest_singular_value(B)[0]
+            self._sig = smallest_singular_value(B)
         return self._sig
 
     def weighted_norm(self, f):

@@ -22,34 +22,6 @@ def gl_nodes(n):
     return _GL_CACHE[n]
 
 
-def gauss_legendre(f, a, b, n):
-    """n-point Gauss-Legendre quadrature of f on [a, b].
-
-    Exact for polynomials of degree <= 2n-1.
-    """
-    if not a < b:
-        raise ValueError("need a < b")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    x, w = gl_nodes(n)
-    t = 0.5 * (b - a) * x + 0.5 * (b + a)
-    ft = np.asarray(f(t), dtype=float)
-    if not np.all(np.isfinite(ft)):
-        bad = t[~np.isfinite(ft)][0]
-        raise ValueError(f"integrand not finite at t={bad!r}")
-    return 0.5 * (b - a) * float(np.dot(w, ft))
-
-
-def legendre_P(l, x):
-    """Legendre polynomial P_l(x)."""
-    return eval_legendre(l, x)
-
-
-def Y_l0(l, theta):
-    """Axisymmetric real spherical harmonic Y_{l0}(theta)."""
-    return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * eval_legendre(l, np.cos(theta))
-
-
 def Ytilde(l, mu):
     """Y_{l0} as a function of mu = cos(theta)."""
     return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * eval_legendre(l, mu)
@@ -70,26 +42,15 @@ def dY_dtheta(l, theta):
     return out
 
 
-class Trajectory:
-    """Result of integrate_ivp: sampled states, dense output, event location."""
-
-    def __init__(self, t, y, sol, event_r):
-        self.t = t
-        self.y = y
-        self.sol = sol
-        self.event_r = event_r
-
-    def __call__(self, r):
-        return self.sol(r)
-
-
 def integrate_ivp(rhs, y0, r0, stop=None, tol=1e-12, r_max=None, args=(),
                   require_event=False, method="RK45"):
     """Integrate y' = rhs(r, y) from r0 with dense output.
 
-    stop is an optional scalar event function of (r, y); integration
-    terminates at its first decreasing zero and the event abscissa is
-    polished on the dense output to within tol.
+    Returns scipy's solve_ivp result (sampled .t and .y, dense output
+    .sol) with one more attribute, event_r.  stop is an optional scalar
+    event function of (r, y); integration terminates at its first
+    decreasing zero, whose abscissa event_r is polished on the dense output
+    to within tol (None without stop).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -121,16 +82,16 @@ def integrate_ivp(rhs, y0, r0, stop=None, tol=1e-12, r_max=None, args=(),
                                  xtol=tol * max(abs(event_r), 1.0))
         elif require_event:
             raise NoEventError(f"event did not trigger before r_max={r_max}")
-    return Trajectory(sol.t, sol.y, sol.sol, event_r)
+    sol.event_r = event_r
+    return sol
 
 
 def smallest_singular_value(A):
-    """Smallest singular value and its right singular vector."""
+    """Smallest singular value of A."""
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    U, s, Vt = np.linalg.svd(A)
-    return float(s[-1]), Vt[-1]
+    return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
 def _bary_diff_matrix(x, bw):
@@ -212,14 +173,22 @@ class Panels:
         rows[hit] = exact[hit]
         return rows
 
+    def _rows_at(self, r):
+        """Panel index and local interpolation rows of each point r; raises
+        ValueError for points outside [edges[0], edges[-1]]."""
+        if not np.all((r >= self.edges[0]) & (r <= self.edges[-1])):
+            raise ValueError("interpolation point outside the panels "
+                             f"[{self.edges[0]!r}, {self.edges[-1]!r}]")
+        p = self.panel_of(r)
+        return p, self.local_rows(p, r)
+
     def interp_rows(self, r):
         """Matrix T with (T @ fvals)[i] = interpolant of f at r[i]."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        m = self.order
+        p, rows = self._rows_at(r)
         T = np.zeros((len(r), len(self.x)))
-        pidx = self.panel_of(r)
-        cols = pidx[:, None] * m + np.arange(m)
-        T[np.arange(len(r))[:, None], cols] = self.local_rows(pidx, r)
+        T[np.arange(len(r))[:, None],
+          p[:, None] * self.order + np.arange(self.order)] = rows
         return T
 
     def diff_matrix(self):
@@ -236,4 +205,9 @@ class Panels:
         return self._diff
 
     def interp(self, fvals, r):
-        return self.interp_rows(r) @ np.asarray(fvals, dtype=float)
+        """Interpolant of the nodal values fvals at the points r (any
+        shape), from the order nodal values of each point's own panel."""
+        r = np.asarray(r, dtype=float)
+        p, rows = self._rows_at(r)
+        f = np.asarray(fvals, dtype=float).reshape(self.n_panels, self.order)
+        return np.einsum("...k,...k->...", rows, f[p])

@@ -1,7 +1,7 @@
 """Newtonian potentials of axisymmetric densities, per spherical-harmonic
 mode.
 
-For a density rho(y) = sum_l rho_l(t) Y_l0(theta), the potential
+For a density rho(y) = sum_l rho_l(t) Y_{l0}(theta), the potential
 V(x) = int rho(y)/|x-y| dy has modes
 
     Phi_l(s) = 4 pi/(2l+1) [ s^-(l+1) I_in(s) + s^l I_out(s) ],

@@ -11,10 +11,12 @@ import json
 import numpy as np
 
 from .errors import EOSError, UnboundStarError, NoEventError
-from .numerics import integrate_ivp
+from .numerics import Panels, integrate_ivp
 
 #: default number of output-grid nodes for a star
 N_GRID = 512
+#: nodes and order of the panels on [0, R] that carry the stored profile
+PROFILE_NODES, PROFILE_ORDER = 512, 16
 
 
 def _shoot_profile(source, a, tol=1e-12, r_max_factor=1e3):
@@ -22,7 +24,8 @@ def _shoot_profile(source, a, tol=1e-12, r_max_factor=1e3):
     first zero of v.  source is 4 pi h^-1 (EP) or 4 pi G (VP).
 
     State is (v, v', m) with m' = source(v) r^2, so the mass integral rides
-    along with the trajectory.  Returns (R, trajectory).
+    along with the trajectory.  Returns the integrate_ivp result, whose
+    event_r is the radius R.
     """
     s_a = source(a)
     if not s_a > 0:
@@ -42,53 +45,40 @@ def _shoot_profile(source, a, tol=1e-12, r_max_factor=1e3):
         return y[0]
 
     try:
-        traj = integrate_ivp(rhs, [v0, w0, m0], r0, stop=stop, tol=tol,
+        return integrate_ivp(rhs, [v0, w0, m0], r0, stop=stop, tol=tol,
                              r_max=r_max_factor * R_guess, require_event=True)
     except NoEventError as e:
         raise UnboundStarError(f"no zero crossing before r_max: {e}") from e
-    return float(traj.event_r), traj
 
 
 class RadialStar:
-    """A radial equilibrium: profiles u0, u0', rho0 on [0, R] plus dense output."""
+    """A radial equilibrium: u0 and u0' as nodal values on graded panels of
+    [0, R], their interpolants, and the profiles derived from them.
 
-    def __init__(self, eos, a, R, M, traj, n_grid=N_GRID):
+    The nodal values are sampled once from the shot's dense output.  The
+    few nodes below its start (1e-4 of the curvature scale) read the first
+    step's polynomial, which matches the series a - source(a) r^2/6 there
+    to rounding in u0 and to about 2e-11 |u0'|max in u0'."""
+
+    def __init__(self, eos, a, shot, n_grid=N_GRID):
         self.eos = eos
         self.a = float(a)
-        self.R = float(R)
-        self.mass = float(M)
-        self._traj = traj
-        self._r0 = traj.t[0]
-        self._c2 = 4.0 * np.pi * float(eos.hinv(a)) / 6.0  # series curvature
-        self.grid = np.linspace(0.0, R, n_grid)
-        r = self.grid
-        self.u0 = self.u0_of(r)
-        self.u0p = self.u0p_of(r)
-        self.rho0 = np.asarray(eos.hinv(self.u0), dtype=float)
+        self.R = float(shot.event_r)
+        # the m-component already carries the 4 pi of the source
+        self.mass = float(shot.sol(self.R)[2])
+        self.panels = Panels.graded(self.R, PROFILE_NODES, PROFILE_ORDER)
+        self._u0_nodes, self._u0p_nodes = shot.sol(self.panels.x)[:2]
+        self.grid = np.linspace(0.0, self.R, n_grid)   # output grid
 
-    # dense profile evaluation ------------------------------------------------
+    # profile evaluation, r clamped to [0, R] --------------------------------
 
     def u0_of(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        small = r < self._r0
-        out[small] = self.a - self._c2 * r[small] ** 2
-        big = ~small
-        if np.any(big):
-            rr = np.minimum(r[big], self.R)
-            out[big] = self._traj(rr)[0]
-        return np.maximum(out, 0.0)
+        r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), 0.0, self.R)
+        return np.maximum(self.panels.interp(self._u0_nodes, r), 0.0)
 
     def u0p_of(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        small = r < self._r0
-        out[small] = -2.0 * self._c2 * r[small]
-        big = ~small
-        if np.any(big):
-            rr = np.minimum(r[big], self.R)
-            out[big] = self._traj(rr)[1]
-        return out
+        r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), 0.0, self.R)
+        return self.panels.interp(self._u0p_nodes, r)
 
     def rho0_of(self, r):
         return np.asarray(self.eos.hinv(self.u0_of(r)), dtype=float)
@@ -112,9 +102,9 @@ class RadialStar:
             "R": self.R,
             "mass": self.mass,
             "grid": self.grid.tolist(),
-            "u0": self.u0.tolist(),
-            "u0p": self.u0p.tolist(),
-            "rho0": self.rho0.tolist(),
+            "u0": self.u0_of(self.grid).tolist(),
+            "u0p": self.u0p_of(self.grid).tolist(),
+            "rho0": self.rho0_of(self.grid).tolist(),
         }
 
     def dump_json(self, path):
@@ -130,14 +120,13 @@ def solve_radial(eos, a, tol=1e-12, n_grid=N_GRID):
     def source(v):
         return 4.0 * np.pi * float(eos.hinv(v))
 
-    R, traj = _shoot_profile(source, a, tol=tol)
-    # the m-component already carries the 4 pi of the source
-    M = float(traj(R)[2])
-    return RadialStar(eos, a, R, M, traj, n_grid=n_grid)
+    return RadialStar(eos, a, _shoot_profile(source, a, tol=tol),
+                      n_grid=n_grid)
 
 
 def mass_derivative(eos, star, tol=1e-12):
-    """M'(a) = -R^2 v_a'(R) via the variational ODE along the stored star.
+    """M'(a) = -R^2 v_a'(R) via the variational ODE along the stored star;
+    returns (M'(a), the integrate_ivp result for (v_a, v_a')).
 
     v_a'' + (2/r) v_a' + 4 pi (h^-1)'(u0) v_a = 0, v_a(0)=1, v_a'(0)=0.
     """
@@ -151,9 +140,8 @@ def mass_derivative(eos, star, tol=1e-12):
         d = float(eos.dhinv(star.u0_of(r))[0])
         return [y[1], -2.0 / r * y[1] - 4.0 * np.pi * d * y[0]]
 
-    traj = integrate_ivp(rhs, y0, r0, tol=tol, r_max=star.R)
-    va, vap = traj(star.R)[:2]
-    return -star.R ** 2 * float(vap), traj
+    sol = integrate_ivp(rhs, y0, r0, tol=tol, r_max=star.R)
+    return -star.R ** 2 * float(sol.sol(star.R)[1]), sol
 
 
 def gamma_43_identity_check(eos, star, tol=1e-12):
@@ -167,8 +155,8 @@ def gamma_43_identity_check(eos, star, tol=1e-12):
     if not isinstance(eos, PowerLawEOS):
         raise EOSError("identity check requires a pure power law")
     g = eos.gamma
-    _, traj = mass_derivative(eos, star, tol=tol)
-    vap = float(traj(star.R)[1])
+    _, sol = mass_derivative(eos, star, tol=tol)
+    vap = float(sol.sol(star.R)[1])
     up = float(star.u0p_of(star.R)[0])
     lhs = star.a * (2.0 * (g - 1.0) / (2.0 - g)) * vap
     rhs = ((3.0 * g - 4.0) / (2.0 - g)) * up

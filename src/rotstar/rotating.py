@@ -11,11 +11,11 @@ mass factor restoring the total mass, and J(r) = int_0^r omega^2(s) s ds the
 centrifugal antiderivative.  At zeta = 0 the gravity and enthalpy terms
 cancel against the radial equilibrium and F = kappa J exactly.
 
-EPModel carries this residual and its derivative; vlasov.VPModel carries the
-Vlasov-Poisson one through the same interface.  first_order_shape solves the
-linearized EP problem mode by mode; newton_continue runs Newton iteration on
-the spherical-harmonic coefficients of zeta for either model along a schedule
-of rotation intensities kappa.
+EPModel carries this residual and its Newton matrix; vlasov.VPModel carries
+the Vlasov-Poisson one through the same interface.  first_order_shape solves
+the linearized EP problem mode by mode; newton_continue runs Newton iteration
+on the spherical-harmonic coefficients of zeta for either model along a
+schedule of rotation intensities kappa.
 """
 
 import csv
@@ -53,7 +53,7 @@ def centrifugal_rhs(profile, star, ells=(0, 2, 4, 6, 8), nodes=None, n_mu=24):
 
 
 # ---------------------------------------------------------------------------
-# the nonlinear residual and its derivative
+# the nonlinear residual and its Newton matrix
 
 
 class EPModel:
@@ -62,7 +62,7 @@ class EPModel:
     mass-restored density.
 
     A model provides fields (cached per geometry by Geometry.model_fields),
-    the residual and its directional derivative on a geometry, and the
+    the residual and its Newton matrix (jacobian) on a geometry, and the
     warm-start slope of the Newton unknowns per unit kappa."""
 
     def __init__(self, star, profile):
@@ -93,65 +93,17 @@ class EPModel:
         h_term = -star.eos.h(mfac * rho_c) + float(star.eos.h(mfac * rho_00))
         return grav + cent + h_term[:, None]
 
-    def derivative(self, geo, kappa, xi):
-        star, disc = self.star, geo.disc
-        f = geo.model_fields(self, kappa)
-        mfac = f["mfac"]
-        R = star.R
-
-        # mass-factor derivative: trace formula on the undeformed volume grid
-        ru = disc.panels_u.x
-        xi_u = xi.value(geo.RU, geo.THU)
-        xir_u = xi.d_r(geo.RU, geo.THU)
-        tr = (xir_u / geo.RU - xi_u / geo.RU ** 2) / geo.g1_u \
-            + 2.0 * xi_u / (geo.lam_u * geo.RU ** 2)
-        wu = disc.panels_u.w * ru ** 2
-        integral = 4.0 * np.pi * np.einsum(
-            "i,ij,j->", wu, geo.rho_u[:, None] * geo.det_u * tr, disc.wmu)
-        mfac_p = -star.mass / geo.vol_rho_det ** 2 * integral
-
-        # transported-density derivative: potential of
-        # q(z) = rho0'(z) (xi(z)/|z|) / (radial stretch)
-        zz = np.where(geo.inside, geo.z0, R)
-        q_src = np.zeros_like(geo.T2)
-        msk = geo.inside
-        rho0p_z = star.rho0p_of(zz)
-        q_src[msk] = rho0p_z[msk] \
-            * (xi.value(zz, geo.TH2)[msk] / np.maximum(zz[msk], 1e-6 * R)) \
-            / geo.g1_src[msk]
-        sig_q = geo.project_modes(q_src)
-        Vq, Vq0 = geo.potential_at_targets(sig_q)
-
-        xi_t = xi.value(geo.RC, geo.THC)
-        r_cyl = geo.s_t * disc.sin_theta[None, :]
-        omega2 = self.profile.omega_sq(r_cyl.ravel()).reshape(r_cyl.shape)
-
-        rho_c = star.rho0_of(geo.rc)
-        rho_00 = float(star.rho0_of(0.0)[0])
-        dh_c = star.eos.dh(mfac * rho_c)
-        dh_0 = float(star.eos.dh(mfac * rho_00))
-
-        out = mfac_p * (f["V"] - f["V0"])                         # M' F1
-        out += mfac * (-(Vq - Vq0))                               # moved density
-        out += mfac * f["Vp"] * (xi_t / geo.RC)                   # moved target
-        out += kappa * omega2 * r_cyl * xi_t * disc.sin_theta[None, :] / geo.RC
-        out += (-dh_c * rho_c + dh_0 * rho_00)[:, None] * mfac_p  # enthalpy terms
-        return out
-
     def jacobian(self, geo, kappa):
-        """The Newton matrix, shape (n_l n_rc, n_l n_c): derivative on every
-        basis field e_c(r) Y_k(theta) at once, projected onto the residual
-        modes.  It has the terms of derivative, assembled as dense
-        products."""
+        """The Newton matrix, shape (n_l n_rc, n_l n_c): the derivative of
+        the projected residual modes along every basis field
+        e_c(r) Y_k(theta) at once, assembled as dense products."""
         star, disc = self.star, geo.disc
         f = geo.model_fields(self, kappa)
         mfac = f["mfac"]
-        R = star.R
         mfac_p = -star.mass / geo.vol_rho_det ** 2 * geo.vol_rho_det_gradient()
 
-        zz = np.where(geo.inside, geo.z0, R)
-        c = np.where(geo.inside, star.rho0p_of(zz)
-                     / np.maximum(zz, 1e-6 * R) / geo.g1_src, 0.0)
+        zz = np.where(geo.inside, geo.z0, star.R)
+        c = np.where(geo.inside, star.rho0p_of(zz) / geo.g1_src, 0.0)
         J = -mfac * geo.density_jacobian(c)                       # moved density
 
         r_cyl = geo.s_t * disc.sin_theta[None, :]
@@ -177,30 +129,14 @@ class EPModel:
                          for l in disc.ells])
 
 
-def _geometry(zeta, model, disc, geo):
-    if geo is not None:
-        return geo
-    if disc is None:
-        disc = Discretization(model.star.R)
-    return Geometry(zeta, model.star, disc)
-
-
 def evaluate_F(zeta, kappa, model, disc=None, geo=None):
     """Residual field F(zeta, kappa) of model at the collocation targets.
 
-    Returns (F, geo) with F of shape (n_rc, n_mu); geo can be reused for
-    frechet_apply at the same zeta."""
-    geo = _geometry(zeta, model, disc, geo)
+    Returns (F, geo) with F of shape (n_rc, n_mu); geo can be reused at
+    the same zeta."""
+    if geo is None:
+        geo = Geometry(zeta, model.star, disc or Discretization(model.star.R))
     return model.residual(geo, kappa), geo
-
-
-def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
-    """Directional derivative dF(zeta, kappa)[xi] of model at the collocation
-    targets.
-
-    xi is a ModalField; zeta may be None for the undeformed state."""
-    geo = _geometry(zeta, model, disc, geo)
-    return model.derivative(geo, kappa, xi)
 
 
 # ---------------------------------------------------------------------------

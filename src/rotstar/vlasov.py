@@ -146,24 +146,18 @@ class _DensityOfU:
 class VlasovStar(RadialStar):
     """Radial Vlasov-Poisson steady state: u0 profile with density G(u0)."""
 
-    def __init__(self, ansatz, a, R, M, traj, n_grid=N_GRID):
+    def __init__(self, ansatz, a, shot, n_grid=N_GRID):
         self.ansatz = ansatz
-        super().__init__(_DensityOfU(ansatz), a, R, M, traj, n_grid=n_grid)
+        super().__init__(_DensityOfU(ansatz), a, shot, n_grid=n_grid)
 
     def mass_column(self, r):
         """(u0(r) - u0(0))/M: the Vlasov-Poisson rank-one mass column."""
         return (self.u0_of(r) - self.a) / self.mass
 
     def to_json_dict(self):
-        return {
-            "mu": self.ansatz.mu,
-            "a": self.a,
-            "R": self.R,
-            "mass": self.mass,
-            "grid": self.grid.tolist(),
-            "u0": self.u0.tolist(),
-            "rho0": self.rho0.tolist(),
-        }
+        out = {"mu": self.ansatz.mu, **super().to_json_dict()}
+        del out["u0p"]
+        return out
 
 
 def solve_vp_radial(ansatz, a, tol=1e-12, n_grid=N_GRID):
@@ -174,16 +168,16 @@ def solve_vp_radial(ansatz, a, tol=1e-12, n_grid=N_GRID):
     def source(v):
         return 4.0 * np.pi * float(ansatz.G(v))
 
-    R, traj = _shoot_profile(source, a, tol=tol)
-    M = float(traj(R)[2])
-    return VlasovStar(ansatz, a, R, M, traj, n_grid=n_grid)
+    return VlasovStar(ansatz, a, _shoot_profile(source, a, tol=tol),
+                      n_grid=n_grid)
 
 
 def scaling_response(star, tol=1e-12):
     """v_S with Delta v_S + 4 pi G'(u0) v_S + 4 pi G(u0) = 0, v_S(0)=v_S'(0)=0.
 
     The scaling identities r u0' = 2 v_S (all r) and 2 v_S'(R) = -u0'(R)
-    hold exactly on solutions; they are the standard consistency check."""
+    hold exactly on solutions; they are the standard consistency check.
+    Returns the integrate_ivp result for (v_S, v_S')."""
     ans = star.ansatz
     s_a = 4.0 * np.pi * float(ans.G(star.a))
     r0 = 1e-4 * star.R
@@ -277,34 +271,14 @@ class VPModel:
         u_c = self.star.u0_of(geo.rc)
         return (self.star.a - u_c)[:, None] + f["mfac"] * (f["V"] - f["V0"])
 
-    def derivative(self, geo, kappa, xi):
-        f = geo.model_fields(self, kappa)
-        R = self.star.R
-        zz = np.where(geo.inside, geo.z0, R)
-        dw = np.where(geo.inside,
-                      self.ansatz.dw_du(kappa, f["r_cyl_y"], f["u_z"]), 0.0)
-        u0p_z = self.star.u0p_of(zz)
-        q_src = dw * u0p_z * np.where(geo.inside, xi.value(zz, geo.TH2), 0.0) \
-            / np.maximum(zz, 1e-6 * R) / geo.g1_src
-        sig_q = geo.project_modes(q_src)
-        Vq, Vq0 = geo.potential_at_targets(sig_q)
-        xi_t = xi.value(geo.RC, geo.THC)
-        mfac = f["mfac"]
-        Mcal_p = -geo.volume_integral_src(q_src)
-        out = -mfac * (Vq - Vq0)
-        out += mfac * f["Vp"] * (xi_t / geo.RC)
-        out += -(mfac * Mcal_p / f["Mcal"]) * (f["V"] - f["V0"])
-        return out
-
     def jacobian(self, geo, kappa):
-        """The Newton matrix: derivative on every basis field at once,
-        projected onto the residual modes (see rotating.EPModel.jacobian)."""
+        """The Newton matrix: the derivative of the projected residual modes
+        along every basis field at once (see rotating.EPModel.jacobian)."""
         f = geo.model_fields(self, kappa)
-        R = self.star.R
-        zz = np.where(geo.inside, geo.z0, R)
+        zz = np.where(geo.inside, geo.z0, self.star.R)
         dw = np.where(geo.inside,
                       self.ansatz.dw_du(kappa, f["r_cyl_y"], f["u_z"]), 0.0)
-        c = dw * self.star.u0p_of(zz) / np.maximum(zz, 1e-6 * R) / geo.g1_src
+        c = dw * self.star.u0p_of(zz) / geo.g1_src
         mfac = f["mfac"]
         Mcal_p = -geo.source_integral_gradient(c)
         J = -mfac * geo.density_jacobian(c)

@@ -114,10 +114,10 @@ def shifted(zeta, xi, s):
 
 def jacobian_column_error(model, geo, kappa):
     """Worst gap, relative to each column's max, between the columns of
-    model.jacobian(geo, kappa) and frechet_apply on the basis field of the
-    column, projected onto the residual modes."""
+    model.jacobian(geo, kappa) and the reference frechet_apply on the basis
+    field of the column, projected onto the residual modes."""
+    from reference import frechet_apply
     from rotstar.axisym import ModalField
-    from rotstar.rotating import frechet_apply
     disc = geo.disc
     J = model.jacobian(geo, kappa)
     n_l, n_c = len(disc.ells), len(disc.panels_c)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_deformation, shifted
+from reference import frechet_apply
 from rotstar.axisym import Discretization, Geometry
 from rotstar.eos import (check_mass_condition_b, constant_rotation,
                          power_law, power_sum)
@@ -17,7 +18,7 @@ from rotstar.linop import apply as linop_apply
 from rotstar.linop import assemble_mode, kernel_margin_ladder
 from rotstar.radial import mass_curve, mass_derivative, solve_radial
 from rotstar.rotating import (EPModel, evaluate_F, first_order_shape,
-                              frechet_apply, newton_continue)
+                              newton_continue)
 from rotstar.vlasov import kappa_derivative_norm, scaling_response
 
 
@@ -69,10 +70,10 @@ def test_04_gamma43_degeneracy(star43, star15):
 
 
 def test_05_gamma43_kernel_witness(star43):
-    _, traj = mass_derivative(star43.eos, star43)
+    _, sol = mass_derivative(star43.eos, star43)
     op = assemble_mode(star43, 0, n=512)
     x = op.nodes
-    va = np.array([traj(min(r, star43.R))[0] for r in x])
+    va = np.array([sol.sol(min(r, star43.R))[0] for r in x])
     alpha = va - np.atleast_1d(star43.u0_of(x)) / star43.a
     xi = x * alpha / np.atleast_1d(star43.u0p_of(x))
     ratio = op.weighted_norm(linop_apply(op, xi)) / op.weighted_norm(xi)
@@ -183,11 +184,11 @@ def test_09b_mass_invariance_vp(vp_star, vp_model, vp_solutions):
 
 
 def test_10_vp_identities(vp_star, vp_ansatz):
-    traj = scaling_response(vp_star)
+    sol = scaling_response(vp_star)
     for r in np.linspace(0.1, 1.0, 10) * vp_star.R * 0.999:
-        resid = abs(r * float(vp_star.u0p_of(r)[0]) - 2 * float(traj(r)[0]))
+        resid = abs(r * float(vp_star.u0p_of(r)[0]) - 2 * float(sol.sol(r)[0]))
         assert resid < 1e-7
-    vSp_R = float(traj(vp_star.R)[1])
+    vSp_R = float(sol.sol(vp_star.R)[1])
     assert abs(2 * vSp_R + float(vp_star.u0p_of(vp_star.R)[0])) < 1e-7
     for u in (0.05, 0.3, 0.9):
         ref = vp_ansatz.w_quad(0.0, 1.0, u)

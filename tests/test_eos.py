@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from rotstar.eos import (CallableEOS, EquationOfState, RotationProfile,
-                         check_mass_condition_b, constant_rotation, enthalpy,
-                         inverse_enthalpy, power_law, power_sum,
-                         validate_assumptions)
+                         check_mass_condition_b, constant_rotation, power_law,
+                         power_sum, validate_assumptions)
 from rotstar.errors import EOSError, NonIntegrableEnthalpyError
 
 
@@ -127,13 +126,6 @@ def test_callable_eos_rejects_nonintegrable():
     # p' ~ const near zero means p'(s)/s is not integrable
     with pytest.raises(NonIntegrableEnthalpyError):
         CallableEOS(lambda s: s, lambda s: np.ones_like(np.asarray(s)))
-
-
-def test_enthalpy_wrappers(star15):
-    eos = star15.eos
-    rho = np.array([0.4, 1.1])
-    assert np.allclose(enthalpy(eos, rho), eos.h(rho))
-    assert np.allclose(inverse_enthalpy(eos, eos.h(rho)), rho)
 
 
 def test_validate_assumptions_measures_exponents():

@@ -3,8 +3,9 @@ import pytest
 
 from rotstar.eos import power_law, power_sum
 from rotstar.errors import EOSError, UnboundStarError
-from rotstar.radial import (gamma_43_identity_check, mass_curve,
-                            mass_derivative, solve_radial)
+from rotstar.radial import (_shoot_profile, gamma_43_identity_check,
+                            mass_curve, mass_derivative, solve_radial)
+from rotstar.vlasov import VlasovAnsatz, solve_vp_radial
 
 SQRT_PI_2 = np.sqrt(np.pi / 2.0)
 
@@ -102,3 +103,25 @@ def test_mass_curve_threads_and_csv(tmp_path):
     assert vals == [list(row) for row in c1.samples]
     with pytest.raises(EOSError):
         mass_curve(eos, (2.0, 0.5), 5)
+
+
+@pytest.mark.parametrize("model, param", [("ep", 1.22), ("ep", 4.0 / 3.0),
+                                          ("ep", 1.5), ("ep", 1.9),
+                                          ("vp", 0.25)])
+def test_stored_profile_matches_shot(model, param):
+    # the nodal u0, u0' a star keeps against the dense output of a fresh shot
+    if model == "ep":
+        eos = power_law(param)
+        star = solve_radial(eos, 1.0)
+        density = eos.hinv
+    else:
+        ansatz = VlasovAnsatz.matched_to_power_law(param)
+        star = solve_vp_radial(ansatz, 1.0)
+        density = ansatz.G
+    shot = _shoot_profile(lambda v: 4.0 * np.pi * float(density(v)), 1.0)
+    assert shot.event_r == star.R
+    r = np.concatenate([np.linspace(shot.t[0], star.R, 2001),
+                        star.panels.x[star.panels.x >= shot.t[0]]])
+    u, up = shot.sol(r)[:2]
+    assert np.max(np.abs(star.u0_of(r) - u)) < 1e-12 * star.a
+    assert np.max(np.abs(star.u0p_of(r) - up)) < 1e-9 * np.max(np.abs(up))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import jacobian_column_error, rand_deformation, shifted
+from reference import frechet_apply
 from rotstar.axisym import Discretization, Geometry, ModalField
 from rotstar.errors import DeformationError, SolverError
 from rotstar.linop import assemble_mode
 from rotstar.numerics import Ytilde
 from rotstar.rotating import (centrifugal_rhs, evaluate_F, first_order_shape,
-                              frechet_apply, newton_continue)
+                              newton_continue)
 
 
 @pytest.fixture(scope="module")

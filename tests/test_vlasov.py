@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import jacobian_column_error, rand_deformation, shifted
+from reference import frechet_apply
 from rotstar.axisym import Discretization, Geometry
 from rotstar.eos import power_law
 from rotstar.errors import EOSError
 from rotstar.linop import assemble_mode
 from rotstar.radial import solve_radial
-from rotstar.rotating import evaluate_F, frechet_apply
+from rotstar.rotating import evaluate_F
 from rotstar.vlasov import (VlasovAnsatz, kappa_derivative_norm,
                             scaling_response, solve_vp_radial,
                             vp_rotation_response)
@@ -70,13 +71,13 @@ def test_radial_flux_identity(vp_star):
 
 
 def test_scaling_response_identities(vp_star):
-    traj = scaling_response(vp_star)
+    sol = scaling_response(vp_star)
     rs = np.linspace(0.1, 0.95, 12) * vp_star.R
     for r in rs:
-        vS = float(traj(r)[0])
+        vS = float(sol.sol(r)[0])
         assert abs(r * float(vp_star.u0p_of(r)[0]) - 2 * vS) \
             < 1e-7 * vp_star.a
-    vS_R, vSp_R = (float(v) for v in traj(vp_star.R)[:2])
+    vS_R, vSp_R = (float(v) for v in sol.sol(vp_star.R)[:2])
     assert abs(2 * vSp_R + float(vp_star.u0p_of(vp_star.R)[0])) < 1e-7
 
 
