@@ -36,61 +36,54 @@ class ModalField:
         # nodal derivative values per mode
         self.dcoefs = self.coefs @ panels.diff_matrix().T
 
-    def _eval(self, coefs, r, theta):
+    def _eval(self, r, theta, *parts):
+        """The parts ("value", "d_r" or "d_theta") of zeta at the points
+        (r, theta), from one interp_rows build."""
         r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float) * np.ones_like(r)
-        shp = r.shape
+        theta = (np.asarray(theta, dtype=float) * np.ones_like(r)).ravel()
         T = self.panels.interp_rows(np.clip(r.ravel(), 0.0, self.R_dom))
-        mu = np.cos(theta.ravel())
-        out = np.zeros(r.size)
-        for i, l in enumerate(self.ells):
-            out += (T @ coefs[i]) * Ytilde(l, mu)
-        return out.reshape(shp)
+        mu = np.cos(theta)
+        out = []
+        for part in parts:
+            coefs = self.dcoefs if part == "d_r" else self.coefs
+            acc = np.zeros(r.size)
+            for i, l in enumerate(self.ells):
+                ang = dY_dtheta(l, theta) if part == "d_theta" \
+                    else Ytilde(l, mu)
+                acc += (T @ coefs[i]) * ang
+            out.append(acc.reshape(r.shape))
+        return out
 
     def value(self, r, theta):
-        return self._eval(self.coefs, r, theta)
+        return self._eval(r, theta, "value")[0]
 
     def d_r(self, r, theta):
-        return self._eval(self.dcoefs, r, theta)
+        return self._eval(r, theta, "d_r")[0]
 
     def d_theta(self, r, theta):
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float) * np.ones_like(r)
-        shp = r.shape
-        T = self.panels.interp_rows(np.clip(r.ravel(), 0.0, self.R_dom))
-        out = np.zeros(r.size)
-        for i, l in enumerate(self.ells):
-            out += (T @ self.coefs[i]) * dY_dtheta(l, theta.ravel())
-        return out.reshape(shp)
+        return self._eval(r, theta, "d_theta")[0]
 
     def ratio(self, r, theta):
         """zeta/|x|^2, held at its value at r_small inside r_small."""
         rr = np.maximum(np.asarray(r, dtype=float), self.r_small)
         return self.value(rr, theta) / rr ** 2
 
-    def stretch(self, r, theta):
-        """r d(ratio)/dr under the same clamp (zero inside r_small), so the
-        radial stretch of g_zeta is 1 + ratio + stretch."""
+    def ratio_and_stretch(self, r, theta):
+        """ratio and r d(ratio)/dr under the same clamp (the stretch is zero
+        inside r_small), so the radial stretch of g_zeta is
+        1 + ratio + stretch."""
         r = np.asarray(r, dtype=float)
         rr = np.maximum(r, self.r_small)
-        w = self.d_r(rr, theta) / rr - 2.0 * self.value(rr, theta) / rr ** 2
-        return np.where(r >= self.r_small, w, 0.0)
+        v, d = self._eval(rr, theta, "value", "d_r")
+        ratio = v / rr ** 2
+        return ratio, np.where(r >= self.r_small, d / rr - 2.0 * ratio, 0.0)
 
-    def xnorm(self, nsample=(120, 25)):
-        nr, nt = nsample
-        r = np.linspace(self.R_dom / nr, self.R_dom, nr)
-        th = np.linspace(1e-3, np.pi / 2, nt)
+    def xnorm(self):
+        r = np.linspace(self.R_dom / 120, self.R_dom, 120)
+        th = np.linspace(1e-3, np.pi / 2, 25)
         R, T = np.meshgrid(r, th, indexing="ij")
-        zr = self.d_r(R, T)
-        zt = self.d_theta(R, T)
+        zr, zt = self._eval(R, T, "d_r", "d_theta")
         return float(np.max(np.sqrt(zr ** 2 + (zt / R) ** 2) / R))
-
-
-def field_ratio(zeta, r, theta):
-    """zeta/|x|^2 for a field or None (the zero deformation)."""
-    if zeta is None:
-        return np.zeros_like(np.asarray(r, dtype=float))
-    return zeta.ratio(r, theta)
 
 
 class Discretization:
@@ -113,8 +106,8 @@ class Discretization:
         self.Yt = np.array([Ytilde(l, self.mu) for l in ells])        # (n_l, n_mu)
         self.proj = 4.0 * np.pi * self.wmu[None, :] * self.Yt         # full-sphere modes
         self.panels_u = Panels.graded(R, n_ru, order)   # undeformed volume grid
-        # rows taking nodal values on panels_c to ModalField.ratio and
-        # ModalField.stretch on panels_u
+        # rows taking nodal values on panels_c to the ratio and stretch of
+        # ModalField.ratio_and_stretch on panels_u
         self.r_small = R_SMALL * self.R
         ru = self.panels_u.x
         rr = np.maximum(ru, self.r_small)[:, None]
@@ -147,7 +140,7 @@ class Geometry:
         n_mu = len(th)
 
         # deformed boundary radius per quadrature colatitude
-        self.tb = R * (1.0 + field_ratio(zeta, np.full(n_mu, R), th))
+        self.tb = R * (1.0 + zeta.ratio(np.full(n_mu, R), th))
         tb_min, tb_max = float(np.min(self.tb)), float(np.max(self.tb))
 
         # physical-space source panels: graded bulk + boundary annulus fine
@@ -165,34 +158,29 @@ class Geometry:
         # inverse map z(y) on the source grid, one column per colatitude
         T2, TH2 = np.meshgrid(tq, th, indexing="ij")
         self.inside = T2 <= self.tb[None, :] * (1.0 + 1e-14)
-        if zeta is None:
-            self.z0 = np.where(self.inside, T2, np.nan)
-        else:
-            z = T2.copy()
-            for _ in range(200):
-                zn = T2 / (1.0 + field_ratio(zeta, z, TH2))
-                if np.max(np.abs(zn - z)) < 1e-13 * R:
-                    z = zn
-                    break
+        z = T2.copy()
+        for _ in range(200):
+            zn = T2 / (1.0 + zeta.ratio(z, TH2))
+            if np.max(np.abs(zn - z)) < 1e-13 * R:
                 z = zn
-            else:
-                raise DeformationError(
-                    "ray inversion did not converge in 200 iterations")
-            self.z0 = np.where(self.inside, np.minimum(z, R), np.nan)
+                break
+            z = zn
+        else:
+            raise DeformationError(
+                "ray inversion did not converge in 200 iterations")
+        self.z0 = np.where(self.inside, np.minimum(z, R), np.nan)
         self.T2, self.TH2 = T2, TH2
 
-        # dilating-map pieces at the source points (lam + w1 = radial stretch)
-        if zeta is None:
-            self.g1_src = np.ones_like(T2)
-        else:
-            zz = np.where(self.inside, self.z0, R)
-            self.g1_src = 1.0 + zeta.ratio(zz, TH2) + zeta.stretch(zz, TH2)
+        # radial stretch of the dilating map at the source points
+        ratio, stretch = zeta.ratio_and_stretch(
+            np.where(self.inside, self.z0, R), TH2)
+        self.g1_src = 1.0 + ratio + stretch
 
         # deformed radii of the collocation targets
         rc = disc.panels_c.x
         RC, THC = np.meshgrid(rc, th, indexing="ij")
         self.rc, self.RC, self.THC = rc, RC, THC
-        lam_t = 1.0 + field_ratio(zeta, RC, THC)
+        lam_t = 1.0 + zeta.ratio(RC, THC)
         self.s_t = RC * lam_t
         self.lam_t = lam_t
 
@@ -214,12 +202,9 @@ class Geometry:
         RU, THU = np.meshgrid(ru, th, indexing="ij")
         self.RU, self.THU = RU, THU
         self.rho_u = star.rho0_of(ru)
-        if zeta is None:
-            self.lam_u = np.ones_like(RU)
-            self.g1_u = np.ones_like(RU)
-        else:
-            self.lam_u = 1.0 + field_ratio(zeta, RU, THU)
-            self.g1_u = self.lam_u + zeta.stretch(RU, THU)
+        ratio, stretch = zeta.ratio_and_stretch(RU, THU)
+        self.lam_u = 1.0 + ratio
+        self.g1_u = self.lam_u + stretch
         self.det_u = self.lam_u ** 2 * self.g1_u
         if np.any(self.det_u <= 0):
             raise DeformationError("fold: det Dg <= 0 on the volume grid")
@@ -276,7 +261,7 @@ class Geometry:
         ru = disc.panels_u.x
         W = 4.0 * np.pi * (disc.panels_u.w * ru ** 2 * self.rho_u)[:, None] \
             * self.det_u * disc.wmu[None, :]
-        # d(det Dg)/det Dg = 2 xi.ratio/lam + (xi.ratio + xi.stretch)/g1
+        # d(det Dg)/det Dg = 2 ratio/lam + (ratio + stretch)/g1 of xi
         w_ratio = W * (2.0 / self.lam_u + 1.0 / self.g1_u)
         w_stretch = W / self.g1_u
         return (np.einsum("ij,kj,ic->kc", w_ratio, disc.Yt, disc.ratio_cu)

@@ -20,7 +20,6 @@ from . import linop, radial, rotating, vlasov
 from .eos import (check_mass_condition_b, constant_rotation, power_law,
                   power_sum, validate_assumptions)
 from .errors import ConfigError, DegenerateOperatorError, RotstarError
-from .numerics import Ytilde
 
 
 def _atomic_write(path, writer):
@@ -224,34 +223,30 @@ def cmd_kernel_margin(cfg):
     return 0
 
 
-def _write_shape_files(cfg, thetas, disp, xi_R):
+def cmd_perturb(cfg):
+    """Leading-order shape: the EP response per unit kappa, scaled by the
+    last scheduled kappa if positive, or the VP response at that kappa
+    (1e-2 if it is 0)."""
+    star = cfg.make_star()
+    kappa = cfg.kappas[-1]
+    if cfg.model == "vp":
+        kappa = kappa if kappa > 0 else 1e-2
+        report = vlasov.vp_rotation_response(star, star.ansatz, kappa, n=cfg.n)
+        scale = 1.0
+        line = f"vp-perturb: kappa={kappa:g} xi_2(R)={report.xi_R[2]:.6e}"
+    else:
+        report = rotating.first_order_shape(
+            star, constant_rotation(cfg.omega), n=cfg.n)
+        scale = kappa if kappa > 0 else 1.0
+        line = (f"perturb: xi_2(R)={report.xi_R[2]:.6e} "
+                f"oblateness slope={report.oblateness_slope():.6e}")
+    thetas = np.linspace(0.0, np.pi / 2, 91)
     write_csv(cfg.path("shape.csv"),
               ["theta_rad", "boundary_displacement_length"],
-              list(zip(thetas, disp)))
+              list(zip(thetas, report.boundary_shift(thetas) * scale)))
     write_csv(cfg.path("modes.csv"), ["l_mode", "xi_R_length_sq"],
-              sorted(xi_R.items()))
-
-
-def cmd_perturb(cfg):
-    star = cfg.make_star()
-    thetas = np.linspace(0.0, np.pi / 2, 91)
-    if cfg.model == "vp":
-        kappa = cfg.kappas[-1] if cfg.kappas[-1] > 0 else 1e-2
-        ops, xi = vlasov.vp_rotation_response(star, star.ansatz, kappa,
-                                              n=cfg.n)
-        xi_R = {l: float(ops[l].panels.interp(xi[l], np.array([star.R]))[0])
-                for l in ops}
-        disp = sum(xi_R[l] * Ytilde(l, np.cos(thetas)) for l in ops) / star.R
-        _write_shape_files(cfg, thetas, disp, xi_R)
-        print(f"vp-perturb: kappa={kappa:g} xi_2(R)={xi_R[2]:.6e}")
-        return 0
-    report = rotating.first_order_shape(star, constant_rotation(cfg.omega),
-                                        n=cfg.n)
-    kappa = cfg.kappas[-1]
-    disp = report.boundary_shift(thetas) * (kappa if kappa > 0 else 1.0)
-    _write_shape_files(cfg, thetas, disp, report.xi_R)
-    print(f"perturb: xi_2(R)={report.xi_R[2]:.6e} "
-          f"oblateness slope={report.oblateness_slope():.6e}")
+              sorted(report.xi_R.items()))
+    print(line)
     return 0
 
 
@@ -272,8 +267,17 @@ def cmd_continue(cfg):
     def record(sol):
         rows.append(sol.to_row())
         write_csv(path, header, rows)
-        sol.dump(cfg.path(f"solution_k{sol.kappa:.6e}.json"),
-                 cfg.path(f"solution_k{sol.kappa:.6e}.csv"))
+        stem = cfg.path(f"solution_k{sol.kappa:.6e}")
+        meta = {"kappa": sol.kappa, "R_eq": sol.R_eq, "R_pole": sol.R_pole,
+                "mass": sol.mass_value, "mass_factor": sol.mass_factor,
+                "residual_sup": sol.residual_sup, "iters": sol.iters,
+                "ells": list(sol.disc.ells)}
+        # key order as listed, so not through write_json
+        _atomic_write(stem + ".json",
+                      lambda f: json.dump(meta, f, indent=1))
+        write_csv(stem + ".csv", ["l", "r", "zeta_l"],
+                  [(l, r, v) for l, c in zip(sol.disc.ells, sol.coefs)
+                   for r, v in zip(sol.disc.panels_c.x, c)])
 
     rotating.newton_continue(model, cfg.kappas, tol=cfg.tol,
                              on_solution=record)

@@ -13,6 +13,8 @@ from scipy.integrate import quad
 from .errors import EOSError, NonIntegrableEnthalpyError
 
 _HINV_ITERS = 100  # step cap of the generic inverse-enthalpy Newton
+_TAIL_S = 1e-8     # CallableEOS: below this density h is a power-law tail
+_J_NODES = 64      # Gauss-Legendre nodes of RotationProfile.J
 
 
 class EquationOfState:
@@ -163,22 +165,22 @@ class PowerSumEOS(EquationOfState):
 class CallableEOS(EquationOfState):
     """Arbitrary pressure law given as callables p, p'.
 
-    The enthalpy is adaptive quadrature of p'(s)/s on [eps, rho] plus a
-    small-s power-law tail with the measured exponent.
+    The enthalpy is adaptive quadrature of p'(s)/s on [_TAIL_S, rho] plus
+    a small-s power-law tail with the measured exponent.
     """
 
-    def __init__(self, p, dp, gamma=None, gamma_star=None, eps=1e-8):
+    def __init__(self, p, dp, gamma=None, gamma_star=None):
         self._p = p
         self._dp = dp
         self.gamma = gamma
         self.gamma_star = gamma_star
-        self._eps = eps
-        e = _log_slope(dp, eps, 10 * eps)
+        e = _log_slope(dp, _TAIL_S, 10 * _TAIL_S)
         if e < 1e-6:
             raise NonIntegrableEnthalpyError(
                 f"p'(s)/s not integrable at 0 (measured exponent {e:.3g})")
         self._tail_exp = e
-        self._h_eps = float(dp(eps)) / e  # int_0^eps C s^{e-1} ds = p'(eps)/e
+        # h(_TAIL_S) = int_0^t C s^(e-1) ds = p'(t)/e at t = _TAIL_S
+        self._h_eps = float(dp(_TAIL_S)) / e
 
     def p(self, s):
         return np.asarray(self._p(np.asarray(s, dtype=float)))
@@ -190,10 +192,10 @@ class CallableEOS(EquationOfState):
         rho = np.asarray(rho, dtype=float)
         out = np.zeros_like(rho)
         for i, r in np.ndenumerate(rho):
-            if r <= self._eps:
-                out[i] = self._h_eps * (r / self._eps) ** self._tail_exp
+            if r <= _TAIL_S:
+                out[i] = self._h_eps * (r / _TAIL_S) ** self._tail_exp
             else:
-                val, _ = quad(lambda s: self._dp(s) / s, self._eps, r,
+                val, _ = quad(lambda s: self._dp(s) / s, _TAIL_S, r,
                               epsabs=1e-13, epsrel=1e-12, limit=200)
                 out[i] = self._h_eps + val
         return out
@@ -216,15 +218,14 @@ def _log_slope(f, s0, s1):
 class RotationProfile:
     """Angular velocity squared omega^2(r) and its cumulative J(r) = int_0^r w^2 s ds."""
 
-    def __init__(self, omega_sq, n_quad=64):
+    def __init__(self, omega_sq):
         self.omega_sq = omega_sq
-        self._n = n_quad
 
     def J(self, r):
         from .numerics import gl_nodes
         r = np.asarray(r, dtype=float)
         flat = r.ravel()
-        x, w = gl_nodes(self._n)
+        x, w = gl_nodes(_J_NODES)
         # map [-1,1] -> [0, r] per entry
         t = 0.5 * flat[:, None] * (x[None, :] + 1.0)
         vals = self.omega_sq(t) * t
@@ -267,9 +268,10 @@ class AssumptionReport:
         }
 
 
-def validate_assumptions(eos, n_samples=160):
-    """Sample [1e-8, 1e8] logarithmically and grade the pressure assumptions."""
-    s = np.logspace(-8, 8, n_samples)
+def validate_assumptions(eos):
+    """Sample [1e-8, 1e8] at 160 log-spaced points and grade the pressure
+    assumptions."""
+    s = np.logspace(-8, 8, 160)
     dp = np.asarray(eos.dp(s), dtype=float)
     monotone = bool(np.all(dp > 0))
     small_exp = float(np.log(dp[2] / dp[0]) / np.log(s[2] / s[0]))
@@ -302,21 +304,18 @@ class MassConditionReport:
         }
 
 
-def check_mass_condition_b(eos, s_grid=None, r_grid=None):
+def check_mass_condition_b(eos):
     """Pointwise check of p' < h <= 2p' and the three g-conditions for
-    g(w, r) = 4 pi r h^-1(w/r)."""
-    if s_grid is None:
-        s_grid = np.logspace(-6, 3, 200)
-    s = np.asarray(s_grid, dtype=float)
+    g(w, r) = 4 pi r h^-1(w/r), on 200 log-spaced densities in [1e-6, 1e3]
+    and 40 radii in [0.05, 2]."""
+    s = np.logspace(-6, 3, 200)
     h = np.asarray(eos.h(s), dtype=float)
     dp = np.asarray(eos.dp(s), dtype=float)
     left = float(np.min((h - dp) / h))
     right = float(np.min((2 * dp - h) / h))
 
-    if r_grid is None:
-        r_grid = np.linspace(0.05, 2.0, 40)
-    r = np.asarray(r_grid, dtype=float)[:, None]
-    w = (s[None, :] * r)  # so that w/r sweeps s_grid at every r
+    r = np.linspace(0.05, 2.0, 40)[:, None]
+    w = (s[None, :] * r)  # so that w/r sweeps s at every r
     sr = w / r
     hinv = np.asarray(eos.hinv(sr.ravel()), dtype=float).reshape(sr.shape)
     dhinv = np.asarray(eos.dhinv(sr.ravel()), dtype=float).reshape(sr.shape)

@@ -11,14 +11,19 @@ The rank-one term is (k(rho0)(r)-k(rho0)(0))/M * int rho0' xi/|y| dy for the
 Euler-Poisson model and (u0(r)-u0(0))/M * (same integral) for Vlasov-Poisson.
 """
 
-import csv
-import json
-
 import numpy as np
 
 from .errors import DegenerateOperatorError
 from .numerics import Panels, smallest_singular_value
 from .potentials import mode_potential_matrices
+
+#: solve refuses a mode whose sigma_min R^2/a is at or below this.  The
+#: scaled value is invariant under the power-law scaling of the star: it is
+#: 6e-4 at gamma = 1.22, where the raw sigma_min is 2.6e-9, and 2e-13 at
+#: the degenerate gamma = 4/3.
+DEGENERACY_FLOOR = 1e-8
+#: panel order and split-panel nodes of kernel_margin_ladder
+_LADDER_ORDER, _LADDER_SUB = 2, 4
 
 
 class ModeOperator:
@@ -48,15 +53,6 @@ class ModeOperator:
         return float(np.sqrt(np.dot(self.panels.w * self.nodes ** 2,
                                     np.asarray(f) ** 2)))
 
-    def dump(self, json_path, csv_path):
-        with open(json_path, "w") as f:
-            json.dump({"l": self.l, "n": len(self.nodes), "R": self.star.R,
-                       "sigma_min": self.sigma_min()}, f, indent=1)
-        with open(csv_path, "w", newline="") as f:
-            w = csv.writer(f)
-            for row in self.matrix:
-                w.writerow([repr(float(x)) for x in row])
-
 
 def assemble_mode(star, l, n=256, order=8, n_sub=12):
     """Assemble the mode-l block of L on n graded quadrature nodes.
@@ -82,8 +78,7 @@ def assemble_mode(star, l, n=256, order=8, n_sub=12):
     return ModeOperator(l, star, panels, M)
 
 
-def kernel_margin_ladder(star, ells=(0, 1, 2, 3, 4), ns=(128, 256, 512),
-                         order=2):
+def kernel_margin_ladder(star, ells=(0, 1, 2, 3, 4), ns=(128, 256, 512)):
     """Refinement study of sigma_min per mode.
 
     Uses a fixed low-order composite rule so the discretization error
@@ -94,8 +89,8 @@ def kernel_margin_ladder(star, ells=(0, 1, 2, 3, 4), ns=(128, 256, 512),
     rows = []
     for l in ells:
         for n in ns:
-            op = assemble_mode(star, l, n=n, order=order,
-                               n_sub=max(4, order + 2))
+            op = assemble_mode(star, l, n=n, order=_LADDER_ORDER,
+                               n_sub=_LADDER_SUB)
             rows.append((l, n, op.sigma_min()))
     return rows
 
@@ -108,14 +103,18 @@ def apply(op, xi):
     return op.matrix @ xi
 
 
-def solve(op, rhs, floor=1e-8):
-    """Solve (L_l) xi = rhs; refuses near-degenerate operators."""
+def solve(op, rhs):
+    """Solve (L_l) xi = rhs; refuses near-degenerate operators, judged by
+    the scale-free sigma_min R^2/a against DEGENERACY_FLOOR."""
     sig = op.sigma_min()
-    if sig <= floor:
-        gamma = getattr(op.star.eos, "gamma", None) if hasattr(op.star, "eos") else None
+    scaled = sig * op.star.R ** 2 / op.star.a
+    if scaled <= DEGENERACY_FLOOR:
+        gamma = getattr(op.star.eos, "gamma", None)
         raise DegenerateOperatorError(
-            f"degenerate operator (mass condition violated?): sigma_min={sig:.3e}"
+            "degenerate operator (mass condition violated?): "
+            f"sigma_min={sig:.3e}, sigma_min R^2/a={scaled:.3e}"
             + (f", gamma={gamma}" if gamma is not None else ""),
-            sigma_min=sig, diagnostics={"l": op.l, "gamma": gamma})
+            sigma_min=sig, diagnostics={"l": op.l, "gamma": gamma,
+                                        "sigma_min_scaled": scaled})
     xi = np.linalg.solve(op.matrix, np.asarray(rhs, dtype=float))
     return xi

@@ -42,9 +42,10 @@ def dY_dtheta(l, theta):
     return out
 
 
-def integrate_ivp(rhs, y0, r0, stop=None, tol=1e-12, r_max=None, args=(),
-                  require_event=False, method="RK45"):
-    """Integrate y' = rhs(r, y) from r0 with dense output.
+def integrate_ivp(rhs, y0, r0, r_max, stop=None, tol=1e-12,
+                  require_event=False):
+    """Integrate y' = rhs(r, y) from r0 towards r_max by RK45 with dense
+    output.
 
     Returns scipy's solve_ivp result (sampled .t and .y, dense output
     .sol) with one more attribute, event_r.  stop is an optional scalar
@@ -54,18 +55,16 @@ def integrate_ivp(rhs, y0, r0, stop=None, tol=1e-12, r_max=None, args=(),
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if r_max is None:
-        r_max = r0 + 1.0
     events = None
     if stop is not None:
-        def ev(r, y, *a):
+        def ev(r, y):
             return stop(r, y)
         ev.terminal = True
         ev.direction = -1
         events = [ev]
     sol = solve_ivp(rhs, (r0, r_max), np.asarray(y0, dtype=float),
-                    method=method, rtol=tol, atol=tol * 1e-2,
-                    dense_output=True, events=events, args=args or None)
+                    method="RK45", rtol=tol, atol=tol * 1e-2,
+                    dense_output=True, events=events)
     if sol.status == -1:
         raise StiffnessError(f"integration failed: {sol.message}")
     event_r = None

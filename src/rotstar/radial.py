@@ -5,23 +5,21 @@ radius R(a) at the first zero of v, physical mass M(a), and the mass
 derivative M'(a) through the variational ODE.
 """
 
-import csv
-import json
-
 import numpy as np
 
 from .errors import EOSError, UnboundStarError, NoEventError
 from .numerics import Panels, integrate_ivp
 
-#: default number of output-grid nodes for a star
+#: nodes of the uniform output grid of a star (to_json_dict)
 N_GRID = 512
 #: nodes and order of the panels on [0, R] that carry the stored profile
 PROFILE_NODES, PROFILE_ORDER = 512, 16
 
 
-def _shoot_profile(source, a, tol=1e-12, r_max_factor=1e3):
+def _shoot_profile(source, a, tol=1e-12):
     """Integrate v'' + (2/r)v' + source(v) = 0 with series start, locating the
-    first zero of v.  source is 4 pi h^-1 (EP) or 4 pi G (VP).
+    first zero of v within 1e3 curvature scales.  source is 4 pi h^-1 (EP)
+    or 4 pi G (VP).
 
     State is (v, v', m) with m' = source(v) r^2, so the mass integral rides
     along with the trajectory.  Returns the integrate_ivp result, whose
@@ -46,7 +44,7 @@ def _shoot_profile(source, a, tol=1e-12, r_max_factor=1e3):
 
     try:
         return integrate_ivp(rhs, [v0, w0, m0], r0, stop=stop, tol=tol,
-                             r_max=r_max_factor * R_guess, require_event=True)
+                             r_max=1e3 * R_guess, require_event=True)
     except NoEventError as e:
         raise UnboundStarError(f"no zero crossing before r_max: {e}") from e
 
@@ -60,7 +58,7 @@ class RadialStar:
     step's polynomial, which matches the series a - source(a) r^2/6 there
     to rounding in u0 and to about 2e-11 |u0'|max in u0'."""
 
-    def __init__(self, eos, a, shot, n_grid=N_GRID):
+    def __init__(self, eos, a, shot):
         self.eos = eos
         self.a = float(a)
         self.R = float(shot.event_r)
@@ -68,7 +66,7 @@ class RadialStar:
         self.mass = float(shot.sol(self.R)[2])
         self.panels = Panels.graded(self.R, PROFILE_NODES, PROFILE_ORDER)
         self._u0_nodes, self._u0p_nodes = shot.sol(self.panels.x)[:2]
-        self.grid = np.linspace(0.0, self.R, n_grid)   # output grid
+        self.grid = np.linspace(0.0, self.R, N_GRID)   # output grid
 
     # profile evaluation, r clamped to [0, R] --------------------------------
 
@@ -107,12 +105,8 @@ class RadialStar:
             "rho0": self.rho0_of(self.grid).tolist(),
         }
 
-    def dump_json(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=1)
 
-
-def solve_radial(eos, a, tol=1e-12, n_grid=N_GRID):
+def solve_radial(eos, a, tol=1e-12):
     """Shooting solution of the radial equilibrium with central enthalpy a."""
     if a <= 0:
         raise EOSError("central enthalpy a must be positive")
@@ -120,8 +114,7 @@ def solve_radial(eos, a, tol=1e-12, n_grid=N_GRID):
     def source(v):
         return 4.0 * np.pi * float(eos.hinv(v))
 
-    return RadialStar(eos, a, _shoot_profile(source, a, tol=tol),
-                      n_grid=n_grid)
+    return RadialStar(eos, a, _shoot_profile(source, a, tol=tol))
 
 
 def mass_derivative(eos, star, tol=1e-12):
@@ -175,13 +168,6 @@ class MassCurve:
     def arrays(self):
         arr = np.array(self.samples)
         return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["a", "R", "M", "Mprime"])
-            for row in self.samples:
-                w.writerow([repr(float(x)) for x in row])
 
 
 def mass_curve(eos, a_range, n, tol=1e-12):

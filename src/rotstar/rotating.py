@@ -18,9 +18,6 @@ on the spherical-harmonic coefficients of zeta for either model along a
 schedule of rotation intensities kappa.
 """
 
-import csv
-import json
-
 import numpy as np
 
 from .axisym import EPS0, Discretization, Geometry, ModalField
@@ -29,19 +26,20 @@ from .linop import assemble_mode, solve as linop_solve
 from .numerics import Ytilde, gl_nodes
 
 _TINY = 1e-14
+#: Newton steps per kappa value, and step halvings per requested kappa
+_NEWTON_ITERS, _HALVINGS = 8, 6
+#: quadrature colatitudes of the centrifugal mode projections
+_N_MU = 24
 
 
 # ---------------------------------------------------------------------------
 # centrifugal forcing
 
 
-def centrifugal_rhs(profile, star, ells=(0, 2, 4, 6, 8), nodes=None, n_mu=24):
-    """Mode profiles of dF/dkappa at zeta=0, i.e. of J(r sin(theta)).
-
-    Returns (nodes, rhs) with rhs shape (n_l, n_nodes)."""
-    if nodes is None:
-        nodes = np.linspace(0.0, star.R, 129)[1:]
-    xm, wm = gl_nodes(n_mu)
+def centrifugal_rhs(profile, nodes, ells):
+    """Mode profiles of dF/dkappa at zeta=0, i.e. of J(r sin(theta)), at the
+    radii nodes; shape (n_l, n_nodes)."""
+    xm, wm = gl_nodes(_N_MU)
     mu = 0.5 * (xm + 1.0)
     wmu = 0.5 * wm
     sth = np.sqrt(1.0 - mu ** 2)
@@ -49,7 +47,7 @@ def centrifugal_rhs(profile, star, ells=(0, 2, 4, 6, 8), nodes=None, n_mu=24):
     rhs = np.empty((len(ells), len(nodes)))
     for i, l in enumerate(ells):
         rhs[i] = Jvals @ (4.0 * np.pi * wmu * Ytilde(l, mu))
-    return nodes, rhs
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +127,12 @@ class EPModel:
                          for l in disc.ells])
 
 
-def evaluate_F(zeta, kappa, model, disc=None, geo=None):
+def evaluate_F(zeta, kappa, model, disc=None):
     """Residual field F(zeta, kappa) of model at the collocation targets.
 
-    Returns (F, geo) with F of shape (n_rc, n_mu); geo can be reused at
-    the same zeta."""
-    if geo is None:
-        geo = Geometry(zeta, model.star, disc or Discretization(model.star.R))
+    Returns (F, geo) with F of shape (n_rc, n_mu); at the same zeta,
+    model.residual(geo, kappa) gives F at another kappa."""
+    geo = Geometry(zeta, model.star, disc or Discretization(model.star.R))
     return model.residual(geo, kappa), geo
 
 
@@ -144,11 +141,12 @@ def evaluate_F(zeta, kappa, model, disc=None, geo=None):
 
 
 class ShapeReport:
-    """Linear response xi with L xi = -dF/dkappa, per harmonic mode."""
+    """Linear response xi per harmonic mode: L xi = -dF/dkappa for the EP
+    fluid (first_order_shape), the kappa^2 response for the VP gas
+    (vlasov.vp_rotation_response)."""
 
-    def __init__(self, star, profile, ells, ops, xi):
+    def __init__(self, star, ells, ops, xi):
         self.star = star
-        self.profile = profile
         self.ells = tuple(ells)
         self.ops = ops          # l -> ModeOperator
         self.xi = xi            # l -> nodal profile on ops[l].panels.x
@@ -156,8 +154,8 @@ class ShapeReport:
                      for l in ells}
 
     def boundary_shift(self, theta):
-        """xi(R, theta)/R, the first-order radial boundary displacement per
-        unit kappa."""
+        """xi(R, theta)/R, the radial boundary displacement relative to R
+        (per unit kappa for first_order_shape)."""
         mu = np.cos(np.asarray(theta, dtype=float))
         out = np.zeros_like(np.atleast_1d(mu), dtype=float)
         for l in self.ells:
@@ -169,35 +167,19 @@ class ShapeReport:
         eq, pole = self.boundary_shift(np.array([np.pi / 2, 0.0]))
         return float(eq - pole)
 
-    def dump(self, json_path, csv_path):
-        with open(json_path, "w") as f:
-            json.dump({"ells": list(self.ells),
-                       "xi_R": {str(l): self.xi_R[l] for l in self.ells},
-                       "oblateness_slope": self.oblateness_slope()}, f, indent=1)
-        with open(csv_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["l", "r", "xi"])
-            for l in self.ells:
-                for r, v in zip(self.ops[l].nodes, self.xi[l]):
-                    w.writerow([l, repr(float(r)), repr(float(v))])
 
-
-def first_order_shape(star, profile, ells=(0, 2, 4, 6, 8), n=256, order=8,
-                      n_mu=24):
+def first_order_shape(star, profile, ells=(0, 2, 4, 6, 8), n=256):
     """Solve L xi_l = -(dF/dkappa)_l for each even mode."""
     ops = {}
     xi = {}
     for l in ells:
-        op = assemble_mode(star, l, n=n, order=order)
-        _, rhs = centrifugal_rhs(profile, star, ells=(l,), nodes=op.nodes,
-                                 n_mu=n_mu)
-        if np.max(np.abs(rhs[0])) < 1e-14 * max(1.0, star.R ** 2):
-            ops[l] = op
+        ops[l] = op = assemble_mode(star, l, n=n)
+        [rhs] = centrifugal_rhs(profile, op.nodes, (l,))
+        if np.max(np.abs(rhs)) < 1e-14 * max(1.0, star.R ** 2):
             xi[l] = np.zeros_like(op.nodes)
-            continue
-        ops[l] = op
-        xi[l] = linop_solve(op, -rhs[0])
-    return ShapeReport(star, profile, ells, ops, xi)
+        else:
+            xi[l] = linop_solve(op, -rhs)
+    return ShapeReport(star, ells, ops, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -217,60 +199,35 @@ class RotatingSolution:
         self.iters = int(iters)
         self.mass_factor = float(mfac)
         self.mass_value = float(mass_value)
-        zr = self.zeta_field()
         R = star.R
-        if zr is None:
-            self.R_eq = self.R_pole = R
-        else:
-            self.R_eq = R * (1.0 + float(zr.ratio(np.array([R]),
-                                                  np.array([np.pi / 2]))[0]))
-            self.R_pole = R * (1.0 + float(zr.ratio(np.array([R]),
-                                                    np.array([0.0]))[0]))
+        eq, pole = self.zeta_field().ratio(np.full(2, R),
+                                           np.array([np.pi / 2, 0.0]))
+        self.R_eq, self.R_pole = (R * (1.0 + float(x)) for x in (eq, pole))
 
     def zeta_field(self):
-        if np.max(np.abs(self.coefs)) == 0.0:
-            return None
         return ModalField(self.disc.panels_c, self.disc.ells, self.coefs)
 
     def to_row(self):
         return [self.kappa, self.R_eq, self.R_pole, self.mass_value,
                 self.residual_sup, self.iters]
 
-    def dump(self, json_path, csv_path):
-        with open(json_path, "w") as f:
-            json.dump({"kappa": self.kappa, "R_eq": self.R_eq,
-                       "R_pole": self.R_pole, "mass": self.mass_value,
-                       "mass_factor": self.mass_factor,
-                       "residual_sup": self.residual_sup,
-                       "iters": self.iters,
-                       "ells": list(self.disc.ells)}, f, indent=1)
-        with open(csv_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["l", "r", "zeta_l"])
-            for i, l in enumerate(self.disc.ells):
-                for r, v in zip(self.disc.panels_c.x, self.coefs[i]):
-                    w.writerow([l, repr(float(r)), repr(float(v))])
 
-
-def _newton_at(model, kappa, coefs, disc, tol, max_iter):
+def _newton_at(model, kappa, coefs, disc, tol):
     """Newton iteration at fixed kappa from the warm start coefs."""
-    ells = disc.ells
     coefs = coefs.copy()
     prev_res = np.inf
-    for it in range(max_iter + 1):
-        field = None if np.max(np.abs(coefs)) == 0.0 else \
-            ModalField(disc.panels_c, ells, coefs)
-        if field is not None:
-            xn = field.xnorm()
-            if xn >= EPS0:
-                raise DeformationError(
-                    f"deformation cap: ||zeta||_X = {xn:.4g} >= {EPS0} "
-                    f"at kappa={kappa:g}")
+    for it in range(_NEWTON_ITERS + 1):
+        field = ModalField(disc.panels_c, disc.ells, coefs)
+        xn = field.xnorm()
+        if xn >= EPS0:
+            raise DeformationError(
+                f"deformation cap: ||zeta||_X = {xn:.4g} >= {EPS0} "
+                f"at kappa={kappa:g}")
         F, geo = evaluate_F(field, kappa, model, disc)
         res_sup = float(np.max(np.abs(F)))
         if res_sup < tol:
             return coefs, geo, res_sup, it
-        if it == max_iter or res_sup > 0.5 * prev_res:
+        if it == _NEWTON_ITERS or res_sup > 0.5 * prev_res:
             # stagnation at the discretization floor is not convergence
             raise SolverError(
                 f"Newton stalled at kappa={kappa:g}: residual {res_sup:.3e}")
@@ -281,8 +238,7 @@ def _newton_at(model, kappa, coefs, disc, tol, max_iter):
     raise SolverError("unreachable")
 
 
-def newton_continue(model, kappas, disc=None, tol=1e-8, max_iter=8,
-                    max_halvings=6, on_solution=None):
+def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
     """Continuation of model (EPModel or VPModel) in the rotation intensity
     kappa with exact mass.
 
@@ -312,10 +268,10 @@ def newton_continue(model, kappas, disc=None, tol=1e-8, max_iter=8,
             warm = coefs + (k_try - k_cur) * slope
             try:
                 coefs_new, geo, res_sup, iters = _newton_at(
-                    model, k_try, warm, disc, tol, max_iter)
+                    model, k_try, warm, disc, tol)
             except SolverError:
                 halvings += 1
-                if halvings > max_halvings:
+                if halvings > _HALVINGS:
                     raise
                 step *= 0.5
                 continue

@@ -17,11 +17,13 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import roots_jacobi
 
+from .axisym import Discretization, Geometry, ModalField
 from .errors import EOSError
 from .linop import assemble_mode, solve as linop_solve
 from .numerics import gl_nodes, integrate_ivp
-from .radial import N_GRID, RadialStar, _shoot_profile
-from . import rotating
+from .potentials import mode_potential_matrices
+from .radial import RadialStar, _shoot_profile
+from .rotating import ShapeReport
 
 
 def _check_mu(mu):
@@ -146,9 +148,9 @@ class _DensityOfU:
 class VlasovStar(RadialStar):
     """Radial Vlasov-Poisson steady state: u0 profile with density G(u0)."""
 
-    def __init__(self, ansatz, a, shot, n_grid=N_GRID):
+    def __init__(self, ansatz, a, shot):
         self.ansatz = ansatz
-        super().__init__(_DensityOfU(ansatz), a, shot, n_grid=n_grid)
+        super().__init__(_DensityOfU(ansatz), a, shot)
 
     def mass_column(self, r):
         """(u0(r) - u0(0))/M: the Vlasov-Poisson rank-one mass column."""
@@ -160,7 +162,7 @@ class VlasovStar(RadialStar):
         return out
 
 
-def solve_vp_radial(ansatz, a, tol=1e-12, n_grid=N_GRID):
+def solve_vp_radial(ansatz, a, tol=1e-12):
     """Shooting solution of Delta u + 4 pi G(u) = 0 (radial), u(0)=a."""
     if a <= 0:
         raise EOSError("central value a must be positive")
@@ -168,8 +170,7 @@ def solve_vp_radial(ansatz, a, tol=1e-12, n_grid=N_GRID):
     def source(v):
         return 4.0 * np.pi * float(ansatz.G(v))
 
-    return VlasovStar(ansatz, a, _shoot_profile(source, a, tol=tol),
-                      n_grid=n_grid)
+    return VlasovStar(ansatz, a, _shoot_profile(source, a, tol=tol))
 
 
 def scaling_response(star, tol=1e-12):
@@ -202,19 +203,21 @@ def kappa_derivative_norm(star, ansatz, disc=None):
     of the residual (identically zero for an even ansatz)."""
     k = 1e-2
     model = VPModel(star, ansatz)
-    Fp, geo = rotating.evaluate_F(None, k, model, disc)
-    Fm, _ = rotating.evaluate_F(None, -k, model, disc, geo=geo)
+    disc = disc or Discretization(star.R)
+    zero = np.zeros((len(disc.ells), len(disc.panels_c)))
+    geo = Geometry(ModalField(disc.panels_c, disc.ells, zero), star, disc)
+    Fp, Fm = model.residual(geo, k), model.residual(geo, -k)
     return float(np.max(np.abs(Fp - Fm)) / (2.0 * k))
 
 
-def vp_rotation_response(star, ansatz, kappa, n=256, order=8, ells=(0, 2)):
+def vp_rotation_response(star, ansatz, kappa, n=256):
     """Leading-order deformation zeta = -(kappa^2/2) L^-1 d2F/dkappa2(0,0).
 
-    The forcing r_cyl^2 d2w-potential splits into l=0 and l=2; returns
-    (ops, xi) with nodal profiles of zeta per mode (kappa included)."""
-    from .potentials import mode_potential_matrices
-    ops = {l: assemble_mode(star, l, n=n, order=order) for l in ells}
-    pan = ops[ells[0]].panels
+    The forcing r_cyl^2 d2w-potential splits into l=0 and l=2; returns a
+    ShapeReport with nodal profiles of zeta per mode (kappa included)."""
+    ells = (0, 2)
+    ops = {l: assemble_mode(star, l, n=n) for l in ells}
+    pan = ops[0].panels
     t = pan.x
     d2 = ansatz.d2w_dkappa2_unit(star.u0_of(t))
     # r_cyl^2 = t^2 (1 - mu^2) = t^2 (2/3)(1 - P2)
@@ -224,9 +227,6 @@ def vp_rotation_response(star, ansatz, kappa, n=256, order=8, ells=(0, 2)):
     M_kk = 4.0 * np.pi * (2.0 / 3.0) * float(np.dot(pan.w, t ** 4 * d2))
     xi = {}
     for l in ells:
-        if l not in sig:
-            xi[l] = np.zeros_like(t)
-            continue
         [(A, _)] = mode_potential_matrices(pan, (l,), t)
         phi = A @ sig[l]
         if l == 0:
@@ -236,7 +236,7 @@ def vp_rotation_response(star, ansatz, kappa, n=256, order=8, ells=(0, 2)):
             phi = phi - u_term * M_kk / star.mass
         rhs = -(kappa ** 2 / 2.0) * phi
         xi[l] = linop_solve(ops[l], rhs)
-    return ops, xi
+    return ShapeReport(star, ells, ops, xi)
 
 
 # ---------------------------------------------------------------------------

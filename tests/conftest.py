@@ -106,6 +106,13 @@ def rand_deformation(rng, R, cap=0.04):
     return z
 
 
+def zero_field(disc):
+    """The zero deformation, a ModalField on the collocation panels of disc."""
+    from rotstar.axisym import ModalField
+    return ModalField(disc.panels_c, disc.ells,
+                      np.zeros((len(disc.ells), len(disc.panels_c))))
+
+
 def shifted(zeta, xi, s):
     """The field zeta + s xi of two ModalFields on the same panels and modes."""
     from rotstar.axisym import ModalField

@@ -19,9 +19,8 @@ def ep_derivative(model, geo, kappa, xi):
     mfac = f["mfac"]
 
     # mass-factor derivative: trace formula on the undeformed volume grid
-    ratio_u = xi.ratio(geo.RU, geo.THU)
-    tr = 2.0 * ratio_u / geo.lam_u \
-        + (ratio_u + xi.stretch(geo.RU, geo.THU)) / geo.g1_u
+    ratio_u, stretch_u = xi.ratio_and_stretch(geo.RU, geo.THU)
+    tr = 2.0 * ratio_u / geo.lam_u + (ratio_u + stretch_u) / geo.g1_u
     wu = disc.panels_u.w * disc.panels_u.x ** 2
     integral = 4.0 * np.pi * np.einsum(
         "i,ij,j->", wu, geo.rho_u[:, None] * geo.det_u * tr, disc.wmu)
@@ -76,9 +75,7 @@ def vp_derivative(model, geo, kappa, xi):
 
 def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
     """Directional derivative dF(zeta, kappa)[xi] of model at the collocation
-    targets.
-
-    xi is a ModalField; zeta may be None for the undeformed state."""
+    targets, for ModalFields zeta and xi."""
     if geo is None:
         geo = Geometry(zeta, model.star, disc or Discretization(model.star.R))
     derivative = vp_derivative if isinstance(model, VPModel) else ep_derivative

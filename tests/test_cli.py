@@ -154,6 +154,13 @@ def test_perturb_degenerate_exit_code(tmp_path):
     assert run(tmp_path, "perturb", f"gamma = {gamma!r}\nn = 192\n") == 4
 
 
+def test_perturb_below_four_thirds_exits_zero(tmp_path):
+    # gamma = 1.22 satisfies the mass condition; its raw l = 0 sigma_min
+    # (2.6e-9, R = 488) is small only through the a/R^2 scale
+    assert run(tmp_path, "perturb", "gamma = 1.22\nn = 192\n") == 0
+    assert run(tmp_path, "perturb", "model = vp\nmu = -3\nn = 192\n") == 0
+
+
 def test_continue_writes_curve(tmp_path):
     text = "gamma = 1.5\nkappas = 0,1e-3\n"
     assert run(tmp_path, "continue", text) == 0
@@ -189,6 +196,23 @@ def test_reruns_are_bit_identical(tmp_path):
     b1 = (d1 / "mass_curve.csv").read_bytes()
     b2 = (d2 / "mass_curve.csv").read_bytes()
     assert b1 == b2
+
+
+def test_continue_writes_every_file_atomically(tmp_path, monkeypatch):
+    replaced = []
+
+    def recording_replace(src, dst):
+        replaced.append(os.path.realpath(dst))
+        real_replace(src, dst)
+
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", recording_replace)
+    out = tmp_path / "out"
+    assert run(tmp_path, "continue", "gamma = 1.5\nkappas = 0,1e-3\n",
+               out=out) == 0
+    written = [os.path.realpath(p) for p in out.iterdir()]
+    assert any("solution_k" in p for p in written)
+    assert set(written) <= set(replaced)
 
 
 def test_no_temp_files_left(tmp_path):

@@ -91,16 +91,29 @@ def test_invalid_central_value():
         solve_radial(power_law(1.5), -1.0)
 
 
-def test_mass_curve_threads_and_csv(tmp_path):
-    eos = power_sum([(1.0, 1.5), (1.0, 1.8)])
-    c1 = mass_curve(eos, (0.5, 2.0), 5)
-    p = tmp_path / "curve.csv"
-    c1.to_csv(p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "a,R,M,Mprime"
+def test_mass_curve_threads_and_csv(tmp_path, monkeypatch):
+    # the cells of the CLI's mass_curve.csv parse back to the samples of
+    # the curve it computed
+    from rotstar import radial
+    from rotstar.cli import main
+    curves = []
+
+    def recorded(*args, **kw):
+        curves.append(mass_curve(*args, **kw))
+        return curves[-1]
+
+    monkeypatch.setattr(radial, "mass_curve", recorded)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eos = power_sum\nterms = 1:1.5,1:1.8\n"
+                   "a_min = 0.5\na_max = 2.0\nn_samples = 5\n")
+    assert main(["mass-curve", "--config", str(cfg), "--out",
+                 str(tmp_path)]) == 0
+    [c1] = curves
+    lines = (tmp_path / "mass_curve.csv").read_text().strip().splitlines()
     assert len(lines) == 6
     vals = [[float(x) for x in line.split(",")] for line in lines[1:]]
     assert vals == [list(row) for row in c1.samples]
+    eos = power_sum([(1.0, 1.5), (1.0, 1.8)])
     with pytest.raises(EOSError):
         mass_curve(eos, (2.0, 0.5), 5)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import jacobian_column_error, rand_deformation, shifted
+from conftest import (jacobian_column_error, rand_deformation, shifted,
+                      zero_field)
 from reference import frechet_apply
 from rotstar.axisym import Discretization, Geometry, ModalField
 from rotstar.errors import DeformationError, SolverError
@@ -18,7 +19,7 @@ def disc15(star15):
 
 @pytest.fixture(scope="module")
 def geo15(star15, disc15):
-    return Geometry(None, star15, disc15)
+    return Geometry(zero_field(disc15), star15, disc15)
 
 
 def test_modal_field_evaluation_and_derivative(disc15):
@@ -52,15 +53,15 @@ def test_geometry_rejects_unconverged_inversion(star15, disc15):
         Geometry(zeta, star15, disc15)
 
 
-def test_residual_vanishes_at_base_point(ep_model, disc15, geo15):
-    F, _ = evaluate_F(None, 0.0, ep_model, disc=disc15, geo=geo15)
+def test_residual_vanishes_at_base_point(ep_model, geo15):
+    F = ep_model.residual(geo15, 0.0)
     assert np.max(np.abs(F)) < 1e-9
 
 
 def test_kappa_term_is_exact_centrifugal(ep_model, disc15, geo15):
     kap = 1e-3
-    F0, _ = evaluate_F(None, 0.0, ep_model, disc=disc15, geo=geo15)
-    Fk, _ = evaluate_F(None, kap, ep_model, disc=disc15, geo=geo15)
+    F0 = ep_model.residual(geo15, 0.0)
+    Fk = ep_model.residual(geo15, kap)
     r_cyl = geo15.s_t * disc15.sin_theta[None, :]
     assert np.max(np.abs(Fk - F0 - kap * 0.5 * r_cyl ** 2)) < 1e-15
 
@@ -74,7 +75,7 @@ def test_frechet_at_zero_matches_mode_operator(star15, ep_model, disc15,
     coefs[i_l] = np.sin(np.pi * disc15.panels_c.x / star15.R) \
         * disc15.panels_c.x ** 2 / star15.R ** 2
     xi = ModalField(disc15.panels_c, disc15.ells, coefs)
-    dF = frechet_apply(None, 0.0, xi, ep_model, disc=disc15, geo=geo15)
+    dF = frechet_apply(geo15.zeta, 0.0, xi, ep_model, geo=geo15)
     modes = np.einsum("lj,ij->li", disc15.proj, dF)
     xi_op = np.sin(np.pi * op.nodes / star15.R) * op.nodes ** 2 / star15.R ** 2
     want = op.panels.interp(op.matrix @ xi_op, disc15.panels_c.x)
@@ -87,7 +88,8 @@ def test_frechet_at_zero_matches_mode_operator(star15, ep_model, disc15,
 
 def test_centrifugal_rhs_band_limited(star15, rot_profile):
     # constant omega: J = r^2 sin^2(theta)/2 has only l = 0 and 2 content
-    nodes, rhs = centrifugal_rhs(rot_profile, star15, ells=(0, 2, 4, 6))
+    nodes = np.linspace(0.0, star15.R, 129)[1:]
+    rhs = centrifugal_rhs(rot_profile, nodes, (0, 2, 4, 6))
     assert np.max(np.abs(rhs[2])) < 1e-12
     assert np.max(np.abs(rhs[3])) < 1e-12
     assert np.max(np.abs(rhs[0])) > 0
@@ -124,7 +126,7 @@ def test_frechet_matches_finite_differences(star15, ep_model, disc15):
 @pytest.mark.parametrize("deformed", [False, True], ids=["zero", "deformed"])
 def test_jacobian_columns_match_frechet(star15, ep_model, disc15, deformed):
     zeta = rand_deformation(np.random.default_rng(31), star15.R) \
-        if deformed else None
+        if deformed else zero_field(disc15)
     geo = Geometry(zeta, star15, disc15)
     assert jacobian_column_error(ep_model, geo, 2e-3) < 1e-12
 
@@ -139,15 +141,24 @@ def test_newton_cap_failure(ep_model, disc15):
         newton_continue(ep_model, [0.05], disc=disc15)
 
 
-def test_solution_dump(tmp_path, star15, rot_profile, disc15, ep_solutions):
-    sol = ep_solutions[0]
-    jp, cp = tmp_path / "s.json", tmp_path / "s.csv"
-    sol.dump(jp, cp)
+def test_solution_dump(tmp_path, ep_solutions):
+    # the per-kappa files of the CLI's continue hold the solutions of
+    # newton_continue on the same star, schedule and discretization
     import json
-    meta = json.loads(jp.read_text())
+    from rotstar.cli import main
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 1.5\nkappas = 0,5e-4,1e-3\n")
+    assert main(["continue", "--config", str(cfg), "--out",
+                 str(tmp_path)]) == 0
+    sol = ep_solutions[0]
+    stem = f"solution_k{sol.kappa:.6e}"
+    meta = json.loads((tmp_path / f"{stem}.json").read_text())
+    assert list(meta) == ["kappa", "R_eq", "R_pole", "mass", "mass_factor",
+                          "residual_sup", "iters", "ells"]
     assert meta["kappa"] == sol.kappa
+    assert meta["R_eq"] == sol.R_eq and meta["R_pole"] == sol.R_pole
     assert meta["R_eq"] > meta["R_pole"]
-    rows = cp.read_text().strip().splitlines()
+    rows = (tmp_path / f"{stem}.csv").read_text().strip().splitlines()
     assert rows[0] == "l,r,zeta_l"
     vals = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
     assert vals.shape == (sol.coefs.size, 3)
