@@ -32,9 +32,9 @@ if __name__ == "__main__":
     # sweep the central value for the two-term law and report the margin
     eos = power_sum([(1.0, 1.5), (1.0, 1.8)])
     curve = mass_curve(eos, (0.5, 2.0), 9)
-    a, R, M, mp = curve.arrays()
+    a, R, M, mp = curve.T
     print("\n a        R         M         M'")
-    for row in curve.samples:
+    for row in curve:
         print(" {:.4f}   {:.5f}   {:.5f}   {:+.5f}".format(*row))
     print(f"\nmin |M'| a / M over the sweep: "
           f"{np.min(np.abs(mp) * a / M):.4f}")

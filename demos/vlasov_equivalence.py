@@ -28,13 +28,13 @@ if __name__ == "__main__":
 
     sol = scaling_response(star)
     r = 0.5 * star.R
-    resid = abs(r * float(star.u0p_of(r)[0]) - 2 * float(sol.sol(r)[0]))
+    resid = abs(r * float(star.u0p_of(r)) - 2 * float(sol.sol(r)[0]))
     print(f"scaling identity r u' = 2 v_S residual at R/2: {resid:.2e}")
 
     print(f"\n|dF/dkappa(0,0)| = "
-          f"{kappa_derivative_norm(star, ans):.1e} (even ansatz)")
+          f"{kappa_derivative_norm(star):.1e} (even ansatz)")
     disc = Discretization(star.R)
-    sols = newton_continue(VPModel(star, ans), [1e-2, 2e-2], disc=disc)
+    sols = newton_continue(VPModel(star), [1e-2, 2e-2], disc=disc)
     n1 = sols[0].zeta_field().xnorm()
     n2 = sols[1].zeta_field().xnorm()
     print(" kappa     ||zeta||_X    R_eq - R_pole")

@@ -8,10 +8,9 @@ continuation in the rotation intensity.
 from .eos import (EquationOfState, PowerLawEOS, PowerSumEOS, CallableEOS,
                   RotationProfile, power_law, power_sum, constant_rotation,
                   validate_assumptions, check_mass_condition_b)
-from .radial import (RadialStar, MassCurve, solve_radial, mass_derivative,
+from .radial import (RadialStar, solve_radial, mass_derivative,
                      gamma_43_identity_check, mass_curve)
-from .linop import (ModeOperator, assemble_mode, kernel_margin_ladder, apply,
-                    solve)
+from .linop import ModeOperator, assemble_mode, kernel_margin_ladder, solve
 from .axisym import EPS0, Discretization, Geometry, ModalField
 from .rotating import (EPModel, RotatingSolution, ShapeReport,
                        centrifugal_rhs, first_order_shape, evaluate_F,

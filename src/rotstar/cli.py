@@ -185,7 +185,7 @@ def cmd_radial(cfg):
     write_json(cfg.path("star.json"), star.to_json_dict())
     if cfg.model == "vp":
         # flux identity: R^2 u0'(R) = -M by the divergence theorem
-        flux = abs(star.R ** 2 * float(star.u0p_of(star.R)[0]) + star.mass) \
+        flux = abs(star.R ** 2 * float(star.u0p_of(star.R)) + star.mass) \
             / star.mass
         print(f"radial vp: mu={star.ansatz.mu:g} a={cfg.a:g} R={star.R:.9f} "
               f"M={star.mass:.9f} flux-identity residual={flux:.3e}")
@@ -207,18 +207,23 @@ def cmd_mass_curve(cfg):
                               tol=cfg.ode_tol)
     write_csv(cfg.path("mass_curve.csv"),
               ["a_enthalpy", "R_length", "M_mass", "Mprime_mass_per_enthalpy"],
-              curve.samples)
-    a, _, M, mp = curve.arrays()
+              curve)
+    a, _, M, mp = curve.T
     print(f"mass-curve: {len(curve)} samples, min |M'| a/M = "
           f"{np.min(np.abs(mp) * a / M):.6e}")
     return 0
 
 
 def cmd_kernel_margin(cfg):
-    rows = linop.kernel_margin_ladder(cfg.make_star(), ells=cfg.ells,
-                                      ns=cfg.ns)
+    """sigma_min per mode and node count, raw and scale-free: the raw value
+    scales like a/R^2 under the power-law scaling, sigma_min R^2/a not."""
+    star = cfg.make_star()
+    rows = linop.kernel_margin_ladder(star, ells=cfg.ells, ns=cfg.ns)
     write_csv(cfg.path("kernel_margin.csv"),
               ["l_mode", "n_nodes", "sigma_min_dimensionless"], rows)
+    write_csv(cfg.path("kernel_margin_scaled.csv"),
+              ["l_mode", "n_nodes", "sigma_min_R2_over_a"],
+              [(l, n, sig * star.R ** 2 / star.a) for l, n, sig in rows])
     print(f"kernel-margin: {len(rows)} rows written")
     return 0
 
@@ -231,7 +236,7 @@ def cmd_perturb(cfg):
     kappa = cfg.kappas[-1]
     if cfg.model == "vp":
         kappa = kappa if kappa > 0 else 1e-2
-        report = vlasov.vp_rotation_response(star, star.ansatz, kappa, n=cfg.n)
+        report = vlasov.vp_rotation_response(star, kappa, n=cfg.n)
         scale = 1.0
         line = f"vp-perturb: kappa={kappa:g} xi_2(R)={report.xi_R[2]:.6e}"
     else:
@@ -255,7 +260,7 @@ def cmd_continue(cfg):
     flushed as they arrive, so a partial curve survives solver failure."""
     star = cfg.make_star()
     if cfg.model == "vp":
-        model = vlasov.VPModel(star, star.ansatz)
+        model = vlasov.VPModel(star)
     else:
         model = rotating.EPModel(star, constant_rotation(cfg.omega))
     rows = []

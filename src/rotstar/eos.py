@@ -241,19 +241,15 @@ def constant_rotation(omega=1.0):
 class AssumptionReport:
     """Outcome of validate_assumptions: measured exponents and pass flags."""
 
-    def __init__(self, monotone, small_exp, large_exp, gamma, gamma_star):
+    def __init__(self, monotone, small_exp, large_exp):
         self.monotone = monotone
         self.small_exp = small_exp
         self.large_exp = large_exp
-        self.gamma_measured = 1.0 + small_exp
-        self.gamma_star_measured = 1.0 + large_exp
         self.pass_positivity = monotone
         # assum 3: gamma in (1, 2)  <=>  small-s exponent of p' in (0, 1)
         self.pass_small = 0.0 < small_exp < 1.0
         # assum 4: gamma* in (6/5, 2)
         self.pass_large = 0.2 < large_exp < 1.0
-        self.drift_small = abs(small_exp - (gamma - 1.0)) if gamma else None
-        self.drift_large = abs(large_exp - (gamma_star - 1.0)) if gamma_star else None
         self.passed = self.pass_positivity and self.pass_small and self.pass_large
 
     def as_dict(self):
@@ -276,7 +272,7 @@ def validate_assumptions(eos):
     monotone = bool(np.all(dp > 0))
     small_exp = float(np.log(dp[2] / dp[0]) / np.log(s[2] / s[0]))
     large_exp = float(np.log(dp[-1] / dp[-3]) / np.log(s[-1] / s[-3]))
-    return AssumptionReport(monotone, small_exp, large_exp, eos.gamma, eos.gamma_star)
+    return AssumptionReport(monotone, small_exp, large_exp)
 
 
 class MassConditionReport:

@@ -31,13 +31,17 @@ class ModeOperator:
 
     Acts on nodal values of xi_l at the composite Gauss-Legendre nodes
     panels.x; sigma_min is measured in the quadrature-weighted l2 norm
-    (the L2(B_R) proxy for the paper's X-norm space)."""
+    (the L2(B_R) proxy for the paper's X-norm space).  potential is the
+    matrix of Phi_l at the nodes and, for l = 0, origin the row of
+    Phi_0(0) that L subtracts (None for l > 0)."""
 
-    def __init__(self, l, star, panels, matrix):
+    def __init__(self, l, star, panels, matrix, potential, origin=None):
         self.l = int(l)
         self.star = star
         self.panels = panels
         self.matrix = matrix
+        self.potential = potential
+        self.origin = origin
         self.nodes = panels.x
         self._sig = None
 
@@ -54,28 +58,35 @@ class ModeOperator:
                                     np.asarray(f) ** 2)))
 
 
+def mode_panels(R, n, order=8):
+    """The graded panels of [0, R] whose n nodes carry a mode profile."""
+    return Panels.graded(R, n, order=order)
+
+
 def assemble_mode(star, l, n=256, order=8, n_sub=12):
-    """Assemble the mode-l block of L on n graded quadrature nodes.
+    """Assemble the mode-l block of L on the n nodes of mode_panels.
 
     The l=0 mass term takes its column from star.mass_column, so the star's
     model (Euler-Poisson or Vlasov-Poisson) decides it.
     """
     if l < 0:
         raise ValueError("harmonic index must be nonnegative")
-    panels = Panels.graded(star.R, n, order=order)
+    panels = mode_panels(star.R, n, order=order)
     x = panels.x
     u0p = star.u0p_of(x)
     rho0p = star.rho0p_of(x)
     [(A, _)] = mode_potential_matrices(panels, (l,), x, n_sub=n_sub)
+    origin, A_rel = None, A
     if l == 0:
-        [(A0_zero, _)] = mode_potential_matrices(panels, (0,), [0.0], n_sub=n_sub)
-        A = A - A0_zero  # the -1/|y| monopole correction
+        [(origin, _)] = mode_potential_matrices(panels, (0,), [0.0],
+                                                n_sub=n_sub)
+        A_rel = A - origin  # the -1/|y| monopole correction
     D = rho0p / x
-    M = np.diag(u0p / x) - A * D[None, :]
+    M = np.diag(u0p / x) - A_rel * D[None, :]
     if l == 0:
         row = 4.0 * np.pi * panels.w * x * rho0p
         M = M + np.outer(star.mass_column(x), row)
-    return ModeOperator(l, star, panels, M)
+    return ModeOperator(l, star, panels, M, A, origin)
 
 
 def kernel_margin_ladder(star, ells=(0, 1, 2, 3, 4), ns=(128, 256, 512)):
@@ -93,14 +104,6 @@ def kernel_margin_ladder(star, ells=(0, 1, 2, 3, 4), ns=(128, 256, 512)):
                                n_sub=_LADDER_SUB)
             rows.append((l, n, op.sigma_min()))
     return rows
-
-
-def apply(op, xi):
-    """L restricted to mode l applied to nodal values xi."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != op.nodes.shape:
-        raise ValueError("profile/grid mismatch")
-    return op.matrix @ xi
 
 
 def solve(op, rhs):

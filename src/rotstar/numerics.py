@@ -7,7 +7,6 @@ dense linear algebra helpers.
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 from scipy.special import eval_legendre
 
 from .errors import NoEventError, StiffnessError
@@ -50,8 +49,8 @@ def integrate_ivp(rhs, y0, r0, r_max, stop=None, tol=1e-12,
     Returns scipy's solve_ivp result (sampled .t and .y, dense output
     .sol) with one more attribute, event_r.  stop is an optional scalar
     event function of (r, y); integration terminates at its first
-    decreasing zero, whose abscissa event_r is polished on the dense output
-    to within tol (None without stop).
+    decreasing zero, whose abscissa scipy locates on the dense output
+    (event_r; None without stop).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -71,14 +70,6 @@ def integrate_ivp(rhs, y0, r0, r_max, stop=None, tol=1e-12,
     if stop is not None:
         if sol.status == 1 and len(sol.t_events[0]) > 0:
             event_r = float(sol.t_events[0][0])
-            # polish by bisection on the dense output
-            w = max(tol * max(abs(event_r), 1.0), 1e3 * np.finfo(float).eps * abs(event_r))
-            lo, hi = event_r - w, min(event_r + w, sol.t[-1])
-            flo = stop(lo, sol.sol(lo))
-            fhi = stop(hi, sol.sol(hi))
-            if flo * fhi < 0:
-                event_r = brentq(lambda r: stop(r, sol.sol(r)), lo, hi,
-                                 xtol=tol * max(abs(event_r), 1.0))
         elif require_event:
             raise NoEventError(f"event did not trigger before r_max={r_max}")
     sol.event_r = event_r

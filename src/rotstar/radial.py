@@ -69,28 +69,39 @@ class RadialStar:
         self.grid = np.linspace(0.0, self.R, N_GRID)   # output grid
 
     # profile evaluation, r clamped to [0, R] --------------------------------
+    # every profile is an array of r's shape, 0-d for a scalar; it is
+    # computed at the points r as a 1-d array, because 0-d values take other
+    # numpy paths (einsum, the generic h^-1 Newton) whose last bit can differ
+
+    def _profile(self, nodes, r):
+        """Interpolant of nodes at the points r."""
+        x = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), 0.0, self.R)
+        return self.panels.interp(nodes, x).reshape(np.shape(r))
 
     def u0_of(self, r):
-        r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), 0.0, self.R)
-        return np.maximum(self.panels.interp(self._u0_nodes, r), 0.0)
+        return np.asarray(np.maximum(self._profile(self._u0_nodes, r), 0.0))
 
     def u0p_of(self, r):
-        r = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), 0.0, self.R)
-        return self.panels.interp(self._u0p_nodes, r)
+        return self._profile(self._u0p_nodes, r)
+
+    def of_u0(self, f, r):
+        """f(u0(r)) for a function f of the enthalpy, such as eos.hinv."""
+        return np.asarray(f(self.u0_of(np.atleast_1d(r))),
+                          dtype=float).reshape(np.shape(r))
 
     def rho0_of(self, r):
-        return np.asarray(self.eos.hinv(self.u0_of(r)), dtype=float)
+        return self.of_u0(self.eos.hinv, r)
 
     def rho0p_of(self, r):
         """rho0'(r) = (h^-1)'(u0) u0'."""
-        return np.asarray(self.eos.dhinv(self.u0_of(r)), dtype=float) * self.u0p_of(r)
+        return np.asarray(self.of_u0(self.eos.dhinv, r) * self.u0p_of(r))
 
     def mass_column(self, r):
         """Column of the l=0 rank-one mass term of the linearized operator:
         (k(rho0(r)) - k(rho0(0)))/M for the Euler-Poisson fluid."""
         kvals = self.eos.k(self.rho0_of(r))
         k0 = float(self.eos.k(self.eos.hinv(self.a)))
-        return (kvals - k0) / self.mass
+        return np.asarray((kvals - k0) / self.mass)
 
     # serialization -----------------------------------------------------------
 
@@ -130,7 +141,7 @@ def mass_derivative(eos, star, tol=1e-12):
     y0 = [1.0 - c * r0 ** 2, -2.0 * c * r0]
 
     def rhs(r, y):
-        d = float(eos.dhinv(star.u0_of(r))[0])
+        d = float(star.of_u0(eos.dhinv, r))
         return [y[1], -2.0 / r * y[1] - 4.0 * np.pi * d * y[0]]
 
     sol = integrate_ivp(rhs, y0, r0, tol=tol, r_max=star.R)
@@ -150,28 +161,15 @@ def gamma_43_identity_check(eos, star, tol=1e-12):
     g = eos.gamma
     _, sol = mass_derivative(eos, star, tol=tol)
     vap = float(sol.sol(star.R)[1])
-    up = float(star.u0p_of(star.R)[0])
+    up = float(star.u0p_of(star.R))
     lhs = star.a * (2.0 * (g - 1.0) / (2.0 - g)) * vap
     rhs = ((3.0 * g - 4.0) / (2.0 - g)) * up
     return abs(lhs - rhs) / max(abs(rhs), 1e-8 * abs(up))
 
 
-class MassCurve:
-    """Samples (a, R, M, M') along a log-spaced sweep of the central value."""
-
-    def __init__(self, samples):
-        self.samples = list(samples)
-
-    def __len__(self):
-        return len(self.samples)
-
-    def arrays(self):
-        arr = np.array(self.samples)
-        return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-
-
 def mass_curve(eos, a_range, n, tol=1e-12):
-    """n log-spaced samples of (a, R, M, M') over a_range = (a_lo, a_hi)."""
+    """n log-spaced samples over a_range = (a_lo, a_hi): an (n, 4) array
+    with rows (a, R, M, M')."""
     a_lo, a_hi = a_range
     if not (0 < a_lo < a_hi) or n < 2:
         raise EOSError("need 0 < a_lo < a_hi and n >= 2")
@@ -182,4 +180,4 @@ def mass_curve(eos, a_range, n, tol=1e-12):
         star = solve_radial(eos, a, tol=tol)
         mp, _ = mass_derivative(eos, star, tol=tol)
         samples.append((a, star.R, star.mass, mp))
-    return MassCurve(samples)
+    return np.array(samples)

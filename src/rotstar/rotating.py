@@ -22,7 +22,7 @@ import numpy as np
 
 from .axisym import EPS0, Discretization, Geometry, ModalField
 from .errors import DeformationError, SolverError
-from .linop import assemble_mode, solve as linop_solve
+from .linop import assemble_mode, mode_panels, solve as linop_solve
 from .numerics import Ytilde, gl_nodes
 
 _TINY = 1e-14
@@ -87,7 +87,7 @@ class EPModel:
         grav = mfac * (f["V"] - f["V0"])
         cent = kappa * self.profile.J(r_cyl)
         rho_c = star.rho0_of(geo.rc)
-        rho_00 = float(star.rho0_of(0.0)[0])
+        rho_00 = float(star.rho0_of(0.0))
         h_term = -star.eos.h(mfac * rho_c) + float(star.eos.h(mfac * rho_00))
         return grav + cent + h_term[:, None]
 
@@ -111,7 +111,7 @@ class EPModel:
             / geo.RC)
 
         rho_c = star.rho0_of(geo.rc)
-        rho_00 = float(star.rho0_of(0.0)[0])
+        rho_00 = float(star.rho0_of(0.0))
         dh_c = star.eos.dh(mfac * rho_c)
         dh_0 = float(star.eos.dh(mfac * rho_00))
         F1 = (f["V"] - f["V0"]) + (-dh_c * rho_c + dh_0 * rho_00)[:, None]
@@ -122,8 +122,7 @@ class EPModel:
         """The first-order response sampled onto the collocation nodes, per
         unit kappa."""
         shape = first_order_shape(self.star, self.profile, ells=disc.ells)
-        return np.array([shape.ops[l].panels.interp(shape.xi[l],
-                                                    disc.panels_c.x)
+        return np.array([shape.panels.interp(shape.xi[l], disc.panels_c.x)
                          for l in disc.ells])
 
 
@@ -145,12 +144,12 @@ class ShapeReport:
     fluid (first_order_shape), the kappa^2 response for the VP gas
     (vlasov.vp_rotation_response)."""
 
-    def __init__(self, star, ells, ops, xi):
+    def __init__(self, star, ells, panels, xi):
         self.star = star
         self.ells = tuple(ells)
-        self.ops = ops          # l -> ModeOperator
-        self.xi = xi            # l -> nodal profile on ops[l].panels.x
-        self.xi_R = {l: float(ops[l].panels.interp(xi[l], np.array([star.R]))[0])
+        self.panels = panels    # the mode panels every profile lives on
+        self.xi = xi            # l -> nodal profile on panels.x
+        self.xi_R = {l: float(panels.interp(xi[l], np.array([star.R]))[0])
                      for l in ells}
 
     def boundary_shift(self, theta):
@@ -169,17 +168,18 @@ class ShapeReport:
 
 
 def first_order_shape(star, profile, ells=(0, 2, 4, 6, 8), n=256):
-    """Solve L xi_l = -(dF/dkappa)_l for each even mode."""
-    ops = {}
+    """Solve L xi_l = -(dF/dkappa)_l for each even mode on the n nodes of
+    linop.mode_panels.  Only the forced modes are assembled and solved;
+    the others get zero profiles."""
+    panels = mode_panels(star.R, n)
+    rhs = centrifugal_rhs(profile, panels.x, ells)
     xi = {}
-    for l in ells:
-        ops[l] = op = assemble_mode(star, l, n=n)
-        [rhs] = centrifugal_rhs(profile, op.nodes, (l,))
-        if np.max(np.abs(rhs)) < 1e-14 * max(1.0, star.R ** 2):
-            xi[l] = np.zeros_like(op.nodes)
+    for l, f in zip(ells, rhs):
+        if np.max(np.abs(f)) < 1e-14 * max(1.0, star.R ** 2):
+            xi[l] = np.zeros_like(panels.x)
         else:
-            xi[l] = linop_solve(op, -rhs)
-    return ShapeReport(star, ells, ops, xi)
+            xi[l] = linop_solve(assemble_mode(star, l, n=n), -f)
+    return ShapeReport(star, ells, panels, xi)
 
 
 # ---------------------------------------------------------------------------

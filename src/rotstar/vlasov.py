@@ -21,7 +21,6 @@ from .axisym import Discretization, Geometry, ModalField
 from .errors import EOSError
 from .linop import assemble_mode, solve as linop_solve
 from .numerics import gl_nodes, integrate_ivp
-from .potentials import mode_potential_matrices
 from .radial import RadialStar, _shoot_profile
 from .rotating import ShapeReport
 
@@ -81,6 +80,14 @@ class VlasovAnsatz:
                            0.0)
         return out
 
+    # G as the radial star's density law: h^-1 = G, (h^-1)' = G'
+
+    def hinv(self, u):
+        return self.G(u)
+
+    def dhinv(self, u):
+        return self.Gp(u)
+
     # full w and derivatives (closed forms: psi is an even quadratic) -------
 
     def w(self, kappa, r, u):
@@ -131,30 +138,18 @@ class VlasovAnsatz:
 # radial problem
 
 
-class _DensityOfU:
-    """Adapter exposing G as an inverse enthalpy, so the radial-star profile
-    machinery applies verbatim to the Vlasov model."""
-
-    def __init__(self, ansatz):
-        self._ansatz = ansatz
-
-    def hinv(self, u):
-        return self._ansatz.G(u)
-
-    def dhinv(self, u):
-        return self._ansatz.Gp(u)
-
-
 class VlasovStar(RadialStar):
-    """Radial Vlasov-Poisson steady state: u0 profile with density G(u0)."""
+    """Radial Vlasov-Poisson steady state: u0 profile with density G(u0).
+    The ansatz is the star's density law (eos) and carries the rotation
+    dependence w that VPModel and vp_rotation_response read."""
 
     def __init__(self, ansatz, a, shot):
         self.ansatz = ansatz
-        super().__init__(_DensityOfU(ansatz), a, shot)
+        super().__init__(ansatz, a, shot)
 
     def mass_column(self, r):
         """(u0(r) - u0(0))/M: the Vlasov-Poisson rank-one mass column."""
-        return (self.u0_of(r) - self.a) / self.mass
+        return np.asarray((self.u0_of(r) - self.a) / self.mass)
 
     def to_json_dict(self):
         out = {"mu": self.ansatz.mu, **super().to_json_dict()}
@@ -186,7 +181,7 @@ def scaling_response(star, tol=1e-12):
     y0 = [-s_a / 6.0 * r0 ** 2, -s_a / 3.0 * r0]
 
     def rhs(r, y):
-        u = float(star.u0_of(r)[0])
+        u = float(star.u0_of(r))
         gp = float(ans.Gp(u))
         g = float(ans.G(u))
         return [y[1], -2.0 / r * y[1] - 4.0 * np.pi * (gp * y[0] + g)]
@@ -198,11 +193,11 @@ def scaling_response(star, tol=1e-12):
 # rotation response
 
 
-def kappa_derivative_norm(star, ansatz, disc=None):
+def kappa_derivative_norm(star, disc=None):
     """Sup norm of dF/dkappa at (0, 0), computed from the odd-in-kappa part
     of the residual (identically zero for an even ansatz)."""
     k = 1e-2
-    model = VPModel(star, ansatz)
+    model = VPModel(star)
     disc = disc or Discretization(star.R)
     zero = np.zeros((len(disc.ells), len(disc.panels_c)))
     geo = Geometry(ModalField(disc.panels_c, disc.ells, zero), star, disc)
@@ -210,16 +205,17 @@ def kappa_derivative_norm(star, ansatz, disc=None):
     return float(np.max(np.abs(Fp - Fm)) / (2.0 * k))
 
 
-def vp_rotation_response(star, ansatz, kappa, n=256):
+def vp_rotation_response(star, kappa, n=256):
     """Leading-order deformation zeta = -(kappa^2/2) L^-1 d2F/dkappa2(0,0).
 
-    The forcing r_cyl^2 d2w-potential splits into l=0 and l=2; returns a
+    The forcing r_cyl^2 d2w-potential splits into l=0 and l=2, whose
+    potentials come from the mode operators' own matrices; returns a
     ShapeReport with nodal profiles of zeta per mode (kappa included)."""
     ells = (0, 2)
     ops = {l: assemble_mode(star, l, n=n) for l in ells}
     pan = ops[0].panels
     t = pan.x
-    d2 = ansatz.d2w_dkappa2_unit(star.u0_of(t))
+    d2 = star.ansatz.d2w_dkappa2_unit(star.u0_of(t))
     # r_cyl^2 = t^2 (1 - mu^2) = t^2 (2/3)(1 - P2)
     sig = {0: (2.0 / 3.0) * t ** 2 * d2 * np.sqrt(4.0 * np.pi),
            2: -(2.0 / 3.0) * t ** 2 * d2 * np.sqrt(4.0 * np.pi / 5.0)}
@@ -227,16 +223,15 @@ def vp_rotation_response(star, ansatz, kappa, n=256):
     M_kk = 4.0 * np.pi * (2.0 / 3.0) * float(np.dot(pan.w, t ** 4 * d2))
     xi = {}
     for l in ells:
-        [(A, _)] = mode_potential_matrices(pan, (l,), t)
-        phi = A @ sig[l]
+        op = ops[l]
+        phi = op.potential @ sig[l]
         if l == 0:
-            [(A0, _)] = mode_potential_matrices(pan, (0,), [0.0])
-            phi = phi - float(A0[0] @ sig[0])
+            phi = phi - float(op.origin[0] @ sig[0])
             u_term = (star.u0_of(t) - star.a) * np.sqrt(4.0 * np.pi)
             phi = phi - u_term * M_kk / star.mass
         rhs = -(kappa ** 2 / 2.0) * phi
-        xi[l] = linop_solve(ops[l], rhs)
-    return ShapeReport(star, ells, ops, xi)
+        xi[l] = linop_solve(op, rhs)
+    return ShapeReport(star, ells, pan, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +241,12 @@ def vp_rotation_response(star, ansatz, kappa, n=256):
 class VPModel:
     """Vlasov-Poisson rotation problem: the density w(kappa, r_cyl, u0(z)) on
     the source grid, scaled by mfac to the radial star's mass, with the
-    residual a - u0 + mfac (V - V(0)).  Same interface as rotating.EPModel."""
+    residual a - u0 + mfac (V - V(0)).  Same interface as rotating.EPModel;
+    w is the star's own ansatz."""
 
-    def __init__(self, star, ansatz):
+    def __init__(self, star):
         self.star = star
-        self.ansatz = ansatz
+        self.ansatz = star.ansatz
 
     def fields(self, geo, kappa):
         """Density and u0(z) on the source grid, its potential at the

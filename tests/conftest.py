@@ -56,9 +56,9 @@ def ep_model(star15, rot_profile):
 
 
 @pytest.fixture(scope="session")
-def vp_model(vp_star, vp_ansatz):
+def vp_model(vp_star):
     from rotstar.vlasov import VPModel
-    return VPModel(vp_star, vp_ansatz)
+    return VPModel(vp_star)
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,7 @@ def ep_derivative(model, geo, kappa, xi):
     omega2 = model.profile.omega_sq(r_cyl.ravel()).reshape(r_cyl.shape)
 
     rho_c = star.rho0_of(geo.rc)
-    rho_00 = float(star.rho0_of(0.0)[0])
+    rho_00 = float(star.rho0_of(0.0))
     dh_c = star.eos.dh(mfac * rho_c)
     dh_0 = float(star.eos.dh(mfac * rho_00))
 

@@ -139,6 +139,25 @@ def test_kernel_margin_csv(tmp_path):
     assert len(lines) == 5
 
 
+def test_kernel_margin_scaled_is_invariant(tmp_path):
+    # sigma_min scales like a/R^2 under the power-law scaling of the star;
+    # sigma_min R^2/a is the same for a = 1 and a = 1.5 (0.1314 at l = 0)
+    vals = {}
+    for a in ("1.0", "1.5"):
+        out = tmp_path / a
+        assert run(tmp_path, "kernel-margin",
+                   f"gamma = 1.5\na = {a}\nells = 0\nns = 128\n",
+                   out=out) == 0
+        raw = (out / "kernel_margin.csv").read_text().splitlines()
+        scaled = (out / "kernel_margin_scaled.csv").read_text().splitlines()
+        assert scaled[0] == "l_mode,n_nodes,sigma_min_R2_over_a"
+        vals[a] = [float(lines[1].split(",")[2]) for lines in (raw, scaled)]
+    (raw1, s1), (raw15, s15) = vals["1.0"], vals["1.5"]
+    assert raw15 > 2.0 * raw1
+    assert abs(s15 / s1 - 1.0) < 1e-8
+    assert s1 == pytest.approx(0.1314, rel=1e-3)
+
+
 def test_perturb_shape_peaks_at_equator(tmp_path):
     assert run(tmp_path, "perturb", "gamma = 1.5\nn = 192\n") == 0
     lines = (tmp_path / "shape.csv").read_text().strip().splitlines()

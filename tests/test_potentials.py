@@ -113,7 +113,7 @@ def test_mode_potential_against_ode_oracle(star15):
     direct = A @ sigma_vals
 
     def sigma_of(r):
-        return float(star15.rho0p_of(r)[0]) * r
+        return float(star15.rho0p_of(r)) * r
 
     oracle = _ode_mode_potential(sigma_of, 2, star15.R, s)
     assert np.max(np.abs(direct - oracle)) < 1e-9 * max(1.0, np.max(np.abs(oracle)))
@@ -124,7 +124,7 @@ def test_potential_at_zero_row(star15):
     sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
     [(A0, _)] = mode_potential_matrices(pan, (0,), [0.0])
     val = float(A0[0] @ sigma) * Ytilde(0, 1.0)
-    ref, _ = quad(lambda t: 4 * np.pi * float(star15.rho0_of(t)[0]) * t,
+    ref, _ = quad(lambda t: 4 * np.pi * float(star15.rho0_of(t)) * t,
                   0.0, star15.R, limit=200)
     assert val == pytest.approx(ref, rel=1e-9)
 

@@ -22,8 +22,27 @@ def test_gamma2_closed_form(star2):
 
 def test_flux_identity(star15):
     # divergence theorem: R^2 u0'(R) = -M
-    flux = star15.R ** 2 * float(star15.u0p_of(star15.R)[0])
+    flux = star15.R ** 2 * float(star15.u0p_of(star15.R))
     assert flux == pytest.approx(-star15.mass, rel=1e-9)
+
+
+@pytest.mark.parametrize("which", ["ep", "vp"])
+@pytest.mark.parametrize("method", ["u0_of", "u0p_of", "rho0_of", "rho0p_of",
+                                    "mass_column"])
+def test_profiles_keep_the_shape_of_r(star15, vp_star, which, method):
+    # a scalar gives a 0-d array, any array its own shape, and every value
+    # is bit-equal to the same point evaluated in a 1-d array
+    star = star15 if which == "ep" else vp_star
+    f = getattr(star, method)
+    r = np.array([[0.0, 0.3], [0.7, 1.0]]) * star.R
+    flat = f(r.ravel())
+    out = f(r)
+    assert out.shape == r.shape
+    assert np.array_equal(out.ravel(), flat)
+    for x, want in zip(r.ravel(), flat):
+        got = f(float(x))
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got == want
 
 
 def test_profile_monotone_and_positive(star15):
@@ -32,7 +51,7 @@ def test_profile_monotone_and_positive(star15):
     assert u[0] == pytest.approx(star15.a, rel=1e-12)
     assert np.all(np.diff(u) < 0)
     assert np.all(star15.rho0_of(r[:-1]) > 0)
-    assert float(star15.u0_of(star15.R)[0]) < 1e-10
+    assert float(star15.u0_of(star15.R)) < 1e-10
 
 
 def test_power_law_scaling_identity(star15):
@@ -112,7 +131,7 @@ def test_mass_curve_threads_and_csv(tmp_path, monkeypatch):
     lines = (tmp_path / "mass_curve.csv").read_text().strip().splitlines()
     assert len(lines) == 6
     vals = [[float(x) for x in line.split(",")] for line in lines[1:]]
-    assert vals == [list(row) for row in c1.samples]
+    assert vals == c1.tolist()
     eos = power_sum([(1.0, 1.5), (1.0, 1.8)])
     with pytest.raises(EOSError):
         mass_curve(eos, (2.0, 0.5), 5)

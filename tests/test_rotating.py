@@ -6,7 +6,7 @@ from conftest import (jacobian_column_error, rand_deformation, shifted,
 from reference import frechet_apply
 from rotstar.axisym import Discretization, Geometry, ModalField
 from rotstar.errors import DeformationError, SolverError
-from rotstar.linop import assemble_mode
+from rotstar.linop import assemble_mode, solve
 from rotstar.numerics import Ytilde
 from rotstar.rotating import (centrifugal_rhs, evaluate_F, first_order_shape,
                               newton_continue)
@@ -108,6 +108,18 @@ def test_first_order_shape_oblate(star15, rot_profile):
     th = np.linspace(0.0, np.pi / 2, 50)
     disp = rep.boundary_shift(th)
     assert np.argmax(disp) == len(th) - 1
+
+
+def test_first_order_shape_solves_only_forced_modes(star15, rot_profile):
+    # each forced mode is the mode operator's own solve, bit for bit, and
+    # each unforced mode an exact zero
+    n = 128
+    rep = first_order_shape(star15, rot_profile, ells=(0, 2, 4), n=n)
+    for l in (0, 2):
+        op = assemble_mode(star15, l, n=n)
+        [rhs] = centrifugal_rhs(rot_profile, op.nodes, (l,))
+        assert np.array_equal(rep.xi[l], solve(op, -rhs))
+    assert np.array_equal(rep.xi[4], np.zeros(n))
 
 
 def test_frechet_matches_finite_differences(star15, ep_model, disc15):

@@ -67,7 +67,7 @@ def test_ansatz_validation():
 
 def test_radial_flux_identity(vp_star):
     # r^2 u0'(r) = -m(r): evaluated at the boundary against the total mass
-    lhs = vp_star.R ** 2 * float(vp_star.u0p_of(vp_star.R)[0])
+    lhs = vp_star.R ** 2 * float(vp_star.u0p_of(vp_star.R))
     assert abs(lhs + vp_star.mass) < 1e-7 * vp_star.mass
 
 
@@ -76,10 +76,10 @@ def test_scaling_response_identities(vp_star):
     rs = np.linspace(0.1, 0.95, 12) * vp_star.R
     for r in rs:
         vS = float(sol.sol(r)[0])
-        assert abs(r * float(vp_star.u0p_of(r)[0]) - 2 * vS) \
+        assert abs(r * float(vp_star.u0p_of(r)) - 2 * vS) \
             < 1e-7 * vp_star.a
     vS_R, vSp_R = (float(v) for v in sol.sol(vp_star.R)[:2])
-    assert abs(2 * vSp_R + float(vp_star.u0p_of(vp_star.R)[0])) < 1e-7
+    assert abs(2 * vSp_R + float(vp_star.u0p_of(vp_star.R))) < 1e-7
 
 
 def test_equivalence_with_power_law(vp_ansatz, vp_star):
@@ -99,8 +99,8 @@ def test_mode_operators_healthy(vp_star):
         assert op.sigma_min() > 1e-3
 
 
-def test_kappa_derivative_vanishes(vp_star, vp_ansatz, vp_disc):
-    assert kappa_derivative_norm(vp_star, vp_ansatz, disc=vp_disc) == 0.0
+def test_kappa_derivative_vanishes(vp_star, vp_disc):
+    assert kappa_derivative_norm(vp_star, disc=vp_disc) == 0.0
 
 
 def test_residual_floor_at_base_point(vp_star, vp_model, vp_disc):
@@ -129,9 +129,9 @@ def test_jacobian_columns_match_frechet(vp_star, vp_model, vp_disc, deformed):
     assert jacobian_column_error(vp_model, geo, 1e-2) < 1e-12
 
 
-def test_rotation_response_oblate(vp_star, vp_ansatz):
+def test_rotation_response_oblate(vp_star):
     kap = 1e-2
-    rep = vp_rotation_response(vp_star, vp_ansatz, kap, n=192)
+    rep = vp_rotation_response(vp_star, kap, n=192)
     assert rep.xi_R[2] < 0  # equatorial bulge
     assert rep.oblateness_slope() > 0
 
