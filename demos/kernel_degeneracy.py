@@ -27,10 +27,10 @@ if __name__ == "__main__":
         print(f" {n:<6} {lad15[(0, n)]:.6e}  {lad43[(0, n)]:.6e}")
 
     # the converse construction: alpha = v_a - u0/a generates the kernel
-    _, sol = mass_derivative(star43.eos, star43)
+    va_nodes = mass_derivative(star43)[1]
     op = assemble_mode(star43, 0, n=512)
     x = op.nodes
-    va = np.array([sol.sol(min(r, star43.R))[0] for r in x])
+    va = star43.panels.interp(va_nodes, np.minimum(x, star43.R))
     alpha = va - np.atleast_1d(star43.u0_of(x)) / star43.a
     xi = x * alpha / np.atleast_1d(star43.u0p_of(x))
     ratio = op.weighted_norm(op.matrix @ xi) / op.weighted_norm(xi)

@@ -25,7 +25,7 @@ if __name__ == "__main__":
                        ("gamma=4/3", power_law(4.0 / 3.0)),
                        ("s^1.5 + s^1.8", power_sum([(1.0, 1.5), (1.0, 1.8)]))]:
         star = solve_radial(eos, 1.0)
-        mp, _ = mass_derivative(eos, star)
+        mp = mass_derivative(star)[0]
         print(f"{label:>14}: R = {star.R:.6f}  M = {star.mass:.6f}  "
               f"M'(1) = {mp:+.6e}")
 

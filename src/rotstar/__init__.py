@@ -5,7 +5,7 @@ mass-condition diagnostics, linearized-operator spectra, and nonlinear Newton
 continuation in the rotation intensity.
 """
 
-from .eos import (EquationOfState, PowerLawEOS, PowerSumEOS, CallableEOS,
+from .eos import (EquationOfState, PowerLawEOS, PowerSumEOS,
                   RotationProfile, power_law, power_sum, constant_rotation,
                   validate_assumptions, check_mass_condition_b)
 from .radial import (RadialStar, solve_radial, mass_derivative,
@@ -17,9 +17,8 @@ from .rotating import (EPModel, RotatingSolution, ShapeReport,
                        newton_continue)
 from .vlasov import (VlasovAnsatz, VlasovStar, VPModel, solve_vp_radial,
                      scaling_response, vp_rotation_response)
-from .errors import (RotstarError, ConfigError, SolverError, StiffnessError,
-                     NoEventError, UnboundStarError, EOSError,
-                     NonIntegrableEnthalpyError, DegenerateOperatorError,
+from .errors import (RotstarError, ConfigError, SolverError,
+                     UnboundStarError, EOSError, DegenerateOperatorError,
                      DeformationError)
 
 __version__ = "0.1.0"

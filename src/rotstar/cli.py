@@ -191,7 +191,7 @@ def cmd_radial(cfg):
               f"M={star.mass:.9f} flux-identity residual={flux:.3e}")
         return 0
     eos = star.eos
-    mp, _ = radial.mass_derivative(eos, star, tol=cfg.ode_tol)
+    mp = radial.mass_derivative(star)[0]
     flag = ""
     if abs(mp) < 1e-6 * star.mass / star.a:
         gtxt = f" (gamma={eos.gamma:g})" if eos.gamma else ""

@@ -8,12 +8,10 @@ and k(s) = h(s) - s h'(s) = h(s) - p'(s).
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import EOSError, NonIntegrableEnthalpyError
+from .errors import EOSError
 
 _HINV_ITERS = 100  # step cap of the generic inverse-enthalpy Newton
-_TAIL_S = 1e-8     # CallableEOS: below this density h is a power-law tail
 _J_NODES = 64      # Gauss-Legendre nodes of RotationProfile.J
 
 
@@ -162,45 +160,6 @@ class PowerSumEOS(EquationOfState):
                               for c, g in self.terms))
 
 
-class CallableEOS(EquationOfState):
-    """Arbitrary pressure law given as callables p, p'.
-
-    The enthalpy is adaptive quadrature of p'(s)/s on [_TAIL_S, rho] plus
-    a small-s power-law tail with the measured exponent.
-    """
-
-    def __init__(self, p, dp, gamma=None, gamma_star=None):
-        self._p = p
-        self._dp = dp
-        self.gamma = gamma
-        self.gamma_star = gamma_star
-        e = _log_slope(dp, _TAIL_S, 10 * _TAIL_S)
-        if e < 1e-6:
-            raise NonIntegrableEnthalpyError(
-                f"p'(s)/s not integrable at 0 (measured exponent {e:.3g})")
-        self._tail_exp = e
-        # h(_TAIL_S) = int_0^t C s^(e-1) ds = p'(t)/e at t = _TAIL_S
-        self._h_eps = float(dp(_TAIL_S)) / e
-
-    def p(self, s):
-        return np.asarray(self._p(np.asarray(s, dtype=float)))
-
-    def dp(self, s):
-        return np.asarray(self._dp(np.asarray(s, dtype=float)))
-
-    def h(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
-        for i, r in np.ndenumerate(rho):
-            if r <= _TAIL_S:
-                out[i] = self._h_eps * (r / _TAIL_S) ** self._tail_exp
-            else:
-                val, _ = quad(lambda s: self._dp(s) / s, _TAIL_S, r,
-                              epsabs=1e-13, epsrel=1e-12, limit=200)
-                out[i] = self._h_eps + val
-        return out
-
-
 def power_law(gamma):
     """EquationOfState for p(s) = s^gamma."""
     return PowerLawEOS(gamma)
@@ -209,10 +168,6 @@ def power_law(gamma):
 def power_sum(terms):
     """EquationOfState for p(s) = sum c_i s^{gamma_i}."""
     return PowerSumEOS(terms)
-
-
-def _log_slope(f, s0, s1):
-    return float(np.log(f(s1) / f(s0)) / np.log(s1 / s0))
 
 
 class RotationProfile:

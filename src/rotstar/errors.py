@@ -10,15 +10,7 @@ class ConfigError(RotstarError):
 
 
 class SolverError(RotstarError):
-    """A numerical solve failed (ODE, Newton, continuation)."""
-
-
-class StiffnessError(SolverError):
-    """Step-size underflow / singular right-hand side during integration."""
-
-
-class NoEventError(SolverError):
-    """The requested event never triggered before r_max."""
+    """A numerical solve failed (radial or rotating Newton, continuation)."""
 
 
 class UnboundStarError(SolverError):
@@ -27,10 +19,6 @@ class UnboundStarError(SolverError):
 
 class EOSError(RotstarError):
     """Equation-of-state domain or integrability problem."""
-
-
-class NonIntegrableEnthalpyError(EOSError):
-    """p'(s)/s is not integrable at s=0; h(0) does not exist."""
 
 
 class DegenerateOperatorError(RotstarError):

@@ -1,15 +1,13 @@
 """Shared numerical kernels.
 
-Adaptive ODE integration with event location, composite Gauss-Legendre
-quadrature on graded panels, axisymmetric spherical harmonics, and small
-dense linear algebra helpers.
+Composite Gauss-Legendre quadrature on graded panels, whose nodal values
+double as a piecewise-polynomial representation (interpolation,
+differentiation and cumulative integration matrices), axisymmetric
+spherical harmonics, and small dense linear algebra helpers.
 """
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import eval_legendre
-
-from .errors import NoEventError, StiffnessError
 
 _GL_CACHE = {}
 
@@ -39,41 +37,6 @@ def dY_dtheta(l, theta):
         dP = l * (m * eval_legendre(l, m) - eval_legendre(l - 1, m)) / (m * m - 1.0)
         out[reg] = -s[reg] * dP * np.sqrt((2 * l + 1) / (4.0 * np.pi))
     return out
-
-
-def integrate_ivp(rhs, y0, r0, r_max, stop=None, tol=1e-12,
-                  require_event=False):
-    """Integrate y' = rhs(r, y) from r0 towards r_max by RK45 with dense
-    output.
-
-    Returns scipy's solve_ivp result (sampled .t and .y, dense output
-    .sol) with one more attribute, event_r.  stop is an optional scalar
-    event function of (r, y); integration terminates at its first
-    decreasing zero, whose abscissa scipy locates on the dense output
-    (event_r; None without stop).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    events = None
-    if stop is not None:
-        def ev(r, y):
-            return stop(r, y)
-        ev.terminal = True
-        ev.direction = -1
-        events = [ev]
-    sol = solve_ivp(rhs, (r0, r_max), np.asarray(y0, dtype=float),
-                    method="RK45", rtol=tol, atol=tol * 1e-2,
-                    dense_output=True, events=events)
-    if sol.status == -1:
-        raise StiffnessError(f"integration failed: {sol.message}")
-    event_r = None
-    if stop is not None:
-        if sol.status == 1 and len(sol.t_events[0]) > 0:
-            event_r = float(sol.t_events[0][0])
-        elif require_event:
-            raise NoEventError(f"event did not trigger before r_max={r_max}")
-    sol.event_r = event_r
-    return sol
 
 
 def smallest_singular_value(A):
@@ -128,6 +91,7 @@ class Panels:
         self._ref_bw = _bary_weights(xg)
         self._xg = xg
         self._diff = None
+        self._cum = None
 
     @classmethod
     def graded(cls, b, n_nodes, order=8, a=0.0):
@@ -193,6 +157,28 @@ class Panels:
                 D[p * m:(p + 1) * m, p * m:(p + 1) * m] = scale * Dref
             self._diff = D
         return self._diff
+
+    def cumulative_matrix(self):
+        """Matrix C with C @ fvals = nodal values of the integral from
+        edges[0] of the piecewise interpolant (built once per Panels): the
+        integral over the node's own panel up to the node plus the full
+        weights of the earlier panels."""
+        if self._cum is None:
+            m = self.order
+            # Legendre coefficients of the Lagrange basis, by exact Gauss
+            # quadrature: c[k, j] = (2k + 1)/2 w_j P_k(x_j)
+            _, wg = gl_nodes(m)
+            coef = (np.polynomial.legendre.legvander(self._xg, m - 1).T
+                    * wg * (np.arange(m) + 0.5)[:, None])
+            anti = np.polynomial.legendre.legint(coef, lbnd=-1.0)
+            Iref = np.polynomial.legendre.legval(self._xg, anti).T
+            C = np.zeros((len(self.x), len(self.x)))
+            for p in range(self.n_panels):
+                half = 0.5 * (self.edges[p + 1] - self.edges[p])
+                C[p * m:(p + 1) * m, p * m:(p + 1) * m] = half * Iref
+                C[p * m:(p + 1) * m, :p * m] = self.w[:p * m]
+            self._cum = C
+        return self._cum
 
     def interp(self, fvals, r):
         """Interpolant of the nodal values fvals at the points r (any

@@ -1,71 +1,130 @@
-"""Radial (non-rotating) equilibria for the Euler-Poisson model.
+"""Radial (non-rotating) equilibria.
 
-Shooting solution of v'' + (2/r) v' + 4 pi h^-1(v) = 0, v(0)=a, v'(0)=0,
-radius R(a) at the first zero of v, physical mass M(a), and the mass
-derivative M'(a) through the variational ODE.
+The star with central value a solves Delta u + 4 pi rho(u) = 0, u(0) = a,
+with rho = h^-1 (Euler-Poisson) or G (Vlasov-Poisson, whose ansatz is the
+star's density law); its radius R is the first zero of u.  In x = r/R this
+is the integral equation
+
+    u(x) = a - 4 pi R^2 int_0^x t (1 - t/x) rho(u(t)) dt,    u(1) = 0,
+
+solved by Newton for the nodal u on graded panels of [0, 1] and for R at
+once.  One more solve with its Jacobian differentiates the star along a
+(M'(a)) or along a scaling of the source (vlasov.scaling_response).
 """
+
+import functools
 
 import numpy as np
 
-from .errors import EOSError, UnboundStarError, NoEventError
-from .numerics import Panels, integrate_ivp
+from .errors import EOSError, SolverError, UnboundStarError
+from .numerics import Panels
 
 #: nodes of the uniform output grid of a star (to_json_dict)
 N_GRID = 512
 #: nodes and order of the panels on [0, R] that carry the stored profile
 PROFILE_NODES, PROFILE_ORDER = 512, 16
+#: the same panels on [0, 1], in x = r/R, where the radial system is solved
+_UNIT = Panels.graded(1.0, PROFILE_NODES, PROFILE_ORDER)
+#: step cap of the radial Newton and halvings per step of its line search
+_NEWTON_ITERS, _HALVINGS = 50, 40
 
 
-def _shoot_profile(source, a, tol=1e-12):
-    """Integrate v'' + (2/r)v' + source(v) = 0 with series start, locating the
-    first zero of v within 1e3 curvature scales.  source is 4 pi h^-1 (EP)
-    or 4 pi G (VP).
+@functools.cache
+def _kernel():
+    """K with (K @ f)_i = int_0^x_i t (1 - t/x_i) f(t) dt on _UNIT and e
+    with e @ f = 4 pi int_0^1 t (1 - t) f(t) dt; shared, never written."""
+    C, x = _UNIT.cumulative_matrix(), _UNIT.x
+    return (C * x - (C * x ** 2) / x[:, None],
+            4.0 * np.pi * _UNIT.w * x * (1.0 - x))
 
-    State is (v, v', m) with m' = source(v) r^2, so the mass integral rides
-    along with the trajectory.  Returns the integrate_ivp result, whose
-    event_r is the radius R.
+
+def _flux(R, q):
+    """Nodal d/dr of c - 4 pi R^2 K q: -4 pi int_0^r s^2 q ds / r^2."""
+    x2 = _UNIT.x ** 2
+    return -4.0 * np.pi * R * (_UNIT.cumulative_matrix() @ (x2 * q)) / x2
+
+
+def _enclosed(R, q):
+    """4 pi int_0^R r^2 q dr for nodal q on _UNIT."""
+    return 4.0 * np.pi * R ** 3 * float(_UNIT.w @ (_UNIT.x ** 2 * q))
+
+
+def _residual(K, e, a, u, R, rho_u):
+    """(u - a + 4 pi R^2 K rho(u), a - R^2 e @ rho(u)), rho_u = rho(u)."""
+    return np.append(u - a + 4.0 * np.pi * R * R * (K @ rho_u),
+                     a - R * R * float(e @ rho_u))
+
+
+def _jacobian(K, e, R, rho_u, d):
+    """Jacobian of _residual in (u, R), with d = rho'(u)."""
+    n = len(d)
+    J = np.empty((n + 1, n + 1))
+    np.multiply(K, 4.0 * np.pi * R * R * d, out=J[:n, :n])
+    J[np.arange(n), np.arange(n)] += 1.0
+    J[:n, n] = 8.0 * np.pi * R * (K @ rho_u)
+    J[n, :n] = -R * R * e * d
+    J[n, n] = -2.0 * R * float(e @ rho_u)
+    return J
+
+
+def _solve_profile(eos, a, tol):
+    """Nodal u and rho(u) on _UNIT and R for central value a, rho = eos.hinv:
+    Newton with backtracking on _residual from u = a sinc(x),
+    R = pi sqrt(a / (4 pi rho(a))), exact for a linear rho (gamma = 2),
+    until |residual|_inf <= tol a.  Raises UnboundStarError when R leaves
+    (0, 1e3 sqrt(6 a / (4 pi rho(a)))), a thousand curvature scales, or
+    after _NEWTON_ITERS steps, and SolverError when no halving lowers |F|.
     """
-    s_a = source(a)
+    if not a > 0:
+        raise EOSError("central value a must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    s_a = 4.0 * np.pi * float(eos.hinv(np.array([a]))[0])
     if not s_a > 0:
         raise UnboundStarError(f"source({a}) = {s_a} is not positive")
-    # curvature scale: v ~ a - (source(a)/6) r^2 near 0
-    R_guess = np.sqrt(6.0 * a / s_a)
-    r0 = 1e-4 * R_guess
-    v0 = a - s_a / 6.0 * r0 ** 2
-    w0 = -s_a / 3.0 * r0
-    m0 = s_a / 3.0 * r0 ** 3  # int_0^r0 source(a) s^2 ds
-
-    def rhs(r, y):
-        src = source(max(y[0], 0.0))
-        return [y[1], -2.0 / r * y[1] - src, src * r * r]
-
-    def stop(r, y):
-        return y[0]
-
-    try:
-        return integrate_ivp(rhs, [v0, w0, m0], r0, stop=stop, tol=tol,
-                             r_max=1e3 * R_guess, require_event=True)
-    except NoEventError as e:
-        raise UnboundStarError(f"no zero crossing before r_max: {e}") from e
+    r_max = 1e3 * np.sqrt(6.0 * a / s_a)
+    (K, e), n = _kernel(), len(_UNIT)
+    u, R = a * np.sinc(_UNIT.x), np.pi * np.sqrt(a / s_a)
+    rho_u = eos.hinv(u)
+    F = _residual(K, e, a, u, R, rho_u)
+    for _ in range(_NEWTON_ITERS):
+        norm = np.max(np.abs(F))
+        if norm <= tol * a:
+            return u, rho_u, R
+        step = np.linalg.solve(_jacobian(K, e, R, rho_u, eos.dhinv(u)), -F)
+        lam = 1.0
+        for _ in range(_HALVINGS):
+            R_t = R + lam * step[n]
+            if R_t > 0:
+                u_t = u + lam * step[:n]
+                rho_t = eos.hinv(u_t)
+                F_t = _residual(K, e, a, u_t, R_t, rho_t)
+                if np.max(np.abs(F_t)) < norm:
+                    break
+            lam *= 0.5
+        else:
+            raise SolverError(f"radial Newton stalls at |F| = {norm:.3e} "
+                              f"(tolerance {tol * a:.3e})")
+        u, R, rho_u, F = u_t, R_t, rho_t, F_t
+        if not R < r_max:
+            raise UnboundStarError(f"radius {R:.6g} left (0, {r_max:.6g}): "
+                                   "no zero of u within reach")
+    raise UnboundStarError(f"radial Newton did not converge in "
+                           f"{_NEWTON_ITERS} steps (R = {R:.6g})")
 
 
 class RadialStar:
     """A radial equilibrium: u0 and u0' as nodal values on graded panels of
-    [0, R], their interpolants, and the profiles derived from them.
+    [0, R], their interpolants, and the profiles derived from them.  eos is
+    the density law: h^-1 = eos.hinv, (h^-1)' = eos.dhinv."""
 
-    The nodal values are sampled once from the shot's dense output.  The
-    few nodes below its start (1e-4 of the curvature scale) read the first
-    step's polynomial, which matches the series a - source(a) r^2/6 there
-    to rounding in u0 and to about 2e-11 |u0'|max in u0'."""
-
-    def __init__(self, eos, a, shot):
+    def __init__(self, eos, a, tol=1e-12):
         self.eos = eos
         self.a = float(a)
-        self.R = float(shot.event_r)
-        # the m-component already carries the 4 pi of the source
-        self.mass = float(shot.sol(self.R)[2])
+        u, rho, self.R = _solve_profile(eos, self.a, tol)
+        self.mass = _enclosed(self.R, rho)
         self.panels = Panels.graded(self.R, PROFILE_NODES, PROFILE_ORDER)
-        self._u0_nodes, self._u0p_nodes = shot.sol(self.panels.x)[:2]
+        self._u0_nodes, self._u0p_nodes = u, _flux(self.R, rho)
         self.grid = np.linspace(0.0, self.R, N_GRID)   # output grid
 
     # profile evaluation, r clamped to [0, R] --------------------------------
@@ -100,7 +159,7 @@ class RadialStar:
         """Column of the l=0 rank-one mass term of the linearized operator:
         (k(rho0(r)) - k(rho0(0)))/M for the Euler-Poisson fluid."""
         kvals = self.eos.k(self.rho0_of(r))
-        k0 = float(self.eos.k(self.eos.hinv(self.a)))
+        k0 = float(self.eos.k(self.eos.hinv(np.array([self.a])))[0])
         return np.asarray((kvals - k0) / self.mass)
 
     # serialization -----------------------------------------------------------
@@ -118,37 +177,46 @@ class RadialStar:
 
 
 def solve_radial(eos, a, tol=1e-12):
-    """Shooting solution of the radial equilibrium with central enthalpy a."""
-    if a <= 0:
-        raise EOSError("central enthalpy a must be positive")
-
-    def source(v):
-        return 4.0 * np.pi * float(eos.hinv(v))
-
-    return RadialStar(eos, a, _shoot_profile(source, a, tol=tol))
+    """The radial equilibrium with central enthalpy a; tol bounds the
+    sup-norm residual of the radial system relative to a."""
+    return RadialStar(eos, a, tol=tol)
 
 
-def mass_derivative(eos, star, tol=1e-12):
-    """M'(a) = -R^2 v_a'(R) via the variational ODE along the stored star;
-    returns (M'(a), the integrate_ivp result for (v_a, v_a')).
+def variation(star, c, sigma):
+    """d/dp at p = 0 along the stars of
+    u(r) = a + c p - 4 pi (1 + sigma p) int_0^r t (1 - t/r) rho(u) dt
+    (c = 1, sigma = 0: along a; c = 0, sigma = 1: a scaled source).
 
-    v_a'' + (2/r) v_a' + 4 pi (h^-1)'(u0) v_a = 0, v_a(0)=1, v_a'(0)=0.
-    """
-    a = star.a
-    d0 = float(eos.dhinv(a))
-    r0 = 1e-4 * star.R
-    c = 4.0 * np.pi * d0 / 6.0
-    y0 = [1.0 - c * r0 ** 2, -2.0 * c * r0]
+    One solve with the radial Jacobian gives nodal w = du/dp at fixed
+    x = r/R and R_p = dR/dp.  w vanishes at the surface, where rho'(u0)
+    may be singular, so rho'(u0) w integrates smoothly.  At fixed r,
+    v = w - r u0' R_p/R and v' = w'(x)/R + (u0' + 4 pi r rho) R_p/R (u0''
+    from the radial equation).  Returns nodal v and v' on star.panels and
+    m = dM/dp + sigma M = -R^2 v'(R): take v'(R) from m, since the nodal
+    v' carry the (R - r)^(1 + alpha) term of rho(u0) (rho' ~ u^alpha)
+    that the last panel's polynomial does not resolve."""
+    R, u, up = star.R, star._u0_nodes, star._u0p_nodes
+    x, (K, e) = _UNIT.x, _kernel()
+    rho, d = star.eos.hinv(u), star.eos.dhinv(u)
+    rhs = np.append(c - 4.0 * np.pi * sigma * R * R * (K @ rho),
+                    sigma * R * R * float(e @ rho) - c)
+    sol = np.linalg.solve(_jacobian(K, e, R, rho, d), rhs)
+    w, R_p = sol[:-1], sol[-1]
+    v = w - x * up * R_p
+    dv = _flux(R, d * w + (sigma + 2.0 * R_p / R) * rho) \
+        + (up + 4.0 * np.pi * R * x * rho) * R_p / R
+    m = (3.0 * R_p / R + sigma) * star.mass + _enclosed(R, d * w)
+    return v, dv, m
 
-    def rhs(r, y):
-        d = float(star.of_u0(eos.dhinv, r))
-        return [y[1], -2.0 / r * y[1] - 4.0 * np.pi * d * y[0]]
 
-    sol = integrate_ivp(rhs, y0, r0, tol=tol, r_max=star.R)
-    return -star.R ** 2 * float(sol.sol(star.R)[1]), sol
+def mass_derivative(star):
+    """(M'(a), v_a, v_a') with v_a = du0/da at fixed r (v_a(0) = 1) and
+    v_a' as nodal values on star.panels (see variation)."""
+    v, dv, mp = variation(star, 1.0, 0.0)
+    return mp, v, dv
 
 
-def gamma_43_identity_check(eos, star, tol=1e-12):
+def gamma_43_identity_check(star):
     """Scaling identity for pure power laws:
     a (2(g-1)/(2-g)) v_a'(R) = ((3g-4)/(2-g)) u0'(R).
 
@@ -156,11 +224,10 @@ def gamma_43_identity_check(eos, star, tol=1e-12):
     (both sides ~ 0) is graded on an absolute scale.
     """
     from .eos import PowerLawEOS
-    if not isinstance(eos, PowerLawEOS):
+    if not isinstance(star.eos, PowerLawEOS):
         raise EOSError("identity check requires a pure power law")
-    g = eos.gamma
-    _, sol = mass_derivative(eos, star, tol=tol)
-    vap = float(sol.sol(star.R)[1])
+    g = star.eos.gamma
+    vap = -mass_derivative(star)[0] / star.R ** 2   # the flux at R
     up = float(star.u0p_of(star.R))
     lhs = star.a * (2.0 * (g - 1.0) / (2.0 - g)) * vap
     rhs = ((3.0 * g - 4.0) / (2.0 - g)) * up
@@ -178,6 +245,6 @@ def mass_curve(eos, a_range, n, tol=1e-12):
     samples = []
     for a in avals:
         star = solve_radial(eos, a, tol=tol)
-        mp, _ = mass_derivative(eos, star, tol=tol)
+        mp = mass_derivative(star)[0]
         samples.append((a, star.R, star.mass, mp))
     return np.array(samples)

@@ -7,10 +7,11 @@ density at rotation intensity kappa is
     w(kappa, r, u) = 2 pi int_{-u}^0 int_{-S}^{S} phi(E, kappa r s) ds dE,
     S = sqrt(2(E + u)),
 
-with w(0, r, u) = G(u) closed-form in Beta functions.  The radial problem
-reuses the shooting core with source 4 pi G; the nonlinear rotation problem
-is VPModel, run by the same Newton continuation as the Euler-Poisson model
-(rotating.newton_continue).
+with w(0, r, u) = G(u) closed-form in Beta functions.  The radial star is
+the radial module's Newton solve with density law G, and its scaling
+response one solve with that solve's Jacobian; the nonlinear rotation
+problem is VPModel, run by the same Newton continuation as the
+Euler-Poisson model (rotating.newton_continue).
 """
 
 import numpy as np
@@ -20,8 +21,8 @@ from scipy.special import roots_jacobi
 from .axisym import Discretization, Geometry, ModalField
 from .errors import EOSError
 from .linop import assemble_mode, solve as linop_solve
-from .numerics import gl_nodes, integrate_ivp
-from .radial import RadialStar, _shoot_profile
+from .numerics import gl_nodes
+from .radial import RadialStar, variation
 from .rotating import ShapeReport
 
 
@@ -143,9 +144,9 @@ class VlasovStar(RadialStar):
     The ansatz is the star's density law (eos) and carries the rotation
     dependence w that VPModel and vp_rotation_response read."""
 
-    def __init__(self, ansatz, a, shot):
+    def __init__(self, ansatz, a, tol=1e-12):
         self.ansatz = ansatz
-        super().__init__(ansatz, a, shot)
+        super().__init__(ansatz, a, tol=tol)
 
     def mass_column(self, r):
         """(u0(r) - u0(0))/M: the Vlasov-Poisson rank-one mass column."""
@@ -158,35 +159,21 @@ class VlasovStar(RadialStar):
 
 
 def solve_vp_radial(ansatz, a, tol=1e-12):
-    """Shooting solution of Delta u + 4 pi G(u) = 0 (radial), u(0)=a."""
-    if a <= 0:
-        raise EOSError("central value a must be positive")
-
-    def source(v):
-        return 4.0 * np.pi * float(ansatz.G(v))
-
-    return VlasovStar(ansatz, a, _shoot_profile(source, a, tol=tol))
+    """The radial solution of Delta u + 4 pi G(u) = 0, u(0) = a."""
+    return VlasovStar(ansatz, a, tol=tol)
 
 
-def scaling_response(star, tol=1e-12):
-    """v_S with Delta v_S + 4 pi G'(u0) v_S + 4 pi G(u0) = 0, v_S(0)=v_S'(0)=0.
+def scaling_response(star):
+    """(v_S, v_S', v_S'(R)), the first two as nodal values on star.panels,
+    where Delta v_S + 4 pi G'(u0) v_S + 4 pi G(u0) = 0, v_S(0) = v_S'(0) = 0:
+    the derivative of u0 at fixed r when the source 4 pi G is scaled.
+    v_S'(R) is the flux of the enclosed source (radial.variation says why
+    it is not read from the nodal v_S').
 
     The scaling identities r u0' = 2 v_S (all r) and 2 v_S'(R) = -u0'(R)
-    hold exactly on solutions; they are the standard consistency check.
-    Returns the integrate_ivp result for (v_S, v_S')."""
-    ans = star.ansatz
-    s_a = 4.0 * np.pi * float(ans.G(star.a))
-    r0 = 1e-4 * star.R
-    # series: v_S ~ -(s_a/6) r^2 near 0 (forced, homogeneous part higher order)
-    y0 = [-s_a / 6.0 * r0 ** 2, -s_a / 3.0 * r0]
-
-    def rhs(r, y):
-        u = float(star.u0_of(r))
-        gp = float(ans.Gp(u))
-        g = float(ans.G(u))
-        return [y[1], -2.0 / r * y[1] - 4.0 * np.pi * (gp * y[0] + g)]
-
-    return integrate_ivp(rhs, y0, r0, tol=tol, r_max=star.R)
+    hold exactly on solutions; they are the standard consistency check."""
+    v, dv, m = variation(star, 0.0, 1.0)
+    return v, dv, -m / star.R ** 2
 
 
 # ---------------------------------------------------------------------------

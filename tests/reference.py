@@ -1,16 +1,45 @@
-"""Single-direction reference for the Newton matrix.
+"""Independent references the solver never calls.
+
+shoot_profile integrates the radial equation as an initial value problem
+by scipy's RK45, the independent oracle of the radial Newton solve.
 
 frechet_apply evaluates the directional derivative dF(zeta, kappa)[xi] of a
-model's residual term by term, for one ModalField xi.  The solver never
-calls it: it assembles model.jacobian on all basis fields at once.  The
-tests compare the two column by column and check this reference against
-finite differences of the residual.
+model's residual term by term, for one ModalField xi; the solver assembles
+model.jacobian on all basis fields at once instead.  The tests compare the
+two column by column and check this reference against finite differences
+of the residual.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from rotstar.axisym import Discretization, Geometry
 from rotstar.vlasov import VPModel
+
+
+def shoot_profile(density, a, tol=1e-12):
+    """Shot of u'' + (2/r) u' + 4 pi density(u) = 0, u(0) = a, u'(0) = 0,
+    from the series start a - s r^2/6 (s = 4 pi density(a)) at 1e-4 of the
+    curvature scale to the first zero of u.  The state is (u, u', m) with
+    m' = 4 pi density(u) r^2.  Returns (R, M, solve_ivp result whose dense
+    output .sol gives (u, u', m))."""
+    s_a = 4.0 * np.pi * float(density(a))
+    scale = np.sqrt(6.0 * a / s_a)
+    r0 = 1e-4 * scale
+
+    def rhs(r, y):
+        src = 4.0 * np.pi * float(density(max(y[0], 0.0)))
+        return [y[1], -2.0 / r * y[1] - src, src * r * r]
+
+    def zero(r, y):
+        return y[0]
+    zero.terminal, zero.direction = True, -1
+
+    y0 = [a - s_a / 6.0 * r0 ** 2, -s_a / 3.0 * r0, s_a / 3.0 * r0 ** 3]
+    sol = solve_ivp(rhs, (r0, 1e3 * scale), y0, method="RK45", rtol=tol,
+                    atol=tol * 1e-2, dense_output=True, events=[zero])
+    R = float(sol.t_events[0][0])
+    return R, float(sol.sol(R)[2]), sol
 
 
 def ep_derivative(model, geo, kappa, xi):

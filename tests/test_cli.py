@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import rotstar
 from rotstar.cli import RunConfig, main, parse_config
 from rotstar.errors import ConfigError
 
@@ -35,6 +38,8 @@ def test_runconfig_validation():
     with pytest.raises(ConfigError):
         RunConfig({"tol": "-1"})
     with pytest.raises(ConfigError):
+        RunConfig({"ode_tol": "0"})
+    with pytest.raises(ConfigError):
         RunConfig({"kappas": "1e-3,2e-3"})  # must start at 0
     with pytest.raises(ConfigError):
         RunConfig({"kappas": "0,2e-3,1e-3"})  # nondecreasing
@@ -43,6 +48,17 @@ def test_runconfig_validation():
     cfg = RunConfig({"eos": "mystery"})
     with pytest.raises(ConfigError):
         cfg.make_eos()
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # no command integrates an ODE or calls adaptive quadrature, so the
+    # CLI does not pay for importing scipy.integrate
+    src = os.path.dirname(os.path.dirname(rotstar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, rotstar.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_radial_outputs(tmp_path, capsys):

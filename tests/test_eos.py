@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from rotstar.eos import (CallableEOS, EquationOfState, RotationProfile,
+from rotstar.eos import (EquationOfState, RotationProfile,
                          check_mass_condition_b, constant_rotation, power_law,
                          power_sum, validate_assumptions)
-from rotstar.errors import EOSError, NonIntegrableEnthalpyError
+from rotstar.errors import EOSError
 
 
 def test_power_law_enthalpy_closed_form():
@@ -37,9 +37,8 @@ def test_power_law_hinv_roundtrip(gamma, s):
 
 
 @pytest.mark.parametrize("eos", [
-    power_law(1.5), power_sum([(1.0, 1.5), (1.0, 1.8)]),
-    CallableEOS(lambda s: s ** 1.6, lambda s: 1.6 * s ** 0.6)],
-    ids=["power_law", "power_sum", "callable"])
+    power_law(1.5), power_sum([(1.0, 1.5), (1.0, 1.8)])],
+    ids=["power_law", "power_sum"])
 def test_scalar_in_gives_0d_array_out(eos):
     for name in ("p", "dp", "h", "dh", "k", "hinv", "dhinv"):
         out = getattr(eos, name)(2.0)
@@ -112,20 +111,6 @@ def test_generic_hinv_raises_when_bracket_never_closes():
         eos.hinv(2.0)
     with pytest.raises(EOSError):
         eos.dhinv(np.array([0.5, 2.0]))
-
-
-def test_callable_eos_matches_power_law():
-    eos = CallableEOS(lambda s: s ** 1.6, lambda s: 1.6 * s ** 0.6)
-    ref = power_law(1.6)
-    rho = np.array([0.5, 1.0, 2.0])
-    # the small-s tail constant is measured, so agreement is ~1e-4
-    assert np.allclose(eos.h(rho), ref.h(rho), rtol=1e-4)
-
-
-def test_callable_eos_rejects_nonintegrable():
-    # p' ~ const near zero means p'(s)/s is not integrable
-    with pytest.raises(NonIntegrableEnthalpyError):
-        CallableEOS(lambda s: s, lambda s: np.ones_like(np.asarray(s)))
 
 
 def test_validate_assumptions_measures_exponents():

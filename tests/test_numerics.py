@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rotstar.errors import NoEventError
 from rotstar.numerics import (Panels, Ytilde, dY_dtheta, gl_nodes,
-                              integrate_ivp, smallest_singular_value)
+                              smallest_singular_value)
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -61,20 +60,20 @@ def test_dY_dtheta_vanishes_at_poles():
     assert dY_dtheta(3, np.array([0.0, np.pi])) == pytest.approx([0.0, 0.0])
 
 
-def test_integrate_ivp_harmonic_oscillator_event():
-    # y'' = -y from y(0)=1: first zero of y at pi/2
-    sol = integrate_ivp(lambda t, y: [y[1], -y[0]], [1.0, 0.0], 0.0,
-                        stop=lambda t, y: y[0], tol=1e-12, r_max=10.0,
-                        require_event=True)
-    assert sol.event_r == pytest.approx(np.pi / 2, abs=1e-10)
-    assert sol.sol(1.0)[0] == pytest.approx(np.cos(1.0), abs=1e-10)
-
-
-def test_integrate_ivp_missing_event_raises():
-    with pytest.raises(NoEventError):
-        integrate_ivp(lambda t, y: [0.0], [1.0], 0.0,
-                      stop=lambda t, y: y[0], tol=1e-10, r_max=1.0,
-                      require_event=True)
+@pytest.mark.parametrize("b, order", [(1.0, 16), (3.7, 8)])
+def test_cumulative_matrix_integrates_polynomials(b, order):
+    # C @ p is the antiderivative from 0 of p at every node, for every
+    # degree below order (each panel integrates its interpolant exactly)
+    pan = Panels.graded(b, 512, order)
+    C = pan.cumulative_matrix()
+    assert C is pan.cumulative_matrix()
+    rng = np.random.default_rng(1)
+    for deg in range(order):
+        f = np.polynomial.Polynomial(rng.standard_normal(deg + 1),
+                                     domain=[0.0, b])
+        want = f.integ(lbnd=0.0)(pan.x)
+        assert np.max(np.abs(C @ f(pan.x) - want)) \
+            < 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 def test_smallest_singular_value_known_matrix():

@@ -3,27 +3,48 @@ import pytest
 
 from rotstar.eos import power_law, power_sum
 from rotstar.errors import EOSError, UnboundStarError
-from rotstar.radial import (_shoot_profile, gamma_43_identity_check,
-                            mass_curve, mass_derivative, solve_radial)
+from reference import shoot_profile
+from rotstar.radial import (gamma_43_identity_check, mass_curve,
+                            mass_derivative, solve_radial)
 from rotstar.vlasov import VlasovAnsatz, solve_vp_radial
 
 SQRT_PI_2 = np.sqrt(np.pi / 2.0)
 
+#: the EP power laws and the VP ansatz (mu = 0.25, gamma 1.8) whose stars
+#: the profile tests check
+STARS = [("ep", 1.22), ("ep", 4.0 / 3.0), ("ep", 1.5), ("ep", 1.9),
+         ("vp", 0.25)]
+STAR_IDS = [f"{m}-{p}" for m, p in STARS]
+
+
+def _star(model, param):
+    """The a = 1 star and its density law."""
+    if model == "ep":
+        eos = power_law(param)
+        return solve_radial(eos, 1.0), eos.hinv
+    ansatz = VlasovAnsatz.matched_to_power_law(param)
+    return solve_vp_radial(ansatz, 1.0), ansatz.G
+
 
 def test_gamma2_closed_form(star2):
-    # u(r) = a sin(kr)/(kr), k = sqrt(2 pi): R = M = sqrt(pi/2)
-    assert star2.R == pytest.approx(SQRT_PI_2, abs=1e-10)
-    assert star2.mass == pytest.approx(SQRT_PI_2, abs=1e-9)
+    # u(r) = a sin(kr)/(kr), k = sqrt(2 pi): R = M = sqrt(pi/2); M = a R
+    # with R independent of a, so M'(a) = R
+    assert star2.R == pytest.approx(SQRT_PI_2, rel=1e-13)
+    assert star2.mass == pytest.approx(SQRT_PI_2, rel=1e-13)
     k = np.sqrt(2.0 * np.pi)
     r = np.linspace(1e-6, star2.R, 400)
     exact = np.sin(k * r) / (k * r)
-    assert np.max(np.abs(star2.u0_of(r) - exact)) < 1e-9
+    assert np.max(np.abs(star2.u0_of(r) - exact)) < 1e-13 * star2.a
+    assert mass_derivative(star2)[0] == pytest.approx(SQRT_PI_2, rel=1e-13)
 
 
-def test_flux_identity(star15):
-    # divergence theorem: R^2 u0'(R) = -M
-    flux = star15.R ** 2 * float(star15.u0p_of(star15.R))
-    assert flux == pytest.approx(-star15.mass, rel=1e-9)
+@pytest.mark.parametrize("model, param", STARS, ids=STAR_IDS)
+def test_flux_identity(model, param):
+    # divergence theorem: R^2 u0'(R) = -M, u0'(R) read from the nodal
+    # profile at the edge of its last panel
+    star, _ = _star(model, param)
+    flux = star.R ** 2 * float(star.u0p_of(star.R))
+    assert abs(flux + star.mass) <= 2e-11 * star.mass
 
 
 @pytest.mark.parametrize("which", ["ep", "vp"])
@@ -66,7 +87,7 @@ def test_power_law_scaling_identity(star15):
 
 
 def test_mass_derivative_matches_finite_differences(star15):
-    mp, _ = mass_derivative(star15.eos, star15)
+    mp = mass_derivative(star15)[0]
     d = 1e-4
     Mp = solve_radial(star15.eos, 1.0 + d).mass
     Mm = solve_radial(star15.eos, 1.0 - d).mass
@@ -84,18 +105,18 @@ def test_frozen_regression_values(star15, star_sum):
 def test_gamma_43_identity(star43, star15):
     # at 4/3 both sides vanish and the residual is graded against the
     # absolute floor 1e-8 |u0'(R)|, so 1e-3 here means |lhs| < 1e-11 |u0'|
-    assert gamma_43_identity_check(star43.eos, star43) < 1e-3
+    assert gamma_43_identity_check(star43) < 1e-3
     # away from 4/3 the identity still holds (it is the general scaling law)
-    assert gamma_43_identity_check(star15.eos, star15) < 1e-7
+    assert gamma_43_identity_check(star15) < 1e-7
 
 
 def test_gamma_43_identity_requires_power_law(star_sum):
     with pytest.raises(EOSError):
-        gamma_43_identity_check(star_sum.eos, star_sum)
+        gamma_43_identity_check(star_sum)
 
 
 def test_gamma_43_mass_derivative_vanishes(star43):
-    mp, _ = mass_derivative(star43.eos, star43)
+    mp = mass_derivative(star43)[0]
     assert abs(mp) < 1e-6 * star43.mass / star43.a
 
 
@@ -103,6 +124,15 @@ def test_unbound_star_raises():
     # gamma <= 6/5 has no finite radius
     with pytest.raises(UnboundStarError):
         solve_radial(power_law(1.15), 1.0, tol=1e-8)
+
+
+@pytest.mark.parametrize("model, param", [("ep", 1.2), ("vp", -3.5)],
+                         ids=["ep-1.2", "vp--3.5"])
+def test_unbound_star_raises_at_six_fifths(model, param):
+    # gamma = 6/5 (n = 5) is the bound itself: the Lane-Emden profile
+    # decays like 1/r and never reaches zero; mu = -3.5 is its VP twin
+    with pytest.raises(UnboundStarError):
+        _star(model, param)
 
 
 def test_invalid_central_value():
@@ -137,21 +167,14 @@ def test_mass_curve_threads_and_csv(tmp_path, monkeypatch):
         mass_curve(eos, (2.0, 0.5), 5)
 
 
-@pytest.mark.parametrize("model, param", [("ep", 1.22), ("ep", 4.0 / 3.0),
-                                          ("ep", 1.5), ("ep", 1.9),
-                                          ("vp", 0.25)])
+@pytest.mark.parametrize("model, param", STARS, ids=STAR_IDS)
 def test_stored_profile_matches_shot(model, param):
-    # the nodal u0, u0' a star keeps against the dense output of a fresh shot
-    if model == "ep":
-        eos = power_law(param)
-        star = solve_radial(eos, 1.0)
-        density = eos.hinv
-    else:
-        ansatz = VlasovAnsatz.matched_to_power_law(param)
-        star = solve_vp_radial(ansatz, 1.0)
-        density = ansatz.G
-    shot = _shoot_profile(lambda v: 4.0 * np.pi * float(density(v)), 1.0)
-    assert shot.event_r == star.R
+    # the nodal u0, u0' a star keeps against the dense output of an
+    # independent RK45 shot
+    star, density = _star(model, param)
+    R, M, shot = shoot_profile(density, 1.0)
+    assert star.R == pytest.approx(R, rel=1e-12)
+    assert star.mass == pytest.approx(M, rel=1e-10)
     r = np.concatenate([np.linspace(shot.t[0], star.R, 2001),
                         star.panels.x[star.panels.x >= shot.t[0]]])
     u, up = shot.sol(r)[:2]

@@ -65,20 +65,13 @@ def test_ansatz_validation():
         solve_vp_radial(VlasovAnsatz(0.5), -1.0)
 
 
-def test_radial_flux_identity(vp_star):
-    # r^2 u0'(r) = -m(r): evaluated at the boundary against the total mass
-    lhs = vp_star.R ** 2 * float(vp_star.u0p_of(vp_star.R))
-    assert abs(lhs + vp_star.mass) < 1e-7 * vp_star.mass
-
-
 def test_scaling_response_identities(vp_star):
-    sol = scaling_response(vp_star)
+    vS_nodes, _, vSp_R = scaling_response(vp_star)
     rs = np.linspace(0.1, 0.95, 12) * vp_star.R
     for r in rs:
-        vS = float(sol.sol(r)[0])
+        vS = float(vp_star.panels.interp(vS_nodes, np.array([r]))[0])
         assert abs(r * float(vp_star.u0p_of(r)) - 2 * vS) \
             < 1e-7 * vp_star.a
-    vS_R, vSp_R = (float(v) for v in sol.sol(vp_star.R)[:2])
     assert abs(2 * vSp_R + float(vp_star.u0p_of(vp_star.R))) < 1e-7
 
 
