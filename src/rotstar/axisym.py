@@ -42,15 +42,14 @@ class ModalField:
         r = np.asarray(r, dtype=float)
         theta = (np.asarray(theta, dtype=float) * np.ones_like(r)).ravel()
         T = self.panels.interp_rows(np.clip(r.ravel(), 0.0, self.R_dom))
-        mu = np.cos(theta)
+        Y = None if parts == ("d_theta",) else Ytilde(self.ells, np.cos(theta))
         out = []
         for part in parts:
             coefs = self.dcoefs if part == "d_r" else self.coefs
+            ang = dY_dtheta(self.ells, theta) if part == "d_theta" else Y
             acc = np.zeros(r.size)
-            for i, l in enumerate(self.ells):
-                ang = dY_dtheta(l, theta) if part == "d_theta" \
-                    else Ytilde(l, mu)
-                acc += (T @ coefs[i]) * ang
+            for c, row in zip(coefs, ang):
+                acc += (T @ c) * row
             out.append(acc.reshape(r.shape))
         return out
 
@@ -103,7 +102,7 @@ class Discretization:
         self.wmu = 0.5 * wm
         self.theta = np.arccos(self.mu)
         self.sin_theta = np.sqrt(1.0 - self.mu ** 2)
-        self.Yt = np.array([Ytilde(l, self.mu) for l in ells])        # (n_l, n_mu)
+        self.Yt = Ytilde(ells, self.mu)                               # (n_l, n_mu)
         self.proj = 4.0 * np.pi * self.wmu[None, :] * self.Yt         # full-sphere modes
         self.panels_u = Panels.graded(R, n_ru, order)   # undeformed volume grid
         # rows taking nodal values on panels_c to the ratio and stretch of
@@ -241,7 +240,7 @@ class Geometry:
             V += (self.A[l] @ sigma[i]).reshape(shp) * Y
             if deriv:
                 Vp += (self.Ap[l] @ sigma[i]).reshape(shp) * Y
-        V0 = (self.A0_zero @ sigma[0]) * Ytilde(0, 1.0)
+        V0 = (self.A0_zero @ sigma[0]) * Ytilde([0], 1.0)[0]
         if deriv:
             return V, Vp, V0
         return V, V0

@@ -19,7 +19,8 @@ import numpy as np
 from . import linop, radial, rotating, vlasov
 from .eos import (check_mass_condition_b, constant_rotation, power_law,
                   power_sum, validate_assumptions)
-from .errors import ConfigError, DegenerateOperatorError, RotstarError
+from .errors import (ConfigError, DegenerateOperatorError, RotstarError,
+                     SolverError)
 
 
 def _atomic_write(path, writer):
@@ -181,14 +182,25 @@ class RunConfig:
 
 
 def cmd_radial(cfg):
-    star = cfg.make_star()
+    """The radial star; flags an EP star whose M'(a) vanishes and a VP
+    ansatz whose gamma_eq lies outside the paper's (6/5, 2), on the output
+    line or, when the solve fails, on the error."""
+    flag = ""
+    if cfg.model == "vp":
+        g = cfg.make_ansatz().equivalent_gamma()
+        if not 6.0 / 5.0 < g < 2.0:
+            flag = f"  gamma_eq={g:g} outside (6/5, 2)"
+    try:
+        star = cfg.make_star()
+    except SolverError as e:
+        raise type(e)(f"{e}{flag}") from e
     write_json(cfg.path("star.json"), star.to_json_dict())
     if cfg.model == "vp":
         # flux identity: R^2 u0'(R) = -M by the divergence theorem
         flux = abs(star.R ** 2 * float(star.u0p_of(star.R)) + star.mass) \
             / star.mass
         print(f"radial vp: mu={star.ansatz.mu:g} a={cfg.a:g} R={star.R:.9f} "
-              f"M={star.mass:.9f} flux-identity residual={flux:.3e}")
+              f"M={star.mass:.9f} flux-identity residual={flux:.3e}{flag}")
         return 0
     eos = star.eos
     mp = radial.mass_derivative(star)[0]

@@ -5,6 +5,7 @@ The specific enthalpy is h(rho) = int_0^rho p'(s)/s ds, so h'(s) = p'(s)/s
 and k(s) = h(s) - s h'(s) = h(s) - p'(s).
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -13,6 +14,19 @@ from .errors import EOSError
 
 _HINV_ITERS = 100  # step cap of the generic inverse-enthalpy Newton
 _J_NODES = 64      # Gauss-Legendre nodes of RotationProfile.J
+_S_MIN = 5e-324    # smallest positive double: lo = 0 in the h^-1 bisection
+
+
+def pointwise(method):
+    """Run a method of one array argument at np.atleast_1d of it and return
+    the argument's shape, 0-d for a scalar: numpy's 0-d arithmetic can round
+    differently from its array loops, so a scalar and a one-entry array give
+    the same bits."""
+    @functools.wraps(method)
+    def wrapped(self, x):
+        x = np.asarray(x, dtype=float)
+        return method(self, np.atleast_1d(x)).reshape(x.shape)
+    return wrapped
 
 
 class EquationOfState:
@@ -20,8 +34,9 @@ class EquationOfState:
 
     Subclasses provide p, dp and h, and may override hinv/dhinv with closed
     forms; otherwise hinv is a log-space Newton on h that meets
-    |h(s) - u| <= 1e-13 u or raises EOSError.  Every method returns an
-    ndarray of the input's shape, 0-d for a scalar.
+    |h(s) - u| <= 1e-13 u or raises EOSError.  Every method is pointwise:
+    it returns an ndarray of the input's shape, 0-d for a scalar, with the
+    bits of the same entry in an array.
     """
 
     gamma = None        # small-s exponent of assum 3
@@ -36,37 +51,41 @@ class EquationOfState:
     def h(self, rho):
         raise NotImplementedError
 
+    @pointwise
     def dh(self, s):
         """h'(s) = p'(s)/s."""
-        s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         pos = s > 0
         out[pos] = self.dp(s[pos]) / s[pos]
         return out
 
+    @pointwise
     def k(self, s):
         """k(s) = h(s) - s h'(s) = h(s) - p'(s)."""
-        return np.asarray(self.h(s) - self.dp(s))
+        return self.h(s) - self.dp(s)
 
+    @pointwise
     def hinv(self, u):
         """Inverse enthalpy h^-1(u), zero at u <= 0, for every entry at once.
 
         Newton on log h(e^y) = log u from s = 1: s <- s (h/u)^(-h/p'), exact
         in one step for a power law.  A step that leaves the bracket [lo, hi]
         (from [0, inf]) or is not finite bisects instead: it doubles s while
-        hi = inf, else takes sqrt(lo) sqrt(hi), or hi/2 while lo = 0.  Stops
-        at |h(s) - u| <= 1e-13 u or when no double lies inside the bracket;
-        raises EOSError after _HINV_ITERS steps, e.g. when h stays below u
-        or h^-1(u) underflows.
+        hi = inf, else takes sqrt(lo) sqrt(hi), reading lo = 0 as the
+        smallest positive double, so each bisection halves the exponent
+        range.  Stops at |h(s) - u| <= 1e-13 u or when no double lies inside
+        the bracket (a root below every positive double gives the smallest
+        one); raises EOSError after _HINV_ITERS steps, e.g. when h stays
+        below u.
         """
         return self._hinv_root(u)[0]
 
+    @pointwise
     def dhinv(self, u):
         """(h^-1)'(u) = s/p'(s) at s = h^-1(u); zero at u <= 0."""
         return self._hinv_root(u)[1]
 
     def _hinv_root(self, u):
-        u = np.asarray(u, dtype=float)
         pos = u > 0
         t = np.where(pos, u, 1.0)
         x, lo, hi = np.ones_like(t), np.zeros_like(t), np.full_like(t, np.inf)
@@ -82,7 +101,7 @@ class EquationOfState:
                 xn = x * r ** (-hx / dpx)
                 bad = ~((xn > lo) & (xn < hi))
                 if bad.any():
-                    mid = np.where(lo > 0, np.sqrt(lo) * np.sqrt(hi), 0.5 * hi)
+                    mid = np.sqrt(np.maximum(lo, _S_MIN)) * np.sqrt(hi)
                     xn = np.where(bad, np.where(np.isinf(hi), 2.0 * x, mid), xn)
                 x = np.where(done, x, xn)
         i = np.argmin(done)  # first unconverged entry
@@ -105,24 +124,25 @@ class PowerLawEOS(EquationOfState):
         self.gamma_star = float(gamma)
         self._c = gamma / (gamma - 1.0)
 
+    @pointwise
     def p(self, s):
-        return np.asarray(np.asarray(s, dtype=float) ** self.gamma)
+        return s ** self.gamma
 
+    @pointwise
     def dp(self, s):
-        return np.asarray(self.gamma
-                          * np.asarray(s, dtype=float) ** (self.gamma - 1.0))
+        return self.gamma * s ** (self.gamma - 1.0)
 
+    @pointwise
     def h(self, rho):
-        return np.asarray(self._c
-                          * np.asarray(rho, dtype=float) ** (self.gamma - 1.0))
+        return self._c * rho ** (self.gamma - 1.0)
 
+    @pointwise
     def hinv(self, u):
-        u = np.asarray(u, dtype=float)
         g = self.gamma
         return np.where(u > 0, (np.maximum(u, 0.0) / self._c) ** (1.0 / (g - 1.0)), 0.0)
 
+    @pointwise
     def dhinv(self, u):
-        u = np.asarray(u, dtype=float)
         g = self.gamma
         c = (1.0 / self._c) ** (1.0 / (g - 1.0)) / (g - 1.0)
         with np.errstate(invalid="ignore"):
@@ -146,18 +166,17 @@ class PowerSumEOS(EquationOfState):
         self.gamma = min(g for _, g in terms)
         self.gamma_star = max(g for _, g in terms)
 
+    @pointwise
     def p(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.asarray(sum(c * s ** g for c, g in self.terms))
+        return sum(c * s ** g for c, g in self.terms)
 
+    @pointwise
     def dp(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.asarray(sum(c * g * s ** (g - 1.0) for c, g in self.terms))
+        return sum(c * g * s ** (g - 1.0) for c, g in self.terms)
 
+    @pointwise
     def h(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return np.asarray(sum(c * g / (g - 1.0) * rho ** (g - 1.0)
-                              for c, g in self.terms))
+        return sum(c * g / (g - 1.0) * rho ** (g - 1.0) for c, g in self.terms)
 
 
 def power_law(gamma):

@@ -7,7 +7,6 @@ spherical harmonics, and small dense linear algebra helpers.
 """
 
 import numpy as np
-from scipy.special import eval_legendre
 
 _GL_CACHE = {}
 
@@ -19,23 +18,44 @@ def gl_nodes(n):
     return _GL_CACHE[n]
 
 
-def Ytilde(l, mu):
-    """Y_{l0} as a function of mu = cos(theta)."""
-    return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * eval_legendre(l, mu)
+def legendre_table(lmax, mu):
+    """P_0 .. P_lmax at mu, shape (lmax + 1,) + mu.shape, by the three-term
+    recurrence (l + 1) P_{l+1} = (2l + 1) mu P_l - l P_{l-1}."""
+    mu = np.asarray(mu, dtype=float)
+    P = np.empty((lmax + 1,) + mu.shape)
+    P[0] = 1.0
+    if lmax > 0:
+        P[1] = mu
+    for l in range(1, lmax):
+        P[l + 1] = ((2 * l + 1) * mu * P[l] - l * P[l - 1]) / (l + 1)
+    return P
 
 
-def dY_dtheta(l, theta):
-    """d/dtheta of Y_{l0}(theta); zero at the poles by symmetry."""
+def Ytilde(ells, mu):
+    """Rows Y_{l0}(mu), mu = cos(theta), for each l in ells: shape
+    (len(ells),) + mu.shape, from one Legendre table."""
+    mu = np.asarray(mu, dtype=float)
+    ells = list(ells)
+    norm = np.sqrt((2 * np.array(ells) + 1) / (4.0 * np.pi))
+    return norm.reshape((-1,) + (1,) * mu.ndim) \
+        * legendre_table(max(ells), mu)[ells]
+
+
+def dY_dtheta(ells, theta):
+    """Rows d/dtheta of Y_{l0}(theta) for each l in ells, shaped like Ytilde;
+    zero at the poles by symmetry."""
     theta = np.asarray(theta, dtype=float)
     mu = np.cos(theta)
     s = np.sin(theta)
-    out = np.zeros_like(mu)
+    out = np.zeros((len(ells),) + mu.shape)
     reg = np.abs(s) > 1e-12
-    if l > 0:
-        m = mu[reg]
-        # (mu^2-1) P_l' = l (mu P_l - P_{l-1})
-        dP = l * (m * eval_legendre(l, m) - eval_legendre(l - 1, m)) / (m * m - 1.0)
-        out[reg] = -s[reg] * dP * np.sqrt((2 * l + 1) / (4.0 * np.pi))
+    m = mu[reg]
+    P = legendre_table(max(ells), m)
+    for i, l in enumerate(ells):
+        if l > 0:
+            # (mu^2-1) P_l' = l (mu P_l - P_{l-1})
+            dP = l * (m * P[l] - P[l - 1]) / (m * m - 1.0)
+            out[i][reg] = -s[reg] * dP * np.sqrt((2 * l + 1) / (4.0 * np.pi))
     return out
 
 

@@ -79,7 +79,7 @@ def _solve_profile(eos, a, tol):
         raise EOSError("central value a must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    s_a = 4.0 * np.pi * float(eos.hinv(np.array([a]))[0])
+    s_a = 4.0 * np.pi * float(eos.hinv(a))
     if not s_a > 0:
         raise UnboundStarError(f"source({a}) = {s_a} is not positive")
     r_max = 1e3 * np.sqrt(6.0 * a / s_a)
@@ -129,8 +129,8 @@ class RadialStar:
 
     # profile evaluation, r clamped to [0, R] --------------------------------
     # every profile is an array of r's shape, 0-d for a scalar; it is
-    # computed at the points r as a 1-d array, because 0-d values take other
-    # numpy paths (einsum, the generic h^-1 Newton) whose last bit can differ
+    # computed at the points r as a 1-d array, because a 0-d einsum can
+    # round differently (the density law is pointwise, see eos.pointwise)
 
     def _profile(self, nodes, r):
         """Interpolant of nodes at the points r."""
@@ -143,23 +143,18 @@ class RadialStar:
     def u0p_of(self, r):
         return self._profile(self._u0p_nodes, r)
 
-    def of_u0(self, f, r):
-        """f(u0(r)) for a function f of the enthalpy, such as eos.hinv."""
-        return np.asarray(f(self.u0_of(np.atleast_1d(r))),
-                          dtype=float).reshape(np.shape(r))
-
     def rho0_of(self, r):
-        return self.of_u0(self.eos.hinv, r)
+        return self.eos.hinv(self.u0_of(r))
 
     def rho0p_of(self, r):
         """rho0'(r) = (h^-1)'(u0) u0'."""
-        return np.asarray(self.of_u0(self.eos.dhinv, r) * self.u0p_of(r))
+        return np.asarray(self.eos.dhinv(self.u0_of(r)) * self.u0p_of(r))
 
     def mass_column(self, r):
         """Column of the l=0 rank-one mass term of the linearized operator:
         (k(rho0(r)) - k(rho0(0)))/M for the Euler-Poisson fluid."""
         kvals = self.eos.k(self.rho0_of(r))
-        k0 = float(self.eos.k(self.eos.hinv(np.array([self.a])))[0])
+        k0 = float(self.eos.k(self.eos.hinv(self.a)))
         return np.asarray((kvals - k0) / self.mass)
 
     # serialization -----------------------------------------------------------

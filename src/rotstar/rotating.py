@@ -44,10 +44,7 @@ def centrifugal_rhs(profile, nodes, ells):
     wmu = 0.5 * wm
     sth = np.sqrt(1.0 - mu ** 2)
     Jvals = profile.J(np.outer(nodes, sth))
-    rhs = np.empty((len(ells), len(nodes)))
-    for i, l in enumerate(ells):
-        rhs[i] = Jvals @ (4.0 * np.pi * wmu * Ytilde(l, mu))
-    return rhs
+    return np.array([Jvals @ (4.0 * np.pi * wmu * Y) for Y in Ytilde(ells, mu)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +152,10 @@ class ShapeReport:
     def boundary_shift(self, theta):
         """xi(R, theta)/R, the radial boundary displacement relative to R
         (per unit kappa for first_order_shape)."""
-        mu = np.cos(np.asarray(theta, dtype=float))
-        out = np.zeros_like(np.atleast_1d(mu), dtype=float)
-        for l in self.ells:
-            out += self.xi_R[l] * Ytilde(l, np.atleast_1d(mu))
+        mu = np.atleast_1d(np.cos(np.asarray(theta, dtype=float)))
+        out = np.zeros_like(mu)
+        for l, Y in zip(self.ells, Ytilde(self.ells, mu)):
+            out += self.xi_R[l] * Y
         return out / self.star.R
 
     def oblateness_slope(self):

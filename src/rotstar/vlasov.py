@@ -14,16 +14,21 @@ problem is VPModel, run by the same Newton continuation as the
 Euler-Poisson model (rotating.newton_continue).
 """
 
+import math
+
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import roots_jacobi
 
 from .axisym import Discretization, Geometry, ModalField
+from .eos import pointwise
 from .errors import EOSError
 from .linop import assemble_mode, solve as linop_solve
-from .numerics import gl_nodes
 from .radial import RadialStar, variation
 from .rotating import ShapeReport
+
+
+def beta_fn(a, b):
+    """The Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0."""
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def _check_mu(mu):
@@ -68,13 +73,13 @@ class VlasovAnsatz:
 
     # kappa = 0 profile ----------------------------------------------------
 
+    @pointwise
     def G(self, u):
         """G(u) = w(0, ., u)."""
-        u = np.maximum(np.asarray(u, dtype=float), 0.0)
-        return self._cG * u ** (1.5 - self.mu)
+        return self._cG * np.maximum(u, 0.0) ** (1.5 - self.mu)
 
+    @pointwise
     def Gp(self, u):
-        u = np.asarray(u, dtype=float)
         with np.errstate(invalid="ignore"):
             out = np.where(u > 0,
                            self._cGp * np.maximum(u, 1e-300) ** (0.5 - self.mu),
@@ -113,26 +118,6 @@ class VlasovAnsatz:
         """d^2 w/d kappa^2 at kappa=0 divided by r^2 (pure function of u)."""
         u = np.maximum(np.asarray(u, dtype=float), 0.0)
         return self._cK * u ** (2.5 - self.mu)
-
-    # quadrature oracle of the definition ----------------------------------
-
-    def w_quad(self, kappa, r, u, n_E=48, n_s=32):
-        """w by Gauss-Jacobi in the energy (weight t^-mu (1-t)^1/2 after
-        E = -u t) and Gauss-Legendre in the velocity component."""
-        u = float(u)
-        if u <= 0:
-            return 0.0
-        xj, wj = roots_jacobi(n_E, 0.5, -self.mu)
-        t = 0.5 * (xj + 1.0)
-        S = np.sqrt(2.0 * u * (1.0 - t))
-        xs, ws = gl_nodes(n_s)
-        s = 0.5 * S[:, None] * (xs[None, :] + 1.0)       # [0, S] per energy
-        psi = self.psi0 + self.psi2 * (kappa * r * s) ** 2
-        inner = S * np.einsum("ij,j->i", psi, ws)        # int_{-S}^{S} psi ds
-        # strip the (1-t)^(1/2) factor already in the Jacobi weight
-        f = inner / np.sqrt(1.0 - t)
-        return 2.0 * np.pi * u ** (1.0 - self.mu) * 2.0 ** (self.mu - 1.5) \
-            * float(np.dot(wj, f))
 
 
 # ---------------------------------------------------------------------------

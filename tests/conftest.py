@@ -98,7 +98,7 @@ def rand_deformation(rng, R, cap=0.04):
     ells = (0, 2, 4)
     mu, wmu = gl_nodes(8)
     vals = f(pan.x[:, None], np.arccos(mu)[None, :])
-    coefs = [2.0 * np.pi * vals @ (wmu * Ytilde(l, mu)) for l in ells]
+    coefs = [2.0 * np.pi * vals @ (wmu * Y) for Y in Ytilde(ells, mu)]
     z = ModalField(pan, ells, coefs)
     xn = z.xnorm()
     if xn > cap:

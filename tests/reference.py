@@ -3,6 +3,10 @@
 shoot_profile integrates the radial equation as an initial value problem
 by scipy's RK45, the independent oracle of the radial Newton solve.
 
+w_quad evaluates the kinetic density w(kappa, r, u) of a VlasovAnsatz from
+its definition by Gauss-Jacobi and Gauss-Legendre quadrature, the oracle of
+the ansatz's closed forms.
+
 frechet_apply evaluates the directional derivative dF(zeta, kappa)[xi] of a
 model's residual term by term, for one ModalField xi; the solver assembles
 model.jacobian on all basis fields at once instead.  The tests compare the
@@ -12,8 +16,10 @@ of the residual.
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import roots_jacobi
 
 from rotstar.axisym import Discretization, Geometry
+from rotstar.numerics import gl_nodes
 from rotstar.vlasov import VPModel
 
 
@@ -40,6 +46,25 @@ def shoot_profile(density, a, tol=1e-12):
                     atol=tol * 1e-2, dense_output=True, events=[zero])
     R = float(sol.t_events[0][0])
     return R, float(sol.sol(R)[2]), sol
+
+
+def w_quad(ansatz, kappa, r, u, n_E=48, n_s=32):
+    """w of ansatz by Gauss-Jacobi in the energy (weight t^-mu (1-t)^1/2
+    after E = -u t) and Gauss-Legendre in the velocity component."""
+    u = float(u)
+    if u <= 0:
+        return 0.0
+    xj, wj = roots_jacobi(n_E, 0.5, -ansatz.mu)
+    t = 0.5 * (xj + 1.0)
+    S = np.sqrt(2.0 * u * (1.0 - t))
+    xs, ws = gl_nodes(n_s)
+    s = 0.5 * S[:, None] * (xs[None, :] + 1.0)       # [0, S] per energy
+    psi = ansatz.psi0 + ansatz.psi2 * (kappa * r * s) ** 2
+    inner = S * np.einsum("ij,j->i", psi, ws)        # int_{-S}^{S} psi ds
+    # strip the (1-t)^(1/2) factor already in the Jacobi weight
+    f = inner / np.sqrt(1.0 - t)
+    return 2.0 * np.pi * u ** (1.0 - ansatz.mu) * 2.0 ** (ansatz.mu - 1.5) \
+        * float(np.dot(wj, f))
 
 
 def ep_derivative(model, geo, kappa, xi):

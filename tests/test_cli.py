@@ -50,15 +50,26 @@ def test_runconfig_validation():
         cfg.make_eos()
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # no command integrates an ODE or calls adaptive quadrature, so the
-    # CLI does not pay for importing scipy.integrate
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: importing the CLI, a VP radial and an
+    # EP perturb call load no part of it
+    vp = _write(tmp_path / "vp.cfg", "model = vp\nmu = 0.25\n")
+    ep = _write(tmp_path / "ep.cfg", "gamma = 1.5\nkappas = 0,1e-3\n")
+    code = (
+        "import sys\n"
+        "import rotstar.cli\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = scipy()\n"
+        "rcs = [rotstar.cli.main([cmd, '--config', cfg, '--out', sys.argv[3]])\n"
+        "       for cmd, cfg in (('radial', sys.argv[1]), ('perturb', sys.argv[2]))]\n"
+        "print(loaded, rcs, scipy())\n")
     src = os.path.dirname(os.path.dirname(rotstar.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, rotstar.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, vp, ep, str(tmp_path)],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=300)
+    assert out.stdout.strip().splitlines()[-1] == "[] [0, 0] []"
 
 
 def test_radial_outputs(tmp_path, capsys):
@@ -82,6 +93,18 @@ def test_vp_radial_reports_flux_identity(tmp_path, capsys):
     assert "flux-identity residual=" in out
     resid = float(out.split("flux-identity residual=")[1].split()[0])
     assert resid < 1e-7
+
+
+def test_vp_radial_flags_gamma_outside_paper_range(tmp_path, capsys):
+    # gamma_eq = 1 + 1/(3/2 - mu): mu = -4 gives 1.18, a star with no finite
+    # radius, so the flag rides on the solver error; mu = 0.75 gives 2.33
+    assert run(tmp_path, "radial", "model = vp\nmu = -4\n") == 3
+    assert "gamma_eq=1.18182 outside (6/5, 2)" in capsys.readouterr().err
+    assert run(tmp_path, "radial", "model = vp\nmu = 0.75\n") == 0
+    assert capsys.readouterr().out.rstrip().endswith(
+        "  gamma_eq=2.33333 outside (6/5, 2)")
+    assert run(tmp_path, "radial", "model = vp\nmu = 0.25\n") == 0
+    assert "outside" not in capsys.readouterr().out
 
 
 def test_config_error_exit_code(tmp_path):

@@ -18,7 +18,7 @@ def disc15(star15):
 def radial_field(disc, p):
     """The l = 0 field zeta(x) = p(|x|) on the collocation panels."""
     pan = disc.panels_c
-    return ModalField(pan, (0,), [p(pan.x) / Ytilde(0, 1.0)])
+    return ModalField(pan, (0,), [p(pan.x) / Ytilde([0], 1.0)[0]])
 
 
 def test_uniform_field_basics(disc15):

@@ -9,6 +9,7 @@ from rotstar.eos import (EquationOfState, RotationProfile,
                          check_mass_condition_b, constant_rotation, power_law,
                          power_sum, validate_assumptions)
 from rotstar.errors import EOSError
+from rotstar.vlasov import VlasovAnsatz
 
 
 def test_power_law_enthalpy_closed_form():
@@ -47,6 +48,32 @@ def test_scalar_in_gives_0d_array_out(eos):
     J = constant_rotation(2.0).J
     assert type(J(0.5)) is np.ndarray and J(0.5).shape == ()
     assert np.allclose(J(np.full((2, 3), 0.5)), 4.0 * 0.25 / 2.0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("eos", [
+    power_law(4.0 / 3.0), power_sum([(1.0, 1.5), (1.0, 1.8)]),
+    VlasovAnsatz.matched_to_power_law(0.25)],
+    ids=["power_law", "power_sum", "vlasov"])
+def test_scalar_and_array_give_the_same_bits(eos):
+    u = np.random.default_rng(1).uniform(0.0, 2.0, 2000)
+    names = ["hinv", "dhinv"] + (["p", "dp", "h", "dh", "k"]
+                                 if hasattr(eos, "k") else [])
+    for name in names:
+        f = getattr(eos, name)
+        scalar = np.array([f(x) for x in u])
+        assert np.array_equal(scalar, f(u)), name
+
+
+def test_generic_hinv_below_smallest_double_returns_subnormal():
+    # h^-1(1e-15) is about 4e-330 for the gamma = 1.05 term: no double
+    # lies between it and 0, so the bracket closes at the smallest double
+    eos = power_sum([(1.0, 1.05), (1.0, 1.8)])
+    tiny = np.nextafter(0.0, 1.0)
+    assert 0.0 <= float(eos.hinv(1e-15)) <= tiny
+    assert np.isfinite(eos.dhinv(1e-15))
+    s = float(eos.hinv(1e-14))
+    assert 1e-307 < s < 1e-306
+    assert float(eos.h(s)) == pytest.approx(1e-14, rel=1e-13)
 
 
 def test_power_sum_enthalpy_is_quadrature_of_dp_over_s():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import eval_legendre
 
 from rotstar.numerics import (Panels, Ytilde, dY_dtheta, gl_nodes,
-                              smallest_singular_value)
+                              legendre_table, smallest_singular_value)
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -34,30 +35,48 @@ def test_gauss_legendre_matches_quad():
 def test_legendre_values():
     x = np.linspace(-1, 1, 11)
     norm = [np.sqrt((2 * l + 1) / (4 * np.pi)) for l in range(3)]
-    assert np.allclose(Ytilde(0, x) / norm[0], 1.0)
-    assert np.allclose(Ytilde(1, x) / norm[1], x)
-    assert np.allclose(Ytilde(2, x) / norm[2], 0.5 * (3 * x ** 2 - 1))
+    Y = Ytilde(range(3), x)
+    assert np.allclose(Y[0] / norm[0], 1.0)
+    assert np.allclose(Y[1] / norm[1], x)
+    assert np.allclose(Y[2] / norm[2], 0.5 * (3 * x ** 2 - 1))
+
+
+def test_legendre_table_matches_scipy():
+    mu = np.concatenate([[-1.0, 0.0, 1.0],
+                         np.random.default_rng(0).uniform(-1, 1, 200)])
+    P = legendre_table(12, mu)
+    for l in range(13):
+        assert np.max(np.abs(P[l] - eval_legendre(l, mu))) < 1e-14, l
+    # rows come in the order asked for, each with its own normalisation
+    ells = (4, 0, 12, 2)
+    want = [np.sqrt((2 * l + 1) / (4 * np.pi)) * eval_legendre(l, mu)
+            for l in ells]
+    assert np.max(np.abs(Ytilde(ells, mu) - want)) < 1e-14
+    assert Ytilde(ells, np.zeros((2, 3))).shape == (4, 2, 3)
 
 
 def test_harmonics_orthonormal_on_sphere():
     # 2 pi int_0^pi Y_l Y_m sin(theta) dtheta = delta_lm
     mu, w = gl_nodes(64)
+    Y = Ytilde(range(5), mu)
     for l in range(5):
         for m in range(5):
-            val = 2 * np.pi * np.dot(w, Ytilde(l, mu) * Ytilde(m, mu))
+            val = 2 * np.pi * np.dot(w, Y[l] * Y[m])
             assert val == pytest.approx(1.0 if l == m else 0.0, abs=1e-13)
 
 
 def test_dY_dtheta_matches_finite_differences():
     th = np.linspace(0.2, np.pi - 0.2, 17)
     h = 1e-6
-    for l in (1, 2, 3, 6):
-        fd = (Ytilde(l, np.cos(th + h)) - Ytilde(l, np.cos(th - h))) / (2 * h)
-        assert np.max(np.abs(dY_dtheta(l, th) - fd)) < 1e-8
+    ells = (1, 2, 3, 6)
+    fd = (Ytilde(ells, np.cos(th + h)) - Ytilde(ells, np.cos(th - h))) / (2 * h)
+    dY = dY_dtheta(ells, th)
+    for i in range(len(ells)):
+        assert np.max(np.abs(dY[i] - fd[i])) < 1e-8
 
 
 def test_dY_dtheta_vanishes_at_poles():
-    assert dY_dtheta(3, np.array([0.0, np.pi])) == pytest.approx([0.0, 0.0])
+    assert dY_dtheta([3], np.array([0.0, np.pi]))[0] == pytest.approx([0.0, 0.0])
 
 
 @pytest.mark.parametrize("b, order", [(1.0, 16), (3.7, 8)])

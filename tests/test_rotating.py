@@ -29,9 +29,9 @@ def test_modal_field_evaluation_and_derivative(disc15):
     f = ModalField(pan, disc15.ells, coefs)
     r = np.linspace(0.2, pan.edges[-1] * 0.99, 40)
     th = 0.8 * np.ones_like(r)
-    want = r ** 3 * Ytilde(2, np.cos(0.8))
+    want = r ** 3 * Ytilde([2], np.cos(0.8))[0]
     assert np.max(np.abs(f.value(r, th) - want)) < 1e-10
-    assert np.max(np.abs(f.d_r(r, th) - 3 * r ** 2 * Ytilde(2, np.cos(0.8)))) < 1e-8
+    assert np.max(np.abs(f.d_r(r, th) - 3 * r ** 2 * Ytilde([2], np.cos(0.8))[0])) < 1e-8
     h = 1e-6
     fd = (f.value(r, th + h) - f.value(r, th - h)) / (2 * h)
     assert np.max(np.abs(f.d_theta(r, th) - fd)) < 1e-7
@@ -48,7 +48,7 @@ def test_geometry_rejects_unconverged_inversion(star15, disc15):
     # so the ray inversion cannot converge near the boundary
     R = star15.R
     pan = disc15.panels_c
-    zeta = ModalField(pan, (0,), [0.5 * pan.x ** 6 / R ** 4 / Ytilde(0, 1.0)])
+    zeta = ModalField(pan, (0,), [0.5 * pan.x ** 6 / R ** 4 / Ytilde([0], 1.0)[0]])
     with pytest.raises(DeformationError, match="inversion"):
         Geometry(zeta, star15, disc15)
 

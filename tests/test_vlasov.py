@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from scipy.special import beta
 
 from conftest import (jacobian_column_error, rand_deformation, shifted,
                       zero_field)
-from reference import frechet_apply
+from reference import frechet_apply, w_quad
 from rotstar.axisym import Discretization, Geometry
 from rotstar.eos import power_law
 from rotstar.errors import EOSError
 from rotstar.linop import assemble_mode
 from rotstar.radial import solve_radial
 from rotstar.rotating import evaluate_F
-from rotstar.vlasov import (VlasovAnsatz, kappa_derivative_norm,
+from rotstar.vlasov import (VlasovAnsatz, beta_fn, kappa_derivative_norm,
                             scaling_response, solve_vp_radial,
                             vp_rotation_response)
 
@@ -20,15 +21,22 @@ def vp_disc(vp_star):
     return Discretization(vp_star.R)
 
 
+@pytest.mark.parametrize("mu", [-3.5, -1.5, 0.0, 0.25, 0.9])
+def test_beta_matches_scipy(mu):
+    for b in (0.5, 1.5, 2.5):
+        assert beta_fn(1.0 - mu, b) == pytest.approx(beta(1.0 - mu, b),
+                                                     rel=1e-14, abs=0.0)
+
+
 def test_G_matches_quadrature(vp_ansatz):
     for u in (0.1, 0.5, 1.0):
-        ref = vp_ansatz.w_quad(0.0, 0.7, u)
+        ref = w_quad(vp_ansatz, 0.0, 0.7, u)
         assert abs(float(vp_ansatz.G(u)) - ref) < 1e-10 * ref
 
 
 def test_w_matches_quadrature_with_rotation(vp_ansatz):
     for kap, r, u in [(0.3, 0.7, 0.5), (0.8, 1.2, 0.9), (0.1, 2.0, 0.2)]:
-        ref = vp_ansatz.w_quad(kap, r, u)
+        ref = w_quad(vp_ansatz, kap, r, u)
         got = float(vp_ansatz.w(kap, r, u))
         assert abs(got - ref) < 1e-10 * abs(ref)
 
