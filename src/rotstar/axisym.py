@@ -4,9 +4,11 @@ A deformation zeta is stored as even spherical-harmonic mode profiles on
 composite Gauss-Legendre panels (ModalField).  Geometry applies the dilating
 map g_zeta(x) = (1 + zeta(x)/|x|^2) x: it caches everything that depends on
 the deformation but not on the model, namely the inverse map on the source
-grid, the Jacobian determinant det Dg with its fold check, the mass integral,
-and the per-mode potential matrices evaluated at the deformed collocation
-radii.
+grid with u0 pulled back onto it, the Jacobian determinant det Dg with its
+fold check, and the per-mode potential matrices evaluated at the deformed
+collocation radii.  A model enters only through its density law
+w(kappa, r_cyl, u): model_fields turns it into the density, the mass factor
+and the potential.
 """
 
 import numpy as np
@@ -21,6 +23,15 @@ EPS0 = 0.1
 #: inside |x| < R_SMALL R the ratio zeta/|x|^2 is held at its value at
 #: R_SMALL R, so the map and its derivatives stay finite at the origin
 R_SMALL = 1e-3
+
+#: nodes and panel order of the collocation panels that carry the unknowns
+N_RC, ORDER = 48, 8
+#: nodes of the undeformed volume grid (fold check, reported mass)
+N_RU = 128
+#: radial panels across the deformed-boundary band of the source grid
+N_ANN = 8
+#: split-panel nodes of the potential quadrature
+N_SUB = 12
 
 
 class ModalField:
@@ -86,17 +97,15 @@ class ModalField:
 
 
 class Discretization:
-    """Grids and mode set for the nonlinear solvers."""
+    """Grids and mode set for the nonlinear solvers: the modes ells (ells[0]
+    is l = 0), n_mu quadrature colatitudes and the n_rt-node source-grid
+    budget."""
 
-    def __init__(self, R, ells=(0, 2, 4, 6, 8, 10, 12), n_rc=48, order=8,
-                 n_mu=24, n_rt=104, n_sub=12, n_ru=64, n_ann=8):
+    def __init__(self, R, ells=(0, 2, 4, 6, 8, 10, 12), n_mu=24, n_rt=104):
         self.R = float(R)
         self.ells = tuple(ells)
-        self.order = order
-        self.n_sub = n_sub
-        self.n_ann = n_ann   # radial panels across the deformed-boundary band
-        self.panels_c = Panels.graded(R, n_rc, order)   # collocation / unknowns
-        self.n_rt = n_rt                                 # source-grid budget
+        self.panels_c = Panels.graded(R, N_RC, ORDER)   # collocation / unknowns
+        self.n_rt = n_rt
         xm, wm = gl_nodes(n_mu)
         self.mu = 0.5 * (xm + 1.0)
         self.wmu = 0.5 * wm
@@ -104,23 +113,13 @@ class Discretization:
         self.sin_theta = np.sqrt(1.0 - self.mu ** 2)
         self.Yt = Ytilde(ells, self.mu)                               # (n_l, n_mu)
         self.proj = 4.0 * np.pi * self.wmu[None, :] * self.Yt         # full-sphere modes
-        self.panels_u = Panels.graded(R, n_ru, order)   # undeformed volume grid
-        # rows taking nodal values on panels_c to the ratio and stretch of
-        # ModalField.ratio_and_stretch on panels_u
-        self.r_small = R_SMALL * self.R
-        ru = self.panels_u.x
-        rr = np.maximum(ru, self.r_small)[:, None]
-        T = self.panels_c.interp_rows(rr[:, 0])
-        self.ratio_cu = T / rr ** 2
-        self.stretch_cu = np.where(
-            ru[:, None] >= self.r_small,
-            (T @ self.panels_c.diff_matrix()) / rr - 2.0 * T / rr ** 2, 0.0)
+        self.panels_u = Panels.graded(R, N_RU, ORDER)   # undeformed volume grid
 
 
 class Geometry:
     """Deformation-dependent caches shared by the residual and the Newton
-    matrix for one zeta, plus the fields of each model evaluated on it
-    (model_fields).
+    matrix for one zeta, plus the density, mass factor and potential of
+    each model on it (model_fields).
 
     The *_jacobian and *_gradient methods give the derivative pieces that
     the models' jacobian assembles, for every Newton basis field
@@ -136,90 +135,102 @@ class Geometry:
         self._src_rows = None
         R = star.R
         th = disc.theta
-        n_mu = len(th)
 
         # deformed boundary radius per quadrature colatitude
-        self.tb = R * (1.0 + zeta.ratio(np.full(n_mu, R), th))
+        self.tb = R * (1.0 + zeta.ratio(np.full(len(th), R), th))
         tb_min, tb_max = float(np.min(self.tb)), float(np.max(self.tb))
 
         # physical-space source panels: graded bulk + boundary annulus fine
         # enough to control the density cusp crossing it per colatitude
-        bulk = Panels.graded(tb_min, disc.n_rt, disc.order)
+        bulk = Panels.graded(tb_min, disc.n_rt, ORDER)
         if tb_max - tb_min > 1e-13 * R:
-            k = np.linspace(tb_min, tb_max, disc.n_ann + 1)
+            k = np.linspace(tb_min, tb_max, N_ANN + 1)
             edges = np.concatenate([bulk.edges, k[1:]])
         else:
             edges = bulk.edges
-        self.panels_t = Panels(edges, disc.order)
-        tq = self.panels_t.x
-        self.tq = tq
+        self.panels_t = Panels(edges, ORDER)
+        self.tq = self.panels_t.x
 
         # inverse map z(y) on the source grid, one column per colatitude
-        T2, TH2 = np.meshgrid(tq, th, indexing="ij")
+        T2, TH2 = np.meshgrid(self.tq, th, indexing="ij")
         self.inside = T2 <= self.tb[None, :] * (1.0 + 1e-14)
         z = T2.copy()
         for _ in range(200):
-            zn = T2 / (1.0 + zeta.ratio(z, TH2))
-            if np.max(np.abs(zn - z)) < 1e-13 * R:
-                z = zn
+            z, z_prev = T2 / (1.0 + zeta.ratio(z, TH2)), z
+            if np.max(np.abs(z - z_prev)) < 1e-13 * R:
                 break
-            z = zn
         else:
             raise DeformationError(
                 "ray inversion did not converge in 200 iterations")
-        self.z0 = np.where(self.inside, np.minimum(z, R), np.nan)
+        # the preimage z0 of each source point, R outside the body
+        self.z_src = np.where(self.inside, np.minimum(z, R), R)
         self.T2, self.TH2 = T2, TH2
 
+        # the arguments of every model's density law on the source grid:
+        # u0 pulled back (zero outside the body) and the cylinder radius
+        self.u_src = np.zeros_like(T2)
+        self.u_src[self.inside] = star.u0_of(self.z_src[self.inside])
+        self.rcyl_src = T2 * disc.sin_theta[None, :]
+
         # radial stretch of the dilating map at the source points
-        ratio, stretch = zeta.ratio_and_stretch(
-            np.where(self.inside, self.z0, R), TH2)
+        ratio, stretch = zeta.ratio_and_stretch(self.z_src, TH2)
         self.g1_src = 1.0 + ratio + stretch
 
         # deformed radii of the collocation targets
         rc = disc.panels_c.x
         RC, THC = np.meshgrid(rc, th, indexing="ij")
         self.rc, self.RC, self.THC = rc, RC, THC
-        lam_t = 1.0 + zeta.ratio(RC, THC)
-        self.s_t = RC * lam_t
-        self.lam_t = lam_t
+        self.s_t = RC * (1.0 + zeta.ratio(RC, THC))
 
-        # potential matrices per mode at the deformed target radii (+ origin)
-        s_flat = self.s_t.ravel()
-        self.A = {}
-        self.Ap = {}
-        mats = mode_potential_matrices(self.panels_t, disc.ells, s_flat,
-                                       n_sub=disc.n_sub)
-        for l, (A, Ap) in zip(disc.ells, mats):
-            self.A[l] = A
-            self.Ap[l] = Ap
-        [(A0z, _)] = mode_potential_matrices(self.panels_t, (0,), [0.0],
-                                             n_sub=disc.n_sub)
-        self.A0_zero = A0z[0]
+        # potential matrices per mode at the deformed target radii, with
+        # the origin as one more target
+        mats = mode_potential_matrices(
+            self.panels_t, disc.ells, np.append(self.s_t.ravel(), 0.0),
+            n_sub=N_SUB)
+        self.A = {l: A[:-1] for l, (A, _) in zip(disc.ells, mats)}
+        self.Ap = {l: Ap[:-1] for l, (_, Ap) in zip(disc.ells, mats)}
+        self.A0_zero = mats[0][0][-1]
 
-        # undeformed volume grid caches (mass factor, M'(zeta)xi)
+        # undeformed volume grid: det Dg with the fold check, and the
+        # dilation lam that the reported mass (mass_integral) reads
         ru = disc.panels_u.x
         RU, THU = np.meshgrid(ru, th, indexing="ij")
         self.RU, self.THU = RU, THU
-        self.rho_u = star.rho0_of(ru)
         ratio, stretch = zeta.ratio_and_stretch(RU, THU)
         self.lam_u = 1.0 + ratio
-        self.g1_u = self.lam_u + stretch
-        self.det_u = self.lam_u ** 2 * self.g1_u
+        self.det_u = self.lam_u ** 2 * (self.lam_u + stretch)
         if np.any(self.det_u <= 0):
             raise DeformationError("fold: det Dg <= 0 on the volume grid")
-        # int rho0 det Dg dx (weights: 2 * 2 pi t^2 dt dmu, evenness doubled)
-        wu = disc.panels_u.w * ru ** 2
-        self.vol_rho_det = 4.0 * np.pi * np.einsum(
-            "i,ij,j->", wu, self.rho_u[:, None] * self.det_u, disc.wmu)
 
     # ------------------------------------------------------------------
 
     def model_fields(self, model, kappa):
-        """model.fields(self, kappa), computed once per model and kappa."""
+        """The model's density w(kappa, r_cyl, u0(z0)) on the source grid
+        ("dens"), its volume integral Mcal, the mass factor mfac = M/Mcal,
+        and its potential V, V' at the targets and V0 at the origin,
+        computed once per model and kappa."""
         key = (model, kappa)
         if key not in self._fields:
-            self._fields[key] = model.fields(self, kappa)
+            W = np.where(self.inside,
+                         model.w(kappa, self.rcyl_src, self.u_src), 0.0)
+            Mcal = self.volume_integral_src(W)
+            V, Vp, V0 = self.potential_at_targets(self.project_modes(W),
+                                                  deriv=True)
+            self._fields[key] = {"dens": W, "Mcal": Mcal,
+                                 "mfac": self.star.mass / Mcal,
+                                 "V": V, "Vp": Vp, "V0": V0}
         return self._fields[key]
+
+    def mass_integral(self, model, kappa):
+        """int w(kappa, |x| lam sin(theta), u0(|x|)) det Dg dx on the
+        undeformed volume grid: the source-grid Mcal of model_fields by the
+        change of variables y = g(x), on a quadrature of its own."""
+        disc = self.disc
+        ru = disc.panels_u.x
+        w = model.w(kappa, self.RU * self.lam_u * disc.sin_theta[None, :],
+                    self.star.u0_of(ru)[:, None])
+        return 4.0 * np.pi * np.einsum("i,ij,j->", disc.panels_u.w * ru ** 2,
+                                       w * self.det_u, disc.wmu)
 
     def project_modes(self, vals):
         """Mode profiles (n_l, n_r, ...) of fields (n_r, n_mu, ...) sampled
@@ -252,21 +263,6 @@ class Geometry:
 
     # derivative pieces on the Newton basis -------------------------------
 
-    def vol_rho_det_gradient(self):
-        """Derivative of vol_rho_det = int rho0 det Dg dx along every basis
-        field, shape (n_l n_c,), by the trace formula on the undeformed
-        volume grid."""
-        disc = self.disc
-        ru = disc.panels_u.x
-        W = 4.0 * np.pi * (disc.panels_u.w * ru ** 2 * self.rho_u)[:, None] \
-            * self.det_u * disc.wmu[None, :]
-        # d(det Dg)/det Dg = 2 ratio/lam + (ratio + stretch)/g1 of xi
-        w_ratio = W * (2.0 / self.lam_u + 1.0 / self.g1_u)
-        w_stretch = W / self.g1_u
-        return (np.einsum("ij,kj,ic->kc", w_ratio, disc.Yt, disc.ratio_cu)
-                + np.einsum("ij,kj,ic->kc", w_stretch, disc.Yt,
-                            disc.stretch_cu)).ravel()
-
     def _source_basis(self, c):
         """Per source point, |z0| xi.ratio(z0) of the basis fields (the
         inverse map moves z0 by -|z0| xi.ratio(z0)/g1 along xi), scaled
@@ -274,8 +270,8 @@ class Geometry:
         colatitudes: returns (rows (n_tq, n_mu, n_c), weights
         c[i, j] Y_k(mu_j))."""
         if self._src_rows is None:
-            zz = np.where(self.inside, self.z0, self.star.R)
-            rr = np.maximum(zz, self.disc.r_small)
+            zz = self.z_src
+            rr = np.maximum(zz, R_SMALL * self.disc.R)
             T = self.disc.panels_c.interp_rows(rr.ravel())
             self._src_rows = T.reshape(zz.shape + (-1,)) \
                 * (zz / rr ** 2)[..., None]

@@ -86,6 +86,10 @@ class RunConfig:
             raise ConfigError("kappa schedule must start at 0")
         if any(k2 < k1 for k1, k2 in zip(self.kappas, self.kappas[1:])):
             raise ConfigError("kappa schedule must be nondecreasing")
+        # rotation enters squared (x * x overflows to inf, x ** 2 raises)
+        for key, x in [("omega", self.omega)] + [("kappas", self.kappas[-1])]:
+            if not np.isfinite(x * x):
+                raise ConfigError(f"{key} squared must be finite, got {x!r}")
         self.ells = self._counts("ells", [0, 1, 2, 3, 4])
         self.ns = self._counts("ns", [128, 256, 512])
         if self.n < 1 or min(self.ns) < 1:

@@ -13,7 +13,7 @@ Euler-Poisson model and (u0(r)-u0(0))/M * (same integral) for Vlasov-Poisson.
 
 import numpy as np
 
-from .errors import DegenerateOperatorError
+from .errors import DegenerateOperatorError, SolverError
 from .numerics import Panels, smallest_singular_value
 from .potentials import mode_potential_matrices
 
@@ -75,17 +75,20 @@ def assemble_mode(star, l, n=256, order=8, n_sub=12):
     x = panels.x
     u0p = star.u0p_of(x)
     rho0p = star.rho0p_of(x)
-    [(A, _)] = mode_potential_matrices(panels, (l,), x, n_sub=n_sub)
+    # l = 0 takes the origin as one more target
+    targets = np.append(x, 0.0) if l == 0 else x
+    [(A, _)] = mode_potential_matrices(panels, (l,), targets, n_sub=n_sub)
     origin, A_rel = None, A
     if l == 0:
-        [(origin, _)] = mode_potential_matrices(panels, (0,), [0.0],
-                                                n_sub=n_sub)
+        A, origin = A[:-1], A[-1:]
         A_rel = A - origin  # the -1/|y| monopole correction
     D = rho0p / x
     M = np.diag(u0p / x) - A_rel * D[None, :]
     if l == 0:
         row = 4.0 * np.pi * panels.w * x * rho0p
         M = M + np.outer(star.mass_column(x), row)
+    if not np.all(np.isfinite(M)):
+        raise SolverError(f"mode {l} operator is not finite")
     return ModeOperator(l, star, panels, M, A, origin)
 
 
@@ -120,4 +123,6 @@ def solve(op, rhs):
             sigma_min=sig, diagnostics={"l": op.l, "gamma": gamma,
                                         "sigma_min_scaled": scaled})
     xi = np.linalg.solve(op.matrix, np.asarray(rhs, dtype=float))
+    if not np.all(np.isfinite(xi)):
+        raise SolverError(f"mode {op.l} solve is not finite")
     return xi

@@ -67,6 +67,15 @@ def _jacobian(K, e, R, rho_u, d):
     return J
 
 
+def _solve_system(J, rhs):
+    """np.linalg.solve(J, rhs) for the radial Jacobian J, a singular J
+    raising SolverError."""
+    try:
+        return np.linalg.solve(J, rhs)
+    except np.linalg.LinAlgError as e:
+        raise SolverError(f"radial Jacobian: {e}") from e
+
+
 def _solve_profile(eos, a, tol):
     """Nodal u and rho(u) on _UNIT and R for central value a, rho = eos.hinv:
     Newton with backtracking on _residual from u = a sinc(x),
@@ -91,7 +100,7 @@ def _solve_profile(eos, a, tol):
         norm = np.max(np.abs(F))
         if norm <= tol * a:
             return u, rho_u, R
-        step = np.linalg.solve(_jacobian(K, e, R, rho_u, eos.dhinv(u)), -F)
+        step = _solve_system(_jacobian(K, e, R, rho_u, eos.dhinv(u)), -F)
         lam = 1.0
         for _ in range(_HALVINGS):
             R_t = R + lam * step[n]
@@ -195,7 +204,7 @@ def variation(star, c, sigma):
     rho, d = star.eos.hinv(u), star.eos.dhinv(u)
     rhs = np.append(c - 4.0 * np.pi * sigma * R * R * (K @ rho),
                     sigma * R * R * float(e @ rho) - c)
-    sol = np.linalg.solve(_jacobian(K, e, R, rho, d), rhs)
+    sol = _solve_system(_jacobian(K, e, R, rho, d), rhs)
     w, R_p = sol[:-1], sol[-1]
     v = w - x * up * R_p
     dv = _flux(R, d * w + (sigma + 2.0 * R_p / R) * rho) \

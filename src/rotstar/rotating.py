@@ -7,12 +7,15 @@ field is
                         - h(Mfac rho0(x)) + h(Mfac rho0(0)),
 
 where V is the potential of the transported density rho0(g^-1 .), Mfac the
-mass factor restoring the total mass, and J(r) = int_0^r omega^2(s) s ds the
-centrifugal antiderivative.  At zeta = 0 the gravity and enthalpy terms
-cancel against the radial equilibrium and F = kappa J exactly.
+mass factor M / int rho0(g^-1 y) dy restoring the total mass, and
+J(r) = int_0^r omega^2(s) s ds the centrifugal antiderivative.  At zeta = 0
+the gravity and enthalpy terms cancel against the radial equilibrium and
+F = kappa J up to quadrature.
 
-EPModel carries this residual and its Newton matrix; vlasov.VPModel carries
-the Vlasov-Poisson one through the same interface.  first_order_shape solves
+Model holds what the Euler-Poisson and Vlasov-Poisson problems share: a
+density law turned into Mfac and V on the source grid, one residual and one
+Newton matrix.  EPModel adds the enthalpy and centrifugal local term;
+vlasov.VPModel adds its own.  first_order_shape solves
 the linearized EP problem mode by mode; newton_continue runs Newton iteration
 on the spherical-harmonic coefficients of zeta for either model along a
 schedule of rotation intensities kappa.
@@ -51,69 +54,71 @@ def centrifugal_rhs(profile, nodes, ells):
 # the nonlinear residual and its Newton matrix
 
 
-class EPModel:
-    """Euler-Poisson fluid: the transported density rho0(z) plus the
-    centrifugal term kappa J(r_cyl), with the enthalpy evaluated at the
-    mass-restored density.
+class Model:
+    """A rotating model is its density law plus its local term: a subclass
+    gives the law w(kappa, r_cyl, u) with dw_du (the density at rotation
+    intensity kappa where the radial potential is u), local(geo, kappa,
+    mfac) at the targets, and slope(disc).  Geometry.model_fields turns the
+    law into mfac = M/Mcal and the potential V; the residual is
+    mfac (V - V(0)) + local, and the Newton matrix one shared block plus
+    the local term's target weight and mfac-derivative (local_derivatives,
+    zero unless overridden)."""
 
-    A model provides fields (cached per geometry by Geometry.model_fields),
-    the residual and its Newton matrix (jacobian) on a geometry, and the
-    warm-start slope of the Newton unknowns per unit kappa."""
-
-    def __init__(self, star, profile):
-        self.star = star
-        self.profile = profile
-
-    def fields(self, geo, kappa):
-        """Transported density on the source grid, its potential at the
-        targets, and the mass factor."""
-        star = self.star
-        dens = np.zeros_like(geo.T2)
-        if np.any(geo.inside):
-            dens[geo.inside] = star.rho0_of(geo.z0[geo.inside])
-        sigma = geo.project_modes(dens)
-        V, Vp, V0 = geo.potential_at_targets(sigma, deriv=True)
-        return {"dens": dens, "V": V, "Vp": Vp, "V0": V0,
-                "mfac": star.mass / geo.vol_rho_det}
+    def local_derivatives(self, geo, kappa, mfac):
+        return 0.0, 0.0
 
     def residual(self, geo, kappa):
-        star = self.star
         f = geo.model_fields(self, kappa)
-        mfac = f["mfac"]
-        r_cyl = geo.s_t * geo.disc.sin_theta[None, :]
-        grav = mfac * (f["V"] - f["V0"])
-        cent = kappa * self.profile.J(r_cyl)
-        rho_c = star.rho0_of(geo.rc)
-        rho_00 = float(star.rho0_of(0.0))
-        h_term = -star.eos.h(mfac * rho_c) + float(star.eos.h(mfac * rho_00))
-        return grav + cent + h_term[:, None]
+        return f["mfac"] * (f["V"] - f["V0"]) + self.local(geo, kappa,
+                                                           f["mfac"])
 
     def jacobian(self, geo, kappa):
         """The Newton matrix, shape (n_l n_rc, n_l n_c): the derivative of
         the projected residual modes along every basis field
         e_c(r) Y_k(theta) at once, assembled as dense products."""
-        star, disc = self.star, geo.disc
         f = geo.model_fields(self, kappa)
         mfac = f["mfac"]
-        mfac_p = -star.mass / geo.vol_rho_det ** 2 * geo.vol_rho_det_gradient()
-
-        zz = np.where(geo.inside, geo.z0, star.R)
-        c = np.where(geo.inside, star.rho0p_of(zz) / geo.g1_src, 0.0)
+        target, column = self.local_derivatives(geo, kappa, mfac)
+        dw = np.where(geo.inside,
+                      self.dw_du(kappa, geo.rcyl_src, geo.u_src), 0.0)
+        c = dw * self.star.u0p_of(geo.z_src) / geo.g1_src
         J = -mfac * geo.density_jacobian(c)                       # moved density
-
-        r_cyl = geo.s_t * disc.sin_theta[None, :]
-        omega2 = self.profile.omega_sq(r_cyl.ravel()).reshape(r_cyl.shape)
-        J += geo.target_jacobian(                                 # moved target
-            (mfac * f["Vp"] + kappa * omega2 * r_cyl * disc.sin_theta[None, :])
-            / geo.RC)
-
-        rho_c = star.rho0_of(geo.rc)
-        rho_00 = float(star.rho0_of(0.0))
-        dh_c = star.eos.dh(mfac * rho_c)
-        dh_0 = float(star.eos.dh(mfac * rho_00))
-        F1 = (f["V"] - f["V0"]) + (-dh_c * rho_c + dh_0 * rho_00)[:, None]
-        J += np.outer(geo.project_modes(F1).ravel(), mfac_p)      # M' terms
+        J += geo.target_jacobian((mfac * f["Vp"] + target) / geo.RC)
+        mfac_p = (mfac / f["Mcal"]) * geo.source_integral_gradient(c)
+        J += np.outer(geo.project_modes(f["V"] - f["V0"] + column).ravel(),
+                      mfac_p)                                     # mass factor
         return J
+
+
+class EPModel(Model):
+    """Euler-Poisson fluid: the density law h^-1(u), whatever kappa and
+    r_cyl, and the local term kappa J(r_cyl) - h(mfac rho0) + h(mfac rho0(0))
+    at the targets."""
+
+    def __init__(self, star, profile):
+        self.star = star
+        self.profile = profile
+
+    def w(self, kappa, r_cyl, u):
+        return self.star.eos.hinv(u)
+
+    def dw_du(self, kappa, r_cyl, u):
+        return self.star.eos.dhinv(u)
+
+    def local(self, geo, kappa, mfac):
+        rho = self.star.rho0_of(np.append(geo.rc, 0.0))   # targets, origin
+        h = self.star.eos.h(mfac * rho)
+        cent = kappa * self.profile.J(geo.s_t * geo.disc.sin_theta[None, :])
+        return cent + (h[-1] - h[:-1])[:, None]
+
+    def local_derivatives(self, geo, kappa, mfac):
+        sin = geo.disc.sin_theta[None, :]
+        r_cyl = geo.s_t * sin
+        omega2 = self.profile.omega_sq(r_cyl.ravel()).reshape(r_cyl.shape)
+        rho = self.star.rho0_of(np.append(geo.rc, 0.0))
+        dh_rho = self.star.eos.dh(mfac * rho) * rho
+        return (kappa * omega2 * r_cyl * sin,
+                (dh_rho[-1] - dh_rho[:-1])[:, None])
 
     def slope(self, disc):
         """The first-order response sampled onto the collocation nodes, per
@@ -209,18 +214,22 @@ class RotatingSolution:
                 self.residual_sup, self.iters]
 
 
-def _newton_at(model, kappa, coefs, disc, tol):
-    """Newton iteration at fixed kappa from the warm start coefs."""
+def _newton_at(model, kappa, coefs, disc, tol, geo=None):
+    """Newton iteration at fixed kappa from the warm start coefs; geo, when
+    given, is the Geometry of coefs, which then passed the cap already."""
     coefs = coefs.copy()
     prev_res = np.inf
     for it in range(_NEWTON_ITERS + 1):
-        field = ModalField(disc.panels_c, disc.ells, coefs)
-        xn = field.xnorm()
-        if xn >= EPS0:
-            raise DeformationError(
-                f"deformation cap: ||zeta||_X = {xn:.4g} >= {EPS0} "
-                f"at kappa={kappa:g}")
-        F, geo = evaluate_F(field, kappa, model, disc)
+        if it == 0 and geo is not None:
+            F = model.residual(geo, kappa)
+        else:
+            field = ModalField(disc.panels_c, disc.ells, coefs)
+            xn = field.xnorm()
+            if xn >= EPS0:
+                raise DeformationError(
+                    f"deformation cap: ||zeta||_X = {xn:.4g} >= {EPS0} "
+                    f"at kappa={kappa:g}")
+            F, geo = evaluate_F(field, kappa, model, disc)
         res_sup = float(np.max(np.abs(F)))
         if res_sup < tol:
             return coefs, geo, res_sup, it
@@ -244,11 +253,8 @@ def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
     is called with each accepted solution as it is produced, so callers can
     persist partial curves before a later step fails."""
     kappas = list(kappas)
-    prev = 0.0
-    for target in kappas:
-        if target < prev - _TINY:
-            raise SolverError("kappa schedule must be nondecreasing")
-        prev = target
+    if any(b < a - _TINY for a, b in zip([0.0] + kappas, kappas)):
+        raise SolverError("kappa schedule must be nondecreasing")
     if disc is None:
         disc = Discretization(model.star.R)
     slope = model.slope(disc)
@@ -256,28 +262,31 @@ def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
     sols = []
     k_cur = 0.0
     coefs = np.zeros((len(disc.ells), len(disc.panels_c)))
+    geo = None   # the accepted state's Geometry
     for target in kappas:
         step = max(target - k_cur, 0.0)
         halvings = 0
         done = False
         while not done:
             k_try = min(target, k_cur + step) if step > 0 else target
-            warm = coefs + (k_try - k_cur) * slope
+            predictor = (k_try - k_cur) * slope
+            # a zero predictor (always for VP) starts at the accepted state
+            kept = None if np.any(predictor) else geo
             try:
-                coefs_new, geo, res_sup, iters = _newton_at(
-                    model, k_try, warm, disc, tol)
+                coefs_new, geo_new, res_sup, iters = _newton_at(
+                    model, k_try, coefs + predictor, disc, tol, geo=kept)
             except SolverError:
                 halvings += 1
                 if halvings > _HALVINGS:
                     raise
                 step *= 0.5
                 continue
-            k_cur, coefs = k_try, coefs_new
+            k_cur, coefs, geo = k_try, coefs_new, geo_new
             if abs(k_cur - target) <= _TINY:
-                f = geo.model_fields(model, k_cur)
-                mass_value = f["mfac"] * geo.volume_integral_src(f["dens"])
+                mfac = geo.model_fields(model, k_cur)["mfac"]
                 sol = RotatingSolution(model.star, k_cur, disc, coefs,
-                                       res_sup, iters, f["mfac"], mass_value)
+                                       res_sup, iters, mfac,
+                                       mfac * geo.mass_integral(model, k_cur))
                 sols.append(sol)
                 if on_solution is not None:
                     on_solution(sol)

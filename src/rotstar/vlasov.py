@@ -14,21 +14,35 @@ problem is VPModel, run by the same Newton continuation as the
 Euler-Poisson model (rotating.newton_continue).
 """
 
+import functools
 import math
 
 import numpy as np
 
-from .axisym import Discretization, Geometry, ModalField
+from .axisym import Discretization, ModalField
 from .eos import pointwise
 from .errors import EOSError
 from .linop import assemble_mode, solve as linop_solve
 from .radial import RadialStar, variation
-from .rotating import ShapeReport
+from .rotating import Model, ShapeReport, evaluate_F
 
 
 def beta_fn(a, b):
     """The Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0."""
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+def _pointwise_in_r_u(method):
+    """eos.pointwise for a method of (kappa, r, u): r and u are broadcast
+    together and computed at np.atleast_1d, kappa stays a number, and the
+    result has the broadcast shape, 0-d for scalars."""
+    @functools.wraps(method)
+    def wrapped(self, kappa, r, u):
+        r, u = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                   np.asarray(u, dtype=float))
+        return method(self, kappa, np.atleast_1d(r),
+                      np.atleast_1d(u)).reshape(r.shape)
+    return wrapped
 
 
 def _check_mu(mu):
@@ -87,24 +101,18 @@ class VlasovAnsatz:
         return out
 
     # G as the radial star's density law: h^-1 = G, (h^-1)' = G'
-
-    def hinv(self, u):
-        return self.G(u)
-
-    def dhinv(self, u):
-        return self.Gp(u)
+    hinv, dhinv = G, Gp
 
     # full w and derivatives (closed forms: psi is an even quadratic) -------
 
+    @_pointwise_in_r_u
     def w(self, kappa, r, u):
-        u = np.maximum(np.asarray(u, dtype=float), 0.0)
-        r = np.asarray(r, dtype=float)
+        u = np.maximum(u, 0.0)
         return self._cG * u ** (1.5 - self.mu) \
             + 0.5 * kappa ** 2 * r ** 2 * self._cK * u ** (2.5 - self.mu)
 
+    @_pointwise_in_r_u
     def dw_du(self, kappa, r, u):
-        u = np.asarray(u, dtype=float)
-        r = np.asarray(r, dtype=float)
         with np.errstate(invalid="ignore"):
             uu = np.maximum(u, 1e-300)
             out = np.where(u > 0,
@@ -114,9 +122,10 @@ class VlasovAnsatz:
                            0.0)
         return out
 
+    @pointwise
     def d2w_dkappa2_unit(self, u):
         """d^2 w/d kappa^2 at kappa=0 divided by r^2 (pure function of u)."""
-        u = np.maximum(np.asarray(u, dtype=float), 0.0)
+        u = np.maximum(u, 0.0)
         return self._cK * u ** (2.5 - self.mu)
 
 
@@ -172,9 +181,9 @@ def kappa_derivative_norm(star, disc=None):
     model = VPModel(star)
     disc = disc or Discretization(star.R)
     zero = np.zeros((len(disc.ells), len(disc.panels_c)))
-    geo = Geometry(ModalField(disc.panels_c, disc.ells, zero), star, disc)
-    Fp, Fm = model.residual(geo, k), model.residual(geo, -k)
-    return float(np.max(np.abs(Fp - Fm)) / (2.0 * k))
+    Fp, geo = evaluate_F(ModalField(disc.panels_c, disc.ells, zero), k, model,
+                         disc)
+    return float(np.max(np.abs(Fp - model.residual(geo, -k))) / (2.0 * k))
 
 
 def vp_rotation_response(star, kappa, n=256):
@@ -210,50 +219,17 @@ def vp_rotation_response(star, kappa, n=256):
 # nonlinear rotation problem
 
 
-class VPModel:
-    """Vlasov-Poisson rotation problem: the density w(kappa, r_cyl, u0(z)) on
-    the source grid, scaled by mfac to the radial star's mass, with the
-    residual a - u0 + mfac (V - V(0)).  Same interface as rotating.EPModel;
-    w is the star's own ansatz."""
+class VPModel(Model):
+    """Vlasov-Poisson rotation problem: the star's ansatz is the density law
+    w(kappa, r_cyl, u), and the local term a - u0 at the targets makes the
+    residual a - u0 + mfac (V - V(0))."""
 
     def __init__(self, star):
         self.star = star
-        self.ansatz = star.ansatz
+        self.w, self.dw_du = star.ansatz.w, star.ansatz.dw_du
 
-    def fields(self, geo, kappa):
-        """Density and u0(z) on the source grid, its potential at the
-        targets, its integral Mcal and the mass factor."""
-        star = self.star
-        u_z = np.zeros_like(geo.T2)
-        u_z[geo.inside] = star.u0_of(geo.z0[geo.inside])
-        r_cyl_y = geo.T2 * np.sqrt(1.0 - geo.disc.mu[None, :] ** 2)
-        W = np.where(geo.inside, self.ansatz.w(kappa, r_cyl_y, u_z), 0.0)
-        Mcal = geo.volume_integral_src(W)
-        sigma = geo.project_modes(W)
-        V, Vp, V0 = geo.potential_at_targets(sigma, deriv=True)
-        return {"dens": W, "u_z": u_z, "r_cyl_y": r_cyl_y, "Mcal": Mcal,
-                "mfac": star.mass / Mcal, "V": V, "Vp": Vp, "V0": V0}
-
-    def residual(self, geo, kappa):
-        f = geo.model_fields(self, kappa)
-        u_c = self.star.u0_of(geo.rc)
-        return (self.star.a - u_c)[:, None] + f["mfac"] * (f["V"] - f["V0"])
-
-    def jacobian(self, geo, kappa):
-        """The Newton matrix: the derivative of the projected residual modes
-        along every basis field at once (see rotating.EPModel.jacobian)."""
-        f = geo.model_fields(self, kappa)
-        zz = np.where(geo.inside, geo.z0, self.star.R)
-        dw = np.where(geo.inside,
-                      self.ansatz.dw_du(kappa, f["r_cyl_y"], f["u_z"]), 0.0)
-        c = dw * self.star.u0p_of(zz) / geo.g1_src
-        mfac = f["mfac"]
-        Mcal_p = -geo.source_integral_gradient(c)
-        J = -mfac * geo.density_jacobian(c)
-        J += geo.target_jacobian(mfac * f["Vp"] / geo.RC)
-        J += np.outer(geo.project_modes(f["V"] - f["V0"]).ravel(),
-                      -(mfac / f["Mcal"]) * Mcal_p)
-        return J
+    def local(self, geo, kappa, mfac):
+        return (self.star.a - self.star.u0_of(geo.rc))[:, None]
 
     def slope(self, disc):
         """Zero: w is even in kappa, so the response starts at kappa^2."""

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rotstar
 from rotstar.cli import RunConfig, main, parse_config
@@ -276,3 +277,52 @@ def test_continue_writes_every_file_atomically(tmp_path, monkeypatch):
 def test_no_temp_files_left(tmp_path):
     assert run(tmp_path, "radial", "gamma = 1.5\n") == 0
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+def test_rotation_whose_square_overflows_is_config_error(tmp_path, capsys):
+    # omega^2 and the VP kappa^2 overflowed: OverflowError tracebacks
+    for command in ("perturb", "continue"):
+        assert run(tmp_path, command, "gamma = 1.5\nomega = 1e200\n") == 2
+        assert "omega squared must be finite" in capsys.readouterr().err
+    assert run(tmp_path, "vp-perturb", "kappas = 0,1e200\n") == 2
+    assert "kappas squared must be finite" in capsys.readouterr().err
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _text(floats):
+    """Config text of extreme floats or of values near the defaults."""
+    return st.one_of(floats, st.floats(-4.0, 4.0)).map(repr)
+
+
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    "model": st.sampled_from(["ep", "vp"]),
+    "eos": st.sampled_from(["power_law", "power_sum"]),
+    "a": _text(_FLOATS), "omega": _text(_FLOATS), "gamma": _text(_FLOATS),
+    "mu": _text(_FLOATS), "psi0": _text(_FLOATS), "psi2": _text(_FLOATS),
+    "tol": _text(_POSITIVE), "ode_tol": _text(_POSITIVE),
+    "n": st.integers(1, 24).map(str),
+    "ns": st.lists(st.integers(1, 24).map(str), min_size=1,
+                   max_size=3).map(",".join),
+    "kappas": st.lists(st.floats(0.0, 1e300), max_size=2).map(
+        lambda k: ",".join(map(repr, [0.0] + sorted(k)))),
+    "terms": st.lists(st.tuples(_text(_FLOATS), _text(_FLOATS)).map(
+        ":".join), min_size=1, max_size=2).map(",".join),
+})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["radial", "eos-check", "perturb"]),
+       data=_CONFIGS)
+def test_fuzzed_configs_exit_with_a_code(tmp_path_factory, command, data):
+    # any config: RunConfig builds or raises ConfigError, and main returns
+    # 0, 2, 3 or 4 without a traceback
+    try:
+        RunConfig(data)
+    except ConfigError:
+        pass
+    out = tmp_path_factory.mktemp("fuzz")
+    text = "".join(f"{k} = {v}\n" for k, v in data.items())
+    assert run(out, command, text) in (0, 2, 3, 4)

@@ -30,20 +30,23 @@ def test_uniform_field_basics(disc15):
     assert np.allclose(z.ratio(r, th), c, atol=1e-10)
 
 
-def test_mass_factor_uniform_dilation(star15, disc15):
-    # g = (1+c) x has det (1+c)^3, so the factor is (1+c)^-3
+def test_mass_factor_uniform_dilation(star15, ep_model, disc15):
+    # g = (1+c) x has det (1+c)^3, so the factor is (1+c)^-3, on the source
+    # grid and on the undeformed grid alike
     c = 0.03
     geo = Geometry(radial_field(disc15, lambda r: c * r * r), star15, disc15)
-    assert star15.mass / geo.vol_rho_det == pytest.approx((1 + c) ** -3,
-                                                          rel=1e-9)
+    assert geo.model_fields(ep_model, 0.0)["mfac"] == pytest.approx(
+        (1 + c) ** -3, rel=1e-9)
+    assert star15.mass / geo.mass_integral(ep_model, 0.0) == pytest.approx(
+        (1 + c) ** -3, rel=1e-9)
 
 
 def test_apply_invert_roundtrip(star15, disc15):
     rng = np.random.default_rng(7)
     z = rand_deformation(rng, star15.R)
     geo = Geometry(z, star15, disc15)
-    sel = geo.inside & (geo.z0 < star15.R)
-    z0, th = geo.z0[sel], geo.TH2[sel]
+    sel = geo.inside & (geo.z_src < star15.R)
+    z0, th = geo.z_src[sel], geo.TH2[sel]
     assert z0.size > 0
     assert np.max(np.abs(z0 * (1.0 + z.ratio(z0, th)) - geo.T2[sel])) < 1e-11
 

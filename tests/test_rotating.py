@@ -37,10 +37,15 @@ def test_modal_field_evaluation_and_derivative(disc15):
     assert np.max(np.abs(f.d_theta(r, th) - fd)) < 1e-7
 
 
-def test_geometry_undeformed_is_identity(star15, geo15):
+def test_geometry_undeformed_is_identity(star15, ep_model, geo15):
+    # both mass quadratures, the source grid's Mcal and the undeformed
+    # grid's mass_integral, give the radial star's mass
     assert np.allclose(geo15.s_t, geo15.RC)
     assert np.all(geo15.inside)
-    assert geo15.vol_rho_det == pytest.approx(star15.mass, rel=1e-10)
+    assert geo15.model_fields(ep_model, 0.0)["Mcal"] == pytest.approx(
+        star15.mass, rel=1e-10)
+    assert geo15.mass_integral(ep_model, 0.0) == pytest.approx(star15.mass,
+                                                               rel=1e-10)
 
 
 def test_geometry_rejects_unconverged_inversion(star15, disc15):

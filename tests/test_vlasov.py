@@ -58,6 +58,41 @@ def test_d2w_dkappa2_matches_finite_differences(vp_ansatz):
     assert float(fd) == pytest.approx(want, rel=1e-8)
 
 
+def test_ansatz_scalar_and_array_give_the_same_bits(vp_ansatz):
+    # as the laws of test_eos: a scalar runs the array path at one entry
+    rng = np.random.default_rng(1)
+    r, u = rng.uniform(0.0, 2.0, (2, 2000))
+    kap = 0.3
+    for name, f in (
+            ("w", lambda r, u: vp_ansatz.w(kap, r, u)),
+            ("dw_du", lambda r, u: vp_ansatz.dw_du(kap, r, u)),
+            ("d2w_dkappa2_unit", lambda r, u: vp_ansatz.d2w_dkappa2_unit(u))):
+        scalar = [f(a, b) for a, b in zip(r, u)]
+        assert all(type(x) is np.ndarray and x.shape == () for x in scalar)
+        assert np.array_equal(np.array(scalar), f(r, u)), name
+    assert vp_ansatz.w(kap, r[:3, None], u[None, :4]).shape == (3, 4)
+
+
+def test_warm_start_keeps_the_accepted_geometry(vp_model, vp_solutions,
+                                                 monkeypatch):
+    # w is even in kappa, so every state starts at the accepted one, on its
+    # Geometry: one build per Newton step plus the base state's
+    import rotstar.rotating as rotating
+    builds = []
+
+    class Counted(rotating.Geometry):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rotating, "Geometry", Counted)
+    disc = Discretization(vp_model.star.R)
+    sols = rotating.newton_continue(vp_model, [0.0, 1e-2, 2e-2], disc=disc)
+    assert [s.iters for s in sols] == [0, 1, 1]
+    assert len(builds) == 3
+    assert np.array_equal(sols[1].coefs, vp_solutions[0].coefs)
+
+
 def test_density_is_zero_in_vacuum(vp_ansatz):
     assert float(vp_ansatz.G(-0.3)) == 0.0
     assert float(vp_ansatz.Gp(-0.3)) == 0.0
