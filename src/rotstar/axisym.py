@@ -5,17 +5,20 @@ composite Gauss-Legendre panels (ModalField).  Geometry applies the dilating
 map g_zeta(x) = (1 + zeta(x)/|x|^2) x: it caches everything that depends on
 the deformation but not on the model, namely the inverse map on the source
 grid with u0 pulled back onto it, the Jacobian determinant det Dg with its
-fold check, and the per-mode potential matrices evaluated at the deformed
-collocation radii.  A model enters only through its density law
-w(kappa, r_cyl, u): model_fields turns it into the density, the mass factor
-and the potential.
+fold check, and the potential quadrature at the deformed collocation radii,
+kept factored (potentials.PotentialQuadrature): the residual applies it to
+one density by panel prefix and suffix sums, and the Newton matrix
+contracts it over the colatitudes into mode-by-mode blocks before it meets
+the batch of basis-field sources.  No per-target matrix is formed.  A model
+enters only through its density law w(kappa, r_cyl, u): model_fields turns
+it into the density, the mass factor and the potential.
 """
 
 import numpy as np
 
 from .errors import DeformationError
 from .numerics import Panels, Ytilde, dY_dtheta, gl_nodes
-from .potentials import mode_potential_matrices
+from .potentials import PotentialQuadrature, origin_row
 
 #: hard cap on the admissible X-norm
 EPS0 = 0.1
@@ -182,14 +185,11 @@ class Geometry:
         self.rc, self.RC, self.THC = rc, RC, THC
         self.s_t = RC * (1.0 + zeta.ratio(RC, THC))
 
-        # potential matrices per mode at the deformed target radii, with
-        # the origin as one more target
-        mats = mode_potential_matrices(
-            self.panels_t, disc.ells, np.append(self.s_t.ravel(), 0.0),
-            n_sub=N_SUB)
-        self.A = {l: A[:-1] for l, (A, _) in zip(disc.ells, mats)}
-        self.Ap = {l: Ap[:-1] for l, (_, Ap) in zip(disc.ells, mats)}
-        self.A0_zero = mats[0][0][-1]
+        # the potential quadrature at the deformed target radii, and the
+        # row of the potential at the origin
+        self.quad = PotentialQuadrature(self.panels_t, disc.ells, self.s_t,
+                                        n_sub=N_SUB)
+        self.origin = origin_row(self.panels_t)
 
         # undeformed volume grid: det Dg with the fold check, and the
         # dilation lam that the reported mass (mass_integral) reads
@@ -214,8 +214,7 @@ class Geometry:
             W = np.where(self.inside,
                          model.w(kappa, self.rcyl_src, self.u_src), 0.0)
             Mcal = self.volume_integral_src(W)
-            V, Vp, V0 = self.potential_at_targets(self.project_modes(W),
-                                                  deriv=True)
+            V, Vp, V0 = self.potential_at_targets(self.project_modes(W))
             self._fields[key] = {"dens": W, "Mcal": Mcal,
                                  "mfac": self.star.mass / Mcal,
                                  "V": V, "Vp": Vp, "V0": V0}
@@ -238,23 +237,15 @@ class Geometry:
         trailing axes index a batch of fields."""
         return np.einsum("lj,ij...->li...", self.disc.proj, vals)
 
-    def potential_at_targets(self, sigma, deriv=False):
-        """Potential (and optionally d/ds) fields at the collocation targets
-        from mode source profiles sigma (n_l, n_tq, ...); also the origin
-        value.  Trailing axes of sigma index a batch of sources."""
-        shp = self.s_t.shape + sigma.shape[2:]
-        yshape = (1, -1) + (1,) * (sigma.ndim - 2)
-        V = np.zeros(shp)
-        Vp = np.zeros(shp) if deriv else None
-        for i, l in enumerate(self.disc.ells):
-            Y = self.disc.Yt[i].reshape(yshape)
-            V += (self.A[l] @ sigma[i]).reshape(shp) * Y
-            if deriv:
-                Vp += (self.Ap[l] @ sigma[i]).reshape(shp) * Y
-        V0 = (self.A0_zero @ sigma[0]) * Ytilde([0], 1.0)[0]
-        if deriv:
-            return V, Vp, V0
-        return V, V0
+    def potential_at_targets(self, sigma):
+        """Potential V and its radial derivative Vp at the collocation
+        targets, shape (n_rc, n_mu) each, and the origin value V0, of the
+        source with mode profiles sigma (n_l, n_tq)."""
+        phi, dphi = self.quad.apply(sigma)
+        V = np.einsum("lij,lj->ij", phi, self.disc.Yt)
+        Vp = np.einsum("lij,lj->ij", dphi, self.disc.Yt)
+        V0 = (self.origin @ sigma[0]) * Ytilde([0], 1.0)[0]
+        return V, Vp, V0
 
     def volume_integral_src(self, vals_src):
         """Integral over the ball of a field sampled on the source grid."""
@@ -288,8 +279,14 @@ class Geometry:
         lhs = disc.proj[None, :, None, :] * cY[:, None, :, :]
         sigma = (lhs.reshape(n_tq, n_l * n_l, -1) @ rows).reshape(
             n_tq, n_l, n_l * n_c).transpose(1, 0, 2)
-        V, V0 = self.potential_at_targets(sigma)
-        return self.project_modes(V - V0).reshape(n_l * len(self.rc), -1)
+        # K[l', r, l, :] = sum_j proj[l', j] Y_l(mu_j) A_l[(r, j), :], the
+        # projected potential of each source mode, less its origin value
+        K = self.quad.contract(disc.proj[:, None, :] * disc.Yt[None, :, :])
+        K[:, :, 0] -= np.multiply.outer(disc.proj.sum(axis=1)
+                                        * Ytilde([0], 1.0)[0],
+                                        self.origin)[:, None, :]
+        return K.reshape(n_l * len(self.rc), n_l * n_tq) \
+            @ sigma.reshape(n_l * n_tq, -1)
 
     def source_integral_gradient(self, c):
         """Volume integral over the source grid of q = c |z0| xi.ratio(z0)

@@ -19,8 +19,8 @@ import numpy as np
 from . import linop, radial, rotating, vlasov
 from .eos import (check_mass_condition_b, constant_rotation, power_law,
                   power_sum, validate_assumptions)
-from .errors import (ConfigError, DegenerateOperatorError, RotstarError,
-                     SolverError)
+from .errors import (ConfigError, DegenerateOperatorError, EOSError,
+                     RotstarError, SolverError)
 
 
 def _atomic_write(path, writer):
@@ -157,13 +157,21 @@ class RunConfig:
         return out
 
     def make_eos(self):
-        if self.eos_kind == "power_law":
-            return power_law(self.gamma)
-        if self.eos_kind == "power_sum":
-            return power_sum(self.terms)
+        """The configured EOS; a law value out of its range is a config
+        error."""
+        try:
+            if self.eos_kind == "power_law":
+                return power_law(self.gamma)
+            if self.eos_kind == "power_sum":
+                return power_sum(self.terms)
+        except EOSError as e:
+            raise ConfigError(str(e)) from e
         raise ConfigError(f"unknown eos {self.eos_kind!r}")
 
     def make_ansatz(self):
+        """The configured ansatz; psi0 <= 0 is a config error."""
+        if self.psi0 is not None and not self.psi0 > 0:
+            raise ConfigError(f"psi0 must be positive, got {self.psi0!r}")
         if self.psi0 is None:
             return vlasov.VlasovAnsatz.matched_to_power_law(self.mu,
                                                             psi2=self.psi2)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateOperatorError, SolverError
 from .numerics import Panels, smallest_singular_value
-from .potentials import mode_potential_matrices
+from .potentials import mode_potential_matrices, origin_row
 
 #: solve refuses a mode whose sigma_min R^2/a is at or below this.  The
 #: scaled value is invariant under the power-law scaling of the star: it is
@@ -75,12 +75,10 @@ def assemble_mode(star, l, n=256, order=8, n_sub=12):
     x = panels.x
     u0p = star.u0p_of(x)
     rho0p = star.rho0p_of(x)
-    # l = 0 takes the origin as one more target
-    targets = np.append(x, 0.0) if l == 0 else x
-    [(A, _)] = mode_potential_matrices(panels, (l,), targets, n_sub=n_sub)
+    [(A, _)] = mode_potential_matrices(panels, (l,), x, n_sub=n_sub)
     origin, A_rel = None, A
     if l == 0:
-        A, origin = A[:-1], A[-1:]
+        origin = origin_row(panels)[None, :]
         A_rel = A - origin  # the -1/|y| monopole correction
     D = rho0p / x
     M = np.diag(u0p / x) - A_rel * D[None, :]

@@ -10,14 +10,28 @@ V(x) = int rho(y)/|x-y| dy has modes
 
 Densities live as nodal values on composite Gauss-Legendre panels; the
 min/max kink at t = s is handled exactly by splitting the containing panel
-at s and integrating the panel interpolant on each side.  The split-panel
-quadrature does not depend on l, so one call builds it once for a whole
-set of modes.
+at s and integrating the panel interpolant on each side.
+
+PotentialQuadrature keeps this quadrature factored for one set of targets:
+per target, the whole panels below and above it; per mode, the weights of
+the split panel's nodes on either side of each target inside a panel; and
+the row scalings s^-(l+1), s^l and their derivatives.  Applied to one
+source it sums panels by prefix and suffix sums (apply); contracted with
+weights over a target axis it gives the potential blocks of a batch of
+sources without a per-target matrix (contract); dense expands it into the
+per-target matrices (A, Ap) of mode_potential_matrices.  The split-panel
+quadrature does not depend on l, so it is built once for all modes.
 """
 
 import numpy as np
 
 from .numerics import gl_nodes
+
+
+def origin_row(panels):
+    """The row of Phi_0(0) = 4 pi int_0^b rho_0(t) t dt, the only mode
+    that survives at the origin."""
+    return 4.0 * np.pi * (panels.w * panels.x)
 
 
 def _split_panels(panels, p, s, n_sub):
@@ -36,43 +50,144 @@ def _split_panels(panels, p, s, n_sub):
     return halves
 
 
+class PotentialQuadrature:
+    """The split-panel quadrature of Phi_l and Phi_l' at the targets
+    s_targets (any shape) for every mode l in ells, acting on sources
+    given at panels.x, kept in factored form.  Per mode i (l = ells[i]):
+    pref[i] = 4 pi/(2l+1); the nodal weights win[i] = w t^(l+2) and
+    wout[i] = w t^(1-l) of the whole panels; the split panel's weights
+    win_split[i] and wout_split[i] (n_split, order) of each split target;
+    and the row scalings scale[i] (4, n_s) of I_in and I_out in Phi_l
+    (rows 0, 1) and Phi_l' (rows 2, 3), without pref."""
+
+    def __init__(self, panels, ells, s_targets, n_sub=12):
+        s = np.asarray(s_targets, dtype=float)
+        self.panels = panels
+        self.ells = tuple(ells)
+        self.shape = s.shape
+        s = s.ravel()
+        edges = panels.edges
+        tiny = 1e-12 * edges[-1]
+        # panel p lies wholly inside [0, s] for p < nb and inside [s, b]
+        # for p >= na; a target inside a panel splits it (na = nb + 1)
+        self.nb = np.searchsorted(edges[1:], s + tiny, side="right")
+        self.na = np.searchsorted(edges[:-1], s - tiny, side="left")
+        self.split = (self.nb < self.na).nonzero()[0]
+        self.psplit = self.nb[self.split]
+        (t_in, w_in, T_in), (t_out, w_out, T_out) = _split_panels(
+            panels, self.psplit, s[self.split], n_sub)
+        small = s < tiny
+        ss = np.where(small, 1.0, s)
+        n_l = len(self.ells)
+        self.pref = np.empty(n_l)
+        self.win, self.wout = np.empty((2, n_l, len(panels.x)))
+        self.win_split, self.wout_split = np.empty(
+            (2, n_l, len(self.split), panels.order))
+        self.scale = np.empty((n_l, 4, len(s)))
+        for i, l in enumerate(self.ells):
+            self.pref[i] = 4.0 * np.pi / (2 * l + 1)
+            self.win[i] = panels.w * panels.x ** (l + 2)
+            self.wout[i] = panels.w * panels.x ** (1 - l)
+            self.win_split[i] = np.einsum("sq,sqm->sm",
+                                          w_in * t_in ** (l + 2), T_in)
+            self.wout_split[i] = np.einsum("sq,sqm->sm",
+                                           w_out * t_out ** (1 - l), T_out)
+            self.scale[i] = [ss ** -(l + 1), ss ** l,
+                             -(l + 1) * ss ** -(l + 2), l * ss ** (l - 1)]
+            # limit s -> 0: only the l=0 outer integral survives in Phi;
+            # Phi'(0) = 0
+            self.scale[i][:, small] = 0.0
+            if l == 0:
+                self.scale[i][1, small] = 1.0
+
+    def apply(self, sigma):
+        """Phi_l and Phi_l' at the targets of the mode sources sigma
+        (n_l, n_nodes), as one array of shape (2, n_l) + the targets'
+        shape: panel sums by prefix (I_in) and suffix (I_out) sums, plus
+        each split target's own panel."""
+        P, m = self.panels.n_panels, self.panels.order
+        f = np.asarray(sigma, dtype=float).reshape(len(self.ells), P, m)
+        pin = np.einsum("lpm,lpm->lp", self.win.reshape(f.shape), f)
+        pout = np.einsum("lpm,lpm->lp", self.wout.reshape(f.shape), f)
+        zero = np.zeros((len(self.ells), 1))
+        Iin = np.hstack([zero, np.cumsum(pin, axis=1)])[:, self.nb]
+        Iout = np.hstack([np.cumsum(pout[:, ::-1], axis=1)[:, ::-1],
+                          zero])[:, self.na]
+        fs = f[:, self.psplit]
+        Iin[:, self.split] += np.einsum("lsm,lsm->ls", self.win_split, fs)
+        Iout[:, self.split] += np.einsum("lsm,lsm->ls", self.wout_split, fs)
+        sc = self.pref[:, None, None] * self.scale
+        phi = np.array([sc[:, 0] * Iin + sc[:, 1] * Iout,
+                        sc[:, 2] * Iin + sc[:, 3] * Iout])
+        return phi.reshape((2, len(self.ells)) + self.shape)
+
+    def contract(self, w):
+        """The blocks K[o, r, i] = sum_j w[o, i, j] A_l[(r, j), :] of the
+        Phi matrices A_l (l = ells[i]) for targets of shape (n_r, n_j);
+        w has shape (n_o, n_l, n_j) and K (n_o, n_r, n_l, n_nodes)."""
+        P, m = self.panels.n_panels, self.panels.order
+        n_r, n_j = self.shape
+        n_o, n_l = w.shape[:2]
+        # whole panels: the weights c[k, o, r, i, j] of target (r, j) in
+        # I_in (k = 0) and I_out (k = 1), summed per panel over the targets
+        # above it (I_in) or below it (I_out), then spread over its nodes
+        c = (self.pref[:, None] * w)[None, :, None] * self.scale[:, :2] \
+            .reshape(n_l, 2, n_r, n_j).transpose(1, 2, 0, 3)[:, None]
+        p = np.arange(P)
+        ind = np.array([p < self.nb[:, None], p >= self.na[:, None]],
+                       dtype=float).reshape(2, 1, n_r, n_j, P)
+        G = (c @ ind).transpose(3, 1, 2, 0, 4).reshape(n_l, n_o, n_r, 2 * P)
+        spread = np.zeros((n_l, 2, P, P, m))
+        spread[:, 0, p, p] = self.win.reshape(n_l, P, m)
+        spread[:, 1, p, p] = self.wout.reshape(n_l, P, m)
+        K = np.empty((n_o, n_r, n_l, P * m))
+        np.matmul(G, spread.reshape(n_l, 1, 2 * P, P * m),
+                  out=K.transpose(2, 0, 1, 3))
+        # split panels: each split target's local weights, summed per row
+        # r and split panel
+        r_s, j_s = np.divmod(self.split, n_j)
+        sc = self.pref[:, None, None] * self.scale[:, :2, self.split]
+        loc = sc[:, 0, :, None] * self.win_split \
+            + sc[:, 1, :, None] * self.wout_split
+        e = w[:, :, j_s].transpose(2, 0, 1)[..., None] \
+            * loc.transpose(1, 0, 2)[:, None]
+        key = r_s * P + self.psplit
+        order = np.argsort(key, kind="stable")
+        groups, starts = np.unique(key[order], return_index=True)
+        rg, pg = np.divmod(groups, P)
+        K.reshape(n_o, n_r, n_l, P, m).transpose(1, 3, 0, 2, 4)[rg, pg] += \
+            np.add.reduceat(e[order], starts, axis=0)
+        return K
+
+    def dense(self):
+        """The matrices (A, Ap) with A @ sigma = Phi_l(s) and
+        Ap @ sigma = Phi_l'(s) at the flattened targets, one pair per mode
+        in ells."""
+        m = self.panels.order
+        col_panel = np.repeat(np.arange(self.panels.n_panels), m)
+        below = col_panel[None, :] < self.nb[:, None]
+        above = col_panel[None, :] >= self.na[:, None]
+        cols = self.psplit[:, None] * m + np.arange(m)
+        out = []
+        for i in range(len(self.ells)):
+            Iin = np.where(below, self.win[i], 0.0)
+            Iout = np.where(above, self.wout[i], 0.0)
+            Iin[self.split[:, None], cols] += self.win_split[i]
+            Iout[self.split[:, None], cols] += self.wout_split[i]
+            sc = self.scale[i][:, :, None]
+            A = sc[0] * Iin
+            A += sc[1] * Iout
+            A *= self.pref[i]
+            Iin *= sc[2]
+            Iout *= sc[3]
+            Iin += Iout
+            Iin *= self.pref[i]
+            out.append((A, Iin))
+        return out
+
+
 def mode_potential_matrices(panels, ells, s_targets, n_sub=12):
     """Matrices (A, Ap) with A @ sigma = Phi_l(s) and Ap @ sigma = Phi_l'(s)
-    for sigma given at panels.x, one pair per mode l in ells."""
-    s = np.asarray(s_targets, dtype=float)
-    b = panels.edges[-1]
-    m = panels.order
-    tiny = 1e-12 * b
-    pidx = panels.panel_of(np.clip(s, panels.edges[0], b))
-    # panel p lies wholly inside [0, s] (below) or [s, b] (above)
-    below = panels.edges[None, 1:] <= (s + tiny)[:, None]
-    above = panels.edges[None, :-1] >= (s - tiny)[:, None]
-    at = np.arange(len(s))
-    idx = (~below[at, pidx] & ~above[at, pidx]).nonzero()[0]
-    below = np.repeat(below, m, axis=1)
-    above = np.repeat(above, m, axis=1)
-    # targets inside a panel split it; their rows fill that panel's columns
-    cols = pidx[idx, None] * m + np.arange(m)
-    halves = _split_panels(panels, pidx[idx], s[idx], n_sub)
-    small = s < tiny
-    ss = np.where(small, 1.0, s)
-    out = []
-    for l in ells:
-        win = panels.w * panels.x ** (l + 2)
-        wout = panels.w * panels.x ** (1 - l)
-        Iin = np.where(below, win, 0.0)
-        Iout = np.where(above, wout, 0.0)
-        for I, (t, w, T), power in zip((Iin, Iout), halves, (l + 2, 1 - l)):
-            I[idx[:, None], cols] += np.einsum("sq,sqm->sm", w * t ** power, T)
-        pref = 4.0 * np.pi / (2 * l + 1)
-        A = pref * (ss[:, None] ** -(l + 1) * Iin + ss[:, None] ** l * Iout)
-        Ap = pref * (-(l + 1) * ss[:, None] ** -(l + 2) * Iin
-                     + l * ss[:, None] ** (l - 1) * Iout)
-        if np.any(small):
-            # limit s -> 0: only the l=0 outer integral survives in Phi; Phi'(0)=0
-            A[small] = 0.0
-            Ap[small] = 0.0
-            if l == 0:
-                A[small] = pref * wout[None, :]
-        out.append((A, Ap))
-    return out
+    for sigma given at panels.x, one pair per mode l in ells: the dense
+    expansion of PotentialQuadrature."""
+    return PotentialQuadrature(panels, ells, s_targets, n_sub).dense()

@@ -138,3 +138,16 @@ def jacobian_column_error(model, geo, kappa):
         worst = max(worst, np.max(np.abs(J[:, col] - want))
                     / np.max(np.abs(want)))
     return worst
+
+
+def density_jacobian_error(model, geo, kappa):
+    """Gap, relative to the block's max, between geo.density_jacobian and
+    the reference dense_density_jacobian, for the moved-density weight
+    c = w_u u0'(z0)/g1 of model.jacobian."""
+    from reference import dense_density_jacobian
+    dw = np.where(geo.inside, model.dw_du(kappa, geo.rcyl_src, geo.u_src),
+                  0.0)
+    c = dw * model.star.u0p_of(geo.z_src) / geo.g1_src
+    want = dense_density_jacobian(geo, c)
+    return np.max(np.abs(geo.density_jacobian(c) - want)) \
+        / np.max(np.abs(want))

@@ -7,6 +7,12 @@ w_quad evaluates the kinetic density w(kappa, r, u) of a VlasovAnsatz from
 its definition by Gauss-Jacobi and Gauss-Legendre quadrature, the oracle of
 the ansatz's closed forms.
 
+dense_potential_matrices forms the split-panel potential quadrature as
+dense per-target matrices, the oracle of the factored
+potentials.PotentialQuadrature; dense_density_jacobian builds the moved
+density block of the Newton matrix from them by potentials at every
+target, then projected, the oracle of Geometry.density_jacobian.
+
 frechet_apply evaluates the directional derivative dF(zeta, kappa)[xi] of a
 model's residual term by term, for one ModalField xi; the solver assembles
 Model.jacobian on all basis fields at once instead.  The tests compare the
@@ -18,8 +24,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import roots_jacobi
 
-from rotstar.axisym import Discretization, Geometry
-from rotstar.numerics import gl_nodes
+from rotstar.axisym import N_SUB, Discretization, Geometry
+from rotstar.numerics import Ytilde, gl_nodes
+from rotstar.potentials import _split_panels
 from rotstar.vlasov import VPModel
 
 
@@ -85,7 +92,7 @@ def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
                   0.0)
     q_src = dw * star.u0p_of(zz) \
         * np.where(geo.inside, zz * xi.ratio(zz, geo.TH2), 0.0) / geo.g1_src
-    Vq, Vq0 = geo.potential_at_targets(geo.project_modes(q_src))
+    Vq, _, Vq0 = geo.potential_at_targets(geo.project_modes(q_src))
     # mfac = M/Mcal with Mcal the source-grid integral, Mcal' = -int q
     mfac_p = mfac * geo.volume_integral_src(q_src) / f["Mcal"]
 
@@ -105,3 +112,69 @@ def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
     out += kappa * omega2 * r_cyl * xi_t * disc.sin_theta[None, :] / geo.RC
     out += (-dh_c * rho_c + dh_0 * rho_00)[:, None] * mfac_p  # enthalpy terms
     return out
+
+
+def dense_potential_matrices(panels, ells, s_targets, n_sub=12):
+    """Matrices (A, Ap) with A @ sigma = Phi_l(s) and Ap @ sigma = Phi_l'(s)
+    for sigma given at panels.x, one pair per mode l in ells, each row formed
+    from its target's panel masks and split-panel quadrature."""
+    s = np.asarray(s_targets, dtype=float)
+    b = panels.edges[-1]
+    m = panels.order
+    tiny = 1e-12 * b
+    pidx = panels.panel_of(np.clip(s, panels.edges[0], b))
+    # panel p lies wholly inside [0, s] (below) or [s, b] (above)
+    below = panels.edges[None, 1:] <= (s + tiny)[:, None]
+    above = panels.edges[None, :-1] >= (s - tiny)[:, None]
+    at = np.arange(len(s))
+    idx = (~below[at, pidx] & ~above[at, pidx]).nonzero()[0]
+    below = np.repeat(below, m, axis=1)
+    above = np.repeat(above, m, axis=1)
+    # targets inside a panel split it; their rows fill that panel's columns
+    cols = pidx[idx, None] * m + np.arange(m)
+    halves = _split_panels(panels, pidx[idx], s[idx], n_sub)
+    small = s < tiny
+    ss = np.where(small, 1.0, s)
+    out = []
+    for l in ells:
+        win = panels.w * panels.x ** (l + 2)
+        wout = panels.w * panels.x ** (1 - l)
+        Iin = np.where(below, win, 0.0)
+        Iout = np.where(above, wout, 0.0)
+        for I, (t, w, T), power in zip((Iin, Iout), halves, (l + 2, 1 - l)):
+            I[idx[:, None], cols] += np.einsum("sq,sqm->sm", w * t ** power, T)
+        pref = 4.0 * np.pi / (2 * l + 1)
+        A = pref * (ss[:, None] ** -(l + 1) * Iin + ss[:, None] ** l * Iout)
+        Ap = pref * (-(l + 1) * ss[:, None] ** -(l + 2) * Iin
+                     + l * ss[:, None] ** (l - 1) * Iout)
+        if np.any(small):
+            # limit s -> 0: only the l=0 outer integral survives in Phi; Phi'(0)=0
+            A[small] = 0.0
+            Ap[small] = 0.0
+            if l == 0:
+                A[small] = pref * wout[None, :]
+        out.append((A, Ap))
+    return out
+
+
+def dense_density_jacobian(geo, c):
+    """Geometry.density_jacobian(c) from dense_potential_matrices at the
+    deformed targets and the origin: the potential of every basis field's
+    moved density at every target, minus its origin value, projected onto
+    the residual modes."""
+    disc = geo.disc
+    mats = dense_potential_matrices(geo.panels_t, disc.ells,
+                                    np.append(geo.s_t.ravel(), 0.0),
+                                    n_sub=N_SUB)
+    rows, cY = geo._source_basis(c)
+    n_tq, n_l, n_c = len(geo.tq), len(disc.ells), rows.shape[-1]
+    # sigma[l, i, k, c] = sum_j proj[l, j] c[i, j] Y_k(mu_j) rows[i, j, c]
+    lhs = disc.proj[None, :, None, :] * cY[:, None, :, :]
+    sigma = (lhs.reshape(n_tq, n_l * n_l, -1) @ rows).reshape(
+        n_tq, n_l, n_l * n_c).transpose(1, 0, 2)
+    shp = geo.s_t.shape + sigma.shape[2:]
+    V = np.zeros(shp)
+    for i, (A, _) in enumerate(mats):
+        V += (A[:-1] @ sigma[i]).reshape(shp) * disc.Yt[i][None, :, None]
+    V0 = (mats[0][0][-1] @ sigma[0]) * Ytilde([0], 1.0)[0]
+    return geo.project_modes(V - V0).reshape(n_l * len(geo.rc), -1)

@@ -128,6 +128,17 @@ def test_psi0_is_validated(tmp_path):
     assert run(tmp_path, "radial", "model = vp\npsi0 = nan\n") == 2
 
 
+@pytest.mark.parametrize("text", [
+    "gamma = 0.25\n", "gamma = 3\n", "eos = power_sum\nterms = 0:1.5\n",
+    "model = vp\npsi0 = 0\n"], ids=["gamma-low", "gamma-high",
+                                   "terms-coefficient", "psi0"])
+def test_law_value_out_of_range_is_config_error(tmp_path, capsys, text):
+    # the law rejects each value at construction; a bad config exits 2
+    assert run(tmp_path, "radial", text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_vp_mu_at_least_one_is_solver_error(tmp_path, capsys):
     # mu = 1.5 makes the matched power law divide by 3/2 - mu = 0
     assert run(tmp_path, "radial", "model = vp\nmu = 1.5\n") == 3

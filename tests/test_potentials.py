@@ -4,7 +4,8 @@ from scipy.integrate import quad, solve_ivp
 
 from rotstar.axisym import Discretization
 from rotstar.numerics import Panels, Ytilde
-from rotstar.potentials import mode_potential_matrices
+from rotstar.potentials import PotentialQuadrature, mode_potential_matrices
+from reference import dense_potential_matrices
 
 #: the constant l = 0 harmonic
 Y00 = Ytilde([0], 1.0)[0]
@@ -44,20 +45,59 @@ def test_monopole_of_uniform_ball():
     assert np.max(np.abs(dphi - (-4 * np.pi * s / 3))) < 1e-11
 
 
-@pytest.mark.parametrize("order, n_nodes", [(8, 96), (2, 64)])
-def test_batched_blocks_equal_single_mode_calls(order, n_nodes):
+#: modes of the batched and factored quadrature checks
+ELLS = (0, 1, 2, 4, 12)
+
+
+def _edge_grid(order, n_nodes):
+    """Panels of [0, 1.3] and targets at 0, on every edge and node, at
+    random points and beyond the outer edge."""
     b = 1.3
     pan = Panels.graded(b, n_nodes, order=order)
     rng = np.random.default_rng(7)
     s = np.concatenate([[0.0], pan.edges, pan.x, rng.uniform(0.0, b, 40),
                         [1.01 * b, 2.0 * b]])
-    ells = (0, 1, 2, 4, 12)
-    batched = mode_potential_matrices(pan, ells, s)
-    assert len(batched) == len(ells)
-    for l, (A, Ap) in zip(ells, batched):
+    return pan, s
+
+
+@pytest.mark.parametrize("order, n_nodes", [(8, 96), (2, 64)])
+def test_batched_blocks_equal_single_mode_calls(order, n_nodes):
+    pan, s = _edge_grid(order, n_nodes)
+    batched = mode_potential_matrices(pan, ELLS, s)
+    assert len(batched) == len(ELLS)
+    for l, (A, Ap) in zip(ELLS, batched):
         [(A1, Ap1)] = mode_potential_matrices(pan, (l,), s)
         assert np.array_equal(A, A1)
         assert np.array_equal(Ap, Ap1)
+
+
+@pytest.mark.parametrize("order, n_nodes", [(8, 96), (2, 64)])
+def test_dense_expansion_equals_per_target_matrices(order, n_nodes):
+    pan, s = _edge_grid(order, n_nodes)
+    for (A, Ap), (A1, Ap1) in zip(mode_potential_matrices(pan, ELLS, s),
+                                  dense_potential_matrices(pan, ELLS, s)):
+        assert np.array_equal(A, A1)
+        assert np.array_equal(Ap, Ap1)
+
+
+@pytest.mark.parametrize("order, n_nodes", [(8, 96), (2, 64)])
+def test_factored_quadrature_matches_dense_products(order, n_nodes):
+    pan, s = _edge_grid(order, n_nodes)
+    rng = np.random.default_rng(3)
+    sigma = rng.standard_normal((len(ELLS), len(pan)))
+    dense = dense_potential_matrices(pan, ELLS, s)
+    phi, dphi = PotentialQuadrature(pan, ELLS, s).apply(sigma)
+    for i, (A, Ap) in enumerate(dense):
+        for got, want in ((phi[i], A @ sigma[i]), (dphi[i], Ap @ sigma[i])):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # contracted over a target axis of 4
+    s2 = s.reshape(-1, 4)
+    w = rng.standard_normal((3, len(ELLS), 4))
+    K = PotentialQuadrature(pan, ELLS, s2).contract(w)
+    for i, (A, _) in enumerate(dense):
+        want = np.einsum("oj,rjk->ork", w[:, i], A.reshape(s2.shape + (-1,)))
+        assert np.max(np.abs(K[:, :, i] - want)) \
+            <= 1e-13 * np.max(np.abs(want))
 
 
 def test_uniform_ball_monopole_on_edges_and_nodes():

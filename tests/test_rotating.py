@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (jacobian_column_error, rand_deformation, shifted,
-                      zero_field)
+from conftest import (density_jacobian_error, jacobian_column_error,
+                      rand_deformation, shifted, zero_field)
 from reference import frechet_apply
 from rotstar.axisym import Discretization, Geometry, ModalField
 from rotstar.errors import DeformationError, SolverError
@@ -138,6 +138,15 @@ def test_frechet_matches_finite_differences(star15, ep_model, disc15):
     Fm, _ = evaluate_F(shifted(zeta, xi, -s), kap, ep_model, disc=disc15)
     fd = (Fp - Fm) / (2 * s)
     assert np.max(np.abs(dF - fd)) < 1e-5 * np.max(np.abs(fd))
+
+
+def test_density_jacobian_matches_dense_reference(star15, ep_model, disc15):
+    # the deformed field of test_jacobian_columns_match_frechet, where every
+    # target splits a panel
+    zeta = rand_deformation(np.random.default_rng(31), star15.R)
+    geo = Geometry(zeta, star15, disc15)
+    assert len(geo.quad.split) == geo.s_t.size
+    assert density_jacobian_error(ep_model, geo, 2e-3) < 1e-13
 
 
 @pytest.mark.parametrize("deformed", [False, True], ids=["zero", "deformed"])

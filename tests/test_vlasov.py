@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import beta
 
-from conftest import (jacobian_column_error, rand_deformation, shifted,
-                      zero_field)
+from conftest import (density_jacobian_error, jacobian_column_error,
+                      rand_deformation, shifted, zero_field)
 from reference import frechet_apply, w_quad
 from rotstar.axisym import Discretization, Geometry
 from rotstar.eos import power_law
@@ -155,6 +155,15 @@ def test_frechet_matches_finite_differences(vp_star, vp_model, vp_disc):
     Fm, _ = evaluate_F(shifted(zeta, xi, -s), kap, vp_model, disc=vp_disc)
     fd = (Fp - Fm) / (2 * s)
     assert np.max(np.abs(dF - fd)) < 1e-4 * np.max(np.abs(fd))
+
+
+def test_density_jacobian_matches_dense_reference(vp_star, vp_model, vp_disc):
+    # the deformed field of test_jacobian_columns_match_frechet, where every
+    # target splits a panel
+    zeta = rand_deformation(np.random.default_rng(41), vp_star.R)
+    geo = Geometry(zeta, vp_star, vp_disc)
+    assert len(geo.quad.split) == geo.s_t.size
+    assert density_jacobian_error(vp_model, geo, 1e-2) < 1e-13
 
 
 @pytest.mark.parametrize("deformed", [False, True], ids=["zero", "deformed"])
