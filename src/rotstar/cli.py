@@ -169,13 +169,16 @@ class RunConfig:
         raise ConfigError(f"unknown eos {self.eos_kind!r}")
 
     def make_ansatz(self):
-        """The configured ansatz; psi0 <= 0 is a config error."""
-        if self.psi0 is not None and not self.psi0 > 0:
-            raise ConfigError(f"psi0 must be positive, got {self.psi0!r}")
-        if self.psi0 is None:
-            return vlasov.VlasovAnsatz.matched_to_power_law(self.mu,
-                                                            psi2=self.psi2)
-        return vlasov.VlasovAnsatz(self.mu, psi0=self.psi0, psi2=self.psi2)
+        """The configured ansatz; a law value out of its range (psi0 <= 0,
+        mu >= 1) is a config error."""
+        try:
+            if self.psi0 is None:
+                return vlasov.VlasovAnsatz.matched_to_power_law(
+                    self.mu, psi2=self.psi2)
+            return vlasov.VlasovAnsatz(self.mu, psi0=self.psi0,
+                                       psi2=self.psi2)
+        except EOSError as e:
+            raise ConfigError(str(e)) from e
 
     def make_star(self):
         """The radial star of the configured model."""

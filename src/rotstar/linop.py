@@ -75,7 +75,7 @@ def assemble_mode(star, l, n=256, order=8, n_sub=12):
     x = panels.x
     u0p = star.u0p_of(x)
     rho0p = star.rho0p_of(x)
-    [(A, _)] = mode_potential_matrices(panels, (l,), x, n_sub=n_sub)
+    [A] = mode_potential_matrices(panels, (l,), x, n_sub=n_sub)
     origin, A_rel = None, A
     if l == 0:
         origin = origin_row(panels)[None, :]

@@ -16,11 +16,12 @@ PotentialQuadrature keeps this quadrature factored for one set of targets:
 per target, the whole panels below and above it; per mode, the weights of
 the split panel's nodes on either side of each target inside a panel; and
 the row scalings s^-(l+1), s^l and their derivatives.  Applied to one
-source it sums panels by prefix and suffix sums (apply); contracted with
-weights over a target axis it gives the potential blocks of a batch of
-sources without a per-target matrix (contract); dense expands it into the
-per-target matrices (A, Ap) of mode_potential_matrices.  The split-panel
-quadrature does not depend on l, so it is built once for all modes.
+source it sums panels by prefix and suffix sums and gives Phi_l and
+Phi_l' (apply); contracted with weights over a target axis it gives the
+potential blocks of a batch of sources without a per-target matrix
+(contract); dense expands it into the per-target matrices A of Phi_l of
+mode_potential_matrices.  The split-panel quadrature does not depend on
+l, so it is built once for all modes.
 """
 
 import numpy as np
@@ -160,9 +161,8 @@ class PotentialQuadrature:
         return K
 
     def dense(self):
-        """The matrices (A, Ap) with A @ sigma = Phi_l(s) and
-        Ap @ sigma = Phi_l'(s) at the flattened targets, one pair per mode
-        in ells."""
+        """The matrices A with A @ sigma = Phi_l(s) at the flattened
+        targets, one per mode in ells."""
         m = self.panels.order
         col_panel = np.repeat(np.arange(self.panels.n_panels), m)
         below = col_panel[None, :] < self.nb[:, None]
@@ -175,19 +175,15 @@ class PotentialQuadrature:
             Iin[self.split[:, None], cols] += self.win_split[i]
             Iout[self.split[:, None], cols] += self.wout_split[i]
             sc = self.scale[i][:, :, None]
-            A = sc[0] * Iin
-            A += sc[1] * Iout
-            A *= self.pref[i]
-            Iin *= sc[2]
-            Iout *= sc[3]
+            Iin *= sc[0]
+            Iout *= sc[1]
             Iin += Iout
             Iin *= self.pref[i]
-            out.append((A, Iin))
+            out.append(Iin)
         return out
 
 
 def mode_potential_matrices(panels, ells, s_targets, n_sub=12):
-    """Matrices (A, Ap) with A @ sigma = Phi_l(s) and Ap @ sigma = Phi_l'(s)
-    for sigma given at panels.x, one pair per mode l in ells: the dense
-    expansion of PotentialQuadrature."""
+    """Matrices A with A @ sigma = Phi_l(s) for sigma given at panels.x,
+    one per mode l in ells: the dense expansion of PotentialQuadrature."""
     return PotentialQuadrature(panels, ells, s_targets, n_sub).dense()

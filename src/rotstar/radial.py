@@ -8,8 +8,11 @@ is the integral equation
     u(x) = a - 4 pi R^2 int_0^x t (1 - t/x) rho(u(t)) dt,    u(1) = 0,
 
 solved by Newton for the nodal u on graded panels of [0, 1] and for R at
-once.  One more solve with its Jacobian differentiates the star along a
-(M'(a)) or along a scaling of the source (vlasov.scaling_response).
+once.  The integral operator is zero above its diagonal panel blocks, so
+each Newton system is solved panel by panel with R eliminated by its
+Schur complement (_solve_bordered); no (n + 1) x (n + 1) Jacobian is
+formed.  One more such solve differentiates the star along a (M'(a)) or
+along a scaling of the source (vlasov.scaling_response).
 """
 
 import functools
@@ -55,25 +58,43 @@ def _residual(K, e, a, u, R, rho_u):
                      a - R * R * float(e @ rho_u))
 
 
-def _jacobian(K, e, R, rho_u, d):
-    """Jacobian of _residual in (u, R), with d = rho'(u)."""
-    n = len(d)
-    J = np.empty((n + 1, n + 1))
-    np.multiply(K, 4.0 * np.pi * R * R * d, out=J[:n, :n])
-    J[np.arange(n), np.arange(n)] += 1.0
-    J[:n, n] = 8.0 * np.pi * R * (K @ rho_u)
-    J[n, :n] = -R * R * e * d
-    J[n, n] = -2.0 * R * float(e @ rho_u)
-    return J
+def _solve_bordered(K, e, R, rho_u, d, rhs_u, rhs_R):
+    """(du, dR) solving J [du; dR] = [rhs_u; rhs_R] for the Jacobian J of
+    _residual in (u, R), d = rho'(u), without forming J:
 
+        J = [[I + 4 pi R^2 K diag(d),  8 pi R K @ rho_u],
+             [-R^2 (e d)^T,            -2 R e @ rho_u]].
 
-def _solve_system(J, rhs):
-    """np.linalg.solve(J, rhs) for the radial Jacobian J, a singular J
-    raising SolverError."""
+    K is zero above its diagonal panel blocks, so the u-block is solved by
+    block forward substitution, one panel at a time, for rhs_u and the R
+    column together; dR then follows from its scalar Schur complement.  A
+    singular diagonal block, a zero or non-finite Schur complement or a
+    non-finite step raises SolverError."""
+    P, m = _UNIT.n_panels, _UNIT.order
+    s = 4.0 * np.pi * R * R
+    blocks = s * np.einsum("pipj->pij", K.reshape(P, m, P, m)) \
+        * d.reshape(P, 1, m) + np.eye(m)
     try:
-        return np.linalg.solve(J, rhs)
-    except np.linalg.LinAlgError as e:
-        raise SolverError(f"radial Jacobian: {e}") from e
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"radial Jacobian: singular panel block ({err})") \
+            from err
+    Y = np.column_stack([rhs_u, 8.0 * np.pi * R * (K @ rho_u)])
+    dY = np.empty_like(Y)
+    for p in range(P):
+        lo, hi = p * m, (p + 1) * m
+        Y[lo:hi] = inv[p] @ (Y[lo:hi] - s * (K[lo:hi, :lo] @ dY[:lo]))
+        dY[lo:hi] = d[lo:hi, None] * Y[lo:hi]
+    # du = y - z dR with (y, z) the columns of Y; the last row gives dR
+    ey = R * R * (e @ dY)
+    schur = ey[1] - 2.0 * R * float(e @ rho_u)
+    if not (np.isfinite(schur) and schur != 0.0):
+        raise SolverError(f"radial Jacobian: Schur complement of R is {schur}")
+    dR = (rhs_R + ey[0]) / schur
+    du = Y[:, 0] - Y[:, 1] * dR
+    if not (np.isfinite(dR) and np.all(np.isfinite(du))):
+        raise SolverError("radial Jacobian: the Newton step is not finite")
+    return du, dR
 
 
 def _solve_profile(eos, a, tol):
@@ -100,12 +121,13 @@ def _solve_profile(eos, a, tol):
         norm = np.max(np.abs(F))
         if norm <= tol * a:
             return u, rho_u, R
-        step = _solve_system(_jacobian(K, e, R, rho_u, eos.dhinv(u)), -F)
+        du, dR = _solve_bordered(K, e, R, rho_u, eos.dhinv(u), -F[:n],
+                                 -F[n])
         lam = 1.0
         for _ in range(_HALVINGS):
-            R_t = R + lam * step[n]
+            R_t = R + lam * dR
             if R_t > 0:
-                u_t = u + lam * step[:n]
+                u_t = u + lam * du
                 rho_t = eos.hinv(u_t)
                 F_t = _residual(K, e, a, u_t, R_t, rho_t)
                 if np.max(np.abs(F_t)) < norm:
@@ -191,9 +213,10 @@ def variation(star, c, sigma):
     u(r) = a + c p - 4 pi (1 + sigma p) int_0^r t (1 - t/r) rho(u) dt
     (c = 1, sigma = 0: along a; c = 0, sigma = 1: a scaled source).
 
-    One solve with the radial Jacobian gives nodal w = du/dp at fixed
-    x = r/R and R_p = dR/dp.  w vanishes at the surface, where rho'(u0)
-    may be singular, so rho'(u0) w integrates smoothly.  At fixed r,
+    One solve of the radial Newton system (_solve_bordered) gives nodal
+    w = du/dp at fixed x = r/R and R_p = dR/dp.  w vanishes at the
+    surface, where rho'(u0) may be singular, so rho'(u0) w integrates
+    smoothly.  At fixed r,
     v = w - r u0' R_p/R and v' = w'(x)/R + (u0' + 4 pi r rho) R_p/R (u0''
     from the radial equation).  Returns nodal v and v' on star.panels and
     m = dM/dp + sigma M = -R^2 v'(R): take v'(R) from m, since the nodal
@@ -202,10 +225,9 @@ def variation(star, c, sigma):
     R, u, up = star.R, star._u0_nodes, star._u0p_nodes
     x, (K, e) = _UNIT.x, _kernel()
     rho, d = star.eos.hinv(u), star.eos.dhinv(u)
-    rhs = np.append(c - 4.0 * np.pi * sigma * R * R * (K @ rho),
-                    sigma * R * R * float(e @ rho) - c)
-    sol = _solve_system(_jacobian(K, e, R, rho, d), rhs)
-    w, R_p = sol[:-1], sol[-1]
+    w, R_p = _solve_bordered(K, e, R, rho, d,
+                             c - 4.0 * np.pi * sigma * R * R * (K @ rho),
+                             sigma * R * R * float(e @ rho) - c)
     v = w - x * up * R_p
     dv = _flux(R, d * w + (sigma + 2.0 * R_p / R) * rho) \
         + (up + 4.0 * np.pi * R * x * rho) * R_p / R

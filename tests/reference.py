@@ -1,7 +1,9 @@
 """Independent references the solver never calls.
 
 shoot_profile integrates the radial equation as an initial value problem
-by scipy's RK45, the independent oracle of the radial Newton solve.
+by scipy's RK45, the independent oracle of the radial Newton solve;
+dense_radial_jacobian forms the (n + 1) x (n + 1) Jacobian of that Newton
+system, the oracle of its panel-by-panel solve radial._solve_bordered.
 
 w_quad evaluates the kinetic density w(kappa, r, u) of a VlasovAnsatz from
 its definition by Gauss-Jacobi and Gauss-Legendre quadrature, the oracle of
@@ -53,6 +55,20 @@ def shoot_profile(density, a, tol=1e-12):
                     atol=tol * 1e-2, dense_output=True, events=[zero])
     R = float(sol.t_events[0][0])
     return R, float(sol.sol(R)[2]), sol
+
+
+def dense_radial_jacobian(K, e, R, rho_u, d):
+    """Jacobian in (u, R) of the radial residual
+    (u - a + 4 pi R^2 K rho(u), a - R^2 e @ rho(u)), rho_u = rho(u),
+    d = rho'(u), as one dense matrix."""
+    n = len(d)
+    J = np.empty((n + 1, n + 1))
+    np.multiply(K, 4.0 * np.pi * R * R * d, out=J[:n, :n])
+    J[np.arange(n), np.arange(n)] += 1.0
+    J[:n, n] = 8.0 * np.pi * R * (K @ rho_u)
+    J[n, :n] = -R * R * e * d
+    J[n, n] = -2.0 * R * float(e @ rho_u)
+    return J
 
 
 def w_quad(ansatz, kappa, r, u, n_E=48, n_s=32):

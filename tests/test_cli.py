@@ -139,9 +139,10 @@ def test_law_value_out_of_range_is_config_error(tmp_path, capsys, text):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
-def test_vp_mu_at_least_one_is_solver_error(tmp_path, capsys):
-    # mu = 1.5 makes the matched power law divide by 3/2 - mu = 0
-    assert run(tmp_path, "radial", "model = vp\nmu = 1.5\n") == 3
+def test_vp_mu_at_least_one_is_config_error(tmp_path, capsys):
+    # mu = 1.5 makes the matched power law divide by 3/2 - mu = 0; like
+    # the other out-of-range law values it is a config error
+    assert run(tmp_path, "radial", "model = vp\nmu = 1.5\n") == 2
     err = capsys.readouterr().err
     assert "need mu < 1" in err and "Traceback" not in err
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rotstar.eos import power_law, power_sum
-from rotstar.errors import EOSError, UnboundStarError
-from reference import shoot_profile
+from rotstar import radial
+from rotstar.eos import PowerLawEOS, power_law, power_sum
+from rotstar.errors import EOSError, SolverError, UnboundStarError
+from reference import dense_radial_jacobian, shoot_profile
 from rotstar.radial import (gamma_43_identity_check, mass_curve,
                             mass_derivative, solve_radial)
 from rotstar.vlasov import VlasovAnsatz, solve_vp_radial
@@ -180,3 +181,44 @@ def test_stored_profile_matches_shot(model, param):
     u, up = shot.sol(r)[:2]
     assert np.max(np.abs(star.u0_of(r) - u)) < 1e-12 * star.a
     assert np.max(np.abs(star.u0p_of(r) - up)) < 1e-9 * np.max(np.abs(up))
+
+
+@pytest.mark.parametrize("model, param", STARS, ids=STAR_IDS)
+def test_bordered_solve_matches_dense_jacobian(model, param):
+    # the panel-by-panel solve of the radial Newton system against
+    # np.linalg.solve on its dense Jacobian at the converged star
+    star, _ = _star(model, param)
+    K, e = radial._kernel()
+    u = star._u0_nodes
+    rho, d = star.eos.hinv(u), star.eos.dhinv(u)
+    J = dense_radial_jacobian(K, e, star.R, rho, d)
+    rng = np.random.default_rng(5)
+    for rhs in rng.standard_normal((4, len(u) + 1)):
+        want = np.linalg.solve(J, rhs)
+        du, dR = radial._solve_bordered(K, e, star.R, rho, d, rhs[:-1],
+                                        rhs[-1])
+        got = np.append(du, dR)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class _NaNSlopeLaw(PowerLawEOS):
+    """gamma = 1.5 with a density slope that is NaN at one node."""
+
+    def dhinv(self, u):
+        d = super().dhinv(u)
+        if np.ndim(d) == 1:
+            d[len(d) // 2] = np.nan
+        return d
+
+
+def test_singular_radial_system_is_solver_error():
+    # no density: the R column and row vanish, so the Schur complement of
+    # R is zero
+    K, e = radial._kernel()
+    zero = np.zeros(len(e))
+    with pytest.raises(SolverError, match="Schur complement"):
+        radial._solve_bordered(K, e, 1.0, zero, zero, np.ones(len(e)), 1.0)
+    # a non-finite Newton system ends the solve with SolverError, not a
+    # LinAlgError or an inf step
+    with pytest.raises(SolverError, match="radial Jacobian"):
+        solve_radial(_NaNSlopeLaw(1.5), 1.0)
