@@ -8,8 +8,7 @@ continuation in the rotation intensity.
 from .eos import (EquationOfState, PowerLawEOS, PowerSumEOS,
                   RotationProfile, power_law, power_sum, constant_rotation,
                   validate_assumptions, check_mass_condition_b)
-from .radial import (RadialStar, solve_radial, mass_derivative,
-                     gamma_43_identity_check, mass_curve)
+from .radial import RadialStar, solve_radial, mass_derivative, mass_curve
 from .linop import ModeOperator, assemble_mode, kernel_margin_ladder, solve
 from .axisym import EPS0, Discretization, Geometry, ModalField
 from .rotating import (EPModel, RotatingSolution, ShapeReport,

@@ -48,7 +48,7 @@ class ModalField:
         self.R_dom = float(panels.edges[-1])
         self.r_small = R_SMALL * self.R_dom
         # nodal derivative values per mode
-        self.dcoefs = self.coefs @ panels.diff_matrix().T
+        self.dcoefs = panels.derivative(self.coefs)
 
     def _eval(self, r, theta, *parts):
         """The parts ("value", "d_r" or "d_theta") of zeta at the points
@@ -69,12 +69,6 @@ class ModalField:
 
     def value(self, r, theta):
         return self._eval(r, theta, "value")[0]
-
-    def d_r(self, r, theta):
-        return self._eval(r, theta, "d_r")[0]
-
-    def d_theta(self, r, theta):
-        return self._eval(r, theta, "d_theta")[0]
 
     def ratio(self, r, theta):
         """zeta/|x|^2, held at its value at r_small inside r_small."""

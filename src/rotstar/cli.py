@@ -241,7 +241,7 @@ def cmd_mass_curve(cfg):
     return 0
 
 
-def cmd_kernel_margin(cfg):
+def cmd_margin(cfg):
     """sigma_min per mode and node count, raw and scale-free: the raw value
     scales like a/R^2 under the power-law scaling, sigma_min R^2/a not."""
     star = cfg.make_star()
@@ -265,7 +265,7 @@ def cmd_perturb(cfg):
         kappa = kappa if kappa > 0 else 1e-2
         report = vlasov.vp_rotation_response(star, kappa, n=cfg.n)
         scale = 1.0
-        line = f"vp-perturb: kappa={kappa:g} xi_2(R)={report.xi_R[2]:.6e}"
+        line = f"perturb vp: kappa={kappa:g} xi_2(R)={report.xi_R[2]:.6e}"
     else:
         report = rotating.first_order_shape(
             star, constant_rotation(cfg.omega), n=cfg.n)
@@ -331,33 +331,24 @@ def cmd_eos_check(cfg):
 COMMANDS = {
     "radial": cmd_radial,
     "mass-curve": cmd_mass_curve,
-    "kernel-margin": cmd_kernel_margin,
+    "kernel-margin": cmd_margin,
     "perturb": cmd_perturb,
     "continue": cmd_continue,
     "eos-check": cmd_eos_check,
 }
-
-#: kinetic spellings of the model-dispatching commands: run with model = vp
-ALIASES = {"vp-radial": "radial", "vp-perturb": "perturb",
-           "vp-continue": "continue"}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="rotstar",
                                  description="rotating self-gravitating "
                                              "steady states")
-    ap.add_argument("command", choices=sorted([*COMMANDS, *ALIASES]))
+    ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", required=True, help="flat key=value file")
     ap.add_argument("--out", default=None, help="output directory")
     args = ap.parse_args(argv)
-    command = args.command
     try:
-        data = parse_config(args.config)
-        if command in ALIASES:
-            data["model"] = "vp"
-            command = ALIASES[command]
-        cfg = RunConfig(data, out_dir=args.out)
-        return COMMANDS[command](cfg)
+        cfg = RunConfig(parse_config(args.config), out_dir=args.out)
+        return COMMANDS[args.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -1,10 +1,13 @@
 """Shared numerical kernels.
 
 Composite Gauss-Legendre quadrature on graded panels, whose nodal values
-double as a piecewise-polynomial representation (interpolation,
-differentiation and cumulative integration matrices), axisymmetric
-spherical harmonics, and small dense linear algebra helpers.
+double as a piecewise-polynomial representation (interpolation, and
+differentiation and cumulative integration panel by panel from one pair of
+reference matrices per order), axisymmetric spherical harmonics, and small
+dense linear algebra helpers.
 """
+
+import functools
 
 import numpy as np
 
@@ -67,18 +70,6 @@ def smallest_singular_value(A):
     return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
-def _bary_diff_matrix(x, bw):
-    """Differentiation matrix on polynomial nodes x with barycentric weights bw."""
-    m = len(x)
-    D = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                D[i, j] = (bw[j] / bw[i]) / (x[i] - x[j])
-        D[i, i] = -np.sum(D[i])
-    return D
-
-
 def _bary_weights(x):
     """Barycentric interpolation weights for nodes x."""
     m = len(x)
@@ -87,6 +78,29 @@ def _bary_weights(x):
         d = x[j] - np.delete(x, j)
         w[j] = 1.0 / np.prod(d)
     return w
+
+
+@functools.cache
+def reference_matrices(order):
+    """(D, I) on the order Gauss-Legendre nodes of [-1, 1]: D @ f is the
+    nodal derivative and I @ f the nodal integral from -1 of the
+    interpolant of the nodal values f; shared, so read-only."""
+    xg, wg = gl_nodes(order)
+    bw = _bary_weights(xg)
+    gap = xg[:, None] - xg
+    np.fill_diagonal(gap, 1.0)
+    D = (bw / bw[:, None]) / gap
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    # Legendre coefficients of the Lagrange basis, by exact Gauss
+    # quadrature: c[k, j] = (2k + 1)/2 w_j P_k(x_j)
+    coef = (np.polynomial.legendre.legvander(xg, order - 1).T
+            * wg * (np.arange(order) + 0.5)[:, None])
+    anti = np.polynomial.legendre.legint(coef, lbnd=-1.0)
+    I = np.polynomial.legendre.legval(xg, anti).T
+    for M in (D, I):
+        M.setflags(write=False)
+    return D, I
 
 
 class Panels:
@@ -110,8 +124,6 @@ class Panels:
         self.n_panels = len(edges) - 1
         self._ref_bw = _bary_weights(xg)
         self._xg = xg
-        self._diff = None
-        self._cum = None
 
     @classmethod
     def graded(cls, b, n_nodes, order=8, a=0.0):
@@ -123,9 +135,6 @@ class Panels:
 
     def __len__(self):
         return len(self.x)
-
-    def integrate(self, fvals):
-        return float(np.dot(self.w, fvals))
 
     def panel_of(self, r):
         """Panel index containing each r (clamped to the boundary panels)."""
@@ -165,40 +174,31 @@ class Panels:
           p[:, None] * self.order + np.arange(self.order)] = rows
         return T
 
-    def diff_matrix(self):
-        """Block-diagonal matrix D with D @ fvals = nodal values of the
-        derivative of the piecewise interpolant (built once per Panels)."""
-        if self._diff is None:
-            Dref = _bary_diff_matrix(self._xg, self._ref_bw)
-            m = self.order
-            D = np.zeros((len(self.x), len(self.x)))
-            for p in range(self.n_panels):
-                scale = 2.0 / (self.edges[p + 1] - self.edges[p])
-                D[p * m:(p + 1) * m, p * m:(p + 1) * m] = scale * Dref
-            self._diff = D
-        return self._diff
+    def _by_panel(self, f):
+        """f as (..., n_panels, order) and the half widths of the panels."""
+        f = np.asarray(f, dtype=float)
+        return (f.reshape(f.shape[:-1] + (self.n_panels, self.order)),
+                0.5 * np.diff(self.edges)[:, None])
 
-    def cumulative_matrix(self):
-        """Matrix C with C @ fvals = nodal values of the integral from
-        edges[0] of the piecewise interpolant (built once per Panels): the
-        integral over the node's own panel up to the node plus the full
-        weights of the earlier panels."""
-        if self._cum is None:
-            m = self.order
-            # Legendre coefficients of the Lagrange basis, by exact Gauss
-            # quadrature: c[k, j] = (2k + 1)/2 w_j P_k(x_j)
-            _, wg = gl_nodes(m)
-            coef = (np.polynomial.legendre.legvander(self._xg, m - 1).T
-                    * wg * (np.arange(m) + 0.5)[:, None])
-            anti = np.polynomial.legendre.legint(coef, lbnd=-1.0)
-            Iref = np.polynomial.legendre.legval(self._xg, anti).T
-            C = np.zeros((len(self.x), len(self.x)))
-            for p in range(self.n_panels):
-                half = 0.5 * (self.edges[p + 1] - self.edges[p])
-                C[p * m:(p + 1) * m, p * m:(p + 1) * m] = half * Iref
-                C[p * m:(p + 1) * m, :p * m] = self.w[:p * m]
-            self._cum = C
-        return self._cum
+    def derivative(self, f):
+        """Nodal values of the derivative of the piecewise interpolant of
+        the nodal values f, along the last axis, panel by panel."""
+        fp, half = self._by_panel(f)
+        D = reference_matrices(self.order)[0]
+        return ((fp @ D.T) / half).reshape(np.shape(f))
+
+    def cumulative(self, f):
+        """Nodal values of the integral from edges[0] of the piecewise
+        interpolant of the nodal values f, along the last axis: the integral
+        over the node's own panel up to the node plus the quadrature of the
+        earlier panels."""
+        fp, half = self._by_panel(f)
+        I = reference_matrices(self.order)[1]
+        whole = np.einsum("...pk,pk->...p", fp,
+                          self.w.reshape(fp.shape[-2:]))
+        before = np.zeros(whole.shape)
+        np.cumsum(whole[..., :-1], axis=-1, out=before[..., 1:])
+        return (half * (fp @ I.T) + before[..., None]).reshape(np.shape(f))
 
     def interp(self, fvals, r):
         """Interpolant of the nodal values fvals at the points r (any

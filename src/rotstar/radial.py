@@ -8,19 +8,18 @@ is the integral equation
     u(x) = a - 4 pi R^2 int_0^x t (1 - t/x) rho(u(t)) dt,    u(1) = 0,
 
 solved by Newton for the nodal u on graded panels of [0, 1] and for R at
-once.  The integral operator is zero above its diagonal panel blocks, so
-each Newton system is solved panel by panel with R eliminated by its
-Schur complement (_solve_bordered); no (n + 1) x (n + 1) Jacobian is
-formed.  One more such solve differentiates the star along a (M'(a)) or
-along a scaling of the source (vlasov.scaling_response).
+once.  The integral operator K is applied by two panel-wise cumulative
+integrals and never formed.  It is zero above its diagonal panel blocks
+and rank two below them, so each Newton system is solved panel by panel
+with R eliminated by its Schur complement (_solve_bordered); no n x n
+matrix is formed.  One more such solve differentiates the star along a
+(M'(a)) or along a scaling of the source (vlasov.scaling_response).
 """
-
-import functools
 
 import numpy as np
 
 from .errors import EOSError, SolverError, UnboundStarError
-from .numerics import Panels
+from .numerics import Panels, reference_matrices
 
 #: nodes of the uniform output grid of a star (to_json_dict)
 N_GRID = 512
@@ -30,21 +29,30 @@ PROFILE_NODES, PROFILE_ORDER = 512, 16
 _UNIT = Panels.graded(1.0, PROFILE_NODES, PROFILE_ORDER)
 #: step cap of the radial Newton and halvings per step of its line search
 _NEWTON_ITERS, _HALVINGS = 50, 40
+#: e with e @ f = 4 pi int_0^1 t (1 - t) f(t) dt, the R row of the system
+_E = 4.0 * np.pi * _UNIT.w * _UNIT.x * (1.0 - _UNIT.x)
+#: the 16 x 16 diagonal panel blocks of K, K_ij = x_j (1 - x_j/x_i)
+#: int_{a_p}^{x_i} L_j for the Lagrange basis L_j of panel p
+_XP = _UNIT.x.reshape(_UNIT.n_panels, 1, PROFILE_ORDER)
+_K_BLOCKS = 0.5 * np.diff(_UNIT.edges)[:, None, None] \
+    * reference_matrices(PROFILE_ORDER)[1] \
+    * _XP * (1.0 - _XP / _XP.swapaxes(1, 2))
+#: K below those blocks is K_ij = w_j x_j (1 - x_j/x_i): rank two, from
+#: the sums of w x f and w x^2 f over the earlier panels
+_W_BELOW = _UNIT.w * np.stack([_UNIT.x, _UNIT.x ** 2])
 
 
-@functools.cache
-def _kernel():
-    """K with (K @ f)_i = int_0^x_i t (1 - t/x_i) f(t) dt on _UNIT and e
-    with e @ f = 4 pi int_0^1 t (1 - t) f(t) dt; shared, never written."""
-    C, x = _UNIT.cumulative_matrix(), _UNIT.x
-    return (C * x - (C * x ** 2) / x[:, None],
-            4.0 * np.pi * _UNIT.w * x * (1.0 - x))
+def _apply_K(f):
+    """(K f)_i = int_0^x_i t (1 - t/x_i) f(t) dt on _UNIT, panel by panel."""
+    x = _UNIT.x
+    c = _UNIT.cumulative(np.stack([x * f, x * x * f]))
+    return c[0] - c[1] / x
 
 
 def _flux(R, q):
     """Nodal d/dr of c - 4 pi R^2 K q: -4 pi int_0^r s^2 q ds / r^2."""
     x2 = _UNIT.x ** 2
-    return -4.0 * np.pi * R * (_UNIT.cumulative_matrix() @ (x2 * q)) / x2
+    return -4.0 * np.pi * R * _UNIT.cumulative(x2 * q) / x2
 
 
 def _enclosed(R, q):
@@ -52,42 +60,46 @@ def _enclosed(R, q):
     return 4.0 * np.pi * R ** 3 * float(_UNIT.w @ (_UNIT.x ** 2 * q))
 
 
-def _residual(K, e, a, u, R, rho_u):
-    """(u - a + 4 pi R^2 K rho(u), a - R^2 e @ rho(u)), rho_u = rho(u)."""
-    return np.append(u - a + 4.0 * np.pi * R * R * (K @ rho_u),
-                     a - R * R * float(e @ rho_u))
+def _residual(a, u, R, rho_u):
+    """(u - a + 4 pi R^2 K rho(u), a - R^2 e @ rho(u)) and K rho(u),
+    rho_u = rho(u)."""
+    k_rho = _apply_K(rho_u)
+    return (np.append(u - a + 4.0 * np.pi * R * R * k_rho,
+                      a - R * R * float(_E @ rho_u)), k_rho)
 
 
-def _solve_bordered(K, e, R, rho_u, d, rhs_u, rhs_R):
+def _solve_bordered(R, rho_u, k_rho, d, rhs_u, rhs_R):
     """(du, dR) solving J [du; dR] = [rhs_u; rhs_R] for the Jacobian J of
-    _residual in (u, R), d = rho'(u), without forming J:
+    _residual in (u, R), d = rho'(u), k_rho = K rho(u), without forming J:
 
-        J = [[I + 4 pi R^2 K diag(d),  8 pi R K @ rho_u],
+        J = [[I + 4 pi R^2 K diag(d),  8 pi R K rho_u],
              [-R^2 (e d)^T,            -2 R e @ rho_u]].
 
-    K is zero above its diagonal panel blocks, so the u-block is solved by
-    block forward substitution, one panel at a time, for rhs_u and the R
-    column together; dR then follows from its scalar Schur complement.  A
-    singular diagonal block, a zero or non-finite Schur complement or a
-    non-finite step raises SolverError."""
-    P, m = _UNIT.n_panels, _UNIT.order
+    K is zero above its diagonal panel blocks and rank two below them, so
+    the u-block is solved by block forward substitution, one panel at a
+    time, for rhs_u and the R column together, with the earlier panels
+    entering by two running sums; dR then follows from its scalar Schur
+    complement.  A singular diagonal block, a zero or non-finite Schur
+    complement or a non-finite step raises SolverError."""
+    m, x = _UNIT.order, _UNIT.x
     s = 4.0 * np.pi * R * R
-    blocks = s * np.einsum("pipj->pij", K.reshape(P, m, P, m)) \
-        * d.reshape(P, 1, m) + np.eye(m)
     try:
-        inv = np.linalg.inv(blocks)
+        inv = np.linalg.inv(s * _K_BLOCKS * d.reshape(-1, 1, m) + np.eye(m))
     except np.linalg.LinAlgError as err:
         raise SolverError(f"radial Jacobian: singular panel block ({err})") \
             from err
-    Y = np.column_stack([rhs_u, 8.0 * np.pi * R * (K @ rho_u)])
+    Y = np.column_stack([rhs_u, 8.0 * np.pi * R * k_rho])
     dY = np.empty_like(Y)
-    for p in range(P):
-        lo, hi = p * m, (p + 1) * m
-        Y[lo:hi] = inv[p] @ (Y[lo:hi] - s * (K[lo:hi, :lo] @ dY[:lo]))
-        dY[lo:hi] = d[lo:hi, None] * Y[lo:hi]
+    sums = np.zeros((2, 2))   # (sum w x dY, sum w x^2 dY) of earlier panels
+    for p in range(_UNIT.n_panels):
+        sl = slice(p * m, (p + 1) * m)
+        below = sums[0] - sums[1] / x[sl, None]
+        Y[sl] = inv[p] @ (Y[sl] - s * below)
+        dY[sl] = d[sl, None] * Y[sl]
+        sums += _W_BELOW[:, sl] @ dY[sl]
     # du = y - z dR with (y, z) the columns of Y; the last row gives dR
-    ey = R * R * (e @ dY)
-    schur = ey[1] - 2.0 * R * float(e @ rho_u)
+    ey = R * R * (_E @ dY)
+    schur = ey[1] - 2.0 * R * float(_E @ rho_u)
     if not (np.isfinite(schur) and schur != 0.0):
         raise SolverError(f"radial Jacobian: Schur complement of R is {schur}")
     dR = (rhs_R + ey[0]) / schur
@@ -113,15 +125,15 @@ def _solve_profile(eos, a, tol):
     if not s_a > 0:
         raise UnboundStarError(f"source({a}) = {s_a} is not positive")
     r_max = 1e3 * np.sqrt(6.0 * a / s_a)
-    (K, e), n = _kernel(), len(_UNIT)
+    n = len(_UNIT)
     u, R = a * np.sinc(_UNIT.x), np.pi * np.sqrt(a / s_a)
     rho_u = eos.hinv(u)
-    F = _residual(K, e, a, u, R, rho_u)
+    F, k_rho = _residual(a, u, R, rho_u)
     for _ in range(_NEWTON_ITERS):
         norm = np.max(np.abs(F))
         if norm <= tol * a:
             return u, rho_u, R
-        du, dR = _solve_bordered(K, e, R, rho_u, eos.dhinv(u), -F[:n],
+        du, dR = _solve_bordered(R, rho_u, k_rho, eos.dhinv(u), -F[:n],
                                  -F[n])
         lam = 1.0
         for _ in range(_HALVINGS):
@@ -129,14 +141,14 @@ def _solve_profile(eos, a, tol):
             if R_t > 0:
                 u_t = u + lam * du
                 rho_t = eos.hinv(u_t)
-                F_t = _residual(K, e, a, u_t, R_t, rho_t)
+                F_t, k_t = _residual(a, u_t, R_t, rho_t)
                 if np.max(np.abs(F_t)) < norm:
                     break
             lam *= 0.5
         else:
             raise SolverError(f"radial Newton stalls at |F| = {norm:.3e} "
                               f"(tolerance {tol * a:.3e})")
-        u, R, rho_u, F = u_t, R_t, rho_t, F_t
+        u, R, rho_u, F, k_rho = u_t, R_t, rho_t, F_t, k_t
         if not R < r_max:
             raise UnboundStarError(f"radius {R:.6g} left (0, {r_max:.6g}): "
                                    "no zero of u within reach")
@@ -223,11 +235,12 @@ def variation(star, c, sigma):
     v' carry the (R - r)^(1 + alpha) term of rho(u0) (rho' ~ u^alpha)
     that the last panel's polynomial does not resolve."""
     R, u, up = star.R, star._u0_nodes, star._u0p_nodes
-    x, (K, e) = _UNIT.x, _kernel()
+    x = _UNIT.x
     rho, d = star.eos.hinv(u), star.eos.dhinv(u)
-    w, R_p = _solve_bordered(K, e, R, rho, d,
-                             c - 4.0 * np.pi * sigma * R * R * (K @ rho),
-                             sigma * R * R * float(e @ rho) - c)
+    k_rho = _apply_K(rho)
+    w, R_p = _solve_bordered(R, rho, k_rho, d,
+                             c - 4.0 * np.pi * sigma * R * R * k_rho,
+                             sigma * R * R * float(_E @ rho) - c)
     v = w - x * up * R_p
     dv = _flux(R, d * w + (sigma + 2.0 * R_p / R) * rho) \
         + (up + 4.0 * np.pi * R * x * rho) * R_p / R
@@ -240,24 +253,6 @@ def mass_derivative(star):
     v_a' as nodal values on star.panels (see variation)."""
     v, dv, mp = variation(star, 1.0, 0.0)
     return mp, v, dv
-
-
-def gamma_43_identity_check(star):
-    """Scaling identity for pure power laws:
-    a (2(g-1)/(2-g)) v_a'(R) = ((3g-4)/(2-g)) u0'(R).
-
-    Returns |LHS - RHS| / max(|RHS|, 1e-8 |u0'(R)|), so the gamma=4/3 case
-    (both sides ~ 0) is graded on an absolute scale.
-    """
-    from .eos import PowerLawEOS
-    if not isinstance(star.eos, PowerLawEOS):
-        raise EOSError("identity check requires a pure power law")
-    g = star.eos.gamma
-    vap = -mass_derivative(star)[0] / star.R ** 2   # the flux at R
-    up = float(star.u0p_of(star.R))
-    lhs = star.a * (2.0 * (g - 1.0) / (2.0 - g)) * vap
-    rhs = ((3.0 * g - 4.0) / (2.0 - g)) * up
-    return abs(lhs - rhs) / max(abs(rhs), 1e-8 * abs(up))
 
 
 def mass_curve(eos, a_range, n, tol=1e-12):

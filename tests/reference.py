@@ -2,8 +2,12 @@
 
 shoot_profile integrates the radial equation as an initial value problem
 by scipy's RK45, the independent oracle of the radial Newton solve;
-dense_radial_jacobian forms the (n + 1) x (n + 1) Jacobian of that Newton
-system, the oracle of its panel-by-panel solve radial._solve_bordered.
+dense_radial_kernel forms its integral operator K as one dense matrix from
+the product-form Lagrange basis of each panel, the oracle of the
+panel-by-panel product in radial; dense_radial_jacobian forms the
+(n + 1) x (n + 1) Jacobian of that Newton system, the oracle of its
+panel-by-panel solve radial._solve_bordered; gamma_43_identity_check grades
+the power-law scaling identity that M'(a) must satisfy.
 
 w_quad evaluates the kinetic density w(kappa, r, u) of a VlasovAnsatz from
 its definition by Gauss-Jacobi and Gauss-Legendre quadrature, the oracle of
@@ -27,8 +31,11 @@ from scipy.integrate import solve_ivp
 from scipy.special import roots_jacobi
 
 from rotstar.axisym import N_SUB, Discretization, Geometry
+from rotstar.eos import PowerLawEOS
+from rotstar.errors import EOSError
 from rotstar.numerics import Ytilde, gl_nodes
 from rotstar.potentials import _split_panels
+from rotstar.radial import mass_derivative
 from rotstar.vlasov import VPModel
 
 
@@ -57,6 +64,33 @@ def shoot_profile(density, a, tol=1e-12):
     return R, float(sol.sol(R)[2]), sol
 
 
+def dense_radial_kernel(panels):
+    """(K, e) on panels of [0, 1]: (K f)_i = int_0^x_i t (1 - t/x_i) f(t) dt
+    and e @ f = 4 pi int_0^1 t (1 - t) f(t) dt for nodal f, t f(t) taken as
+    the interpolant of the nodal x f.  Below the diagonal panel blocks
+    K_ij = w_j x_j (1 - x_j/x_i); in the block of panel p,
+    K_ij = x_j (1 - x_j/x_i) int_{a_p}^{x_i} L_j with L_j the panel's
+    product-form Lagrange basis, integrated by Gauss-Legendre."""
+    x, w, m = panels.x, panels.w, panels.order
+    panel = np.arange(len(x)) // m
+    K = np.where(panel[None, :] < panel[:, None],
+                 w * x * (1.0 - x / x[:, None]), 0.0)
+    tg, wg = np.polynomial.legendre.leggauss(m)
+    for p in range(panels.n_panels):
+        lo, hi = p * m, (p + 1) * m
+        nodes, a = x[lo:hi], panels.edges[p]
+        half = 0.5 * (nodes - a)
+        t = a + half[:, None] * (tg + 1.0)            # (node i, point q)
+        L = np.empty((m, m, m))                       # (i, q, j)
+        for j in range(m):
+            others = np.delete(nodes, j)
+            L[:, :, j] = np.prod((t[..., None] - others)
+                                 / (nodes[j] - others), axis=-1)
+        integral = half[:, None] * np.einsum("q,iqj->ij", wg, L)
+        K[lo:hi, lo:hi] = nodes * (1.0 - nodes / nodes[:, None]) * integral
+    return K, 4.0 * np.pi * w * x * (1.0 - x)
+
+
 def dense_radial_jacobian(K, e, R, rho_u, d):
     """Jacobian in (u, R) of the radial residual
     (u - a + 4 pi R^2 K rho(u), a - R^2 e @ rho(u)), rho_u = rho(u),
@@ -69,6 +103,23 @@ def dense_radial_jacobian(K, e, R, rho_u, d):
     J[n, :n] = -R * R * e * d
     J[n, n] = -2.0 * R * float(e @ rho_u)
     return J
+
+
+def gamma_43_identity_check(star):
+    """Scaling identity for pure power laws:
+    a (2(g-1)/(2-g)) v_a'(R) = ((3g-4)/(2-g)) u0'(R).
+
+    Returns |LHS - RHS| / max(|RHS|, 1e-8 |u0'(R)|), so the gamma=4/3 case
+    (both sides ~ 0) is graded on an absolute scale.
+    """
+    if not isinstance(star.eos, PowerLawEOS):
+        raise EOSError("identity check requires a pure power law")
+    g = star.eos.gamma
+    vap = -mass_derivative(star)[0] / star.R ** 2   # the flux at R
+    up = float(star.u0p_of(star.R))
+    lhs = star.a * (2.0 * (g - 1.0) / (2.0 - g)) * vap
+    rhs = ((3.0 * g - 4.0) / (2.0 - g)) * up
+    return abs(lhs - rhs) / max(abs(rhs), 1e-8 * abs(up))
 
 
 def w_quad(ansatz, kappa, r, u, n_E=48, n_s=32):

@@ -15,7 +15,7 @@ def test_gauss_legendre_polynomial_exactness():
         f = np.polynomial.Polynomial(coef)
         exact = f.integ()(2.5) - f.integ()(-0.7)
         pan = Panels([-0.7, 2.5], n)
-        assert pan.integrate(f(pan.x)) == pytest.approx(exact, rel=1e-13)
+        assert pan.w @ f(pan.x) == pytest.approx(exact, rel=1e-13)
 
 
 def test_gauss_legendre_validates_input():
@@ -27,7 +27,7 @@ def test_gauss_legendre_validates_input():
 
 def test_gauss_legendre_matches_quad():
     pan = Panels([0.0, 2.0], 40)
-    val = pan.integrate(np.exp(-pan.x) * np.cos(3 * pan.x))
+    val = pan.w @ (np.exp(-pan.x) * np.cos(3 * pan.x))
     ref, _ = quad(lambda t: np.exp(-t) * np.cos(3 * t), 0.0, 2.0)
     assert val == pytest.approx(ref, abs=1e-13)
 
@@ -81,18 +81,37 @@ def test_dY_dtheta_vanishes_at_poles():
 
 @pytest.mark.parametrize("b, order", [(1.0, 16), (3.7, 8)])
 def test_cumulative_matrix_integrates_polynomials(b, order):
-    # C @ p is the antiderivative from 0 of p at every node, for every
-    # degree below order (each panel integrates its interpolant exactly)
+    # cumulative(p) is the antiderivative from 0 of p at every node, for
+    # every degree below order (each panel integrates its interpolant
+    # exactly), row by row of a batch
     pan = Panels.graded(b, 512, order)
-    C = pan.cumulative_matrix()
-    assert C is pan.cumulative_matrix()
     rng = np.random.default_rng(1)
-    for deg in range(order):
-        f = np.polynomial.Polynomial(rng.standard_normal(deg + 1),
-                                     domain=[0.0, b])
+    polys = [np.polynomial.Polynomial(rng.standard_normal(deg + 1),
+                                      domain=[0.0, b]) for deg in range(order)]
+    got = pan.cumulative(np.array([f(pan.x) for f in polys]))
+    for f, row in zip(polys, got):
         want = f.integ(lbnd=0.0)(pan.x)
-        assert np.max(np.abs(C @ f(pan.x) - want)) \
+        assert np.max(np.abs(row - want)) \
             < 1e-13 * max(1.0, np.max(np.abs(want)))
+    assert np.array_equal(pan.cumulative(polys[-1](pan.x)), got[-1])
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_derivative_differentiates_polynomials(order):
+    # derivative(p) is p' at every node for every degree below order, on
+    # an (n_l, n) batch of mode profiles like the one ModalField passes
+    pan = Panels.graded(2.0, 6 * order, order)
+    rng = np.random.default_rng(2)
+    for deg in range(order):
+        polys = [np.polynomial.Polynomial(rng.standard_normal(deg + 1),
+                                          domain=[0.0, 2.0])
+                 for _ in range(7)]
+        got = pan.derivative(np.array([f(pan.x) for f in polys]))
+        assert got.shape == (7, len(pan))
+        for f, row in zip(polys, got):
+            want = f.deriv()(pan.x)
+            assert np.max(np.abs(row - want)) \
+                < 1e-11 * max(1.0, np.max(np.abs(want)))
 
 
 def test_smallest_singular_value_known_matrix():
@@ -105,8 +124,8 @@ def test_smallest_singular_value_known_matrix():
 def test_panels_quadrature_and_interpolation():
     pan = Panels.graded(2.0, 48, order=8)
     f = pan.x ** 5 - 2 * pan.x ** 2
-    assert pan.integrate(f) == pytest.approx(2.0 ** 6 / 6 - 2 * 2.0 ** 3 / 3,
-                                             rel=1e-14)
+    assert pan.w @ f == pytest.approx(2.0 ** 6 / 6 - 2 * 2.0 ** 3 / 3,
+                                      rel=1e-14)
     r = np.linspace(0.01, 1.99, 57)
     vals = pan.interp(f, r)
     assert np.max(np.abs(vals - (r ** 5 - 2 * r ** 2))) < 1e-12

@@ -4,9 +4,9 @@ import pytest
 from rotstar import radial
 from rotstar.eos import PowerLawEOS, power_law, power_sum
 from rotstar.errors import EOSError, SolverError, UnboundStarError
-from reference import dense_radial_jacobian, shoot_profile
-from rotstar.radial import (gamma_43_identity_check, mass_curve,
-                            mass_derivative, solve_radial)
+from reference import (dense_radial_jacobian, dense_radial_kernel,
+                       gamma_43_identity_check, shoot_profile)
+from rotstar.radial import mass_curve, mass_derivative, solve_radial
 from rotstar.vlasov import VlasovAnsatz, solve_vp_radial
 
 SQRT_PI_2 = np.sqrt(np.pi / 2.0)
@@ -183,19 +183,36 @@ def test_stored_profile_matches_shot(model, param):
     assert np.max(np.abs(star.u0p_of(r) - up)) < 1e-9 * np.max(np.abs(up))
 
 
+@pytest.fixture(scope="module")
+def unit_kernel():
+    return dense_radial_kernel(radial._UNIT)
+
+
+def test_panel_kernel_matches_dense_oracle(unit_kernel, star15):
+    # K f applied panel by panel against the dense K of the oracle
+    K, e = unit_kernel
+    assert np.array_equal(e, radial._E)
+    rng = np.random.default_rng(7)
+    for f in (*rng.standard_normal((3, len(e))), np.ones(len(e)),
+              star15.eos.hinv(star15._u0_nodes)):
+        want = K @ f
+        got = radial._apply_K(f)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("model, param", STARS, ids=STAR_IDS)
-def test_bordered_solve_matches_dense_jacobian(model, param):
+def test_bordered_solve_matches_dense_jacobian(model, param, unit_kernel):
     # the panel-by-panel solve of the radial Newton system against
     # np.linalg.solve on its dense Jacobian at the converged star
     star, _ = _star(model, param)
-    K, e = radial._kernel()
+    K, e = unit_kernel
     u = star._u0_nodes
     rho, d = star.eos.hinv(u), star.eos.dhinv(u)
     J = dense_radial_jacobian(K, e, star.R, rho, d)
     rng = np.random.default_rng(5)
     for rhs in rng.standard_normal((4, len(u) + 1)):
         want = np.linalg.solve(J, rhs)
-        du, dR = radial._solve_bordered(K, e, star.R, rho, d, rhs[:-1],
+        du, dR = radial._solve_bordered(star.R, rho, K @ rho, d, rhs[:-1],
                                         rhs[-1])
         got = np.append(du, dR)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -214,10 +231,9 @@ class _NaNSlopeLaw(PowerLawEOS):
 def test_singular_radial_system_is_solver_error():
     # no density: the R column and row vanish, so the Schur complement of
     # R is zero
-    K, e = radial._kernel()
-    zero = np.zeros(len(e))
+    zero = np.zeros(len(radial._UNIT))
     with pytest.raises(SolverError, match="Schur complement"):
-        radial._solve_bordered(K, e, 1.0, zero, zero, np.ones(len(e)), 1.0)
+        radial._solve_bordered(1.0, zero, zero, zero, np.ones(len(zero)), 1.0)
     # a non-finite Newton system ends the solve with SolverError, not a
     # LinAlgError or an inf step
     with pytest.raises(SolverError, match="radial Jacobian"):
