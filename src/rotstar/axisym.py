@@ -1,17 +1,22 @@
 """Axisymmetric field machinery for the nonlinear solvers.
 
 A deformation zeta is stored as even spherical-harmonic mode profiles on
-composite Gauss-Legendre panels (ModalField).  Geometry applies the dilating
-map g_zeta(x) = (1 + zeta(x)/|x|^2) x: it caches everything that depends on
-the deformation but not on the model, namely the inverse map on the source
-grid with u0 pulled back onto it, the Jacobian determinant det Dg with its
-fold check, and the potential quadrature at the deformed collocation radii,
-kept factored (potentials.PotentialQuadrature): the residual applies it to
-one density by panel prefix and suffix sums, and the Newton matrix
-contracts it over the colatitudes into mode-by-mode blocks before it meets
-the batch of basis-field sources.  No per-target matrix is formed.  A model
-enters only through its density law w(kappa, r_cyl, u): model_fields turns
-it into the density, the mass factor and the potential.
+composite Gauss-Legendre panels (ModalField).  An evaluation at points
+(r, theta) sums the modes into one nodal profile per element of theta as
+passed and interpolates each point's profile from its own panel's nodes: a
+column grid passes its 1-D colatitudes, so the modes are summed once per
+column, and no dense interpolation matrix is formed.  Geometry applies the
+dilating map g_zeta(x) = (1 + zeta(x)/|x|^2) x: it caches everything that
+depends on the deformation but not on the model, namely the inverse map on
+the source grid (Newton along each ray) with u0 pulled back onto it, the
+Jacobian determinant det Dg with its fold check, and the potential
+quadrature at the deformed collocation radii, kept factored
+(potentials.PotentialQuadrature): the residual applies it to one density by
+panel prefix and suffix sums, and the Newton matrix contracts it over the
+colatitudes into mode-by-mode blocks before it meets the batch of
+basis-field sources.  No per-target matrix is formed.  A model enters only
+through its density law w(kappa, r_cyl, u): model_fields turns it into the
+density, the mass factor and the potential.
 """
 
 import numpy as np
@@ -35,6 +40,8 @@ N_RU = 128
 N_ANN = 8
 #: split-panel nodes of the potential quadrature
 N_SUB = 12
+#: Newton steps of the ray inversion before it counts as unconverged
+INVERSION_STEPS = 20
 
 
 class ModalField:
@@ -52,19 +59,26 @@ class ModalField:
 
     def _eval(self, r, theta, *parts):
         """The parts ("value", "d_r" or "d_theta") of zeta at the points
-        (r, theta), from one interp_rows build."""
+        (r, theta), broadcast together.  The modes are summed into one nodal
+        profile per element of theta as passed, and each point interpolates
+        its own profile from the nodes of its own panel, so a column grid
+        passes its 1-D colatitudes (one profile per column) and scattered
+        points one colatitude each."""
         r = np.asarray(r, dtype=float)
-        theta = (np.asarray(theta, dtype=float) * np.ones_like(r)).ravel()
-        T = self.panels.interp_rows(np.clip(r.ravel(), 0.0, self.R_dom))
-        Y = None if parts == ("d_theta",) else Ytilde(self.ells, np.cos(theta))
+        theta = np.asarray(theta, dtype=float)
+        p, rows = self.panels._rows_at(np.clip(r, 0.0, self.R_dom))
+        # flat index of each point's panel nodes in its own profile
+        first = (np.arange(theta.size).reshape(theta.shape) * len(self.panels)
+                 + p * self.panels.order)
+        cols = first[..., None] + np.arange(self.panels.order)
+        th = theta.ravel()
+        Y = None if parts == ("d_theta",) else Ytilde(self.ells, np.cos(th))
         out = []
         for part in parts:
             coefs = self.dcoefs if part == "d_r" else self.coefs
-            ang = dY_dtheta(self.ells, theta) if part == "d_theta" else Y
-            acc = np.zeros(r.size)
-            for c, row in zip(coefs, ang):
-                acc += (T @ c) * row
-            out.append(acc.reshape(r.shape))
+            ang = dY_dtheta(self.ells, th) if part == "d_theta" else Y
+            nodal = (ang.T @ coefs).ravel()        # (n_theta, n_nodes)
+            out.append(np.einsum("...k,...k->...", rows, nodal[cols]))
         return out
 
     def value(self, r, theta):
@@ -86,11 +100,10 @@ class ModalField:
         return ratio, np.where(r >= self.r_small, d / rr - 2.0 * ratio, 0.0)
 
     def xnorm(self):
-        r = np.linspace(self.R_dom / 120, self.R_dom, 120)
+        r = np.linspace(self.R_dom / 120, self.R_dom, 120)[:, None]
         th = np.linspace(1e-3, np.pi / 2, 25)
-        R, T = np.meshgrid(r, th, indexing="ij")
-        zr, zt = self._eval(R, T, "d_r", "d_theta")
-        return float(np.max(np.sqrt(zr ** 2 + (zt / R) ** 2) / R))
+        zr, zt = self._eval(r, th, "d_r", "d_theta")
+        return float(np.max(np.sqrt(zr ** 2 + (zt / r) ** 2) / r))
 
 
 class Discretization:
@@ -148,20 +161,29 @@ class Geometry:
         self.panels_t = Panels(edges, ORDER)
         self.tq = self.panels_t.x
 
-        # inverse map z(y) on the source grid, one column per colatitude
-        T2, TH2 = np.meshgrid(self.tq, th, indexing="ij")
-        self.inside = T2 <= self.tb[None, :] * (1.0 + 1e-14)
-        z = T2.copy()
-        for _ in range(200):
-            z, z_prev = T2 / (1.0 + zeta.ratio(z, TH2)), z
-            if np.max(np.abs(z - z_prev)) < 1e-13 * R:
+        # inverse map z(y) on the source grid, one column per colatitude:
+        # Newton on z (1 + ratio(z)) = t along each in-body ray, whose
+        # derivative is the radial stretch 1 + ratio + stretch, from the
+        # uniform dilation t R/tb of its column; the preimage z0 of every
+        # source point outside the body is R
+        T2 = np.repeat(self.tq[:, None], len(th), axis=1)
+        self.inside = T2 <= self.tb * (1.0 + 1e-14)
+        z = np.where(self.inside, T2 * (R / self.tb), R)
+        for _ in range(INVERSION_STEPS):
+            ratio, stretch = zeta.ratio_and_stretch(z, th)
+            with np.errstate(all="ignore"):
+                step = np.where(self.inside, (z * (1.0 + ratio) - T2)
+                                / (1.0 + ratio + stretch), 0.0)
+            if not np.all(np.isfinite(step)):
+                raise DeformationError("ray inversion: non-finite Newton step")
+            z -= step
+            if np.max(np.abs(step)) < 1e-13 * R:
                 break
         else:
-            raise DeformationError(
-                "ray inversion did not converge in 200 iterations")
-        # the preimage z0 of each source point, R outside the body
-        self.z_src = np.where(self.inside, np.minimum(z, R), R)
-        self.T2, self.TH2 = T2, TH2
+            raise DeformationError("ray inversion did not converge in "
+                                   f"{INVERSION_STEPS} Newton steps")
+        self.z_src = np.minimum(z, R)
+        self.T2 = T2
 
         # the arguments of every model's density law on the source grid:
         # u0 pulled back (zero outside the body) and the cylinder radius
@@ -170,14 +192,14 @@ class Geometry:
         self.rcyl_src = T2 * disc.sin_theta[None, :]
 
         # radial stretch of the dilating map at the source points
-        ratio, stretch = zeta.ratio_and_stretch(self.z_src, TH2)
+        ratio, stretch = zeta.ratio_and_stretch(self.z_src, th)
         self.g1_src = 1.0 + ratio + stretch
 
         # deformed radii of the collocation targets
         rc = disc.panels_c.x
-        RC, THC = np.meshgrid(rc, th, indexing="ij")
-        self.rc, self.RC, self.THC = rc, RC, THC
-        self.s_t = RC * (1.0 + zeta.ratio(RC, THC))
+        self.rc = rc
+        self.RC = np.repeat(rc[:, None], len(th), axis=1)
+        self.s_t = rc[:, None] * (1.0 + zeta.ratio(rc[:, None], th))
 
         # the potential quadrature at the deformed target radii, and the
         # row of the potential at the origin
@@ -188,9 +210,8 @@ class Geometry:
         # undeformed volume grid: det Dg with the fold check, and the
         # dilation lam that the reported mass (mass_integral) reads
         ru = disc.panels_u.x
-        RU, THU = np.meshgrid(ru, th, indexing="ij")
-        self.RU, self.THU = RU, THU
-        ratio, stretch = zeta.ratio_and_stretch(RU, THU)
+        self.RU = np.repeat(ru[:, None], len(th), axis=1)
+        ratio, stretch = zeta.ratio_and_stretch(ru[:, None], th)
         self.lam_u = 1.0 + ratio
         self.det_u = self.lam_u ** 2 * (self.lam_u + stretch)
         if np.any(self.det_u <= 0):

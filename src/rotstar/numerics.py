@@ -124,6 +124,9 @@ class Panels:
         self.n_panels = len(edges) - 1
         self._ref_bw = _bary_weights(xg)
         self._xg = xg
+        # per panel a + b and b - a of the map to the reference [-1, 1]
+        self._sum = edges[:-1] + edges[1:]
+        self._width = edges[1:] - edges[:-1]
 
     @classmethod
     def graded(cls, b, n_nodes, order=8, a=0.0):
@@ -144,16 +147,18 @@ class Panels:
     def local_rows(self, p, r):
         """Rows (..., order) interpolating the nodal values of panel p to
         the points r (p and r broadcast together)."""
-        a, b = self.edges[p], self.edges[p + 1]
-        # map to reference [-1, 1]
-        xr = (2.0 * r - (a + b)) / (b - a)
+        xr = (2.0 * r - self._sum[p]) / self._width[p]
         diff = xr[..., None] - self._xg
         exact = np.abs(diff) < 1e-14
-        diff = np.where(exact, 1.0, diff)
-        terms = self._ref_bw / diff
-        rows = terms / terms.sum(axis=-1, keepdims=True)
-        hit = exact.any(axis=-1)
-        rows[hit] = exact[hit]
+        hit = exact.any()
+        if hit:
+            diff[exact] = 1.0
+        rows = np.divide(self._ref_bw, diff, out=diff)
+        rows /= rows.sum(axis=-1, keepdims=True)
+        if hit:
+            # a point on a node takes that node's value
+            on_node = exact.any(axis=-1)
+            rows[on_node] = exact[on_node]
         return rows
 
     def _rows_at(self, r):

@@ -106,6 +106,14 @@ def rand_deformation(rng, R, cap=0.04):
     return z
 
 
+def radial_field(disc, p):
+    """The l = 0 field zeta(x) = p(|x|) on the collocation panels of disc."""
+    from rotstar.axisym import ModalField
+    from rotstar.numerics import Ytilde
+    pan = disc.panels_c
+    return ModalField(pan, (0,), [p(pan.x) / Ytilde([0], 1.0)[0]])
+
+
 def zero_field(disc):
     """The zero deformation, a ModalField on the collocation panels of disc."""
     from rotstar.axisym import ModalField

@@ -19,6 +19,12 @@ potentials.PotentialQuadrature; dense_density_jacobian builds the moved
 density block of the Newton matrix from them by potentials at every
 target, then projected, the oracle of Geometry.density_jacobian.
 
+reference_local_rows is the barycentric row formula of Panels.local_rows
+in its first form, the oracle of that method's bit-identical rewrite;
+dense_modal_eval evaluates a ModalField through the dense Panels.interp_rows
+matrix and a per-point sum over the modes, the oracle of ModalField._eval's
+per-colatitude profiles.
+
 frechet_apply evaluates the directional derivative dF(zeta, kappa)[xi] of a
 model's residual term by term, for one ModalField xi; the solver assembles
 Model.jacobian on all basis fields at once instead.  The tests compare the
@@ -33,7 +39,7 @@ from scipy.special import roots_jacobi
 from rotstar.axisym import N_SUB, Discretization, Geometry
 from rotstar.eos import PowerLawEOS
 from rotstar.errors import EOSError
-from rotstar.numerics import Ytilde, gl_nodes
+from rotstar.numerics import Ytilde, dY_dtheta, gl_nodes
 from rotstar.potentials import _split_panels
 from rotstar.radial import mass_derivative
 from rotstar.vlasov import VPModel
@@ -141,6 +147,41 @@ def w_quad(ansatz, kappa, r, u, n_E=48, n_s=32):
         * float(np.dot(wj, f))
 
 
+def reference_local_rows(panels, p, r):
+    """Panels.local_rows(p, r) by its first formula: every point through
+    np.where, and exact hits patched row by row."""
+    a, b = panels.edges[p], panels.edges[p + 1]
+    xr = (2.0 * r - (a + b)) / (b - a)
+    diff = xr[..., None] - panels._xg
+    exact = np.abs(diff) < 1e-14
+    diff = np.where(exact, 1.0, diff)
+    terms = panels._ref_bw / diff
+    rows = terms / terms.sum(axis=-1, keepdims=True)
+    hit = exact.any(axis=-1)
+    rows[hit] = exact[hit]
+    return rows
+
+
+def dense_modal_eval(field, r, theta, *parts):
+    """ModalField._eval(r, theta, *parts) from one dense interp_rows matrix
+    (n_points, n_nodes) at the broadcast points and one sum over the modes
+    per point."""
+    r, theta = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                   np.asarray(theta, dtype=float))
+    th = theta.ravel()
+    T = field.panels.interp_rows(np.clip(r.ravel(), 0.0, field.R_dom))
+    Y = Ytilde(field.ells, np.cos(th))
+    out = []
+    for part in parts:
+        coefs = field.dcoefs if part == "d_r" else field.coefs
+        ang = dY_dtheta(field.ells, th) if part == "d_theta" else Y
+        acc = np.zeros(r.size)
+        for c, row in zip(coefs, ang):
+            acc += (T @ c) * row
+        out.append(acc.reshape(r.shape))
+    return out
+
+
 def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
     """Directional derivative dF(zeta, kappa)[xi] of model at the collocation
     targets, for ModalFields zeta and xi, term by term: the moved density,
@@ -158,12 +199,12 @@ def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
     dw = np.where(geo.inside, model.dw_du(kappa, geo.rcyl_src, geo.u_src),
                   0.0)
     q_src = dw * star.u0p_of(zz) \
-        * np.where(geo.inside, zz * xi.ratio(zz, geo.TH2), 0.0) / geo.g1_src
+        * np.where(geo.inside, zz * xi.ratio(zz, disc.theta), 0.0) / geo.g1_src
     Vq, _, Vq0 = geo.potential_at_targets(geo.project_modes(q_src))
     # mfac = M/Mcal with Mcal the source-grid integral, Mcal' = -int q
     mfac_p = mfac * geo.volume_integral_src(q_src) / f["Mcal"]
 
-    xi_t = xi.value(geo.RC, geo.THC)
+    xi_t = xi.value(geo.RC, disc.theta)
     out = mfac_p * (f["V"] - f["V0"])                         # M' F1
     out += -mfac * (Vq - Vq0)                                 # moved density
     out += mfac * f["Vp"] * (xi_t / geo.RC)                   # moved target

@@ -4,21 +4,14 @@ to a ModalField, the path the Newton solver runs."""
 import numpy as np
 import pytest
 
-from conftest import rand_deformation
+from conftest import radial_field, rand_deformation
 from rotstar.axisym import EPS0, R_SMALL, Discretization, Geometry, ModalField
 from rotstar.errors import DeformationError
-from rotstar.numerics import Ytilde
 
 
 @pytest.fixture(scope="module")
 def disc15(star15):
     return Discretization(star15.R)
-
-
-def radial_field(disc, p):
-    """The l = 0 field zeta(x) = p(|x|) on the collocation panels."""
-    pan = disc.panels_c
-    return ModalField(pan, (0,), [p(pan.x) / Ytilde([0], 1.0)[0]])
 
 
 def test_uniform_field_basics(disc15):
@@ -46,9 +39,35 @@ def test_apply_invert_roundtrip(star15, disc15):
     z = rand_deformation(rng, star15.R)
     geo = Geometry(z, star15, disc15)
     sel = geo.inside & (geo.z_src < star15.R)
-    z0, th = geo.z_src[sel], geo.TH2[sel]
+    z0 = geo.z_src[sel]
+    th = np.broadcast_to(disc15.theta, sel.shape)[sel]
     assert z0.size > 0
     assert np.max(np.abs(z0 * (1.0 + z.ratio(z0, th)) - geo.T2[sel])) < 1e-11
+
+
+def _inversion_steps(monkeypatch, zeta, star, disc):
+    """Newton steps of the ray inversion of Geometry(zeta, star, disc): its
+    ratio_and_stretch calls, less the two of the radial stretch at the
+    preimages and of det Dg on the volume grid."""
+    calls = []
+    stretch = ModalField.ratio_and_stretch
+    monkeypatch.setattr(ModalField, "ratio_and_stretch",
+                        lambda self, *a: calls.append(1) or stretch(self, *a))
+    Geometry(zeta, star, disc)
+    monkeypatch.undo()
+    return len(calls) - 2
+
+
+def test_inversion_takes_few_newton_steps(monkeypatch, star15, disc15,
+                                          ep_solutions, vp_solutions):
+    fields = [(s.zeta_field(), s.star, s.disc)
+              for s in ep_solutions + vp_solutions]
+    rng = np.random.default_rng(9)
+    fields += [(rand_deformation(rng, star15.R, cap=0.99 * EPS0), star15,
+                disc15) for _ in range(6)]
+    for zeta, star, disc in fields:
+        assert zeta.xnorm() < EPS0
+        assert _inversion_steps(monkeypatch, zeta, star, disc) <= 6
 
 
 def _cartesian_map(z, x):
@@ -63,8 +82,9 @@ def test_jacobian_det_matches_finite_volume(star15, disc15):
     rng = np.random.default_rng(3)
     z = rand_deformation(rng, star15.R)
     geo = Geometry(z, star15, disc15)
-    x0 = np.stack([geo.RU * np.sin(geo.THU), np.zeros_like(geo.RU),
-                   geo.RU * np.cos(geo.THU)], axis=-1)
+    th = disc15.theta
+    x0 = np.stack([geo.RU * np.sin(th), np.zeros_like(geo.RU),
+                   geo.RU * np.cos(th)], axis=-1)
     h = 1e-6
     D = np.empty(geo.RU.shape + (3, 3))
     for j in range(3):

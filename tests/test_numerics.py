@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_legendre
 
+from reference import reference_local_rows
 from rotstar.numerics import (Panels, Ytilde, dY_dtheta, gl_nodes,
                               legendre_table, smallest_singular_value)
 
@@ -135,6 +136,21 @@ def test_panels_quadrature_and_interpolation():
     rr = np.stack([r, r[::-1]])
     assert np.array_equal(pan.interp(f, rr)[1], vals[::-1])
     assert np.allclose(pan.interp_rows(r) @ f, vals, rtol=0, atol=1e-13)
+
+
+def test_local_rows_bit_identical_to_reference():
+    # without exact hits, with points on nodes and edges, and with the
+    # (targets, sub-nodes) broadcast of the potential quadrature
+    pan = Panels.graded(3.7, 384, 8)
+    r = np.random.default_rng(4).uniform(0.0, 3.7, 4032)
+    hits = np.concatenate([r[:50], pan.x, pan.edges])
+    p60 = pan.panel_of(r[:60])
+    a = pan.edges[p60]
+    sub = a[:, None] + (r[:60] - a)[:, None] * np.linspace(0.0, 1.0, 12)
+    for p, pts in [(pan.panel_of(r), r), (pan.panel_of(hits), hits),
+                   (p60[:, None], sub)]:
+        assert np.array_equal(pan.local_rows(p, pts),
+                              reference_local_rows(pan, p, pts))
 
 
 @pytest.mark.parametrize("r", [[1.5], [-1e-3], [0.5, 1.0 + 1e-12], [np.nan]])

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import (density_jacobian_error, jacobian_column_error,
-                      rand_deformation, shifted, zero_field)
-from reference import frechet_apply
-from rotstar.axisym import Discretization, Geometry, ModalField
+                      radial_field, rand_deformation, shifted, zero_field)
+from reference import dense_modal_eval, frechet_apply
+from rotstar.axisym import (INVERSION_STEPS, Discretization, Geometry,
+                            ModalField)
 from rotstar.errors import DeformationError, SolverError
 from rotstar.linop import assemble_mode, solve
-from rotstar.numerics import Ytilde
+from rotstar.numerics import Panels, Ytilde
 from rotstar.rotating import (centrifugal_rhs, evaluate_F, first_order_shape,
                               newton_continue)
 
@@ -39,6 +40,76 @@ def test_modal_field_evaluation_and_derivative(disc15):
     assert np.max(np.abs(zt - fd)) < 1e-7
 
 
+@pytest.fixture(scope="module")
+def random_field(disc15):
+    """A field with every mode of disc15 and random nodal profiles."""
+    rng = np.random.default_rng(5)
+    pan = disc15.panels_c
+    coefs = rng.standard_normal((len(disc15.ells), len(pan))) \
+        * (pan.x / pan.edges[-1]) ** 2
+    return ModalField(pan, disc15.ells, coefs)
+
+
+def _points(disc, R):
+    """(r, theta) cases: a column grid, a grid of radii against the 1-D
+    colatitudes, scattered pairs, the nodes and panel edges themselves, and
+    radii past the panels."""
+    rng = np.random.default_rng(6)
+    pan = disc.panels_c
+    col = rng.uniform(0.0, R, (40, len(disc.theta)))
+    on = np.concatenate([pan.x, pan.edges])
+    return {"columns": (col, disc.theta),
+            "radii x columns": (pan.x[:, None], disc.theta),
+            "scattered": (rng.uniform(0.0, R, 200),
+                          rng.uniform(0.0, np.pi, 200)),
+            "nodes and edges": (on, rng.uniform(0.0, np.pi, len(on))),
+            "past R_dom": (R * rng.uniform(1.0, 3.0, (30, 1)), disc.theta)}
+
+
+@pytest.mark.parametrize("case", ["columns", "radii x columns", "scattered",
+                                  "nodes and edges", "past R_dom"])
+def test_modal_eval_matches_dense_oracle(disc15, random_field, case):
+    r, theta = _points(disc15, random_field.R_dom)[case]
+    parts = ("value", "d_r", "d_theta")
+    got = random_field._eval(r, theta, *parts)
+    want = dense_modal_eval(random_field, r, theta, *parts)
+    for g, w in zip(got, want):
+        assert g.shape == np.broadcast_shapes(np.shape(r), np.shape(theta))
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_ratio_holds_inside_r_small(disc15, random_field):
+    # below r_small the ratio keeps its value at r_small and the stretch is 0
+    f = random_field
+    r = f.r_small * np.array([[0.0], [1e-3], [0.5], [1.0], [4.0]])
+    ratio, stretch = f.ratio_and_stretch(r, disc15.theta)
+    rr = np.maximum(r, f.r_small)
+    v, d = dense_modal_eval(f, rr, disc15.theta, "value", "d_r")
+    want = v / rr ** 2
+    assert np.max(np.abs(ratio - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(stretch[:3] == 0.0)
+    assert np.max(np.abs(stretch[3:] - (d / rr - 2.0 * want)[3:])) \
+        <= 1e-13 * np.max(np.abs(d / rr))
+
+
+@pytest.mark.parametrize("which", ["ep", "vp"])
+def test_geometry_and_residual_build_no_dense_rows(monkeypatch, star15,
+                                                   vp_star, ep_model,
+                                                   vp_model, which):
+    # the residual path builds no dense interpolation matrix; only the
+    # Newton matrix's source rows (Geometry._source_basis) take one
+    star, model = (star15, ep_model) if which == "ep" else (vp_star, vp_model)
+    disc = Discretization(star.R)
+
+    def refuse(self, r):
+        raise AssertionError("Panels.interp_rows called")
+    monkeypatch.setattr(Panels, "interp_rows", refuse)
+    zeta = rand_deformation(np.random.default_rng(8), star.R)
+    zeta.xnorm()
+    geo = Geometry(zeta, star, disc)
+    assert np.all(np.isfinite(model.residual(geo, 1e-3)))
+
+
 def test_geometry_undeformed_is_identity(star15, ep_model, geo15):
     # both mass quadratures, the source grid's Mcal and the undeformed
     # grid's mass_integral, give the radial star's mass
@@ -50,13 +121,38 @@ def test_geometry_undeformed_is_identity(star15, ep_model, geo15):
                                                                rel=1e-10)
 
 
-def test_geometry_rejects_unconverged_inversion(star15, disc15):
-    # the fixed-point map z -> t / (1 + zeta(z)/z^2) has slope 4/3 at z = R,
-    # so the ray inversion cannot converge near the boundary
+def test_geometry_inverts_steep_ray_equation(star15, disc15):
+    # zeta = 0.5 x^6/R^4 has radial stretch g1 = 3.5 at R and det Dg > 0;
+    # the fixed-point iteration z -> t/(1 + ratio(z)) has slope 4/3 there,
+    # Newton on z (1 + ratio(z)) = t converges
     R = star15.R
-    pan = disc15.panels_c
-    zeta = ModalField(pan, (0,), [0.5 * pan.x ** 6 / R ** 4 / Ytilde([0], 1.0)[0]])
+    zeta = radial_field(disc15, lambda r: 0.5 * r ** 6 / R ** 4)
+    geo = Geometry(zeta, star15, disc15)
+    z0 = geo.z_src
+    gap = z0 * (1.0 + zeta.ratio(z0, disc15.theta)) - geo.T2
+    assert np.max(np.abs(gap[geo.inside])) < 1e-11 * R
+
+
+def test_geometry_rejects_unconverged_inversion(star15, disc15):
+    # z (1 + 20 z^4/R^4) = t: from the uniform dilation z = t/21 the first
+    # Newton step overshoots to 3.8 R, past the panels, where the field is
+    # held at its edge value, and the iterates need 34 steps to come back,
+    # more than INVERSION_STEPS
+    R = star15.R
+    zeta = radial_field(disc15, lambda r: 20.0 * r ** 6 / R ** 4)
+    assert INVERSION_STEPS < 34
     with pytest.raises(DeformationError, match="inversion"):
+        Geometry(zeta, star15, disc15)
+
+
+def test_geometry_rejects_non_finite_inversion_step(star15, disc15):
+    # a NaN node in the first panel leaves the boundary radius finite, but
+    # the rays through that panel meet a NaN ratio: a typed error, not the
+    # ValueError of an interpolation point outside the panels
+    coefs = np.zeros((1, len(disc15.panels_c)))
+    coefs[0, 3] = np.nan
+    zeta = ModalField(disc15.panels_c, (0,), coefs)
+    with pytest.raises(DeformationError, match="non-finite Newton step"):
         Geometry(zeta, star15, disc15)
 
 
