@@ -12,9 +12,9 @@ the source grid (Newton along each ray) with u0 pulled back onto it, the
 Jacobian determinant det Dg with its fold check, and the potential
 quadrature at the deformed collocation radii, kept factored
 (potentials.PotentialQuadrature): the residual applies it to one density by
-panel prefix and suffix sums, and the Newton matrix contracts it over the
-colatitudes into mode-by-mode blocks before it meets the batch of
-basis-field sources.  No per-target matrix is formed.  A model enters only
+panel prefix and suffix sums, and the Newton matrix to the batch of
+basis-field sources by their panel sums, contracted over the colatitudes.
+No per-target matrix or per-node block is formed.  A model enters only
 through its density law w(kappa, r_cyl, u): model_fields turns it into the
 density, the mass factor and the potential.
 """
@@ -90,14 +90,15 @@ class ModalField:
         return self.value(rr, theta) / rr ** 2
 
     def ratio_and_stretch(self, r, theta):
-        """ratio and r d(ratio)/dr under the same clamp (the stretch is zero
-        inside r_small), so the radial stretch of g_zeta is
-        1 + ratio + stretch."""
+        """ratio and r d(ratio)/dr under the same clamps (zero inside
+        r_small, -2 ratio past R_dom, where the field is held at its edge
+        value), so the radial stretch of g_zeta is 1 + ratio + stretch."""
         r = np.asarray(r, dtype=float)
         rr = np.maximum(r, self.r_small)
         v, d = self._eval(rr, theta, "value", "d_r")
         ratio = v / rr ** 2
-        return ratio, np.where(r >= self.r_small, d / rr - 2.0 * ratio, 0.0)
+        stretch = np.where(rr > self.R_dom, 0.0, d / rr) - 2.0 * ratio
+        return ratio, np.where(r >= self.r_small, stretch, 0.0)
 
     def xnorm(self):
         r = np.linspace(self.R_dom / 120, self.R_dom, 120)[:, None]
@@ -149,6 +150,16 @@ class Geometry:
         # deformed boundary radius per quadrature colatitude
         self.tb = R * (1.0 + zeta.ratio(np.full(len(th), R), th))
         tb_min, tb_max = float(np.min(self.tb)), float(np.max(self.tb))
+
+        # undeformed volume grid: the dilation lam that mass_integral reads
+        # and det Dg, whose fold check precedes the ray inversion
+        ru = disc.panels_u.x
+        self.RU = np.repeat(ru[:, None], len(th), axis=1)
+        ratio, stretch = zeta.ratio_and_stretch(ru[:, None], th)
+        self.lam_u = 1.0 + ratio
+        self.det_u = self.lam_u ** 2 * (self.lam_u + stretch)
+        if np.any(self.det_u <= 0):
+            raise DeformationError("fold: det Dg <= 0 on the volume grid")
 
         # physical-space source panels: graded bulk + boundary annulus fine
         # enough to control the density cusp crossing it per colatitude
@@ -206,16 +217,6 @@ class Geometry:
         self.quad = PotentialQuadrature(self.panels_t, disc.ells, self.s_t,
                                         n_sub=N_SUB)
         self.origin = origin_row(self.panels_t)
-
-        # undeformed volume grid: det Dg with the fold check, and the
-        # dilation lam that the reported mass (mass_integral) reads
-        ru = disc.panels_u.x
-        self.RU = np.repeat(ru[:, None], len(th), axis=1)
-        ratio, stretch = zeta.ratio_and_stretch(ru[:, None], th)
-        self.lam_u = 1.0 + ratio
-        self.det_u = self.lam_u ** 2 * (self.lam_u + stretch)
-        if np.any(self.det_u <= 0):
-            raise DeformationError("fold: det Dg <= 0 on the volume grid")
 
     # ------------------------------------------------------------------
 
@@ -291,17 +292,17 @@ class Geometry:
         rows, cY = self._source_basis(c)
         n_tq, n_l, n_c = len(self.tq), len(disc.ells), rows.shape[-1]
         # sigma[l, i, k, c] = sum_j proj[l, j] c[i, j] Y_k(mu_j) rows[i, j, c]
-        lhs = disc.proj[None, :, None, :] * cY[:, None, :, :]
-        sigma = (lhs.reshape(n_tq, n_l * n_l, -1) @ rows).reshape(
-            n_tq, n_l, n_l * n_c).transpose(1, 0, 2)
-        # K[l', r, l, :] = sum_j proj[l', j] Y_l(mu_j) A_l[(r, j), :], the
-        # projected potential of each source mode, less its origin value
-        K = self.quad.contract(disc.proj[:, None, :] * disc.Yt[None, :, :])
-        K[:, :, 0] -= np.multiply.outer(disc.proj.sum(axis=1)
-                                        * Ytilde([0], 1.0)[0],
-                                        self.origin)[:, None, :]
-        return K.reshape(n_l * len(self.rc), n_l * n_tq) \
-            @ sigma.reshape(n_l * n_tq, -1)
+        sigma = np.empty((n_l, n_tq, n_l, n_c))
+        np.matmul(disc.proj[None, :, None, :] * cY[:, None, :, :],
+                  rows[:, None], out=sigma.transpose(1, 0, 2, 3))
+        sigma = sigma.reshape(n_l, n_tq, n_l * n_c)
+        # the projected potential sum_j proj[l', j] Y_l(mu_j) Phi_l(s_rj) of
+        # each source mode, less its origin value
+        J = self.quad.apply_contracted(
+            disc.proj[:, None, :] * disc.Yt[None, :, :], sigma)
+        J -= np.multiply.outer(disc.proj.sum(axis=1) * Ytilde([0], 1.0)[0],
+                               self.origin @ sigma[0])[:, None, :]
+        return J.reshape(n_l * len(self.rc), -1)
 
     def source_integral_gradient(self, c):
         """Volume integral over the source grid of q = c |z0| xi.ratio(z0)

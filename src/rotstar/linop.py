@@ -52,11 +52,6 @@ class ModeOperator:
             self._sig = smallest_singular_value(B)
         return self._sig
 
-    def weighted_norm(self, f):
-        """L2(B_R) norm of a mode profile given at the nodes."""
-        return float(np.sqrt(np.dot(self.panels.w * self.nodes ** 2,
-                                    np.asarray(f) ** 2)))
-
 
 def mode_panels(R, n, order=8):
     """The graded panels of [0, R] whose n nodes carry a mode profile."""

@@ -17,11 +17,12 @@ per target, the whole panels below and above it; per mode, the weights of
 the split panel's nodes on either side of each target inside a panel; and
 the row scalings s^-(l+1), s^l and their derivatives.  Applied to one
 source it sums panels by prefix and suffix sums and gives Phi_l and
-Phi_l' (apply); contracted with weights over a target axis it gives the
-potential blocks of a batch of sources without a per-target matrix
-(contract); dense expands it into the per-target matrices A of Phi_l of
-mode_potential_matrices.  The split-panel quadrature does not depend on
-l, so it is built once for all modes.
+Phi_l' (apply); applied to a batch of sources and contracted with weights
+over a target axis, it takes whole panels by the sources' panel sums and
+split panels by their targets' local weights summed per row, with no
+per-node block (apply_contracted); dense expands it into the per-target
+matrices A of Phi_l of mode_potential_matrices.  The split-panel
+quadrature does not depend on l, so it is built once for all modes.
 """
 
 import numpy as np
@@ -122,43 +123,44 @@ class PotentialQuadrature:
                         sc[:, 2] * Iin + sc[:, 3] * Iout])
         return phi.reshape((2, len(self.ells)) + self.shape)
 
-    def contract(self, w):
-        """The blocks K[o, r, i] = sum_j w[o, i, j] A_l[(r, j), :] of the
-        Phi matrices A_l (l = ells[i]) for targets of shape (n_r, n_j);
-        w has shape (n_o, n_l, n_j) and K (n_o, n_r, n_l, n_nodes)."""
+    def apply_contracted(self, w, sigma):
+        """sum_i sum_j w[o, i, j] (A_i sigma[i])[(r, j), b], shape
+        (n_o, n_r, n_b), for the Phi matrices A_i (l = ells[i]) at targets
+        of shape (n_r, n_j), weights w (n_o, n_l, n_j) and a batch of
+        sources sigma (n_l, n_nodes, n_b)."""
         P, m = self.panels.n_panels, self.panels.order
         n_r, n_j = self.shape
         n_o, n_l = w.shape[:2]
+        f = sigma.reshape(n_l, P, m, -1)
         # whole panels: the weights c[k, o, r, i, j] of target (r, j) in
         # I_in (k = 0) and I_out (k = 1), summed per panel over the targets
-        # above it (I_in) or below it (I_out), then spread over its nodes
+        # above (I_in) or below (I_out) it, applied to the panel sums
         c = (self.pref[:, None] * w)[None, :, None] * self.scale[:, :2] \
             .reshape(n_l, 2, n_r, n_j).transpose(1, 2, 0, 3)[:, None]
         p = np.arange(P)
         ind = np.array([p < self.nb[:, None], p >= self.na[:, None]],
                        dtype=float).reshape(2, 1, n_r, n_j, P)
-        G = (c @ ind).transpose(3, 1, 2, 0, 4).reshape(n_l, n_o, n_r, 2 * P)
-        spread = np.zeros((n_l, 2, P, P, m))
-        spread[:, 0, p, p] = self.win.reshape(n_l, P, m)
-        spread[:, 1, p, p] = self.wout.reshape(n_l, P, m)
-        K = np.empty((n_o, n_r, n_l, P * m))
-        np.matmul(G, spread.reshape(n_l, 1, 2 * P, P * m),
-                  out=K.transpose(2, 0, 1, 3))
-        # split panels: each split target's local weights, summed per row
-        # r and split panel
+        G = (c @ ind).reshape(2, n_o * n_r, n_l * P)
+        out = np.zeros((n_o * n_r, f.shape[-1]))
+        for Gk, wk in zip(G, (self.win, self.wout)):
+            out += Gk @ (wk.reshape(n_l, P, 1, m) @ f).reshape(n_l * P, -1)
+        out = out.reshape(n_o, n_r, -1)
+        # split panels: each split target's local weights, gathered per row
+        # r and split panel, contracted over j, then applied per split panel
         r_s, j_s = np.divmod(self.split, n_j)
         sc = self.pref[:, None, None] * self.scale[:, :2, self.split]
-        loc = sc[:, 0, :, None] * self.win_split \
-            + sc[:, 1, :, None] * self.wout_split
-        e = w[:, :, j_s].transpose(2, 0, 1)[..., None] \
-            * loc.transpose(1, 0, 2)[:, None]
-        key = r_s * P + self.psplit
-        order = np.argsort(key, kind="stable")
-        groups, starts = np.unique(key[order], return_index=True)
+        groups, g = np.unique(r_s * P + self.psplit, return_inverse=True)
         rg, pg = np.divmod(groups, P)
-        K.reshape(n_o, n_r, n_l, P, m).transpose(1, 3, 0, 2, 4)[rg, pg] += \
-            np.add.reduceat(e[order], starts, axis=0)
-        return K
+        e = np.zeros((n_l, n_j, len(groups), m))
+        e[:, j_s, g] = sc[:, 0, :, None] * self.win_split \
+            + sc[:, 1, :, None] * self.wout_split
+        e = (w.transpose(1, 0, 2) @ e.reshape(n_l, n_j, -1)).reshape(
+            n_l, n_o, -1, m).transpose(1, 2, 0, 3)
+        for q in np.unique(pg):
+            sel = pg == q
+            blk = e[:, sel].reshape(-1, n_l * m) @ f[:, q].reshape(n_l * m, -1)
+            out[:, rg[sel]] += blk.reshape(n_o, sel.sum(), -1)
+        return out
 
     def dense(self):
         """The matrices A with A @ sigma = Phi_l(s) at the flattened

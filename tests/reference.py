@@ -11,7 +11,9 @@ the power-law scaling identity that M'(a) must satisfy.
 
 w_quad evaluates the kinetic density w(kappa, r, u) of a VlasovAnsatz from
 its definition by Gauss-Jacobi and Gauss-Legendre quadrature, the oracle of
-the ansatz's closed forms.
+the ansatz's closed forms.  weighted_norm is the L2(B_R) norm of a mode
+profile at the nodes of a linop.ModeOperator, which the kernel-witness
+tests read.
 
 dense_potential_matrices forms the split-panel potential quadrature as
 dense per-target matrices, the oracle of the factored
@@ -145,6 +147,13 @@ def w_quad(ansatz, kappa, r, u, n_E=48, n_s=32):
     f = inner / np.sqrt(1.0 - t)
     return 2.0 * np.pi * u ** (1.0 - ansatz.mu) * 2.0 ** (ansatz.mu - 1.5) \
         * float(np.dot(wj, f))
+
+
+def weighted_norm(op, f):
+    """L2(B_R) norm of a mode profile f given at the nodes of the
+    linop.ModeOperator op."""
+    return float(np.sqrt(np.dot(op.panels.w * op.nodes ** 2,
+                                np.asarray(f) ** 2)))
 
 
 def reference_local_rows(panels, p, r):

@@ -101,7 +101,8 @@ def test_jacobian_det_matches_finite_volume(star15, disc15):
 
 def test_fold_detection(star15, disc15):
     # a compressive shell just outside the star: the radial stretch turns
-    # negative on the volume grid while the ray inversion still converges
+    # negative on the volume grid, where the ray inversion has no unique
+    # preimage, so the fold check comes first
     R = star15.R
     z = radial_field(disc15, lambda r: -0.2 * r ** 2
                      * np.exp(-((r - 1.1 * R) / (0.15 * R)) ** 2))

@@ -89,14 +89,43 @@ def test_factored_quadrature_matches_dense_products(order, n_nodes):
     for i, (A, Ap) in enumerate(dense):
         for got, want in ((phi[i], A @ sigma[i]), (dphi[i], Ap @ sigma[i])):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    # contracted over a target axis of 4
-    s2 = s.reshape(-1, 4)
-    w = rng.standard_normal((3, len(ELLS), 4))
-    K = PotentialQuadrature(pan, ELLS, s2).contract(w)
-    for i, (A, _) in enumerate(dense):
-        want = np.einsum("oj,rjk->ork", w[:, i], A.reshape(s2.shape + (-1,)))
-        assert np.max(np.abs(K[:, :, i] - want)) \
-            <= 1e-13 * np.max(np.abs(want))
+
+
+def _contraction_rows(pan):
+    """Targets of shape (6, 5): a row at s = 0, on panel edges and past the
+    outer edge (no split panel); a row splitting five panels; a row mixing
+    both; random rows; and a row inside one panel."""
+    b, e = pan.edges[-1], pan.edges
+    mid = 0.5 * (e[:-1] + e[1:])
+    rng = np.random.default_rng(11)
+    return np.array([[0.0, e[3], e[5], 1.01 * b, 2.0 * b],
+                     mid[2:7],
+                     [0.3 * e[7] + 0.7 * e[8], mid[7], e[8], 0.0, mid[-1]],
+                     rng.uniform(0.0, b, 5),
+                     rng.uniform(0.0, b, 5),
+                     e[4] + (e[5] - e[4]) * np.linspace(0.1, 0.9, 5)])
+
+
+@pytest.mark.parametrize("order, n_nodes", [(8, 96), (2, 64)])
+def test_contracted_batch_matches_dense(order, n_nodes):
+    pan = Panels.graded(1.3, n_nodes, order=order)
+    s = _contraction_rows(pan)
+    quad = PotentialQuadrature(pan, ELLS, s)
+    split = np.zeros(s.size, dtype=bool)
+    split[quad.split] = True
+    split = split.reshape(s.shape)
+    assert not split[0].any() and split[1].all()
+    assert len(set(quad.nb.reshape(s.shape)[1])) == 5
+    assert split[2].tolist() == [True, True, False, False, True]
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((3, len(ELLS), s.shape[1]))
+    sigma = rng.standard_normal((len(ELLS), len(pan), 4))
+    got = quad.apply_contracted(w, sigma)
+    want = sum(np.einsum("oj,rjk,kb->orb", w[:, i],
+                         A.reshape(s.shape + (-1,)), sigma[i])
+               for i, A in enumerate(quad.dense()))
+    assert got.shape == want.shape == (3, len(s), 4)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_uniform_ball_monopole_on_edges_and_nodes():

@@ -92,6 +92,20 @@ def test_ratio_holds_inside_r_small(disc15, random_field):
         <= 1e-13 * np.max(np.abs(d / rr))
 
 
+def test_stretch_is_radial_derivative_of_ratio(disc15, random_field):
+    # r d(ratio)/dr by central differences inside the last two panels and
+    # past R_dom, where the field is held at its edge value
+    f = random_field
+    e = f.panels.edges
+    r = np.concatenate([0.5 * (e[-3:-1] + e[-2:]),
+                        f.R_dom * np.array([1.2, 2.0, 3.8])])[:, None]
+    h = 1e-6 * f.R_dom
+    _, stretch = f.ratio_and_stretch(r, disc15.theta)
+    fd = r * (f.ratio(r + h, disc15.theta) - f.ratio(r - h, disc15.theta)) \
+        / (2.0 * h)
+    assert np.max(np.abs(stretch - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
 @pytest.mark.parametrize("which", ["ep", "vp"])
 def test_geometry_and_residual_build_no_dense_rows(monkeypatch, star15,
                                                    vp_star, ep_model,
@@ -136,8 +150,9 @@ def test_geometry_inverts_steep_ray_equation(star15, disc15):
 def test_geometry_rejects_unconverged_inversion(star15, disc15):
     # z (1 + 20 z^4/R^4) = t: from the uniform dilation z = t/21 the first
     # Newton step overshoots to 3.8 R, past the panels, where the field is
-    # held at its edge value, and the iterates need 34 steps to come back,
-    # more than INVERSION_STEPS
+    # held at its edge value, so z (1 + ratio(z)) = z + 20 R^2/z falls up to
+    # sqrt(20) R, and the iterates do not come back even in 200 steps (34,
+    # when the stretch past R still read the edge derivative of the field)
     R = star15.R
     zeta = radial_field(disc15, lambda r: 20.0 * r ** 6 / R ** 4)
     assert INVERSION_STEPS < 34
@@ -245,6 +260,23 @@ def test_density_jacobian_matches_dense_reference(star15, ep_model, disc15):
     geo = Geometry(zeta, star15, disc15)
     assert len(geo.quad.split) == geo.s_t.size
     assert density_jacobian_error(ep_model, geo, 2e-3) < 1e-13
+
+
+def test_newton_matrix_traced_peak(ep_model, ep_solutions):
+    # the moved-density block applies the potential quadrature to the
+    # basis-field sources by their panel sums; expanding the quadrature
+    # into per-node blocks (7, 48, 7, 168) took the traced peak to 18 MB
+    import tracemalloc
+    sol = ep_solutions[-1]
+    geo = Geometry(sol.zeta_field(), sol.star, sol.disc)
+    ep_model.jacobian(geo, sol.kappa)   # the fields and source rows it caches
+    tracemalloc.start()
+    try:
+        ep_model.jacobian(geo, sol.kappa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11e6
 
 
 @pytest.mark.parametrize("deformed", [False, True], ids=["zero", "deformed"])
