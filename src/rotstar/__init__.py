@@ -15,7 +15,7 @@ from .rotating import (EPModel, RotatingSolution, ShapeReport,
                        centrifugal_rhs, first_order_shape, evaluate_F,
                        newton_continue)
 from .vlasov import (VlasovAnsatz, VlasovStar, VPModel, solve_vp_radial,
-                     scaling_response, vp_rotation_response)
+                     vp_rotation_response)
 from .errors import (RotstarError, ConfigError, SolverError,
                      UnboundStarError, EOSError, DegenerateOperatorError,
                      DeformationError)

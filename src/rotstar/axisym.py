@@ -153,9 +153,7 @@ class Geometry:
 
         # undeformed volume grid: the dilation lam that mass_integral reads
         # and det Dg, whose fold check precedes the ray inversion
-        ru = disc.panels_u.x
-        self.RU = np.repeat(ru[:, None], len(th), axis=1)
-        ratio, stretch = zeta.ratio_and_stretch(ru[:, None], th)
+        ratio, stretch = zeta.ratio_and_stretch(disc.panels_u.x[:, None], th)
         self.lam_u = 1.0 + ratio
         self.det_u = self.lam_u ** 2 * (self.lam_u + stretch)
         if np.any(self.det_u <= 0):
@@ -177,13 +175,13 @@ class Geometry:
         # derivative is the radial stretch 1 + ratio + stretch, from the
         # uniform dilation t R/tb of its column; the preimage z0 of every
         # source point outside the body is R
-        T2 = np.repeat(self.tq[:, None], len(th), axis=1)
-        self.inside = T2 <= self.tb * (1.0 + 1e-14)
-        z = np.where(self.inside, T2 * (R / self.tb), R)
+        t = self.tq[:, None]
+        self.inside = t <= self.tb * (1.0 + 1e-14)
+        z = np.where(self.inside, t * (R / self.tb), R)
         for _ in range(INVERSION_STEPS):
             ratio, stretch = zeta.ratio_and_stretch(z, th)
             with np.errstate(all="ignore"):
-                step = np.where(self.inside, (z * (1.0 + ratio) - T2)
+                step = np.where(self.inside, (z * (1.0 + ratio) - t)
                                 / (1.0 + ratio + stretch), 0.0)
             if not np.all(np.isfinite(step)):
                 raise DeformationError("ray inversion: non-finite Newton step")
@@ -194,22 +192,19 @@ class Geometry:
             raise DeformationError("ray inversion did not converge in "
                                    f"{INVERSION_STEPS} Newton steps")
         self.z_src = np.minimum(z, R)
-        self.T2 = T2
 
         # the arguments of every model's density law on the source grid:
         # u0 pulled back (zero outside the body) and the cylinder radius
-        self.u_src = np.zeros_like(T2)
+        self.u_src = np.zeros_like(z)
         self.u_src[self.inside] = star.u0_of(self.z_src[self.inside])
-        self.rcyl_src = T2 * disc.sin_theta[None, :]
+        self.rcyl_src = t * disc.sin_theta
 
         # radial stretch of the dilating map at the source points
         ratio, stretch = zeta.ratio_and_stretch(self.z_src, th)
         self.g1_src = 1.0 + ratio + stretch
 
         # deformed radii of the collocation targets
-        rc = disc.panels_c.x
-        self.rc = rc
-        self.RC = np.repeat(rc[:, None], len(th), axis=1)
+        self.rc = rc = disc.panels_c.x
         self.s_t = rc[:, None] * (1.0 + zeta.ratio(rc[:, None], th))
 
         # the potential quadrature at the deformed target radii, and the
@@ -221,18 +216,17 @@ class Geometry:
     # ------------------------------------------------------------------
 
     def model_fields(self, model, kappa):
-        """The model's density w(kappa, r_cyl, u0(z0)) on the source grid
-        ("dens"), its volume integral Mcal, the mass factor mfac = M/Mcal,
-        and its potential V, V' at the targets and V0 at the origin,
-        computed once per model and kappa."""
+        """The volume integral Mcal of the model's density
+        w(kappa, r_cyl, u0(z0)) on the source grid, the mass factor
+        mfac = M/Mcal, and the density's potential V, V' at the targets and
+        V0 at the origin, computed once per model and kappa."""
         key = (model, kappa)
         if key not in self._fields:
             W = np.where(self.inside,
                          model.w(kappa, self.rcyl_src, self.u_src), 0.0)
             Mcal = self.volume_integral_src(W)
             V, Vp, V0 = self.potential_at_targets(self.project_modes(W))
-            self._fields[key] = {"dens": W, "Mcal": Mcal,
-                                 "mfac": self.star.mass / Mcal,
+            self._fields[key] = {"Mcal": Mcal, "mfac": self.star.mass / Mcal,
                                  "V": V, "Vp": Vp, "V0": V0}
         return self._fields[key]
 
@@ -242,7 +236,7 @@ class Geometry:
         change of variables y = g(x), on a quadrature of its own."""
         disc = self.disc
         ru = disc.panels_u.x
-        w = model.w(kappa, self.RU * self.lam_u * disc.sin_theta[None, :],
+        w = model.w(kappa, ru[:, None] * self.lam_u * disc.sin_theta[None, :],
                     self.star.u0_of(ru)[:, None])
         return 4.0 * np.pi * np.einsum("i,ij,j->", disc.panels_u.w * ru ** 2,
                                        w * self.det_u, disc.wmu)

@@ -129,11 +129,11 @@ class Panels:
         self._width = edges[1:] - edges[:-1]
 
     @classmethod
-    def graded(cls, b, n_nodes, order=8, a=0.0):
-        """Panels on [a, b] with cosine-graded edges (clustered at both ends)."""
+    def graded(cls, b, n_nodes, order=8):
+        """Panels on [0, b] with cosine-graded edges (clustered at both ends)."""
         npan = max(2, int(round(n_nodes / order)))
         u = np.linspace(0.0, 1.0, npan + 1)
-        edges = a + (b - a) * 0.5 * (1.0 - np.cos(np.pi * u))
+        edges = b * 0.5 * (1.0 - np.cos(np.pi * u))
         return cls(edges, order)
 
     def __len__(self):

@@ -1,9 +1,9 @@
 """Radial (non-rotating) equilibria.
 
 The star with central value a solves Delta u + 4 pi rho(u) = 0, u(0) = a,
-with rho = h^-1 (Euler-Poisson) or G (Vlasov-Poisson, whose ansatz is the
-star's density law); its radius R is the first zero of u.  In x = r/R this
-is the integral equation
+with rho = h^-1 of the star's density law: the EOS (Euler-Poisson) or the
+ansatz's w(0, r, u) (Vlasov-Poisson); its radius R is the first zero of
+u.  In x = r/R this is the integral equation
 
     u(x) = a - 4 pi R^2 int_0^x t (1 - t/x) rho(u(t)) dt,    u(1) = 0,
 
@@ -12,8 +12,8 @@ once.  The integral operator K is applied by two panel-wise cumulative
 integrals and never formed.  It is zero above its diagonal panel blocks
 and rank two below them, so each Newton system is solved panel by panel
 with R eliminated by its Schur complement (_solve_bordered); no n x n
-matrix is formed.  One more such solve differentiates the star along a
-(M'(a)) or along a scaling of the source (vlasov.scaling_response).
+matrix is formed.  One more such solve differentiates the star along a:
+M'(a) and du0/da (mass_derivative).
 """
 
 import numpy as np
@@ -228,12 +228,8 @@ def variation(star, c, sigma):
     One solve of the radial Newton system (_solve_bordered) gives nodal
     w = du/dp at fixed x = r/R and R_p = dR/dp.  w vanishes at the
     surface, where rho'(u0) may be singular, so rho'(u0) w integrates
-    smoothly.  At fixed r,
-    v = w - r u0' R_p/R and v' = w'(x)/R + (u0' + 4 pi r rho) R_p/R (u0''
-    from the radial equation).  Returns nodal v and v' on star.panels and
-    m = dM/dp + sigma M = -R^2 v'(R): take v'(R) from m, since the nodal
-    v' carry the (R - r)^(1 + alpha) term of rho(u0) (rho' ~ u^alpha)
-    that the last panel's polynomial does not resolve."""
+    smoothly.  Returns v = du/dp at fixed r, v = w - r u0' R_p/R, as nodal
+    values on star.panels, and m = dM/dp + sigma M = -R^2 v'(R)."""
     R, u, up = star.R, star._u0_nodes, star._u0p_nodes
     x = _UNIT.x
     rho, d = star.eos.hinv(u), star.eos.dhinv(u)
@@ -242,17 +238,15 @@ def variation(star, c, sigma):
                              c - 4.0 * np.pi * sigma * R * R * k_rho,
                              sigma * R * R * float(_E @ rho) - c)
     v = w - x * up * R_p
-    dv = _flux(R, d * w + (sigma + 2.0 * R_p / R) * rho) \
-        + (up + 4.0 * np.pi * R * x * rho) * R_p / R
     m = (3.0 * R_p / R + sigma) * star.mass + _enclosed(R, d * w)
-    return v, dv, m
+    return v, m
 
 
 def mass_derivative(star):
-    """(M'(a), v_a, v_a') with v_a = du0/da at fixed r (v_a(0) = 1) and
-    v_a' as nodal values on star.panels (see variation)."""
-    v, dv, mp = variation(star, 1.0, 0.0)
-    return mp, v, dv
+    """(M'(a), v_a) with v_a = du0/da at fixed r (v_a(0) = 1) as nodal
+    values on star.panels (see variation)."""
+    v, mp = variation(star, 1.0, 0.0)
+    return mp, v
 
 
 def mass_curve(eos, a_range, n, tol=1e-12):

@@ -83,7 +83,7 @@ class Model:
                       self.dw_du(kappa, geo.rcyl_src, geo.u_src), 0.0)
         c = dw * self.star.u0p_of(geo.z_src) / geo.g1_src
         J = -mfac * geo.density_jacobian(c)                       # moved density
-        J += geo.target_jacobian((mfac * f["Vp"] + target) / geo.RC)
+        J += geo.target_jacobian((mfac * f["Vp"] + target) / geo.rc[:, None])
         mfac_p = (mfac / f["Mcal"]) * geo.source_integral_gradient(c)
         J += np.outer(geo.project_modes(f["V"] - f["V0"] + column).ravel(),
                       mfac_p)                                     # mass factor

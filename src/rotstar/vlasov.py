@@ -7,11 +7,12 @@ density at rotation intensity kappa is
     w(kappa, r, u) = 2 pi int_{-u}^0 int_{-S}^{S} phi(E, kappa r s) ds dE,
     S = sqrt(2(E + u)),
 
-with w(0, r, u) = G(u) closed-form in Beta functions.  The radial star is
-the radial module's Newton solve with density law G, and its scaling
-response one solve with that solve's Jacobian; the nonlinear rotation
-problem is VPModel, run by the same Newton continuation as the
-Euler-Poisson model (rotating.newton_continue).
+closed-form in Beta functions; w(0, r, u) does not depend on r.  The
+radial star is the radial module's Newton solve with the density law
+h^-1(u) = w(0, r, u); the leading-order response to rotation is
+vp_rotation_response, and the nonlinear rotation problem is VPModel, run
+by the same Newton continuation as the Euler-Poisson model
+(rotating.newton_continue).
 """
 
 import functools
@@ -19,12 +20,11 @@ import math
 
 import numpy as np
 
-from .axisym import Discretization, ModalField
 from .eos import pointwise
 from .errors import EOSError
 from .linop import assemble_mode, solve as linop_solve
-from .radial import RadialStar, variation
-from .rotating import Model, ShapeReport, evaluate_F
+from .radial import RadialStar
+from .rotating import Model, ShapeReport
 
 
 def beta_fn(a, b):
@@ -73,7 +73,7 @@ class VlasovAnsatz:
 
     @classmethod
     def matched_to_power_law(cls, mu, psi2=0.0):
-        """psi0 chosen so that G(u) equals the inverse enthalpy of the
+        """psi0 chosen so that w(0, r, u) equals the inverse enthalpy of the
         power law p = s^gamma with gamma = 1 + 1/(3/2 - mu)."""
         _check_mu(mu)
         n = 1.5 - mu
@@ -85,42 +85,35 @@ class VlasovAnsatz:
     def equivalent_gamma(self):
         return 1.0 + 1.0 / (1.5 - self.mu)
 
-    # kappa = 0 profile ----------------------------------------------------
-
-    @pointwise
-    def G(self, u):
-        """G(u) = w(0, ., u)."""
-        return self._cG * np.maximum(u, 0.0) ** (1.5 - self.mu)
-
-    @pointwise
-    def Gp(self, u):
-        with np.errstate(invalid="ignore"):
-            out = np.where(u > 0,
-                           self._cGp * np.maximum(u, 1e-300) ** (0.5 - self.mu),
-                           0.0)
-        return out
-
-    # G as the radial star's density law: h^-1 = G, (h^-1)' = G'
-    hinv, dhinv = G, Gp
-
-    # full w and derivatives (closed forms: psi is an even quadratic) -------
+    # w and its derivatives (closed forms: psi is an even quadratic); the
+    # rotation term is formed only at kappa != 0: it is zero at kappa = 0,
+    # where its power of u may overflow although w does not
 
     @_pointwise_in_r_u
     def w(self, kappa, r, u):
         u = np.maximum(u, 0.0)
-        return self._cG * u ** (1.5 - self.mu) \
-            + 0.5 * kappa ** 2 * r ** 2 * self._cK * u ** (2.5 - self.mu)
+        out = self._cG * u ** (1.5 - self.mu)
+        if kappa:
+            out += 0.5 * kappa ** 2 * r ** 2 * self._cK * u ** (2.5 - self.mu)
+        return out
 
     @_pointwise_in_r_u
     def dw_du(self, kappa, r, u):
+        uu = np.maximum(u, 1e-300)
         with np.errstate(invalid="ignore"):
-            uu = np.maximum(u, 1e-300)
-            out = np.where(u > 0,
-                           self._cGp * uu ** (0.5 - self.mu)
-                           + 0.5 * kappa ** 2 * r ** 2 * self._cKp
-                           * uu ** (1.5 - self.mu),
-                           0.0)
-        return out
+            out = self._cGp * uu ** (0.5 - self.mu)
+            if kappa:
+                out += 0.5 * kappa ** 2 * r ** 2 * self._cKp \
+                    * uu ** (1.5 - self.mu)
+        return np.where(u > 0, out, 0.0)
+
+    # the radial star's density law: h^-1(u) = w(0, ., u), (h^-1)' = dw/du
+
+    def hinv(self, u):
+        return self.w(0.0, 0.0, u)
+
+    def dhinv(self, u):
+        return self.dw_du(0.0, 0.0, u)
 
     @pointwise
     def d2w_dkappa2_unit(self, u):
@@ -134,9 +127,9 @@ class VlasovAnsatz:
 
 
 class VlasovStar(RadialStar):
-    """Radial Vlasov-Poisson steady state: u0 profile with density G(u0).
-    The ansatz is the star's density law (eos) and carries the rotation
-    dependence w that VPModel and vp_rotation_response read."""
+    """Radial Vlasov-Poisson steady state: u0 profile with density
+    w(0, r, u0).  The ansatz is the star's density law (eos) and carries the
+    rotation dependence of w that VPModel and vp_rotation_response read."""
 
     def __init__(self, ansatz, a, tol=1e-12):
         self.ansatz = ansatz
@@ -153,37 +146,12 @@ class VlasovStar(RadialStar):
 
 
 def solve_vp_radial(ansatz, a, tol=1e-12):
-    """The radial solution of Delta u + 4 pi G(u) = 0, u(0) = a."""
+    """The radial solution of Delta u + 4 pi w(0, r, u) = 0, u(0) = a."""
     return VlasovStar(ansatz, a, tol=tol)
-
-
-def scaling_response(star):
-    """(v_S, v_S', v_S'(R)), the first two as nodal values on star.panels,
-    where Delta v_S + 4 pi G'(u0) v_S + 4 pi G(u0) = 0, v_S(0) = v_S'(0) = 0:
-    the derivative of u0 at fixed r when the source 4 pi G is scaled.
-    v_S'(R) is the flux of the enclosed source (radial.variation says why
-    it is not read from the nodal v_S').
-
-    The scaling identities r u0' = 2 v_S (all r) and 2 v_S'(R) = -u0'(R)
-    hold exactly on solutions; they are the standard consistency check."""
-    v, dv, m = variation(star, 0.0, 1.0)
-    return v, dv, -m / star.R ** 2
 
 
 # ---------------------------------------------------------------------------
 # rotation response
-
-
-def kappa_derivative_norm(star, disc=None):
-    """Sup norm of dF/dkappa at (0, 0), computed from the odd-in-kappa part
-    of the residual (identically zero for an even ansatz)."""
-    k = 1e-2
-    model = VPModel(star)
-    disc = disc or Discretization(star.R)
-    zero = np.zeros((len(disc.ells), len(disc.panels_c)))
-    Fp, geo = evaluate_F(ModalField(disc.panels_c, disc.ells, zero), k, model,
-                         disc)
-    return float(np.max(np.abs(Fp - model.residual(geo, -k))) / (2.0 * k))
 
 
 def vp_rotation_response(star, kappa, n=256):

@@ -11,9 +11,11 @@ the power-law scaling identity that M'(a) must satisfy.
 
 w_quad evaluates the kinetic density w(kappa, r, u) of a VlasovAnsatz from
 its definition by Gauss-Jacobi and Gauss-Legendre quadrature, the oracle of
-the ansatz's closed forms.  weighted_norm is the L2(B_R) norm of a mode
-profile at the nodes of a linop.ModeOperator, which the kernel-witness
-tests read.
+the ansatz's closed forms.  reference_vp_law is the kappa = 0 law
+(w, dw/du)(0, r, u) by its own closed forms G and G', the oracle of the
+ansatz's hinv and dhinv, which read w and dw_du.  weighted_norm is the
+L2(B_R) norm of a mode profile at the nodes of a linop.ModeOperator, which
+the kernel-witness tests read.
 
 dense_potential_matrices forms the split-panel potential quadrature as
 dense per-target matrices, the oracle of the factored
@@ -44,7 +46,7 @@ from rotstar.errors import EOSError
 from rotstar.numerics import Ytilde, dY_dtheta, gl_nodes
 from rotstar.potentials import _split_panels
 from rotstar.radial import mass_derivative
-from rotstar.vlasov import VPModel
+from rotstar.vlasov import VPModel, beta_fn
 
 
 def shoot_profile(density, a, tol=1e-12):
@@ -149,6 +151,20 @@ def w_quad(ansatz, kappa, r, u, n_E=48, n_s=32):
         * float(np.dot(wj, f))
 
 
+def reference_vp_law(ansatz, u):
+    """(G(u), G'(u)) of ansatz, G(u) = w(0, r, u) = c u_+^(3/2 - mu), each
+    computed at np.atleast_1d(u) and returned in u's shape."""
+    u = np.asarray(u, dtype=float)
+    x = np.atleast_1d(u)
+    mu = ansatz.mu
+    cG = 4.0 * np.pi * np.sqrt(2.0) * ansatz.psi0 * beta_fn(1.0 - mu, 1.5)
+    cGp = 2.0 * np.pi * np.sqrt(2.0) * ansatz.psi0 * beta_fn(1.0 - mu, 0.5)
+    G = cG * np.maximum(x, 0.0) ** (1.5 - mu)
+    with np.errstate(invalid="ignore"):
+        Gp = np.where(x > 0, cGp * np.maximum(x, 1e-300) ** (0.5 - mu), 0.0)
+    return G.reshape(u.shape), Gp.reshape(u.shape)
+
+
 def weighted_norm(op, f):
     """L2(B_R) norm of a mode profile f given at the nodes of the
     linop.ModeOperator op."""
@@ -213,10 +229,11 @@ def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
     # mfac = M/Mcal with Mcal the source-grid integral, Mcal' = -int q
     mfac_p = mfac * geo.volume_integral_src(q_src) / f["Mcal"]
 
-    xi_t = xi.value(geo.RC, disc.theta)
+    rc = geo.rc[:, None]
+    xi_t = xi.value(rc, disc.theta)
     out = mfac_p * (f["V"] - f["V0"])                         # M' F1
     out += -mfac * (Vq - Vq0)                                 # moved density
-    out += mfac * f["Vp"] * (xi_t / geo.RC)                   # moved target
+    out += mfac * f["Vp"] * (xi_t / rc)                       # moved target
     if isinstance(model, VPModel):
         return out
 
@@ -226,7 +243,7 @@ def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
     rho_00 = float(star.rho0_of(0.0))
     dh_c = star.eos.dh(mfac * rho_c)
     dh_0 = float(star.eos.dh(mfac * rho_00))
-    out += kappa * omega2 * r_cyl * xi_t * disc.sin_theta[None, :] / geo.RC
+    out += kappa * omega2 * r_cyl * xi_t * disc.sin_theta[None, :] / rc
     out += (-dh_c * rho_c + dh_0 * rho_00)[:, None] * mfac_p  # enthalpy terms
     return out
 

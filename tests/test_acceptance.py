@@ -9,17 +9,17 @@ fixtures in conftest.
 import numpy as np
 import pytest
 
-from conftest import rand_deformation, shifted
+from conftest import rand_deformation, shifted, zero_field
 from reference import frechet_apply, w_quad, weighted_norm
 from rotstar.axisym import Discretization, Geometry
 from rotstar.eos import (check_mass_condition_b, constant_rotation,
                          power_law, power_sum)
 from rotstar.linop import assemble_mode, kernel_margin_ladder
-from rotstar.radial import mass_curve, mass_derivative, solve_radial
+from rotstar.radial import (mass_curve, mass_derivative, solve_radial,
+                            variation)
 from rotstar.rotating import (EPModel, evaluate_F, first_order_shape,
                               newton_continue)
-from rotstar.vlasov import (VlasovAnsatz, kappa_derivative_norm,
-                            scaling_response, solve_vp_radial)
+from rotstar.vlasov import VlasovAnsatz, VPModel, solve_vp_radial
 
 
 def test_01_closed_form_gamma2(star2):
@@ -183,7 +183,9 @@ def test_09b_mass_invariance_vp(vp_star, vp_model, vp_solutions):
 
 
 def test_10_vp_identities(vp_star, vp_ansatz):
-    vS, _, vSp_R = scaling_response(vp_star)
+    # the scaling response v_S and v_S'(R) = -m/R^2
+    vS, m = variation(vp_star, 0.0, 1.0)
+    vSp_R = -m / vp_star.R ** 2
     for r in np.linspace(0.1, 1.0, 10) * vp_star.R * 0.999:
         vS_r = float(vp_star.panels.interp(vS, np.array([r]))[0])
         resid = abs(r * float(vp_star.u0p_of(r)) - 2 * vS_r)
@@ -191,7 +193,7 @@ def test_10_vp_identities(vp_star, vp_ansatz):
     assert abs(2 * vSp_R + float(vp_star.u0p_of(vp_star.R))) < 1e-7
     for u in (0.05, 0.3, 0.9):
         ref = w_quad(vp_ansatz, 0.0, 1.0, u)
-        assert abs(float(vp_ansatz.G(u)) - ref) < 1e-10 * max(1.0, ref)
+        assert abs(float(vp_ansatz.hinv(u)) - ref) < 1e-10 * max(1.0, ref)
     gam = vp_ansatz.equivalent_gamma()
     ep = solve_radial(power_law(gam), vp_star.a)
     assert abs(vp_star.R - ep.R) < 1e-6 * ep.R
@@ -201,7 +203,10 @@ def test_10_vp_identities(vp_star, vp_ansatz):
 
 
 def test_11_vp_first_order_vanishing(vp_star, vp_solutions):
-    assert kappa_derivative_norm(vp_star) < 1e-10
+    # dF/dkappa at (0, 0) from the odd-in-kappa part of the residual
+    k, model, disc = 1e-2, VPModel(vp_star), Discretization(vp_star.R)
+    Fp, geo = evaluate_F(zero_field(disc), k, model, disc)
+    assert np.max(np.abs(Fp - model.residual(geo, -k))) / (2.0 * k) < 1e-10
     n1 = vp_solutions[0].zeta_field().xnorm()
     n2 = vp_solutions[1].zeta_field().xnorm()
     assert abs(n2 / n1 - 4.0) < 0.4  # quadratic response: 4 +- 10%

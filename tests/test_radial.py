@@ -24,7 +24,7 @@ def _star(model, param):
         eos = power_law(param)
         return solve_radial(eos, 1.0), eos.hinv
     ansatz = VlasovAnsatz.matched_to_power_law(param)
-    return solve_vp_radial(ansatz, 1.0), ansatz.G
+    return solve_vp_radial(ansatz, 1.0), ansatz.hinv
 
 
 def test_gamma2_closed_form(star2):

@@ -127,7 +127,7 @@ def test_geometry_and_residual_build_no_dense_rows(monkeypatch, star15,
 def test_geometry_undeformed_is_identity(star15, ep_model, geo15):
     # both mass quadratures, the source grid's Mcal and the undeformed
     # grid's mass_integral, give the radial star's mass
-    assert np.allclose(geo15.s_t, geo15.RC)
+    assert np.allclose(geo15.s_t, geo15.rc[:, None])
     assert np.all(geo15.inside)
     assert geo15.model_fields(ep_model, 0.0)["Mcal"] == pytest.approx(
         star15.mass, rel=1e-10)
@@ -143,7 +143,7 @@ def test_geometry_inverts_steep_ray_equation(star15, disc15):
     zeta = radial_field(disc15, lambda r: 0.5 * r ** 6 / R ** 4)
     geo = Geometry(zeta, star15, disc15)
     z0 = geo.z_src
-    gap = z0 * (1.0 + zeta.ratio(z0, disc15.theta)) - geo.T2
+    gap = z0 * (1.0 + zeta.ratio(z0, disc15.theta)) - geo.tq[:, None]
     assert np.max(np.abs(gap[geo.inside])) < 1e-11 * R
 
 

@@ -4,15 +4,14 @@ from scipy.special import beta
 
 from conftest import (density_jacobian_error, jacobian_column_error,
                       rand_deformation, shifted, zero_field)
-from reference import frechet_apply, w_quad
+from reference import frechet_apply, reference_vp_law, w_quad
 from rotstar.axisym import Discretization, Geometry
 from rotstar.eos import power_law
 from rotstar.errors import EOSError
 from rotstar.linop import assemble_mode
-from rotstar.radial import solve_radial
+from rotstar.radial import solve_radial, variation
 from rotstar.rotating import evaluate_F
-from rotstar.vlasov import (VlasovAnsatz, beta_fn, kappa_derivative_norm,
-                            scaling_response, solve_vp_radial,
+from rotstar.vlasov import (VlasovAnsatz, beta_fn, solve_vp_radial,
                             vp_rotation_response)
 
 
@@ -28,10 +27,30 @@ def test_beta_matches_scipy(mu):
                                                      rel=1e-14, abs=0.0)
 
 
-def test_G_matches_quadrature(vp_ansatz):
+def test_hinv_matches_quadrature(vp_ansatz):
     for u in (0.1, 0.5, 1.0):
         ref = w_quad(vp_ansatz, 0.0, 0.7, u)
-        assert abs(float(vp_ansatz.G(u)) - ref) < 1e-10 * ref
+        assert abs(float(vp_ansatz.hinv(u)) - ref) < 1e-10 * ref
+
+
+@pytest.mark.parametrize("psi2", [0.0, 0.1, -0.2, 3.0])
+def test_hinv_is_the_kappa0_law_bit_for_bit(psi2):
+    # hinv and dhinv read w and dw_du at kappa = 0, whose rotation terms
+    # are not formed; they give the bits of the closed forms G and G' of
+    # reference_vp_law, also where u^(5/2 - mu) overflows and G does not
+    rng = np.random.default_rng(19)
+    special = [-1.0, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e200]
+    u = np.concatenate([special, 10.0 ** rng.uniform(-12.0, 30.0, 4000)])
+    n_scalar = len(special) + 200
+    for mu in np.linspace(-3.4, 0.9, 7):
+        ansatz = VlasovAnsatz(mu, psi0=1.3, psi2=psi2)
+        with np.errstate(over="ignore"):    # G(1e200) is inf for mu < 0
+            for x in [u] + list(u[:n_scalar]):
+                got = (ansatz.hinv(x), ansatz.dhinv(x))
+                assert all(type(g) is np.ndarray and g.shape == np.shape(x)
+                           for g in got)
+                assert all(np.array_equal(g, want) for g, want in
+                           zip(got, reference_vp_law(ansatz, x)))
 
 
 def test_w_matches_quadrature_with_rotation(vp_ansatz):
@@ -94,8 +113,8 @@ def test_warm_start_keeps_the_accepted_geometry(vp_model, vp_solutions,
 
 
 def test_density_is_zero_in_vacuum(vp_ansatz):
-    assert float(vp_ansatz.G(-0.3)) == 0.0
-    assert float(vp_ansatz.Gp(-0.3)) == 0.0
+    assert float(vp_ansatz.hinv(-0.3)) == 0.0
+    assert float(vp_ansatz.dhinv(-0.3)) == 0.0
     assert float(vp_ansatz.w(0.5, 1.0, -0.1)) == 0.0
 
 
@@ -109,7 +128,10 @@ def test_ansatz_validation():
 
 
 def test_scaling_response_identities(vp_star):
-    vS_nodes, _, vSp_R = scaling_response(vp_star)
+    # v_S = du0/dp at fixed r when the source is scaled by 1 + p, and
+    # m = -R^2 v_S'(R)
+    vS_nodes, m = variation(vp_star, 0.0, 1.0)
+    vSp_R = -m / vp_star.R ** 2
     rs = np.linspace(0.1, 0.95, 12) * vp_star.R
     for r in rs:
         vS = float(vp_star.panels.interp(vS_nodes, np.array([r]))[0])
@@ -135,8 +157,12 @@ def test_mode_operators_healthy(vp_star):
         assert op.sigma_min() > 1e-3
 
 
-def test_kappa_derivative_vanishes(vp_star, vp_disc):
-    assert kappa_derivative_norm(vp_star, disc=vp_disc) == 0.0
+def test_kappa_derivative_vanishes(vp_model, vp_disc):
+    # dF/dkappa at (0, 0) from the odd-in-kappa part of the residual, zero
+    # for the even ansatz
+    k = 1e-2
+    F, geo = evaluate_F(zero_field(vp_disc), k, vp_model, disc=vp_disc)
+    assert np.max(np.abs(F - vp_model.residual(geo, -k))) / (2.0 * k) == 0.0
 
 
 def test_residual_floor_at_base_point(vp_star, vp_model, vp_disc):
