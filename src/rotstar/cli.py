@@ -47,6 +47,9 @@ def write_json(path, obj):
 # ---------------------------------------------------------------------------
 # configuration
 
+#: largest node count of a mode operator: its dense blocks are n x n
+MAX_NODES = 4096
+
 
 def parse_config(path):
     """Flat key = value file; '#' starts a comment."""
@@ -92,8 +95,8 @@ class RunConfig:
                 raise ConfigError(f"{key} squared must be finite, got {x!r}")
         self.ells = self._counts("ells", [0, 1, 2, 3, 4])
         self.ns = self._counts("ns", [128, 256, 512])
-        if self.n < 1 or min(self.ns) < 1:
-            raise ConfigError("node counts n and ns must be at least 1")
+        self._check_nodes("n", [self.n], linop.MODE_ORDER)
+        self._check_nodes("ns", self.ns, linop.LADDER_ORDER)
         self.a_min = self._float("a_min", 0.5)
         self.a_max = self._float("a_max", 2.0)
         self.n_samples = self._int("n_samples", 9)
@@ -104,6 +107,16 @@ class RunConfig:
         self.eos_kind = self._str("eos", "power_law")
         self.terms = self._pairs("terms", [(1.0, 1.5), (1.0, 1.8)])
         self.out_dir = out_dir or self._str("out", ".")
+
+    @staticmethod
+    def _check_nodes(key, counts, order):
+        """Node counts must fill whole panels of the given order, at least
+        two of them, and stay at or below MAX_NODES."""
+        for n in counts:
+            if n % order or not 2 * order <= n <= MAX_NODES:
+                raise ConfigError(
+                    f"node count {key} = {n} must be a multiple of the panel "
+                    f"order {order} from {2 * order} to {MAX_NODES}")
 
     def _str(self, key, default):
         return self.raw.get(key, default)

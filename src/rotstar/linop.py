@@ -22,8 +22,10 @@ from .potentials import mode_potential_matrices, origin_row
 #: 6e-4 at gamma = 1.22, where the raw sigma_min is 2.6e-9, and 2e-13 at
 #: the degenerate gamma = 4/3.
 DEGENERACY_FLOOR = 1e-8
+#: panel order of the mode operators that solve rotation responses
+MODE_ORDER = 8
 #: panel order and split-panel nodes of kernel_margin_ladder
-_LADDER_ORDER, _LADDER_SUB = 2, 4
+LADDER_ORDER, LADDER_SUB = 2, 4
 
 
 class ModeOperator:
@@ -53,12 +55,12 @@ class ModeOperator:
         return self._sig
 
 
-def mode_panels(R, n, order=8):
+def mode_panels(R, n, order=MODE_ORDER):
     """The graded panels of [0, R] whose n nodes carry a mode profile."""
     return Panels.graded(R, n, order=order)
 
 
-def assemble_mode(star, l, n=256, order=8, n_sub=12):
+def assemble_mode(star, l, n=256, order=MODE_ORDER, n_sub=12):
     """Assemble the mode-l block of L on the n nodes of mode_panels.
 
     The l=0 mass term takes its column from star.mass_column, so the star's
@@ -96,8 +98,8 @@ def kernel_margin_ladder(star, ells=(0, 1, 2, 3, 4), ns=(128, 256, 512)):
     rows = []
     for l in ells:
         for n in ns:
-            op = assemble_mode(star, l, n=n, order=_LADDER_ORDER,
-                               n_sub=_LADDER_SUB)
+            op = assemble_mode(star, l, n=n, order=LADDER_ORDER,
+                               n_sub=LADDER_SUB)
             rows.append((l, n, op.sigma_min()))
     return rows
 

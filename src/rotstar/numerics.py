@@ -3,8 +3,15 @@
 Composite Gauss-Legendre quadrature on graded panels, whose nodal values
 double as a piecewise-polynomial representation (interpolation, and
 differentiation and cumulative integration panel by panel from one pair of
-reference matrices per order), axisymmetric spherical harmonics, and small
-dense linear algebra helpers.
+reference matrices per order), axisymmetric spherical harmonics, and the
+smallest singular value of a dense matrix.
+
+smallest_singular_value reads the smallest eigenvalue of the Gram matrix
+A^T A when it stands clear of the eigenvalue rounding error (lam[0] >=
+1e-10 lam[-1]); below that, where the Gram value is lost, it power-iterates
+on inv(A)^T inv(A) until the eigen-residual test passes, which takes 2-4
+steps on the degenerate and translation mode blocks; only an iteration that
+has not converged falls back to the full SVD.
 """
 
 import functools
@@ -62,11 +69,70 @@ def dY_dtheta(ells, theta):
     return out
 
 
+#: smallest_singular_value trusts the Gram spectrum when lam[0] >= _GRAM_TAU
+#: lam[-1].  The computed eigenvalues of the rounded A^T A are off by about
+#: n eps lam[-1] in the worst case (Weyl's bound for a backward-stable
+#: eigvalsh, Golub & Van Loan 8.1), eps lam[-1] typically, so a lam[0] above
+#: this floor keeps a relative error of at most n eps/TAU (1e-3 at n = 512)
+#: and typically eps/TAU = 2e-6.  The mode matrices, whose small singular
+#: values sit on their dominant diagonal, do far better: below 1e-10 against
+#: the SVD (test_sigma_min_matches_svd).  Below the floor the Gram value is
+#: lost: on the l = 1 translation blocks, with lam[0] < eps lam[-1], it is
+#: off by orders of magnitude.
+_GRAM_TAU = 1e-10
+#: inverse-iteration steps before the SVD fallback, and the relative
+#: eigen-residual that ends the iteration
+_INVERSE_STEPS, _INVERSE_RTOL = 8, 1e-7
+
+
+def _inverse_iteration(A):
+    """1/sqrt of the largest eigenvalue of C = inv(A)^T inv(A) by power
+    iteration from a fixed start, or None if it has not converged.
+
+    The Rayleigh quotient nu = x^T C x of a unit x lies within ||C x - nu x||
+    of an eigenvalue, and within ||C x - nu x||^2/gap of it once x has
+    found that eigenvalue's vector; the test ||C x - nu x|| <= _INVERSE_RTOL
+    nu therefore leaves nu about _INVERSE_RTOL^2 nu off when sigma_2 is a
+    few times sigma_min.  Each step divides the residual by about
+    (sigma_2/sigma_min)^2."""
+    try:
+        Ai = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(Ai)):
+        return None
+    x = np.random.default_rng(0).standard_normal(len(A))
+    x /= np.linalg.norm(x)
+    for _ in range(_INVERSE_STEPS):
+        y = Ai @ x
+        z = Ai.T @ y
+        nu = y @ y
+        if not 0.0 < nu < np.inf:
+            return None
+        if np.linalg.norm(z - nu * x) <= _INVERSE_RTOL * nu:
+            return float(1.0 / np.sqrt(nu))
+        x = z / np.linalg.norm(z)
+    return None
+
+
 def smallest_singular_value(A):
-    """Smallest singular value of A."""
+    """Smallest singular value of A, without a full SVD where it can.
+
+    From the Gram eigenvalues lam = eigvalsh(A^T A) when lam[0] >=
+    _GRAM_TAU lam[-1]; otherwise by inverse iteration on inv(A)^T inv(A),
+    which converges in a few steps when sigma_min sits well apart from
+    sigma_2 (the degenerate and translation mode blocks); and by the full
+    SVD when that iteration has not converged (or A is not square)."""
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
+    lam = np.linalg.eigvalsh(A.T @ A)
+    if lam[0] >= _GRAM_TAU * lam[-1]:
+        return float(np.sqrt(lam[0]))
+    if A.shape[0] == A.shape[1]:
+        sig = _inverse_iteration(A)
+        if sig is not None:
+            return sig
     return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 

@@ -75,18 +75,26 @@ class Model:
     def jacobian(self, geo, kappa):
         """The Newton matrix, shape (n_l n_rc, n_l n_c): the derivative of
         the projected residual modes along every basis field
-        e_c(r) Y_k(theta) at once, assembled as dense products."""
-        f = geo.model_fields(self, kappa)
-        mfac = f["mfac"]
-        target, column = self.local_derivatives(geo, kappa, mfac)
-        dw = np.where(geo.inside,
-                      self.dw_du(kappa, geo.rcyl_src, geo.u_src), 0.0)
-        c = dw * self.star.u0p_of(geo.z_src) / geo.g1_src
-        J = -mfac * geo.density_jacobian(c)                       # moved density
-        J += geo.target_jacobian((mfac * f["Vp"] + target) / geo.rc[:, None])
-        mfac_p = (mfac / f["Mcal"]) * geo.source_integral_gradient(c)
-        J += np.outer(geo.project_modes(f["V"] - f["V0"] + column).ravel(),
-                      mfac_p)                                     # mass factor
+        e_c(r) Y_k(theta) at once, assembled as dense products; raises
+        SolverError, without numpy warnings, when it is not finite (its
+        potentials overflow for a dense enough star)."""
+        with np.errstate(all="ignore"):
+            f = geo.model_fields(self, kappa)
+            mfac = f["mfac"]
+            target, column = self.local_derivatives(geo, kappa, mfac)
+            dw = np.where(geo.inside,
+                          self.dw_du(kappa, geo.rcyl_src, geo.u_src), 0.0)
+            c = dw * self.star.u0p_of(geo.z_src) / geo.g1_src
+            J = -mfac * geo.density_jacobian(c)               # moved density
+            J += geo.target_jacobian(
+                (mfac * f["Vp"] + target) / geo.rc[:, None])
+            mfac_p = (mfac / f["Mcal"]) * geo.source_integral_gradient(c)
+            J += np.outer(
+                geo.project_modes(f["V"] - f["V0"] + column).ravel(),
+                mfac_p)                                           # mass factor
+        if not np.all(np.isfinite(J)):
+            raise SolverError(
+                f"Newton matrix is not finite at kappa={kappa:g}")
         return J
 
 

@@ -156,6 +156,23 @@ def test_node_counts_ns_must_be_positive(tmp_path):
                "gamma = 1.5\nells = 0\nns = 64,-8\n") == 2
 
 
+def test_node_counts_fill_whole_panels(tmp_path, capsys):
+    # ns = 1 or 3 wrote rows labelled n_nodes = 1 or 3 for an operator on
+    # 4 nodes, n = 100 solved on 96 nodes, and ns = 1e8 ended in a numpy
+    # memory-error traceback; each count is a multiple of its panel order
+    # (linop.LADDER_ORDER for ns, linop.MODE_ORDER for n), fills at least
+    # two panels and stays at or below cli.MAX_NODES
+    for text in ("ns = 1\n", "ns = 3\n", "ns = 64,130,2\n",
+                 "ns = 100000000\n", "ns = 4098\n"):
+        assert run(tmp_path, "kernel-margin", "ells = 2\n" + text) == 2
+        assert "node count ns" in capsys.readouterr().err
+    for n in (8, 100, 4104):
+        assert run(tmp_path, "perturb", f"gamma = 1.5\nn = {n}\n") == 2
+        assert "node count n" in capsys.readouterr().err
+    RunConfig({"n": "16", "ns": "4,4096"})
+    RunConfig({"n": "4096"})
+
+
 def test_ells_and_ns_must_be_nonnegative_integers(tmp_path, capsys):
     # a negative l used to end in a ValueError traceback, and int() truncated
     # 2.7 and 64.5 silently to l = 2 and n = 64
@@ -230,6 +247,24 @@ def test_perturb_below_four_thirds_exits_zero(tmp_path):
     # (2.6e-9, R = 488) is small only through the a/R^2 scale
     assert run(tmp_path, "perturb", "gamma = 1.22\nn = 192\n") == 0
     assert run(tmp_path, "perturb", "model = vp\nmu = -3\nn = 192\n") == 0
+
+
+def test_continue_non_finite_newton_matrix_is_solver_error(tmp_path):
+    # at a = 1e150 the VP density reaches about 1e187 and its potential
+    # overflows in the Newton matrix: a solver error that says so, with no
+    # numpy RuntimeWarning on stderr (it used to read "Newton stalled ...
+    # residual nan")
+    cfg = _write(tmp_path / "run.cfg",
+                 "model = vp\nmu = 0.25\npsi2 = 0.1\na = 1e150\n")
+    src = os.path.dirname(os.path.dirname(rotstar.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "rotstar", "continue", "--config", cfg,
+         "--out", str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 3
+    assert "not finite" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_continue_writes_curve(tmp_path):

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from reference import weighted_norm
-from rotstar.eos import power_law
+from rotstar.eos import constant_rotation, power_law
 from rotstar.errors import DegenerateOperatorError
-from rotstar.linop import (DEGENERACY_FLOOR, assemble_mode,
-                           kernel_margin_ladder, solve)
+from rotstar.linop import (DEGENERACY_FLOOR, LADDER_ORDER, LADDER_SUB,
+                           assemble_mode, kernel_margin_ladder, solve)
+from rotstar.numerics import smallest_singular_value
 from rotstar.radial import mass_derivative, solve_radial
+from rotstar.rotating import first_order_shape
+from rotstar.vlasov import VlasovAnsatz, solve_vp_radial
 
 
 def test_sigma_min_healthy_modes(star15):
@@ -97,3 +100,44 @@ def test_solve_refuses_degenerate(star43, star15):
 def test_negative_mode_rejected(star15):
     with pytest.raises(ValueError):
         assemble_mode(star15, -1)
+
+
+@pytest.fixture(scope="module")
+def sweep_stars(star43, star15, vp_star):
+    stars = {"ep 4/3": star43, "ep 1.5": star15, "vp 0.25": vp_star}
+    for gamma in (1.22, 1.3, 1.9):
+        stars[f"ep {gamma}"] = solve_radial(power_law(gamma), 1.0)
+    stars["vp -1.5"] = solve_vp_radial(
+        VlasovAnsatz.matched_to_power_law(-1.5, psi2=0.1), 1.0)
+    return stars
+
+
+@pytest.mark.parametrize("n, order, n_sub", [
+    (128, LADDER_ORDER, LADDER_SUB), (256, LADDER_ORDER, LADDER_SUB),
+    (256, 8, 12)])
+def test_sigma_min_matches_svd(sweep_stars, n, order, n_sub):
+    # the weighted mode matrices of ModeOperator.sigma_min, healthy,
+    # degenerate (gamma = 4/3, l = 0) and translation (l = 1) blocks alike:
+    # relative accuracy where the SVD has it, eps-level against sigma_max
+    # below that
+    for name, star in sweep_stars.items():
+        for l in range(5):
+            op = assemble_mode(star, l, n=n, order=order, n_sub=n_sub)
+            d = np.sqrt(op.panels.w) * op.nodes
+            s = np.linalg.svd(op.matrix * (d[:, None] / d[None, :]),
+                              compute_uv=False)
+            err = abs(op.sigma_min() - s[-1])
+            assert err <= max(1e-8 * s[-1], 1e-14 * s[0]), (name, l)
+
+
+def test_kernel_margin_and_first_order_take_no_svd(monkeypatch, star43,
+                                                   star15):
+    # sigma_min of the ladder's modes and of the first-order solve comes
+    # from the Gram eigenvalues or a converged inverse iteration
+    def refuse(*args, **kw):
+        raise AssertionError("np.linalg.svd called")
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    rows = kernel_margin_ladder(star43)
+    assert len(rows) == 15 and all(sig > 0.0 for _, _, sig in rows)
+    report = first_order_shape(star15, constant_rotation())
+    assert report.xi_R[2] != 0.0

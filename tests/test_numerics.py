@@ -122,6 +122,52 @@ def test_smallest_singular_value_known_matrix():
         smallest_singular_value(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def _counted_linalg(monkeypatch):
+    """Count the calls of np.linalg.inv and np.linalg.svd."""
+    calls = {"inv": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(np.linalg, name), _name=name, **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _with_singular_values(s, seed=0):
+    """Q diag(s) Q^T for a random orthogonal Q."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (len(s), len(s))))[0]
+    return (q * s) @ q.T
+
+
+@pytest.mark.parametrize("tail, path", [
+    ([0.25, 0.5], {"inv": 0, "svd": 0}),          # Gram eigenvalues
+    ([1e-13, 1e-3], {"inv": 1, "svd": 0}),        # inverse iteration
+    ([1e-13, 1.01e-13], {"inv": 1, "svd": 1}),    # no convergence: SVD
+])
+def test_smallest_singular_value_paths(monkeypatch, tail, path):
+    # each path on a matrix made to reach it, against the full SVD; two
+    # near-equal smallest singular values stall the inverse iteration
+    s = np.concatenate([tail, np.linspace(1.0, 3.0, 38)])
+    A = _with_singular_values(s)
+    want = np.linalg.svd(A, compute_uv=False)
+    calls = _counted_linalg(monkeypatch)
+    got = smallest_singular_value(A)
+    assert calls == path
+    assert abs(got - want[-1]) <= max(1e-8 * want[-1], 1e-14 * want[0])
+
+
+def test_smallest_singular_value_singular_and_wide():
+    # an exactly singular matrix has no inverse and a wide one a singular
+    # Gram matrix and no inverse: both fall back to the SVD
+    A = np.ones((5, 5))
+    assert smallest_singular_value(A) == pytest.approx(0.0, abs=1e-14)
+    assert smallest_singular_value(np.zeros((3, 3))) == 0.0
+    W = np.random.default_rng(1).standard_normal((4, 9))
+    assert smallest_singular_value(W) == pytest.approx(
+        np.linalg.svd(W, compute_uv=False)[-1], rel=1e-12)
+
+
 def test_panels_quadrature_and_interpolation():
     pan = Panels.graded(2.0, 48, order=8)
     f = pan.x ** 5 - 2 * pan.x ** 2
