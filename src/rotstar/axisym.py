@@ -109,13 +109,14 @@ class ModalField:
 
 class Discretization:
     """Grids and mode set for the nonlinear solvers: the modes ells (ells[0]
-    is l = 0), n_mu quadrature colatitudes and the n_rt-node source-grid
-    budget."""
+    is l = 0), n_mu quadrature colatitudes, the n_rt-node source-grid
+    budget and the n_rc collocation nodes that carry the unknowns."""
 
-    def __init__(self, R, ells=(0, 2, 4, 6, 8, 10, 12), n_mu=24, n_rt=104):
+    def __init__(self, R, ells=(0, 2, 4, 6, 8, 10, 12), n_mu=24, n_rt=104,
+                 n_rc=N_RC):
         self.R = float(R)
         self.ells = tuple(ells)
-        self.panels_c = Panels.graded(R, N_RC, ORDER)   # collocation / unknowns
+        self.panels_c = Panels.graded(R, n_rc, ORDER)   # collocation / unknowns
         self.n_rt = n_rt
         xm, wm = gl_nodes(n_mu)
         self.mu = 0.5 * (xm + 1.0)

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 solver error, 4 degenerate operator.
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -17,8 +18,9 @@ import sys
 import numpy as np
 
 from . import linop, radial, rotating, vlasov
-from .eos import (check_mass_condition_b, constant_rotation, power_law,
-                  power_sum, validate_assumptions)
+from .axisym import ORDER, Discretization
+from .eos import (PowerLawEOS, check_mass_condition_b, constant_rotation,
+                  power_law, power_sum, validate_assumptions)
 from .errors import (ConfigError, DegenerateOperatorError, EOSError,
                      RotstarError, SolverError)
 
@@ -47,7 +49,8 @@ def write_json(path, obj):
 # ---------------------------------------------------------------------------
 # configuration
 
-#: largest node count of a mode operator: its dense blocks are n x n
+#: largest side of a dense operator: the kernel-margin blocks are ns x ns,
+#: and perturb's Newton matrix has n rows per mode of its Discretization
 MAX_NODES = 4096
 
 
@@ -95,8 +98,9 @@ class RunConfig:
                 raise ConfigError(f"{key} squared must be finite, got {x!r}")
         self.ells = self._counts("ells", [0, 1, 2, 3, 4])
         self.ns = self._counts("ns", [128, 256, 512])
-        self._check_nodes("n", [self.n], linop.MODE_ORDER)
-        self._check_nodes("ns", self.ns, linop.LADDER_ORDER)
+        ells = inspect.signature(Discretization).parameters["ells"].default
+        self._check_nodes("n", [self.n], ORDER, MAX_NODES // len(ells))
+        self._check_nodes("ns", self.ns, linop.LADDER_ORDER, MAX_NODES)
         self.a_min = self._float("a_min", 0.5)
         self.a_max = self._float("a_max", 2.0)
         self.n_samples = self._int("n_samples", 9)
@@ -109,14 +113,15 @@ class RunConfig:
         self.out_dir = out_dir or self._str("out", ".")
 
     @staticmethod
-    def _check_nodes(key, counts, order):
+    def _check_nodes(key, counts, order, most):
         """Node counts must fill whole panels of the given order, at least
-        two of them, and stay at or below MAX_NODES."""
+        two of them, and stay at or below most."""
+        most -= most % order
         for n in counts:
-            if n % order or not 2 * order <= n <= MAX_NODES:
+            if n % order or not 2 * order <= n <= most:
                 raise ConfigError(
                     f"node count {key} = {n} must be a multiple of the panel "
-                    f"order {order} from {2 * order} to {MAX_NODES}")
+                    f"order {order} from {2 * order} to {most}")
 
     def _str(self, key, default):
         return self.raw.get(key, default)
@@ -200,6 +205,13 @@ class RunConfig:
                                           tol=self.ode_tol)
         return radial.solve_radial(self.make_eos(), self.a, tol=self.ode_tol)
 
+    def make_model(self):
+        """The rotation problem of the configured star."""
+        star = self.make_star()
+        if self.model == "vp":
+            return vlasov.VPModel(star)
+        return rotating.EPModel(star, constant_rotation(self.omega))
+
     def path(self, name):
         os.makedirs(self.out_dir, exist_ok=True)
         return os.path.join(self.out_dir, name)
@@ -234,7 +246,9 @@ def cmd_radial(cfg):
     mp = radial.mass_derivative(star)[0]
     flag = ""
     if abs(mp) < 1e-6 * star.mass / star.a:
-        gtxt = f" (gamma={eos.gamma:g})" if eos.gamma else ""
+        # a power sum's gamma is its smallest exponent, not its label
+        gtxt = f" (gamma={eos.gamma:g})" if isinstance(eos, PowerLawEOS) \
+            else ""
         flag = f"  mass condition FAILED{gtxt}"
     print(f"radial ep: a={cfg.a:g} R={star.R:.9f} M={star.mass:.9f} "
           f"Mprime={mp:.9f}{flag}")
@@ -269,40 +283,39 @@ def cmd_margin(cfg):
 
 
 def cmd_perturb(cfg):
-    """Leading-order shape: the EP response per unit kappa, scaled by the
-    last scheduled kappa if positive, or the VP response at that kappa
+    """The Newton step from the sphere on cfg.n collocation nodes
+    (rotating.sphere_response): the EP response per unit kappa, scaled by
+    the last scheduled kappa if positive, or the VP step at that kappa
     (1e-2 if it is 0)."""
-    star = cfg.make_star()
+    model = cfg.make_model()
+    R = model.star.R
     kappa = cfg.kappas[-1]
     if cfg.model == "vp":
-        kappa = kappa if kappa > 0 else 1e-2
-        report = vlasov.vp_rotation_response(star, kappa, n=cfg.n)
-        scale = 1.0
-        line = f"perturb vp: kappa={kappa:g} xi_2(R)={report.xi_R[2]:.6e}"
+        kappa, scale = (kappa if kappa > 0 else 1e-2), 1.0
     else:
-        report = rotating.first_order_shape(
-            star, constant_rotation(cfg.omega), n=cfg.n)
-        scale = kappa if kappa > 0 else 1.0
-        line = (f"perturb: xi_2(R)={report.xi_R[2]:.6e} "
-                f"oblateness slope={report.oblateness_slope():.6e}")
+        kappa, scale = 1.0, (kappa if kappa > 0 else 1.0)
+    xi = rotating.sphere_response(model, kappa, Discretization(R, n_rc=cfg.n))
+    xi_R = [float(xi.panels.interp(c, R)) for c in xi.coefs]
     thetas = np.linspace(0.0, np.pi / 2, 91)
+    shift = R * xi.ratio(np.full(len(thetas), R), thetas)   # xi(R, theta)/R
     write_csv(cfg.path("shape.csv"),
               ["theta_rad", "boundary_displacement_length"],
-              list(zip(thetas, report.boundary_shift(thetas) * scale)))
+              list(zip(thetas, shift * scale)))
     write_csv(cfg.path("modes.csv"), ["l_mode", "xi_R_length_sq"],
-              sorted(report.xi_R.items()))
-    print(line)
+              list(zip(xi.ells, xi_R)))
+    xi_2 = xi_R[xi.ells.index(2)]
+    if cfg.model == "vp":
+        print(f"perturb vp: kappa={kappa:g} xi_2(R)={xi_2:.6e}")
+    else:
+        print(f"perturb: xi_2(R)={xi_2:.6e} "
+              f"oblateness slope={shift[-1] - shift[0]:.6e}")
     return 0
 
 
 def cmd_continue(cfg):
     """Newton continuation of the configured model; per-kappa CSV rows are
     flushed as they arrive, so a partial curve survives solver failure."""
-    star = cfg.make_star()
-    if cfg.model == "vp":
-        model = vlasov.VPModel(star)
-    else:
-        model = rotating.EPModel(star, constant_rotation(cfg.omega))
+    model = cfg.make_model()
     rows = []
     header = ["kappa_intensity", "R_eq_length", "R_pole_length", "M_mass",
               "residual_sup", "newton_iters"]

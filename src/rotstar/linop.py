@@ -1,5 +1,5 @@
 """The linearized operator L = dF/dzeta at the radial solution, one
-spherical-harmonic mode at a time.
+spherical-harmonic mode at a time, for the kernel-margin diagnosis.
 
 For xi(x) = xi_l(r) Y_{l0}(theta),
 
@@ -9,21 +9,16 @@ For xi(x) = xi_l(r) Y_{l0}(theta),
 where Phi_l is the potential mode of the source sigma_l(t) = rho0'(t) xi_l(t)/t.
 The rank-one term is (k(rho0)(r)-k(rho0)(0))/M * int rho0' xi/|y| dy for the
 Euler-Poisson model and (u0(r)-u0(0))/M * (same integral) for Vlasov-Poisson.
+Any l is assembled, odd ones included, which the even-mode Newton matrix at
+zeta = 0 (rotating.sphere_step, the rotation responses) does not carry.
 """
 
 import numpy as np
 
-from .errors import DegenerateOperatorError, SolverError
+from .errors import SolverError
 from .numerics import Panels, smallest_singular_value
 from .potentials import mode_potential_matrices, origin_row
 
-#: solve refuses a mode whose sigma_min R^2/a is at or below this.  The
-#: scaled value is invariant under the power-law scaling of the star: it is
-#: 6e-4 at gamma = 1.22, where the raw sigma_min is 2.6e-9, and 2e-13 at
-#: the degenerate gamma = 4/3.
-DEGENERACY_FLOOR = 1e-8
-#: panel order of the mode operators that solve rotation responses
-MODE_ORDER = 8
 #: panel order and split-panel nodes of kernel_margin_ladder
 LADDER_ORDER, LADDER_SUB = 2, 4
 
@@ -33,17 +28,11 @@ class ModeOperator:
 
     Acts on nodal values of xi_l at the composite Gauss-Legendre nodes
     panels.x; sigma_min is measured in the quadrature-weighted l2 norm
-    (the L2(B_R) proxy for the paper's X-norm space).  potential is the
-    matrix of Phi_l at the nodes and, for l = 0, origin the row of
-    Phi_0(0) that L subtracts (None for l > 0)."""
+    (the L2(B_R) proxy for the paper's X-norm space)."""
 
-    def __init__(self, l, star, panels, matrix, potential, origin=None):
-        self.l = int(l)
-        self.star = star
+    def __init__(self, panels, matrix):
         self.panels = panels
         self.matrix = matrix
-        self.potential = potential
-        self.origin = origin
         self.nodes = panels.x
         self._sig = None
 
@@ -55,36 +44,30 @@ class ModeOperator:
         return self._sig
 
 
-def mode_panels(R, n, order=MODE_ORDER):
-    """The graded panels of [0, R] whose n nodes carry a mode profile."""
-    return Panels.graded(R, n, order=order)
-
-
-def assemble_mode(star, l, n=256, order=MODE_ORDER, n_sub=12):
-    """Assemble the mode-l block of L on the n nodes of mode_panels.
+def assemble_mode(star, l, n=256, order=8, n_sub=12):
+    """Assemble the mode-l block of L on the n nodes of the graded panels
+    of [0, R].
 
     The l=0 mass term takes its column from star.mass_column, so the star's
     model (Euler-Poisson or Vlasov-Poisson) decides it.
     """
     if l < 0:
         raise ValueError("harmonic index must be nonnegative")
-    panels = mode_panels(star.R, n, order=order)
+    panels = Panels.graded(star.R, n, order=order)
     x = panels.x
     u0p = star.u0p_of(x)
     rho0p = star.rho0p_of(x)
     [A] = mode_potential_matrices(panels, (l,), x, n_sub=n_sub)
-    origin, A_rel = None, A
     if l == 0:
-        origin = origin_row(panels)[None, :]
-        A_rel = A - origin  # the -1/|y| monopole correction
+        A = A - origin_row(panels)[None, :]  # the -1/|y| monopole correction
     D = rho0p / x
-    M = np.diag(u0p / x) - A_rel * D[None, :]
+    M = np.diag(u0p / x) - A * D[None, :]
     if l == 0:
         row = 4.0 * np.pi * panels.w * x * rho0p
         M = M + np.outer(star.mass_column(x), row)
     if not np.all(np.isfinite(M)):
         raise SolverError(f"mode {l} operator is not finite")
-    return ModeOperator(l, star, panels, M, A, origin)
+    return ModeOperator(panels, M)
 
 
 def kernel_margin_ladder(star, ells=(0, 1, 2, 3, 4), ns=(128, 256, 512)):
@@ -102,22 +85,3 @@ def kernel_margin_ladder(star, ells=(0, 1, 2, 3, 4), ns=(128, 256, 512)):
                                n_sub=LADDER_SUB)
             rows.append((l, n, op.sigma_min()))
     return rows
-
-
-def solve(op, rhs):
-    """Solve (L_l) xi = rhs; refuses near-degenerate operators, judged by
-    the scale-free sigma_min R^2/a against DEGENERACY_FLOOR."""
-    sig = op.sigma_min()
-    scaled = sig * op.star.R ** 2 / op.star.a
-    if scaled <= DEGENERACY_FLOOR:
-        gamma = getattr(op.star.eos, "gamma", None)
-        raise DegenerateOperatorError(
-            "degenerate operator (mass condition violated?): "
-            f"sigma_min={sig:.3e}, sigma_min R^2/a={scaled:.3e}"
-            + (f", gamma={gamma}" if gamma is not None else ""),
-            sigma_min=sig, diagnostics={"l": op.l, "gamma": gamma,
-                                        "sigma_min_scaled": scaled})
-    xi = np.linalg.solve(op.matrix, np.asarray(rhs, dtype=float))
-    if not np.all(np.isfinite(xi)):
-        raise SolverError(f"mode {op.l} solve is not finite")
-    return xi

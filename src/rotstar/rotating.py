@@ -15,39 +15,32 @@ F = kappa J up to quadrature.
 Model holds what the Euler-Poisson and Vlasov-Poisson problems share: a
 density law turned into Mfac and V on the source grid, one residual and one
 Newton matrix.  EPModel adds the enthalpy and centrifugal local term;
-vlasov.VPModel adds its own.  first_order_shape solves
-the linearized EP problem mode by mode; newton_continue runs Newton iteration
-on the spherical-harmonic coefficients of zeta for either model along a
-schedule of rotation intensities kappa.
+vlasov.VPModel adds its own.  At zeta = 0 the Newton matrix is the
+linearized operator L = D_zeta F(0, 0), block diagonal in l and invertible
+exactly when the mass condition holds; sphere_step gates its l = 0 block and
+solves L xi = -rhs mode by mode.  That one solve gives the continuation's
+tangent at the sphere (rhs = dF/dkappa) and the perturb response
+(sphere_response, rhs = F(0, kappa) - F(0, 0)).  newton_continue runs Newton
+iteration on the spherical-harmonic coefficients of zeta for either model
+along a schedule of rotation intensities kappa.
 """
 
 import numpy as np
 
 from .axisym import EPS0, Discretization, Geometry, ModalField
-from .errors import DeformationError, SolverError
-from .linop import assemble_mode, mode_panels, solve as linop_solve
-from .numerics import Ytilde, gl_nodes
+from .eos import PowerLawEOS
+from .errors import DeformationError, DegenerateOperatorError, SolverError
+from .numerics import smallest_singular_value
 
 _TINY = 1e-14
 #: Newton steps per kappa value, and step halvings per requested kappa
 _NEWTON_ITERS, _HALVINGS = 8, 6
-#: quadrature colatitudes of the centrifugal mode projections
-_N_MU = 24
-
-
-# ---------------------------------------------------------------------------
-# centrifugal forcing
-
-
-def centrifugal_rhs(profile, nodes, ells):
-    """Mode profiles of dF/dkappa at zeta=0, i.e. of J(r sin(theta)), at the
-    radii nodes; shape (n_l, n_nodes)."""
-    xm, wm = gl_nodes(_N_MU)
-    mu = 0.5 * (xm + 1.0)
-    wmu = 0.5 * wm
-    sth = np.sqrt(1.0 - mu ** 2)
-    Jvals = profile.J(np.outer(nodes, sth))
-    return np.array([Jvals @ (4.0 * np.pi * wmu * Y) for Y in Ytilde(ells, mu)])
+#: sphere_step refuses an l = 0 block whose sigma_min R^2/a is at or below
+#: this.  The scaled value is invariant under the power-law scaling of the
+#: star: on the default grid it is 0.13 at gamma = 1.5 and 6.2e-4 at
+#: gamma = 1.22, where the raw sigma_min is 2.6e-9, and 1.5e-12 at the
+#: degenerate gamma = 4/3.
+DEGENERACY_FLOOR = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +50,19 @@ def centrifugal_rhs(profile, nodes, ells):
 class Model:
     """A rotating model is its density law plus its local term: a subclass
     gives the law w(kappa, r_cyl, u) with dw_du (the density at rotation
-    intensity kappa where the radial potential is u), local(geo, kappa,
-    mfac) at the targets, and slope(disc).  Geometry.model_fields turns the
-    law into mfac = M/Mcal and the potential V; the residual is
+    intensity kappa where the radial potential is u) and local(geo, kappa,
+    mfac) at the targets.  Geometry.model_fields turns the law into
+    mfac = M/Mcal and the potential V; the residual is
     mfac (V - V(0)) + local, and the Newton matrix one shared block plus
     the local term's target weight and mfac-derivative (local_derivatives,
-    zero unless overridden)."""
+    zero unless overridden).  kappa_forcing is dF/dkappa at zeta = 0, zero
+    unless overridden."""
 
     def local_derivatives(self, geo, kappa, mfac):
         return 0.0, 0.0
+
+    def kappa_forcing(self, geo):
+        return 0.0
 
     def residual(self, geo, kappa):
         f = geo.model_fields(self, kappa)
@@ -116,8 +113,12 @@ class EPModel(Model):
     def local(self, geo, kappa, mfac):
         rho = self.star.rho0_of(np.append(geo.rc, 0.0))   # targets, origin
         h = self.star.eos.h(mfac * rho)
-        cent = kappa * self.profile.J(geo.s_t * geo.disc.sin_theta[None, :])
-        return cent + (h[-1] - h[:-1])[:, None]
+        return kappa * self.kappa_forcing(geo) + (h[-1] - h[:-1])[:, None]
+
+    def kappa_forcing(self, geo):
+        """The centrifugal term J(r_cyl) at the targets, the kappa-derivative
+        of the local term."""
+        return self.profile.J(geo.s_t * geo.disc.sin_theta[None, :])
 
     def local_derivatives(self, geo, kappa, mfac):
         sin = geo.disc.sin_theta[None, :]
@@ -127,13 +128,6 @@ class EPModel(Model):
         dh_rho = self.star.eos.dh(mfac * rho) * rho
         return (kappa * omega2 * r_cyl * sin,
                 (dh_rho[-1] - dh_rho[:-1])[:, None])
-
-    def slope(self, disc):
-        """The first-order response sampled onto the collocation nodes, per
-        unit kappa."""
-        shape = first_order_shape(self.star, self.profile, ells=disc.ells)
-        return np.array([shape.panels.interp(shape.xi[l], disc.panels_c.x)
-                         for l in disc.ells])
 
 
 def evaluate_F(zeta, kappa, model, disc=None):
@@ -146,50 +140,59 @@ def evaluate_F(zeta, kappa, model, disc=None):
 
 
 # ---------------------------------------------------------------------------
-# first-order response
+# the linearized operator at the sphere
 
 
-class ShapeReport:
-    """Linear response xi per harmonic mode: L xi = -dF/dkappa for the EP
-    fluid (first_order_shape), the kappa^2 response for the VP gas
-    (vlasov.vp_rotation_response)."""
-
-    def __init__(self, star, ells, panels, xi):
-        self.star = star
-        self.ells = tuple(ells)
-        self.panels = panels    # the mode panels every profile lives on
-        self.xi = xi            # l -> nodal profile on panels.x
-        self.xi_R = {l: float(panels.interp(xi[l], np.array([star.R]))[0])
-                     for l in ells}
-
-    def boundary_shift(self, theta):
-        """xi(R, theta)/R, the radial boundary displacement relative to R
-        (per unit kappa for first_order_shape)."""
-        mu = np.atleast_1d(np.cos(np.asarray(theta, dtype=float)))
-        out = np.zeros_like(mu)
-        for l, Y in zip(self.ells, Ytilde(self.ells, mu)):
-            out += self.xi_R[l] * Y
-        return out / self.star.R
-
-    def oblateness_slope(self):
-        """d(R_eq - R_pole)/dkappa at kappa = 0."""
-        eq, pole = self.boundary_shift(np.array([np.pi / 2, 0.0]))
-        return float(eq - pole)
+def _sphere(model, disc):
+    """The Geometry of the zero deformation on disc."""
+    zero = np.zeros((len(disc.ells), len(disc.panels_c)))
+    return Geometry(ModalField(disc.panels_c, disc.ells, zero), model.star,
+                    disc)
 
 
-def first_order_shape(star, profile, ells=(0, 2, 4, 6, 8), n=256):
-    """Solve L xi_l = -(dF/dkappa)_l for each even mode on the n nodes of
-    linop.mode_panels.  Only the forced modes are assembled and solved;
-    the others get zero profiles."""
-    panels = mode_panels(star.R, n)
-    rhs = centrifugal_rhs(profile, panels.x, ells)
-    xi = {}
-    for l, f in zip(ells, rhs):
-        if np.max(np.abs(f)) < 1e-14 * max(1.0, star.R ** 2):
-            xi[l] = np.zeros_like(panels.x)
-        else:
-            xi[l] = linop_solve(assemble_mode(star, l, n=n), -f)
-    return ShapeReport(star, ells, panels, xi)
+def sphere_step(model, geo0, rhs):
+    """The mode profiles xi (n_l, n_rc) of L xi = -P rhs, block by block in
+    l, with L the Newton matrix on the zeta = 0 Geometry geo0 and P rhs the
+    projected modes of the field rhs at the targets; zero, without L, for a
+    zero rhs.  Raises DegenerateOperatorError when the l = 0 block, weighted
+    by the L2(B_R) norm of its profiles, has a scale-free sigma_min R^2/a at
+    or below DEGENERACY_FLOOR, and SolverError when L or xi is not finite."""
+    disc, star = geo0.disc, model.star
+    n_l, n = len(disc.ells), len(disc.panels_c)
+    if not np.any(rhs):
+        return np.zeros((n_l, n))
+    J = model.jacobian(geo0, 0.0).reshape(n_l, n, n_l, n)
+    blocks = J[np.arange(n_l), :, np.arange(n_l), :]
+    d = np.sqrt(disc.panels_c.w) * disc.panels_c.x
+    sig = smallest_singular_value(blocks[0] * (d[:, None] / d[None, :]))
+    scaled = sig * star.R ** 2 / star.a
+    if scaled <= DEGENERACY_FLOOR:
+        # a power sum's gamma is its smallest exponent, not its label
+        gamma = star.eos.gamma if isinstance(star.eos, PowerLawEOS) else None
+        raise DegenerateOperatorError(
+            "degenerate operator (mass condition violated?): "
+            f"sigma_min={sig:.3e}, sigma_min R^2/a={scaled:.3e}"
+            + (f", gamma={gamma}" if gamma is not None else ""),
+            sigma_min=sig, diagnostics={"l": 0, "gamma": gamma,
+                                        "sigma_min_scaled": scaled})
+    xi = np.linalg.solve(blocks, -geo0.project_modes(rhs)[..., None])[..., 0]
+    if not np.all(np.isfinite(xi)):
+        raise SolverError("sphere step is not finite")
+    return xi
+
+
+def sphere_response(model, kappa, disc):
+    """The Newton step from the sphere at kappa, -L^-1 (F(0, kappa) -
+    F(0, 0)), as a ModalField on disc.  F(0, .) is affine in kappa for the
+    EP fluid, so at kappa = 1 this is its first-order response per unit
+    kappa; for the VP gas it is the kappa^2 response with its O(kappa^4)
+    part.  The sphere's Geometry and the difference are formed without
+    numpy warnings (a dense enough star overflows its potentials): what is
+    not finite there makes L or xi so, and sphere_step raises SolverError."""
+    with np.errstate(all="ignore"):
+        geo0 = _sphere(model, disc)
+        rhs = model.residual(geo0, kappa) - model.residual(geo0, 0.0)
+    return ModalField(disc.panels_c, disc.ells, sphere_step(model, geo0, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +268,28 @@ def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
         raise SolverError("kappa schedule must be nondecreasing")
     if disc is None:
         disc = Discretization(model.star.R)
-    slope = model.slope(disc)
+    # the accepted state's Geometry, the sphere's first, and the branch's
+    # tangent there (zero for VP, whose w is even in kappa)
+    geo = _sphere(model, disc)
+    tangent = sphere_step(model, geo, model.kappa_forcing(geo))
 
     sols = []
     k_cur = 0.0
-    coefs = np.zeros((len(disc.ells), len(disc.panels_c)))
-    geo = None   # the accepted state's Geometry
+    coefs = np.zeros_like(tangent)
     for target in kappas:
         step = max(target - k_cur, 0.0)
         halvings = 0
         done = False
         while not done:
             k_try = min(target, k_cur + step) if step > 0 else target
-            predictor = (k_try - k_cur) * slope
-            # a zero predictor (always for VP) starts at the accepted state
-            kept = None if np.any(predictor) else geo
+            predictor = (k_try - k_cur) * tangent
+            # a zero predictor (always for VP) starts on the accepted
+            # state's Geometry; any other on a new one, so it is let go
+            if np.any(predictor):
+                geo = None
             try:
                 coefs_new, geo_new, res_sup, iters = _newton_at(
-                    model, k_try, coefs + predictor, disc, tol, geo=kept)
+                    model, k_try, coefs + predictor, disc, tol, geo=geo)
             except SolverError:
                 halvings += 1
                 if halvings > _HALVINGS:

@@ -9,10 +9,9 @@ density at rotation intensity kappa is
 
 closed-form in Beta functions; w(0, r, u) does not depend on r.  The
 radial star is the radial module's Newton solve with the density law
-h^-1(u) = w(0, r, u); the leading-order response to rotation is
-vp_rotation_response, and the nonlinear rotation problem is VPModel, run
-by the same Newton continuation as the Euler-Poisson model
-(rotating.newton_continue).
+h^-1(u) = w(0, r, u); the rotation problem is VPModel, whose response from
+the sphere (rotating.sphere_response) and Newton continuation
+(rotating.newton_continue) are the Euler-Poisson model's.
 """
 
 import functools
@@ -20,11 +19,9 @@ import math
 
 import numpy as np
 
-from .eos import pointwise
 from .errors import EOSError
-from .linop import assemble_mode, solve as linop_solve
 from .radial import RadialStar
-from .rotating import Model, ShapeReport
+from .rotating import Model
 
 
 def beta_fn(a, b):
@@ -115,12 +112,6 @@ class VlasovAnsatz:
     def dhinv(self, u):
         return self.dw_du(0.0, 0.0, u)
 
-    @pointwise
-    def d2w_dkappa2_unit(self, u):
-        """d^2 w/d kappa^2 at kappa=0 divided by r^2 (pure function of u)."""
-        u = np.maximum(u, 0.0)
-        return self._cK * u ** (2.5 - self.mu)
-
 
 # ---------------------------------------------------------------------------
 # radial problem
@@ -129,7 +120,7 @@ class VlasovAnsatz:
 class VlasovStar(RadialStar):
     """Radial Vlasov-Poisson steady state: u0 profile with density
     w(0, r, u0).  The ansatz is the star's density law (eos) and carries the
-    rotation dependence of w that VPModel and vp_rotation_response read."""
+    rotation dependence of w that VPModel reads."""
 
     def __init__(self, ansatz, a, tol=1e-12):
         self.ansatz = ansatz
@@ -151,46 +142,14 @@ def solve_vp_radial(ansatz, a, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# rotation response
-
-
-def vp_rotation_response(star, kappa, n=256):
-    """Leading-order deformation zeta = -(kappa^2/2) L^-1 d2F/dkappa2(0,0).
-
-    The forcing r_cyl^2 d2w-potential splits into l=0 and l=2, whose
-    potentials come from the mode operators' own matrices; returns a
-    ShapeReport with nodal profiles of zeta per mode (kappa included)."""
-    ells = (0, 2)
-    ops = {l: assemble_mode(star, l, n=n) for l in ells}
-    pan = ops[0].panels
-    t = pan.x
-    d2 = star.ansatz.d2w_dkappa2_unit(star.u0_of(t))
-    # r_cyl^2 = t^2 (1 - mu^2) = t^2 (2/3)(1 - P2)
-    sig = {0: (2.0 / 3.0) * t ** 2 * d2 * np.sqrt(4.0 * np.pi),
-           2: -(2.0 / 3.0) * t ** 2 * d2 * np.sqrt(4.0 * np.pi / 5.0)}
-    # M_kk = int A dy with A = r_cyl^2 d2w (only the l=0 part integrates)
-    M_kk = 4.0 * np.pi * (2.0 / 3.0) * float(np.dot(pan.w, t ** 4 * d2))
-    xi = {}
-    for l in ells:
-        op = ops[l]
-        phi = op.potential @ sig[l]
-        if l == 0:
-            phi = phi - float(op.origin[0] @ sig[0])
-            u_term = (star.u0_of(t) - star.a) * np.sqrt(4.0 * np.pi)
-            phi = phi - u_term * M_kk / star.mass
-        rhs = -(kappa ** 2 / 2.0) * phi
-        xi[l] = linop_solve(op, rhs)
-    return ShapeReport(star, ells, pan, xi)
-
-
-# ---------------------------------------------------------------------------
 # nonlinear rotation problem
 
 
 class VPModel(Model):
     """Vlasov-Poisson rotation problem: the star's ansatz is the density law
     w(kappa, r_cyl, u), and the local term a - u0 at the targets makes the
-    residual a - u0 + mfac (V - V(0))."""
+    residual a - u0 + mfac (V - V(0)).  Its kappa_forcing is Model's zero:
+    w is even in kappa and the local term does not depend on it."""
 
     def __init__(self, star):
         self.star = star
@@ -198,7 +157,3 @@ class VPModel(Model):
 
     def local(self, geo, kappa, mfac):
         return (self.star.a - self.star.u0_of(geo.rc))[:, None]
-
-    def slope(self, disc):
-        """Zero: w is even in kappa, so the response starts at kappa^2."""
-        return np.zeros((len(disc.ells), len(disc.panels_c)))

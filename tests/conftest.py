@@ -44,15 +44,18 @@ def vp_star(vp_ansatz):
 
 
 @pytest.fixture(scope="session")
-def ep_shape(star15, rot_profile):
-    from rotstar.rotating import first_order_shape
-    return first_order_shape(star15, rot_profile)
-
-
-@pytest.fixture(scope="session")
 def ep_model(star15, rot_profile):
     from rotstar.rotating import EPModel
     return EPModel(star15, rot_profile)
+
+
+@pytest.fixture(scope="session")
+def ep_shape(star15, ep_model):
+    """The first-order response per unit kappa as perturb computes it, on
+    256 collocation nodes."""
+    from rotstar.axisym import Discretization
+    from rotstar.rotating import sphere_response
+    return sphere_response(ep_model, 1.0, Discretization(star15.R, n_rc=256))
 
 
 @pytest.fixture(scope="session")
@@ -112,6 +115,20 @@ def radial_field(disc, p):
     from rotstar.numerics import Ytilde
     pan = disc.panels_c
     return ModalField(pan, (0,), [p(pan.x) / Ytilde([0], 1.0)[0]])
+
+
+def xi_at_R(field):
+    """{l: xi_l(R)} of a ModalField whose panels end at R."""
+    return {l: float(field.panels.interp(c, field.R_dom))
+            for l, c in zip(field.ells, field.coefs)}
+
+
+def oblateness_slope(field):
+    """xi(R, pi/2)/R - xi(R, 0)/R: d(R_eq - R_pole)/dkappa for a response
+    per unit kappa."""
+    R = field.R_dom
+    eq, pole = R * field.ratio(np.full(2, R), np.array([np.pi / 2, 0.0]))
+    return float(eq - pole)
 
 
 def zero_field(disc):

@@ -17,6 +17,11 @@ ansatz's hinv and dhinv, which read w and dw_du.  weighted_norm is the
 L2(B_R) norm of a mode profile at the nodes of a linop.ModeOperator, which
 the kernel-witness tests read.
 
+mode_operator_response is the first-order EP response from the dense mode
+operators of linop (the centrifugal forcing projected per mode, each
+mode's assemble_mode block and np.linalg.solve), the oracle of the
+tangent that rotating.sphere_step takes from the Newton matrix at zeta = 0.
+
 dense_potential_matrices forms the split-panel potential quadrature as
 dense per-target matrices, the oracle of the factored
 potentials.PotentialQuadrature; dense_density_jacobian builds the moved
@@ -40,9 +45,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import roots_jacobi
 
-from rotstar.axisym import N_SUB, Discretization, Geometry
+from rotstar.axisym import N_SUB, Discretization, Geometry, ModalField
 from rotstar.eos import PowerLawEOS
 from rotstar.errors import EOSError
+from rotstar.linop import assemble_mode
 from rotstar.numerics import Ytilde, dY_dtheta, gl_nodes
 from rotstar.potentials import _split_panels
 from rotstar.radial import mass_derivative
@@ -170,6 +176,21 @@ def weighted_norm(op, f):
     linop.ModeOperator op."""
     return float(np.sqrt(np.dot(op.panels.w * op.nodes ** 2,
                                 np.asarray(f) ** 2)))
+
+
+def mode_operator_response(star, profile, ells=(0, 2, 4, 6, 8), n=256,
+                           n_mu=24):
+    """The EP response per unit kappa, L xi_l = -J_l with J_l the mode
+    profiles of J(r sin(theta)) by n_mu-point Gauss-Legendre in mu, solved
+    mode by mode with the n-node assemble_mode blocks; a ModalField on
+    their nodes."""
+    ops = [assemble_mode(star, l, n=n) for l in ells]
+    xm, wm = gl_nodes(n_mu)
+    mu = 0.5 * (xm + 1.0)
+    J = profile.J(np.outer(ops[0].nodes, np.sqrt(1.0 - mu ** 2)))
+    xi = [np.linalg.solve(op.matrix, -J @ (2.0 * np.pi * wm * Y))
+          for op, Y in zip(ops, Ytilde(ells, mu))]
+    return ModalField(ops[0].panels, ells, xi)
 
 
 def reference_local_rows(panels, p, r):

@@ -160,8 +160,9 @@ def test_node_counts_fill_whole_panels(tmp_path, capsys):
     # ns = 1 or 3 wrote rows labelled n_nodes = 1 or 3 for an operator on
     # 4 nodes, n = 100 solved on 96 nodes, and ns = 1e8 ended in a numpy
     # memory-error traceback; each count is a multiple of its panel order
-    # (linop.LADDER_ORDER for ns, linop.MODE_ORDER for n), fills at least
-    # two panels and stays at or below cli.MAX_NODES
+    # (linop.LADDER_ORDER for ns, axisym.ORDER for n), fills at least two
+    # panels and stays at or below cli.MAX_NODES, for n over all seven
+    # modes of perturb's Newton matrix
     for text in ("ns = 1\n", "ns = 3\n", "ns = 64,130,2\n",
                  "ns = 100000000\n", "ns = 4098\n"):
         assert run(tmp_path, "kernel-margin", "ells = 2\n" + text) == 2
@@ -170,7 +171,15 @@ def test_node_counts_fill_whole_panels(tmp_path, capsys):
         assert run(tmp_path, "perturb", f"gamma = 1.5\nn = {n}\n") == 2
         assert "node count n" in capsys.readouterr().err
     RunConfig({"n": "16", "ns": "4,4096"})
-    RunConfig({"n": "4096"})
+    RunConfig({"n": "584"})
+
+
+def test_perturb_node_count_is_capped_by_the_newton_matrix(tmp_path, capsys):
+    # perturb's Newton matrix has 7 n rows: n = 4096 would make it 6.6 GB,
+    # so 7 n <= MAX_NODES caps n at 584
+    for n in (592, 1024, 4096):
+        assert run(tmp_path, "perturb", f"gamma = 1.5\nn = {n}\n") == 2
+        assert "from 16 to 584" in capsys.readouterr().err
 
 
 def test_ells_and_ns_must_be_nonnegative_integers(tmp_path, capsys):
@@ -242,6 +251,37 @@ def test_perturb_degenerate_exit_code(tmp_path):
     assert run(tmp_path, "perturb", f"gamma = {gamma!r}\nn = 192\n") == 4
 
 
+def test_continue_degenerate_exit_code(tmp_path, capsys):
+    # the tangent at the sphere is refused before any state is written
+    assert run(tmp_path, "continue", f"gamma = {4.0 / 3.0!r}\n") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate operator:") and "Traceback" not in err
+    lines = (tmp_path / "continue.csv").read_text().strip().splitlines()
+    assert lines == ["kappa_intensity,R_eq_length,R_pole_length,M_mass,"
+                     "residual_sup,newton_iters"]
+
+
+_TURNING = "eos = power_sum\nterms = 1:1.25,1:1.8\n"
+
+
+@pytest.mark.parametrize("command", ["perturb", "continue"])
+def test_power_sum_turning_point_is_degenerate(tmp_path, capsys, command):
+    # a = 3.6255326 is the minimum of this law's mass curve, where the
+    # l = 0 block has a kernel (scaled sigma_min 7e-11 on 256 nodes, 2e-10
+    # on 48); the law's smallest exponent 1.25 is not its gamma
+    assert run(tmp_path, command, _TURNING + "a = 3.6255326\n") == 4
+    err = capsys.readouterr().err
+    assert "sigma_min R^2/a=" in err and "gamma=1.25" not in err
+
+
+def test_power_sum_near_turning_point_is_healthy(tmp_path, capsys):
+    # 1% above the minimum the scaled sigma_min is 9e-5
+    assert run(tmp_path, "perturb", _TURNING + "a = 3.661787926\n") == 0
+    assert run(tmp_path, "radial", _TURNING + "a = 3.6255326\n") == 0
+    out = capsys.readouterr().out
+    assert "mass condition FAILED" in out and "gamma=" not in out
+
+
 def test_perturb_below_four_thirds_exits_zero(tmp_path):
     # gamma = 1.22 satisfies the mass condition; its raw l = 0 sigma_min
     # (2.6e-9, R = 488) is small only through the a/R^2 scale
@@ -249,20 +289,37 @@ def test_perturb_below_four_thirds_exits_zero(tmp_path):
     assert run(tmp_path, "perturb", "model = vp\nmu = -3\nn = 192\n") == 0
 
 
+def _vp_a_1e150(tmp_path, command):
+    """command on the VP star at a = 1e150, in a fresh interpreter so that
+    numpy's warnings reach stderr."""
+    cfg = _write(tmp_path / "run.cfg",
+                 "model = vp\nmu = 0.25\npsi2 = 0.1\na = 1e150\n")
+    src = os.path.dirname(os.path.dirname(rotstar.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "rotstar", command, "--config", cfg,
+         "--out", str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300)
+
+
 def test_continue_non_finite_newton_matrix_is_solver_error(tmp_path):
     # at a = 1e150 the VP density reaches about 1e187 and its potential
     # overflows in the Newton matrix: a solver error that says so, with no
     # numpy RuntimeWarning on stderr (it used to read "Newton stalled ...
     # residual nan")
-    cfg = _write(tmp_path / "run.cfg",
-                 "model = vp\nmu = 0.25\npsi2 = 0.1\na = 1e150\n")
-    src = os.path.dirname(os.path.dirname(rotstar.__file__))
-    out = subprocess.run(
-        [sys.executable, "-m", "rotstar", "continue", "--config", cfg,
-         "--out", str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=300)
+    out = _vp_a_1e150(tmp_path, "continue")
     assert out.returncode == 3
     assert "not finite" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_perturb_non_finite_newton_matrix_is_solver_error(tmp_path):
+    # the same star in perturb: the Newton matrix at zeta = 0 is refused
+    # before its right-hand side, which overflows at kappa != 0, is used
+    # (perturb used to end in a LinAlgError traceback here)
+    out = _vp_a_1e150(tmp_path, "perturb")
+    assert out.returncode == 3
+    assert "Newton matrix is not finite" in out.stderr
     assert "RuntimeWarning" not in out.stderr
     assert "Traceback" not in out.stderr
 
@@ -350,7 +407,9 @@ _CONFIGS = st.fixed_dictionaries({}, optional={
     "a": _text(_FLOATS), "omega": _text(_FLOATS), "gamma": _text(_FLOATS),
     "mu": _text(_FLOATS), "psi0": _text(_FLOATS), "psi2": _text(_FLOATS),
     "tol": _text(_POSITIVE), "ode_tol": _text(_POSITIVE),
-    "n": st.integers(1, 24).map(str),
+    # mostly config errors, then valid perturb grids and one above the cap
+    "n": st.one_of(st.integers(1, 24), st.sampled_from(range(16, 65, 8)),
+                   st.just(592)).map(str),
     "ns": st.lists(st.integers(1, 24).map(str), min_size=1,
                    max_size=3).map(",".join),
     "kappas": st.lists(st.floats(0.0, 1e300), max_size=2).map(

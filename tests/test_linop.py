@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import zero_field
 from reference import weighted_norm
+from rotstar.axisym import Discretization, Geometry
 from rotstar.eos import constant_rotation, power_law
 from rotstar.errors import DegenerateOperatorError
-from rotstar.linop import (DEGENERACY_FLOOR, LADDER_ORDER, LADDER_SUB,
-                           assemble_mode, kernel_margin_ladder, solve)
-from rotstar.numerics import smallest_singular_value
+from rotstar.linop import (LADDER_ORDER, LADDER_SUB, assemble_mode,
+                           kernel_margin_ladder)
 from rotstar.radial import mass_derivative, solve_radial
-from rotstar.rotating import first_order_shape
+from rotstar.rotating import EPModel, sphere_step
 from rotstar.vlasov import VlasovAnsatz, solve_vp_radial
 
 
@@ -80,23 +81,6 @@ def test_kernel_margin_ladder_contrast(star15, star43):
     assert abs(rows15[(0, 512)] / rows15[(0, 128)] - 1.0) < 0.1
 
 
-def test_solve_refuses_degenerate(star43, star15):
-    op43 = assemble_mode(star43, 0, n=256)
-    with pytest.raises(DegenerateOperatorError) as exc:
-        solve(op43, np.ones(len(op43.nodes)))
-    assert exc.value.sigma_min < 1e-8
-    assert exc.value.diagnostics["sigma_min_scaled"] < DEGENERACY_FLOOR
-    # gamma = 1.22 (R = 488) is healthy: its raw l = 0 sigma_min is 2.6e-9
-    # only because sigma_min scales like a/R^2; scaled it is 6e-4
-    star122 = solve_radial(power_law(1.22), 1.0)
-    for star in (star15, star122):
-        op = assemble_mode(star, 0, n=256)
-        rhs = np.atleast_1d(star.u0_of(op.nodes)) - star.a
-        xi = solve(op, rhs)
-        assert np.max(np.abs(op.matrix @ xi - rhs)) < 1e-9 * np.max(np.abs(rhs))
-    assert op.sigma_min() < 1e-8
-
-
 def test_negative_mode_rejected(star15):
     with pytest.raises(ValueError):
         assemble_mode(star15, -1)
@@ -130,14 +114,22 @@ def test_sigma_min_matches_svd(sweep_stars, n, order, n_sub):
             assert err <= max(1e-8 * s[-1], 1e-14 * s[0]), (name, l)
 
 
-def test_kernel_margin_and_first_order_take_no_svd(monkeypatch, star43,
-                                                   star15):
-    # sigma_min of the ladder's modes and of the first-order solve comes
-    # from the Gram eigenvalues or a converged inverse iteration
+def test_kernel_margin_and_gate_take_no_svd(monkeypatch, star43, star15):
+    # sigma_min of the ladder's modes and of sphere_step's degeneracy gate
+    # comes from the Gram eigenvalues or a converged inverse iteration: the
+    # healthy gamma = 1.5 block passes, the degenerate gamma = 4/3 one is
+    # refused
     def refuse(*args, **kw):
         raise AssertionError("np.linalg.svd called")
     monkeypatch.setattr(np.linalg, "svd", refuse)
     rows = kernel_margin_ladder(star43)
     assert len(rows) == 15 and all(sig > 0.0 for _, _, sig in rows)
-    report = first_order_shape(star15, constant_rotation())
-    assert report.xi_R[2] != 0.0
+    for star in (star15, star43):
+        model = EPModel(star, constant_rotation())
+        disc = Discretization(star.R)
+        geo = Geometry(zero_field(disc), star, disc)
+        if star is star43:
+            with pytest.raises(DegenerateOperatorError):
+                sphere_step(model, geo, model.kappa_forcing(geo))
+        else:
+            assert np.any(sphere_step(model, geo, model.kappa_forcing(geo)))

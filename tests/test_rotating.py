@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import (density_jacobian_error, jacobian_column_error,
-                      radial_field, rand_deformation, shifted, zero_field)
-from reference import dense_modal_eval, frechet_apply
+                      oblateness_slope, radial_field, rand_deformation,
+                      shifted, xi_at_R, zero_field)
+from reference import dense_modal_eval, frechet_apply, mode_operator_response
 from rotstar.axisym import (INVERSION_STEPS, Discretization, Geometry,
                             ModalField)
-from rotstar.errors import DeformationError, SolverError
-from rotstar.linop import assemble_mode, solve
-from rotstar.numerics import Panels, Ytilde
-from rotstar.rotating import (centrifugal_rhs, evaluate_F, first_order_shape,
-                              newton_continue)
+from rotstar.eos import power_law
+from rotstar.errors import (DegenerateOperatorError, DeformationError,
+                            SolverError)
+from rotstar.linop import assemble_mode
+from rotstar.numerics import Panels, Ytilde, smallest_singular_value
+from rotstar.radial import solve_radial
+from rotstar.rotating import (DEGENERACY_FLOOR, EPModel, evaluate_F,
+                              newton_continue, sphere_response, sphere_step)
 
 
 @pytest.fixture(scope="module")
@@ -204,40 +208,77 @@ def test_frechet_at_zero_matches_mode_operator(star15, ep_model, disc15,
     assert leak < 1e-10 * scale
 
 
-def test_centrifugal_rhs_band_limited(star15, rot_profile):
-    # constant omega: J = r^2 sin^2(theta)/2 has only l = 0 and 2 content
-    nodes = np.linspace(0.0, star15.R, 129)[1:]
-    rhs = centrifugal_rhs(rot_profile, nodes, (0, 2, 4, 6))
-    assert np.max(np.abs(rhs[2])) < 1e-12
-    assert np.max(np.abs(rhs[3])) < 1e-12
-    assert np.max(np.abs(rhs[0])) > 0
+def test_centrifugal_rhs_band_limited(ep_model, geo15):
+    # constant omega: the kappa forcing J = r^2 sin^2(theta)/2 has only
+    # l = 0 and 2 content
+    rhs = geo15.project_modes(ep_model.kappa_forcing(geo15))
+    r = geo15.rc
+    assert np.max(np.abs(rhs[2:])) < 1e-12
     # closed forms: J_0 = sqrt(4 pi) r^2/3, J_2 = -sqrt(4 pi/5) r^2/3
-    assert np.allclose(rhs[0], np.sqrt(4 * np.pi) * nodes ** 2 / 3, rtol=1e-12)
-    assert np.allclose(rhs[1], -np.sqrt(4 * np.pi / 5) * nodes ** 2 / 3,
+    assert np.allclose(rhs[0], np.sqrt(4 * np.pi) * r ** 2 / 3, rtol=1e-12)
+    assert np.allclose(rhs[1], -np.sqrt(4 * np.pi / 5) * r ** 2 / 3,
                        rtol=1e-12)
 
 
-def test_first_order_shape_oblate(star15, rot_profile):
-    rep = first_order_shape(star15, rot_profile, ells=(0, 2, 4))
-    assert rep.xi_R[2] < 0
-    assert rep.oblateness_slope() > 0
-    assert np.max(np.abs(rep.xi[4])) < 1e-8  # no l=4 forcing at first order
+def test_first_order_shape_oblate(ep_model, disc15):
+    rep = sphere_response(ep_model, 1.0, disc15)
+    assert xi_at_R(rep)[2] < 0
+    assert oblateness_slope(rep) > 0
+    assert np.max(np.abs(rep.coefs[2:])) < 1e-8  # no l >= 4 forcing
     # displacement maximal at the equator
     th = np.linspace(0.0, np.pi / 2, 50)
-    disp = rep.boundary_shift(th)
+    disp = rep.ratio(np.full(len(th), rep.R_dom), th)
     assert np.argmax(disp) == len(th) - 1
 
 
-def test_first_order_shape_solves_only_forced_modes(star15, rot_profile):
-    # each forced mode is the mode operator's own solve, bit for bit, and
-    # each unforced mode an exact zero
-    n = 128
-    rep = first_order_shape(star15, rot_profile, ells=(0, 2, 4), n=n)
-    for l in (0, 2):
-        op = assemble_mode(star15, l, n=n)
-        [rhs] = centrifugal_rhs(rot_profile, op.nodes, (l,))
-        assert np.array_equal(rep.xi[l], solve(op, -rhs))
-    assert np.array_equal(rep.xi[4], np.zeros(n))
+def test_tangent_matches_mode_operators(star15, rot_profile, ep_model,
+                                        disc15, geo15):
+    # the continuation's tangent, from the Newton matrix at zeta = 0 on the
+    # default grid, against the dense mode operators of linop on 256 nodes
+    tangent = sphere_step(ep_model, geo15, ep_model.kappa_forcing(geo15))
+    got = oblateness_slope(ModalField(disc15.panels_c, disc15.ells, tangent))
+    want = oblateness_slope(mode_operator_response(star15, rot_profile))
+    assert abs(got - want) < 1e-9 * abs(want)
+    assert np.max(np.abs(tangent[2:])) < 1e-12 * np.max(np.abs(tangent))
+
+
+def test_sphere_step_refuses_degenerate(star43, rot_profile, ep_model):
+    model = EPModel(star43, rot_profile)
+    disc = Discretization(star43.R)
+    geo = Geometry(zero_field(disc), star43, disc)
+    with pytest.raises(DegenerateOperatorError, match="gamma=1.333") as exc:
+        sphere_step(model, geo, model.kappa_forcing(geo))
+    assert exc.value.sigma_min < 1e-8
+    assert exc.value.diagnostics["sigma_min_scaled"] < DEGENERACY_FLOOR
+    # gamma = 1.22 (R = 488) is healthy: its raw l = 0 sigma_min is 2.6e-9
+    # only because sigma_min scales like a/R^2; scaled it is 6e-4.  The
+    # blockwise step solves the whole Newton matrix, block diagonal in l
+    star122 = solve_radial(power_law(1.22), 1.0)
+    for model in (ep_model, EPModel(star122, rot_profile)):
+        disc = Discretization(model.star.R)
+        geo = Geometry(zero_field(disc), model.star, disc)
+        rhs = geo.project_modes(model.kappa_forcing(geo)).ravel()
+        xi = sphere_step(model, geo, model.kappa_forcing(geo))
+        J = model.jacobian(geo, 0.0)
+        assert np.max(np.abs(J @ xi.ravel() + rhs)) \
+            < 1e-9 * np.max(np.abs(rhs))
+    n = len(disc.panels_c)
+    d = np.sqrt(disc.panels_c.w) * disc.panels_c.x
+    sig = smallest_singular_value(J[:n, :n] * (d[:, None] / d[None, :]))
+    assert sig < 1e-8 < sig * star122.R ** 2 / star122.a
+
+
+def test_sphere_step_skips_zero_forcing(vp_model, monkeypatch):
+    # VP: w is even in kappa, so the tangent is zero and no matrix is built
+    disc = Discretization(vp_model.star.R)
+    geo = Geometry(zero_field(disc), vp_model.star, disc)
+
+    def refuse(*args):
+        raise AssertionError("Newton matrix assembled")
+    monkeypatch.setattr(type(vp_model), "jacobian", refuse)
+    tangent = sphere_step(vp_model, geo, vp_model.kappa_forcing(geo))
+    assert tangent.shape == (len(disc.ells), len(disc.panels_c))
+    assert not np.any(tangent)
 
 
 def test_frechet_matches_finite_differences(star15, ep_model, disc15):

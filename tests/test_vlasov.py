@@ -3,16 +3,16 @@ import pytest
 from scipy.special import beta
 
 from conftest import (density_jacobian_error, jacobian_column_error,
-                      rand_deformation, shifted, zero_field)
+                      oblateness_slope, rand_deformation, shifted, xi_at_R,
+                      zero_field)
 from reference import frechet_apply, reference_vp_law, w_quad
 from rotstar.axisym import Discretization, Geometry
 from rotstar.eos import power_law
 from rotstar.errors import EOSError
 from rotstar.linop import assemble_mode
 from rotstar.radial import solve_radial, variation
-from rotstar.rotating import evaluate_F
-from rotstar.vlasov import (VlasovAnsatz, beta_fn, solve_vp_radial,
-                            vp_rotation_response)
+from rotstar.rotating import evaluate_F, sphere_response
+from rotstar.vlasov import VlasovAnsatz, beta_fn, solve_vp_radial
 
 
 @pytest.fixture(scope="module")
@@ -69,11 +69,13 @@ def test_dw_du_matches_finite_differences(vp_ansatz):
 
 
 def test_d2w_dkappa2_matches_finite_differences(vp_ansatz):
+    # psi is quadratic in L, so d^2 w/d kappa^2 = 2 (w(1) - w(0)), here by
+    # the quadrature of the definition
     r, u = 1.1, 0.7
     h = 1e-3
     fd = (vp_ansatz.w(h, r, u) - 2 * vp_ansatz.w(0.0, r, u)
           + vp_ansatz.w(-h, r, u)) / h ** 2
-    want = r ** 2 * float(vp_ansatz.d2w_dkappa2_unit(u))
+    want = 2.0 * (w_quad(vp_ansatz, 1.0, r, u) - w_quad(vp_ansatz, 0.0, r, u))
     assert float(fd) == pytest.approx(want, rel=1e-8)
 
 
@@ -84,8 +86,7 @@ def test_ansatz_scalar_and_array_give_the_same_bits(vp_ansatz):
     kap = 0.3
     for name, f in (
             ("w", lambda r, u: vp_ansatz.w(kap, r, u)),
-            ("dw_du", lambda r, u: vp_ansatz.dw_du(kap, r, u)),
-            ("d2w_dkappa2_unit", lambda r, u: vp_ansatz.d2w_dkappa2_unit(u))):
+            ("dw_du", lambda r, u: vp_ansatz.dw_du(kap, r, u))):
         scalar = [f(a, b) for a, b in zip(r, u)]
         assert all(type(x) is np.ndarray and x.shape == () for x in scalar)
         assert np.array_equal(np.array(scalar), f(r, u)), name
@@ -200,11 +201,18 @@ def test_jacobian_columns_match_frechet(vp_star, vp_model, vp_disc, deformed):
     assert jacobian_column_error(vp_model, geo, 1e-2) < 1e-12
 
 
-def test_rotation_response_oblate(vp_star):
+def test_rotation_response_oblate(vp_model, vp_disc, vp_solutions):
+    # the Newton step from the sphere at kappa is the first Newton iterate
+    # of the continuation's first state, up to the O(kappa^2) change of
+    # the Newton matrix between kappa = 0 and kappa
     kap = 1e-2
-    rep = vp_rotation_response(vp_star, kap, n=192)
-    assert rep.xi_R[2] < 0  # equatorial bulge
-    assert rep.oblateness_slope() > 0
+    rep = sphere_response(vp_model, kap, vp_disc)
+    assert xi_at_R(rep)[2] < 0  # equatorial bulge
+    assert oblateness_slope(rep) > 0
+    sol = vp_solutions[0]
+    assert sol.kappa == kap and sol.iters == 1
+    assert np.max(np.abs(rep.coefs - sol.coefs)) \
+        < 1e-3 * np.max(np.abs(sol.coefs))
 
 
 def test_newton_quadratic_in_kappa(vp_solutions):
