@@ -17,12 +17,16 @@ per target, the whole panels below and above it; per mode, the weights of
 the split panel's nodes on either side of each target inside a panel; and
 the row scalings s^-(l+1), s^l and their derivatives.  Applied to one
 source it sums panels by prefix and suffix sums and gives Phi_l and
-Phi_l' (apply); applied to a batch of sources and contracted with weights
-over a target axis, it takes whole panels by the sources' panel sums and
-split panels by their targets' local weights summed per row, with no
-per-node block (apply_contracted); dense expands it into the per-target
-matrices A of Phi_l of mode_potential_matrices.  The split-panel
-quadrature does not depend on l, so it is built once for all modes.
+Phi_l' (apply).  Applied to a batch of sources and contracted with weights
+over a target axis (apply_contracted), it takes the same prefix sums
+I_in and suffix sums I_out over whole panels, groups the targets by row
+and panel, contracts each group's weights over the target axis, and
+applies all groups of one panel q in one product against I_in[q],
+I_out[q + 1] and the sources' values on panel q, with no per-node block
+and no matrix over all panels.  dense expands the quadrature into the
+per-target matrices A of Phi_l of mode_potential_matrices.  The
+split-panel quadrature does not depend on l, so it is built once for all
+modes.
 """
 
 import numpy as np
@@ -132,34 +136,56 @@ class PotentialQuadrature:
         n_r, n_j = self.shape
         n_o, n_l = w.shape[:2]
         f = sigma.reshape(n_l, P, m, -1)
-        # whole panels: the weights c[k, o, r, i, j] of target (r, j) in
-        # I_in (k = 0) and I_out (k = 1), summed per panel over the targets
-        # above (I_in) or below (I_out) it, applied to the panel sums
-        c = (self.pref[:, None] * w)[None, :, None] * self.scale[:, :2] \
-            .reshape(n_l, 2, n_r, n_j).transpose(1, 2, 0, 3)[:, None]
-        p = np.arange(P)
-        ind = np.array([p < self.nb[:, None], p >= self.na[:, None]],
-                       dtype=float).reshape(2, 1, n_r, n_j, P)
-        G = (c @ ind).reshape(2, n_o * n_r, n_l * P)
-        out = np.zeros((n_o * n_r, f.shape[-1]))
-        for Gk, wk in zip(G, (self.win, self.wout)):
-            out += Gk @ (wk.reshape(n_l, P, 1, m) @ f).reshape(n_l * P, -1)
-        out = out.reshape(n_o, n_r, -1)
-        # split panels: each split target's local weights, gathered per row
-        # r and split panel, contracted over j, then applied per split panel
-        r_s, j_s = np.divmod(self.split, n_j)
-        sc = self.pref[:, None, None] * self.scale[:, :2, self.split]
-        groups, g = np.unique(r_s * P + self.psplit, return_inverse=True)
-        rg, pg = np.divmod(groups, P)
-        e = np.zeros((n_l, n_j, len(groups), m))
-        e[:, j_s, g] = sc[:, 0, :, None] * self.win_split \
-            + sc[:, 1, :, None] * self.wout_split
-        e = (w.transpose(1, 0, 2) @ e.reshape(n_l, n_j, -1)).reshape(
-            n_l, n_o, -1, m).transpose(1, 2, 0, 3)
-        for q in np.unique(pg):
-            sel = pg == q
-            blk = e[:, sel].reshape(-1, n_l * m) @ f[:, q].reshape(n_l * m, -1)
-            out[:, rg[sel]] += blk.reshape(n_o, sel.sum(), -1)
+        n_b = f.shape[-1]
+        # the sources' I_in over the panels below each edge, I_out over the
+        # panels above it (n_l, P + 1, n_b)
+        below = np.tri(P + 1, P, -1)
+        Iin = below @ (self.win.reshape(n_l, P, 1, m) @ f).reshape(n_l, P, n_b)
+        Iout = (1.0 - below) \
+            @ (self.wout.reshape(n_l, P, 1, m) @ f).reshape(n_l, P, n_b)
+        # target (r, j) in panel q = nb takes I_in[q], I_out[q + 1] and its
+        # weights on the nodes of panel q: the split panel's quadrature,
+        # or the whole panel's I_out weights for a target on q's left edge
+        # (then na = q); a target past the last edge takes I_in[P] alone
+        sc = self.pref[:, None, None] * self.scale[:, :2]
+        r_t, j_t = np.divmod(np.arange(n_r * n_j), n_j)
+        # the groups (q, r), ordered by panel, without np.unique (whose
+        # first call imports numpy.ma)
+        key = self.nb * n_r + r_t
+        used = np.zeros((P + 1) * n_r, dtype=bool)
+        used[key] = True
+        groups = used.nonzero()[0]
+        g = (np.cumsum(used) - 1)[key]
+        q_g, r_g = np.divmod(groups, n_r)
+        e = np.zeros((n_l, n_j, len(groups), m + 2))
+        e[:, j_t, g, :2] = sc.transpose(0, 2, 1)
+        edge = (self.nb == self.na) & (self.nb < P)
+        e[:, j_t[edge], g[edge], 2:] = sc[:, 1, edge, None] \
+            * self.wout.reshape(n_l, P, m)[:, self.nb[edge]]
+        e[:, j_t[self.split], g[self.split], 2:] = \
+            sc[:, 0, self.split, None] * self.win_split \
+            + sc[:, 1, self.split, None] * self.wout_split
+        # contract each group's weights over its colatitudes, then apply
+        # the groups of one panel q in one product against
+        # [I_in[q]; I_out[q + 1]; f[:, q]]
+        e = np.ascontiguousarray(
+            (w.transpose(1, 0, 2) @ e.reshape(n_l, n_j, -1)).reshape(
+                n_l, n_o, -1, m + 2).transpose(2, 1, 0, 3))
+        out = np.zeros((n_o, n_r, n_b))
+        bounds = np.searchsorted(q_g, np.arange(P + 2))
+        x = np.empty((n_l, m + 2, n_b))
+        for q in range(P + 1):
+            lo, hi = bounds[q], bounds[q + 1]
+            if lo == hi:
+                continue
+            if q == P:
+                blk = e[lo:hi, :, :, 0].reshape(-1, n_l) @ Iin[:, P]
+            else:
+                x[:, 0], x[:, 1], x[:, 2:] = Iin[:, q], Iout[:, q + 1], f[:, q]
+                blk = e[lo:hi].reshape(-1, n_l * (m + 2)) \
+                    @ x.reshape(n_l * (m + 2), n_b)
+            out[:, r_g[lo:hi]] += blk.reshape(hi - lo, n_o, n_b).transpose(
+                1, 0, 2)
         return out
 
     def dense(self):

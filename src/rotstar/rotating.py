@@ -22,7 +22,13 @@ solves L xi = -rhs mode by mode.  That one solve gives the continuation's
 tangent at the sphere (rhs = dF/dkappa) and the perturb response
 (sphere_response, rhs = F(0, kappa) - F(0, 0)).  newton_continue runs Newton
 iteration on the spherical-harmonic coefficients of zeta for either model
-along a schedule of rotation intensities kappa.
+along a schedule of rotation intensities kappa.  Its predictor is the
+quadratic in kappa through the sphere, with that tangent, and through the
+last accepted state, so the corrector takes fewer Newton matrices per step
+than from the tangent alone.  A model whose tangent is zero (VP, whose law
+is even in kappa) keeps a zero predictor and starts on the accepted state's
+Geometry: its curvature term would be only a secant in kappa^2, no better
+than the Newton step from the accepted state, and would cost a Geometry.
 """
 
 import numpy as np
@@ -255,6 +261,22 @@ def _newton_at(model, kappa, coefs, disc, tol, geo=None):
     raise SolverError("unreachable")
 
 
+def _predictor(tangent, coefs, k_cur, k_try):
+    """The step from the accepted state coefs at k_cur to the prediction at
+    k_try: the quadratic z(k) = k tangent + k^2 c through the sphere, with
+    its tangent there, and through the accepted state.  Through the
+    curvature term c, the prediction carries the accepted state's error
+    scaled by (k_try/k_cur)^2; step halving covers a prediction that Newton
+    cannot correct.  Zero for a zero tangent."""
+    if not np.any(tangent):
+        return np.zeros_like(tangent)
+    step = (k_try - k_cur) * tangent
+    if k_cur > 0.0:
+        c = (coefs - k_cur * tangent) / k_cur ** 2
+        step += (k_try ** 2 - k_cur ** 2) * c
+    return step
+
+
 def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
     """Continuation of model (EPModel or VPModel) in the rotation intensity
     kappa with exact mass.
@@ -269,7 +291,10 @@ def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
     if disc is None:
         disc = Discretization(model.star.R)
     # the accepted state's Geometry, the sphere's first, and the branch's
-    # tangent there (zero for VP, whose w is even in kappa)
+    # tangent there (zero for VP, whose w is even in kappa); the predictor
+    # is second order where the tangent is nonzero and zero where it is
+    # zero (a secant in kappa^2 would be no better than the Newton step
+    # from the accepted state, and would cost a Geometry)
     geo = _sphere(model, disc)
     tangent = sphere_step(model, geo, model.kappa_forcing(geo))
 
@@ -282,9 +307,10 @@ def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
         done = False
         while not done:
             k_try = min(target, k_cur + step) if step > 0 else target
-            predictor = (k_try - k_cur) * tangent
-            # a zero predictor (always for VP) starts on the accepted
-            # state's Geometry; any other on a new one, so it is let go
+            predictor = _predictor(tangent, coefs, k_cur, k_try)
+            # a zero predictor (always for VP, and for a repeated kappa)
+            # starts on the accepted state's Geometry; any other on a new
+            # one, so it is let go
             if np.any(predictor):
                 geo = None
             try:

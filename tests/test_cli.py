@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -432,3 +434,36 @@ def test_fuzzed_configs_exit_with_a_code(tmp_path_factory, command, data):
     out = tmp_path_factory.mktemp("fuzz")
     text = "".join(f"{k} = {v}\n" for k, v in data.items())
     assert run(out, command, text) in (0, 2, 3, 4)
+
+
+#: the model's config lines: EP gamma, or VP mu with the rotating part
+#: psi2 = 0.1 of the law (at psi2 = 0 it does not depend on kappa)
+_MODEL = st.one_of(
+    st.floats(1.25, 1.9).map(lambda g: f"model = ep\ngamma = {g!r}\n"),
+    st.floats(-2.0, 0.5).map(
+        lambda mu: f"model = vp\nmu = {mu!r}\npsi2 = 0.1\n"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=_MODEL, a=st.floats(0.9, 1.1),
+       kappas=st.lists(st.floats(-6.0, -1.0), min_size=1, max_size=2,
+                       unique=True).map(lambda x: [0.0] + sorted(10.0 ** k
+                                                                 for k in x)))
+def test_fuzzed_continue_converges_or_exits_with_a_code(tmp_path_factory,
+                                                        model, a, kappas):
+    # continue on either model: exit 0, 3 or 4 without a traceback, and on
+    # exit 0 every state below the default tol 1e-8 within the Newton step
+    # budget of 8
+    text = model + f"a = {a!r}\nkappas = {','.join(map(repr, kappas))}\n"
+    out = tmp_path_factory.mktemp("fuzz_continue")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(out, "continue", text)
+    assert code in (0, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        rows = (out / "continue.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == len(kappas)
+        for row in rows:
+            residual_sup, iters = row.split(",")[-2:]
+            assert float(residual_sup) < 1e-8 and int(iters) <= 8

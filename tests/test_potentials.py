@@ -92,9 +92,11 @@ def test_factored_quadrature_matches_dense_products(order, n_nodes):
 
 
 def _contraction_rows(pan):
-    """Targets of shape (6, 5): a row at s = 0, on panel edges and past the
+    """Targets of shape (7, 5): a row at s = 0, on panel edges and past the
     outer edge (no split panel); a row splitting five panels; a row mixing
-    both; random rows; and a row inside one panel."""
+    both; random rows; a row inside one panel; and a row with targets on a
+    panel's left edge and inside that panel (one group), on the last edge
+    and past it."""
     b, e = pan.edges[-1], pan.edges
     mid = 0.5 * (e[:-1] + e[1:])
     rng = np.random.default_rng(11)
@@ -103,7 +105,23 @@ def _contraction_rows(pan):
                      [0.3 * e[7] + 0.7 * e[8], mid[7], e[8], 0.0, mid[-1]],
                      rng.uniform(0.0, b, 5),
                      rng.uniform(0.0, b, 5),
-                     e[4] + (e[5] - e[4]) * np.linspace(0.1, 0.9, 5)])
+                     e[4] + (e[5] - e[4]) * np.linspace(0.1, 0.9, 5),
+                     [e[4], mid[4], 0.8 * e[4] + 0.2 * e[5], e[-1], 1.5 * b]])
+
+
+def _check_contracted(quad, s, n_o, n_b=4):
+    """apply_contracted against the contraction of dense() at random
+    weights (n_o, n_l, n_j) and sources (n_l, n_nodes, n_b)."""
+    n_l, n_nodes = len(quad.ells), len(quad.panels)
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((n_o, n_l, s.shape[1]))
+    sigma = rng.standard_normal((n_l, n_nodes, n_b))
+    got = quad.apply_contracted(w, sigma)
+    want = sum(np.einsum("oj,rjk,kb->orb", w[:, i],
+                         A.reshape(s.shape + (-1,)), sigma[i])
+               for i, A in enumerate(quad.dense()))
+    assert got.shape == want.shape == (n_o, len(s), n_b)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("order, n_nodes", [(8, 96), (2, 64)])
@@ -114,18 +132,25 @@ def test_contracted_batch_matches_dense(order, n_nodes):
     split = np.zeros(s.size, dtype=bool)
     split[quad.split] = True
     split = split.reshape(s.shape)
+    nb = quad.nb.reshape(s.shape)
     assert not split[0].any() and split[1].all()
-    assert len(set(quad.nb.reshape(s.shape)[1])) == 5
+    assert len(set(nb[1])) == 5
     assert split[2].tolist() == [True, True, False, False, True]
-    rng = np.random.default_rng(5)
-    w = rng.standard_normal((3, len(ELLS), s.shape[1]))
-    sigma = rng.standard_normal((len(ELLS), len(pan), 4))
-    got = quad.apply_contracted(w, sigma)
-    want = sum(np.einsum("oj,rjk,kb->orb", w[:, i],
-                         A.reshape(s.shape + (-1,)), sigma[i])
-               for i, A in enumerate(quad.dense()))
-    assert got.shape == want.shape == (3, len(s), 4)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert split[6].tolist() == [False, True, True, False, False]
+    assert nb[6].tolist() == [4, 4, 4, pan.n_panels, pan.n_panels]
+    _check_contracted(quad, s, 3)
+
+
+def test_contracted_batch_matches_dense_at_fine_grid_shape():
+    # 13 modes and 48 colatitudes, as at ells <= 24 and n_mu = 48
+    pan = Panels.graded(1.3, 272, order=8)
+    ells = tuple(range(0, 25, 2))
+    rng = np.random.default_rng(3)
+    s = np.sort(rng.uniform(0.0, 1.1 * pan.edges[-1], (6, 48)), axis=1)
+    s[0, ::6] = pan.edges[::4][:8]
+    quad = PotentialQuadrature(pan, ells, s)
+    assert 0 < len(quad.split) < s.size
+    _check_contracted(quad, s, len(ells))
 
 
 def test_uniform_ball_monopole_on_edges_and_nodes():

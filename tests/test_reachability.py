@@ -9,6 +9,10 @@ Three rules exempt a definition: a body that only raises
 NotImplementedError (an abstract law method), a function used as a
 decorator (it runs at import), and the pressure p of each law, which no
 command reads until the virial identity of D13 does.
+
+The same interpreter checks that no command imports numpy.ma: numpy loads
+it lazily, at a cost of about 8.5 ms, on the first call of a function such
+as np.unique.
 """
 
 import ast
@@ -16,6 +20,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import rotstar
 
@@ -34,7 +40,8 @@ RUNS = [(cmd, "gamma = 1.5\nkappas = 0,1e-3\nn = 64\nells = 0,2\nns = 64\n", 0)
     + [("perturb", f"gamma = {4.0 / 3.0!r}\nn = 192\n", 4)]
 
 #: run in a fresh interpreter: every argv of sys.argv[1] through cli.main
-#: under the profiler; prints the exit codes and the called functions
+#: under the profiler; prints the exit codes, the called functions and
+#: whether numpy.ma was imported
 _PROBE = """
 import json, sys
 from rotstar.cli import main
@@ -45,7 +52,8 @@ def profile(frame, event, arg):
 sys.setprofile(profile)
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 sys.setprofile(None)
-print(json.dumps({"codes": codes, "called": sorted(called)}))
+print(json.dumps({"codes": codes, "called": sorted(called),
+                  "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -108,7 +116,10 @@ def _library_functions():
     return want
 
 
-def test_every_library_function_runs_in_a_command(tmp_path):
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    """The probe's report on every run of RUNS."""
+    tmp_path = tmp_path_factory.mktemp("probe")
     argvs = []
     for i, (command, text, _) in enumerate(RUNS):
         cfg = tmp_path / f"run{i}.cfg"
@@ -119,9 +130,16 @@ def test_every_library_function_runs_in_a_command(tmp_path):
     out = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argvs)],
                          env=env, check=True, capture_output=True, text=True,
                          timeout=300)
-    report = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_every_library_function_runs_in_a_command(report):
     assert report["codes"] == [code for _, _, code in RUNS]
     called = {tuple(c) for c in report["called"]}
     missing = sorted(f"{os.path.basename(path)}:{name}"
                      for path, name in _library_functions() - called)
     assert missing == []
+
+
+def test_commands_leave_numpy_ma_unimported(report):
+    assert report["numpy_ma"] is False

@@ -7,14 +7,16 @@ from conftest import (density_jacobian_error, jacobian_column_error,
 from reference import dense_modal_eval, frechet_apply, mode_operator_response
 from rotstar.axisym import (INVERSION_STEPS, Discretization, Geometry,
                             ModalField)
-from rotstar.eos import power_law
+from rotstar.eos import constant_rotation, power_law
 from rotstar.errors import (DegenerateOperatorError, DeformationError,
                             SolverError)
 from rotstar.linop import assemble_mode
 from rotstar.numerics import Panels, Ytilde, smallest_singular_value
 from rotstar.radial import solve_radial
-from rotstar.rotating import (DEGENERACY_FLOOR, EPModel, evaluate_F,
-                              newton_continue, sphere_response, sphere_step)
+from rotstar.rotating import (DEGENERACY_FLOOR, EPModel, _predictor,
+                              evaluate_F, newton_continue, sphere_response,
+                              sphere_step)
+from rotstar.vlasov import VlasovAnsatz, VPModel, solve_vp_radial
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +338,86 @@ def test_newton_continue_schedule_validation(ep_model, disc15):
 def test_newton_cap_failure(ep_model, disc15):
     with pytest.raises(DeformationError, match="deformation cap"):
         newton_continue(ep_model, [0.05], disc=disc15)
+
+
+def test_predictor_follows_a_quadratic_branch():
+    # on z(k) = t k + c k^2 the step from z(k_cur) lands on z(k_try)
+    rng = np.random.default_rng(2)
+    t, c = rng.standard_normal((2, 7, 48))
+
+    def z(k):
+        return t * k + c * k ** 2
+
+    for k_cur, k_try in ((5e-4, 1e-3), (1e-3, 2.5e-3), (2e-3, 2e-3)):
+        got = z(k_cur) + _predictor(t, z(k_cur), k_cur, k_try)
+        assert np.max(np.abs(got - z(k_try))) <= 1e-12 * np.max(np.abs(
+            z(k_try)))
+    # from the sphere, whose curvature is unknown, the tangent alone
+    assert np.array_equal(_predictor(t, np.zeros_like(t), 0.0, 5e-4),
+                          5e-4 * t)
+    zero = _predictor(np.zeros_like(t), z(1e-2), 1e-2, 2e-2)
+    assert zero.shape == t.shape and not np.any(zero)
+
+
+def _counted_continue(monkeypatch, model, kappas):
+    """(newton_iters per state, Geometry builds, Newton matrices) of
+    newton_continue on model's default Discretization."""
+    import rotstar.rotating as rotating
+    builds, matrices = [], []
+
+    class Counted(rotating.Geometry):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    jacobian = rotating.Model.jacobian
+
+    def counted(self, geo, kappa):
+        matrices.append(kappa)
+        return jacobian(self, geo, kappa)
+
+    monkeypatch.setattr(rotating, "Geometry", Counted)
+    monkeypatch.setattr(rotating.Model, "jacobian", counted)
+    sols = newton_continue(model, kappas,
+                           disc=Discretization(model.star.R))
+    monkeypatch.undo()
+    return [s.iters for s in sols], len(builds), len(matrices)
+
+
+def test_second_order_predictor_saves_newton_matrices(ep_model,
+                                                      monkeypatch):
+    # the quadratic through the sphere and the accepted state: one
+    # iteration per state after the first step, where the tangent alone
+    # needed two from kappa = 1e-3 on
+    assert _counted_continue(monkeypatch, ep_model, [0.0, 5e-4, 1e-3]) \
+        == ([0, 2, 1], 6, 4)
+    iters, _, matrices = _counted_continue(
+        monkeypatch, ep_model, [2.5e-4 * i for i in range(7)])
+    assert iters == [0, 1, 1, 1, 1, 1, 1] and matrices == 7
+
+
+#: (model, gamma or mu, schedule, newton_iters with the tangent predictor
+#: alone); VP mu = 0.25 on 0, 1e-2, 2e-2 is
+#: test_warm_start_keeps_the_accepted_geometry
+_NO_RISE = [("ep", 1.3, [0.0, 4e-6, 8.3e-6], [0, 1, 1]),
+            ("ep", 1.9, [0.0, 5e-3, 1e-2], [0, 1, 2]),
+            ("ep", 1.5, [0.0, 1e-6, 1e-3], [0, 0, 2]),
+            ("ep", 1.5, [0.0, 1e-5, 1e-3], [0, 1, 2]),
+            ("ep", 1.5, [0.0, 5e-4, 5e-4, 1e-3], [0, 2, 0, 2]),
+            ("vp", -1.5, [0.0, 1e-2, 2e-2], [0, 2, 2])]
+
+
+@pytest.mark.parametrize("kind, param, kappas, before", _NO_RISE)
+def test_predictor_raises_no_newton_iters(kind, param, kappas, before):
+    if kind == "ep":
+        model = EPModel(solve_radial(power_law(param), 1.0),
+                        constant_rotation())
+    else:
+        model = VPModel(solve_vp_radial(
+            VlasovAnsatz.matched_to_power_law(param, psi2=0.1), 1.0))
+    sols = newton_continue(model, kappas, disc=Discretization(model.star.R))
+    assert len(sols) == len(before)
+    assert all(s.iters <= b for s, b in zip(sols, before))
 
 
 def test_solution_dump(tmp_path, ep_solutions):
