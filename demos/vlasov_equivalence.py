@@ -13,12 +13,12 @@ from rotstar.axisym import Discretization, ModalField
 from rotstar.eos import power_law
 from rotstar.radial import solve_radial, variation
 from rotstar.rotating import evaluate_F, newton_continue
-from rotstar.vlasov import VPModel, VlasovAnsatz, solve_vp_radial
+from rotstar.vlasov import VPModel, VlasovAnsatz
 
 if __name__ == "__main__":
     mu = 0.25
     ans = VlasovAnsatz.matched_to_power_law(mu, psi2=0.1)
-    star = solve_vp_radial(ans, 1.0)
+    star = solve_radial(ans, 1.0)
     gam = ans.equivalent_gamma()
     ep = solve_radial(power_law(gam), 1.0)
     print(f"mu = {mu}: equivalent gamma = {gam}")

@@ -9,11 +9,11 @@ from .eos import (EquationOfState, PowerLawEOS, PowerSumEOS,
                   RotationProfile, power_law, power_sum, constant_rotation,
                   validate_assumptions, check_mass_condition_b)
 from .radial import RadialStar, solve_radial, mass_derivative, mass_curve
-from .linop import ModeOperator, assemble_mode, kernel_margin_ladder
+from .linop import assemble_mode, kernel_margin_ladder
 from .axisym import EPS0, Discretization, Geometry, ModalField
 from .rotating import (EPModel, RotatingSolution, evaluate_F,
                        newton_continue, sphere_response, sphere_step)
-from .vlasov import VlasovAnsatz, VlasovStar, VPModel, solve_vp_radial
+from .vlasov import VlasovAnsatz, VPModel
 from .errors import (RotstarError, ConfigError, SolverError,
                      UnboundStarError, EOSError, DegenerateOperatorError,
                      DeformationError)

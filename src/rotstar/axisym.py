@@ -42,6 +42,8 @@ N_ANN = 8
 N_SUB = 12
 #: Newton steps of the ray inversion before it counts as unconverged
 INVERSION_STEPS = 20
+#: the default mode set of Discretization, even l up to 12
+ELLS = (0, 2, 4, 6, 8, 10, 12)
 
 
 class ModalField:
@@ -112,8 +114,7 @@ class Discretization:
     is l = 0), n_mu quadrature colatitudes, the n_rt-node source-grid
     budget and the n_rc collocation nodes that carry the unknowns."""
 
-    def __init__(self, R, ells=(0, 2, 4, 6, 8, 10, 12), n_mu=24, n_rt=104,
-                 n_rc=N_RC):
+    def __init__(self, R, ells=ELLS, n_mu=24, n_rt=104, n_rc=N_RC):
         self.R = float(R)
         self.ells = tuple(ells)
         self.panels_c = Panels.graded(R, n_rc, ORDER)   # collocation / unknowns

@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 config error, 3 solver error, 4 degenerate operator.
 
 import argparse
 import csv
-import inspect
 import json
 import os
 import sys
@@ -18,9 +17,9 @@ import sys
 import numpy as np
 
 from . import linop, radial, rotating, vlasov
-from .axisym import ORDER, Discretization
-from .eos import (PowerLawEOS, check_mass_condition_b, constant_rotation,
-                  power_law, power_sum, validate_assumptions)
+from .axisym import ELLS, ORDER, Discretization
+from .eos import (check_mass_condition_b, constant_rotation, power_law,
+                  power_sum, validate_assumptions)
 from .errors import (ConfigError, DegenerateOperatorError, EOSError,
                      RotstarError, SolverError)
 
@@ -98,8 +97,7 @@ class RunConfig:
                 raise ConfigError(f"{key} squared must be finite, got {x!r}")
         self.ells = self._counts("ells", [0, 1, 2, 3, 4])
         self.ns = self._counts("ns", [128, 256, 512])
-        ells = inspect.signature(Discretization).parameters["ells"].default
-        self._check_nodes("n", [self.n], ORDER, MAX_NODES // len(ells))
+        self._check_nodes("n", [self.n], ORDER, MAX_NODES // len(ELLS))
         self._check_nodes("ns", self.ns, linop.LADDER_ORDER, MAX_NODES)
         self.a_min = self._float("a_min", 0.5)
         self.a_max = self._float("a_max", 2.0)
@@ -200,10 +198,8 @@ class RunConfig:
 
     def make_star(self):
         """The radial star of the configured model."""
-        if self.model == "vp":
-            return vlasov.solve_vp_radial(self.make_ansatz(), self.a,
-                                          tol=self.ode_tol)
-        return radial.solve_radial(self.make_eos(), self.a, tol=self.ode_tol)
+        law = self.make_ansatz() if self.model == "vp" else self.make_eos()
+        return radial.solve_radial(law, self.a, tol=self.ode_tol)
 
     def make_model(self):
         """The rotation problem of the configured star."""
@@ -211,6 +207,14 @@ class RunConfig:
         if self.model == "vp":
             return vlasov.VPModel(star)
         return rotating.EPModel(star, constant_rotation(self.omega))
+
+    def make_rotating_model(self):
+        """make_model for the commands that rotate the star: a VP law at
+        psi2 = 0 does not depend on kappa, so it is a config error there."""
+        if self.model == "vp" and self.psi2 == 0.0:
+            raise ConfigError("model = vp needs psi2 != 0 to rotate: at "
+                              "psi2 = 0 its law does not depend on kappa")
+        return self.make_model()
 
     def path(self, name):
         os.makedirs(self.out_dir, exist_ok=True)
@@ -234,21 +238,24 @@ def cmd_radial(cfg):
         star = cfg.make_star()
     except SolverError as e:
         raise type(e)(f"{e}{flag}") from e
-    write_json(cfg.path("star.json"), star.to_json_dict())
+    out = star.to_json_dict()
+    if cfg.model == "vp":
+        # the kinetic star names its ansatz and leaves out u0'
+        out["mu"] = star.eos.mu
+        del out["u0p"]
+    write_json(cfg.path("star.json"), out)
     if cfg.model == "vp":
         # flux identity: R^2 u0'(R) = -M by the divergence theorem
         flux = abs(star.R ** 2 * float(star.u0p_of(star.R)) + star.mass) \
             / star.mass
-        print(f"radial vp: mu={star.ansatz.mu:g} a={cfg.a:g} R={star.R:.9f} "
+        print(f"radial vp: mu={star.eos.mu:g} a={cfg.a:g} R={star.R:.9f} "
               f"M={star.mass:.9f} flux-identity residual={flux:.3e}{flag}")
         return 0
-    eos = star.eos
     mp = radial.mass_derivative(star)[0]
     flag = ""
     if abs(mp) < 1e-6 * star.mass / star.a:
-        # a power sum's gamma is its smallest exponent, not its label
-        gtxt = f" (gamma={eos.gamma:g})" if isinstance(eos, PowerLawEOS) \
-            else ""
+        gamma = getattr(star.eos, "gamma", None)
+        gtxt = f" (gamma={gamma:g})" if gamma is not None else ""
         flag = f"  mass condition FAILED{gtxt}"
     print(f"radial ep: a={cfg.a:g} R={star.R:.9f} M={star.mass:.9f} "
           f"Mprime={mp:.9f}{flag}")
@@ -271,8 +278,9 @@ def cmd_mass_curve(cfg):
 def cmd_margin(cfg):
     """sigma_min per mode and node count, raw and scale-free: the raw value
     scales like a/R^2 under the power-law scaling, sigma_min R^2/a not."""
-    star = cfg.make_star()
-    rows = linop.kernel_margin_ladder(star, ells=cfg.ells, ns=cfg.ns)
+    model = cfg.make_model()
+    star = model.star
+    rows = linop.kernel_margin_ladder(model, ells=cfg.ells, ns=cfg.ns)
     write_csv(cfg.path("kernel_margin.csv"),
               ["l_mode", "n_nodes", "sigma_min_dimensionless"], rows)
     write_csv(cfg.path("kernel_margin_scaled.csv"),
@@ -287,7 +295,7 @@ def cmd_perturb(cfg):
     (rotating.sphere_response): the EP response per unit kappa, scaled by
     the last scheduled kappa if positive, or the VP step at that kappa
     (1e-2 if it is 0)."""
-    model = cfg.make_model()
+    model = cfg.make_rotating_model()
     R = model.star.R
     kappa = cfg.kappas[-1]
     if cfg.model == "vp":
@@ -315,7 +323,7 @@ def cmd_perturb(cfg):
 def cmd_continue(cfg):
     """Newton continuation of the configured model; per-kappa CSV rows are
     flushed as they arrive, so a partial curve survives solver failure."""
-    model = cfg.make_model()
+    model = cfg.make_rotating_model()
     rows = []
     header = ["kappa_intensity", "R_eq_length", "R_pole_length", "M_mass",
               "residual_sup", "newton_iters"]

@@ -1,8 +1,8 @@
 """Equations of state: pressure laws, enthalpy, inverse enthalpy, and the
 mass-condition diagnostics.
 
-The specific enthalpy is h(rho) = int_0^rho p'(s)/s ds, so h'(s) = p'(s)/s
-and k(s) = h(s) - s h'(s) = h(s) - p'(s).
+The specific enthalpy is h(rho) = int_0^rho p'(s)/s ds, so h'(s) = p'(s)/s.
+A power law p = s^gamma carries its gamma; a power sum has no single one.
 """
 
 import functools
@@ -39,9 +39,6 @@ class EquationOfState:
     bits of the same entry in an array.
     """
 
-    gamma = None        # small-s exponent of assum 3
-    gamma_star = None   # large-s exponent of assum 4
-
     def p(self, s):
         raise NotImplementedError
 
@@ -58,11 +55,6 @@ class EquationOfState:
         pos = s > 0
         out[pos] = self.dp(s[pos]) / s[pos]
         return out
-
-    @pointwise
-    def k(self, s):
-        """k(s) = h(s) - s h'(s) = h(s) - p'(s)."""
-        return self.h(s) - self.dp(s)
 
     @pointwise
     def hinv(self, u):
@@ -121,7 +113,6 @@ class PowerLawEOS(EquationOfState):
             warnings.warn("gamma=2 is on the boundary of the admissible range; "
                           "accepted for oracle testing", stacklevel=2)
         self.gamma = float(gamma)
-        self.gamma_star = float(gamma)
         self._c = gamma / (gamma - 1.0)
 
     @pointwise
@@ -163,8 +154,6 @@ class PowerSumEOS(EquationOfState):
             if g <= 1.0 or g > 2.0:
                 raise EOSError(f"exponent {g} outside (1, 2]")
         self.terms = terms
-        self.gamma = min(g for _, g in terms)
-        self.gamma_star = max(g for _, g in terms)
 
     @pointwise
     def p(self, s):

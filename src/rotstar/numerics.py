@@ -4,7 +4,8 @@ Composite Gauss-Legendre quadrature on graded panels, whose nodal values
 double as a piecewise-polynomial representation (interpolation, and
 differentiation and cumulative integration panel by panel from one pair of
 reference matrices per order), axisymmetric spherical harmonics, and the
-smallest singular value of a dense matrix.
+smallest singular value of a dense matrix, also in the L2(B_R) norm of the
+nodal profiles of an operator block on its Panels (weighted_sigma_min).
 
 smallest_singular_value reads the smallest eigenvalue of the Gram matrix
 A^T A when it stands clear of the eigenvalue rounding error (lam[0] >=
@@ -134,6 +135,15 @@ def smallest_singular_value(A):
         if sig is not None:
             return sig
     return float(np.linalg.svd(A, compute_uv=False)[-1])
+
+
+def weighted_sigma_min(panels, block):
+    """sigma_min of a nodal block acting on radial profiles at panels.x,
+    measured in the L2(B_R) norm ||f||^2 = sum w r^2 f^2 of the profiles
+    (the proxy for the paper's X-norm): the smallest singular value of
+    D block D^-1 with D = diag(sqrt(w) r)."""
+    d = np.sqrt(panels.w) * panels.x
+    return smallest_singular_value(block * (d[:, None] / d[None, :]))
 
 
 def _bary_weights(x):

@@ -2,8 +2,11 @@
 
 The star with central value a solves Delta u + 4 pi rho(u) = 0, u(0) = a,
 with rho = h^-1 of the star's density law: the EOS (Euler-Poisson) or the
-ansatz's w(0, r, u) (Vlasov-Poisson); its radius R is the first zero of
-u.  In x = r/R this is the integral equation
+ansatz's w(0, r, u) (Vlasov-Poisson), so solve_radial(ansatz, a) is the
+kinetic star; its radius R is the first zero of u.  The star is the same
+for both models: what tells them apart (the l = 0 mass term of the
+linearized operator among it) is the rotating.Model's.  In x = r/R this is
+the integral equation
 
     u(x) = a - 4 pi R^2 int_0^x t (1 - t/x) rho(u(t)) dt,    u(1) = 0,
 
@@ -159,7 +162,8 @@ def _solve_profile(eos, a, tol):
 class RadialStar:
     """A radial equilibrium: u0 and u0' as nodal values on graded panels of
     [0, R], their interpolants, and the profiles derived from them.  eos is
-    the density law: h^-1 = eos.hinv, (h^-1)' = eos.dhinv."""
+    the density law: h^-1 = eos.hinv, (h^-1)' = eos.dhinv, an
+    EquationOfState or a vlasov.VlasovAnsatz."""
 
     def __init__(self, eos, a, tol=1e-12):
         self.eos = eos
@@ -193,13 +197,6 @@ class RadialStar:
         """rho0'(r) = (h^-1)'(u0) u0'."""
         return np.asarray(self.eos.dhinv(self.u0_of(r)) * self.u0p_of(r))
 
-    def mass_column(self, r):
-        """Column of the l=0 rank-one mass term of the linearized operator:
-        (k(rho0(r)) - k(rho0(0)))/M for the Euler-Poisson fluid."""
-        kvals = self.eos.k(self.rho0_of(r))
-        k0 = float(self.eos.k(self.eos.hinv(self.a)))
-        return np.asarray((kvals - k0) / self.mass)
-
     # serialization -----------------------------------------------------------
 
     def to_json_dict(self):
@@ -215,7 +212,8 @@ class RadialStar:
 
 
 def solve_radial(eos, a, tol=1e-12):
-    """The radial equilibrium with central enthalpy a; tol bounds the
+    """The radial equilibrium of the density law eos (an EquationOfState
+    or a vlasov.VlasovAnsatz) with central value a; tol bounds the
     sup-norm residual of the radial system relative to a."""
     return RadialStar(eos, a, tol=tol)
 

@@ -34,9 +34,8 @@ than the Newton step from the accepted state, and would cost a Geometry.
 import numpy as np
 
 from .axisym import EPS0, Discretization, Geometry, ModalField
-from .eos import PowerLawEOS
 from .errors import DeformationError, DegenerateOperatorError, SolverError
-from .numerics import smallest_singular_value
+from .numerics import weighted_sigma_min
 
 _TINY = 1e-14
 #: Newton steps per kappa value, and step halvings per requested kappa
@@ -61,11 +60,16 @@ class Model:
     mfac = M/Mcal and the potential V; the residual is
     mfac (V - V(0)) + local, and the Newton matrix one shared block plus
     the local term's target weight and mfac-derivative (local_derivatives,
-    zero unless overridden).  kappa_forcing is dF/dkappa at zeta = 0, zero
-    unless overridden."""
+    zero unless overridden).  dlocal_dmfac is that mfac-derivative at radii
+    r, which also gives linop.assemble_mode its l = 0 mass column, and
+    kappa_forcing is dF/dkappa at zeta = 0; both are zero unless
+    overridden."""
 
     def local_derivatives(self, geo, kappa, mfac):
         return 0.0, 0.0
+
+    def dlocal_dmfac(self, r, mfac):
+        return 0.0
 
     def kappa_forcing(self, geo):
         return 0.0
@@ -126,14 +130,19 @@ class EPModel(Model):
         of the local term."""
         return self.profile.J(geo.s_t * geo.disc.sin_theta[None, :])
 
+    def dlocal_dmfac(self, r, mfac):
+        """d/dmfac of the enthalpy term at radii r: dh(mfac rho0) rho0 at
+        the origin minus the same at r."""
+        rho = self.star.rho0_of(np.append(r, 0.0))
+        dh_rho = self.star.eos.dh(mfac * rho) * rho
+        return dh_rho[-1] - dh_rho[:-1]
+
     def local_derivatives(self, geo, kappa, mfac):
         sin = geo.disc.sin_theta[None, :]
         r_cyl = geo.s_t * sin
         omega2 = self.profile.omega_sq(r_cyl.ravel()).reshape(r_cyl.shape)
-        rho = self.star.rho0_of(np.append(geo.rc, 0.0))
-        dh_rho = self.star.eos.dh(mfac * rho) * rho
         return (kappa * omega2 * r_cyl * sin,
-                (dh_rho[-1] - dh_rho[:-1])[:, None])
+                self.dlocal_dmfac(geo.rc, mfac)[:, None])
 
 
 def evaluate_F(zeta, kappa, model, disc=None):
@@ -169,12 +178,10 @@ def sphere_step(model, geo0, rhs):
         return np.zeros((n_l, n))
     J = model.jacobian(geo0, 0.0).reshape(n_l, n, n_l, n)
     blocks = J[np.arange(n_l), :, np.arange(n_l), :]
-    d = np.sqrt(disc.panels_c.w) * disc.panels_c.x
-    sig = smallest_singular_value(blocks[0] * (d[:, None] / d[None, :]))
+    sig = weighted_sigma_min(disc.panels_c, blocks[0])
     scaled = sig * star.R ** 2 / star.a
     if scaled <= DEGENERACY_FLOOR:
-        # a power sum's gamma is its smallest exponent, not its label
-        gamma = star.eos.gamma if isinstance(star.eos, PowerLawEOS) else None
+        gamma = getattr(star.eos, "gamma", None)
         raise DegenerateOperatorError(
             "degenerate operator (mass condition violated?): "
             f"sigma_min={sig:.3e}, sigma_min R^2/a={scaled:.3e}"

@@ -8,10 +8,13 @@ density at rotation intensity kappa is
     S = sqrt(2(E + u)),
 
 closed-form in Beta functions; w(0, r, u) does not depend on r.  The
-radial star is the radial module's Newton solve with the density law
-h^-1(u) = w(0, r, u); the rotation problem is VPModel, whose response from
-the sphere (rotating.sphere_response) and Newton continuation
-(rotating.newton_continue) are the Euler-Poisson model's.
+radial star is radial.solve_radial(ansatz, a), the Newton solve with the
+density law h^-1(u) = w(0, r, u), and the same star as the matched
+polytrope's; the rotation problem is VPModel, whose response from the
+sphere (rotating.sphere_response), Newton continuation
+(rotating.newton_continue) and l = 0 mass column (linop.assemble_mode,
+with Model's zero mfac-derivative of the local term) are the
+Euler-Poisson model's.
 """
 
 import functools
@@ -20,7 +23,6 @@ import math
 import numpy as np
 
 from .errors import EOSError
-from .radial import RadialStar
 from .rotating import Model
 
 
@@ -114,46 +116,20 @@ class VlasovAnsatz:
 
 
 # ---------------------------------------------------------------------------
-# radial problem
-
-
-class VlasovStar(RadialStar):
-    """Radial Vlasov-Poisson steady state: u0 profile with density
-    w(0, r, u0).  The ansatz is the star's density law (eos) and carries the
-    rotation dependence of w that VPModel reads."""
-
-    def __init__(self, ansatz, a, tol=1e-12):
-        self.ansatz = ansatz
-        super().__init__(ansatz, a, tol=tol)
-
-    def mass_column(self, r):
-        """(u0(r) - u0(0))/M: the Vlasov-Poisson rank-one mass column."""
-        return np.asarray((self.u0_of(r) - self.a) / self.mass)
-
-    def to_json_dict(self):
-        out = {"mu": self.ansatz.mu, **super().to_json_dict()}
-        del out["u0p"]
-        return out
-
-
-def solve_vp_radial(ansatz, a, tol=1e-12):
-    """The radial solution of Delta u + 4 pi w(0, r, u) = 0, u(0) = a."""
-    return VlasovStar(ansatz, a, tol=tol)
-
-
-# ---------------------------------------------------------------------------
 # nonlinear rotation problem
 
 
 class VPModel(Model):
-    """Vlasov-Poisson rotation problem: the star's ansatz is the density law
-    w(kappa, r_cyl, u), and the local term a - u0 at the targets makes the
-    residual a - u0 + mfac (V - V(0)).  Its kappa_forcing is Model's zero:
-    w is even in kappa and the local term does not depend on it."""
+    """Vlasov-Poisson rotation problem on a star of solve_radial(ansatz, a):
+    the ansatz, star.eos, is the density law w(kappa, r_cyl, u), and the
+    local term a - u0 at the targets makes the residual
+    a - u0 + mfac (V - V(0)).  Its kappa_forcing and dlocal_dmfac are
+    Model's zeros: w is even in kappa, and the local term depends on
+    neither kappa nor mfac."""
 
     def __init__(self, star):
         self.star = star
-        self.w, self.dw_du = star.ansatz.w, star.ansatz.dw_du
+        self.w, self.dw_du = star.eos.w, star.eos.dw_du
 
     def local(self, geo, kappa, mfac):
         return (self.star.a - self.star.u0_of(geo.rc))[:, None]

@@ -3,7 +3,7 @@ import pytest
 
 from rotstar.eos import power_law, power_sum, constant_rotation
 from rotstar.radial import solve_radial
-from rotstar.vlasov import VlasovAnsatz, solve_vp_radial
+from rotstar.vlasov import VlasovAnsatz
 
 
 @pytest.fixture(scope="session")
@@ -40,13 +40,19 @@ def vp_ansatz():
 
 @pytest.fixture(scope="session")
 def vp_star(vp_ansatz):
-    return solve_vp_radial(vp_ansatz, 1.0)
+    return solve_radial(vp_ansatz, 1.0)
 
 
 @pytest.fixture(scope="session")
 def ep_model(star15, rot_profile):
     from rotstar.rotating import EPModel
     return EPModel(star15, rot_profile)
+
+
+@pytest.fixture(scope="session")
+def ep43_model(star43, rot_profile):
+    from rotstar.rotating import EPModel
+    return EPModel(star43, rot_profile)
 
 
 @pytest.fixture(scope="session")

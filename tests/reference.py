@@ -14,8 +14,8 @@ its definition by Gauss-Jacobi and Gauss-Legendre quadrature, the oracle of
 the ansatz's closed forms.  reference_vp_law is the kappa = 0 law
 (w, dw/du)(0, r, u) by its own closed forms G and G', the oracle of the
 ansatz's hinv and dhinv, which read w and dw_du.  weighted_norm is the
-L2(B_R) norm of a mode profile at the nodes of a linop.ModeOperator, which
-the kernel-witness tests read.
+L2(B_R) norm of a mode profile at the nodes of the Panels of a
+linop.assemble_mode block, which the kernel-witness tests read.
 
 mode_operator_response is the first-order EP response from the dense mode
 operators of linop (the centrifugal forcing projected per mode, each
@@ -171,26 +171,25 @@ def reference_vp_law(ansatz, u):
     return G.reshape(u.shape), Gp.reshape(u.shape)
 
 
-def weighted_norm(op, f):
-    """L2(B_R) norm of a mode profile f given at the nodes of the
-    linop.ModeOperator op."""
-    return float(np.sqrt(np.dot(op.panels.w * op.nodes ** 2,
+def weighted_norm(panels, f):
+    """L2(B_R) norm of a mode profile f given at the nodes panels.x."""
+    return float(np.sqrt(np.dot(panels.w * panels.x ** 2,
                                 np.asarray(f) ** 2)))
 
 
-def mode_operator_response(star, profile, ells=(0, 2, 4, 6, 8), n=256,
-                           n_mu=24):
-    """The EP response per unit kappa, L xi_l = -J_l with J_l the mode
-    profiles of J(r sin(theta)) by n_mu-point Gauss-Legendre in mu, solved
-    mode by mode with the n-node assemble_mode blocks; a ModalField on
-    their nodes."""
-    ops = [assemble_mode(star, l, n=n) for l in ells]
+def mode_operator_response(model, ells=(0, 2, 4, 6, 8), n=256, n_mu=24):
+    """The response per unit kappa of the EPModel model, L xi_l = -J_l with
+    J_l the mode profiles of its model.profile.J(r sin(theta)) by
+    n_mu-point Gauss-Legendre in mu, solved mode by mode with the n-node
+    assemble_mode blocks; a ModalField on their nodes."""
+    ops = [assemble_mode(model, l, n=n) for l in ells]
+    panels = ops[0][0]
     xm, wm = gl_nodes(n_mu)
     mu = 0.5 * (xm + 1.0)
-    J = profile.J(np.outer(ops[0].nodes, np.sqrt(1.0 - mu ** 2)))
-    xi = [np.linalg.solve(op.matrix, -J @ (2.0 * np.pi * wm * Y))
-          for op, Y in zip(ops, Ytilde(ells, mu))]
-    return ModalField(ops[0].panels, ells, xi)
+    J = model.profile.J(np.outer(panels.x, np.sqrt(1.0 - mu ** 2)))
+    xi = [np.linalg.solve(M, -J @ (2.0 * np.pi * wm * Y))
+          for (_, M), Y in zip(ops, Ytilde(ells, mu))]
+    return ModalField(panels, ells, xi)
 
 
 def reference_local_rows(panels, p, r):

@@ -110,6 +110,28 @@ def test_vp_radial_flags_gamma_outside_paper_range(tmp_path, capsys):
     assert "outside" not in capsys.readouterr().out
 
 
+def test_vp_star_json_names_its_ansatz(tmp_path):
+    # one radial star for both models; the kinetic star.json adds mu and
+    # leaves out u0p
+    assert run(tmp_path, "radial", "model = vp\nmu = 0.25\n") == 0
+    star = json.loads((tmp_path / "star.json").read_text())
+    assert sorted(star) == ["R", "a", "grid", "mass", "mu", "rho0", "u0"]
+    assert star["mu"] == 0.25
+
+
+def test_vp_rotation_needs_psi2(tmp_path, capsys):
+    # at psi2 = 0 the VP law does not depend on kappa: the commands that
+    # rotate the star refuse it, the radial ones run
+    for command in ("perturb", "continue"):
+        assert run(tmp_path, command, "model = vp\nmu = 0.25\n") == 2
+        assert "psi2" in capsys.readouterr().err
+    assert not (tmp_path / "continue.csv").exists()
+    ladder = "ells = 0\nns = 64\n"
+    for command in ("radial", "kernel-margin"):
+        assert run(tmp_path, command,
+                   "model = vp\nmu = 0.25\npsi2 = 0\n" + ladder) == 0
+
+
 def test_config_error_exit_code(tmp_path):
     assert run(tmp_path, "radial", "model = bogus\n") == 2
 
@@ -288,7 +310,8 @@ def test_perturb_below_four_thirds_exits_zero(tmp_path):
     # gamma = 1.22 satisfies the mass condition; its raw l = 0 sigma_min
     # (2.6e-9, R = 488) is small only through the a/R^2 scale
     assert run(tmp_path, "perturb", "gamma = 1.22\nn = 192\n") == 0
-    assert run(tmp_path, "perturb", "model = vp\nmu = -3\nn = 192\n") == 0
+    assert run(tmp_path, "perturb",
+               "model = vp\nmu = -3\npsi2 = 0.1\nn = 192\n") == 0
 
 
 def _vp_a_1e150(tmp_path, command):

@@ -8,72 +8,124 @@ from rotstar.eos import constant_rotation, power_law
 from rotstar.errors import DegenerateOperatorError
 from rotstar.linop import (LADDER_ORDER, LADDER_SUB, assemble_mode,
                            kernel_margin_ladder)
+from rotstar.numerics import weighted_sigma_min
 from rotstar.radial import mass_derivative, solve_radial
-from rotstar.rotating import EPModel, sphere_step
-from rotstar.vlasov import VlasovAnsatz, solve_vp_radial
+from rotstar.rotating import EPModel, Model, sphere_step
+from rotstar.vlasov import VlasovAnsatz, VPModel
 
 
-def test_sigma_min_healthy_modes(star15):
+def test_sigma_min_healthy_modes(ep_model):
     # l >= 2 margins are uniform and well away from zero; frozen regression
-    sigs = {l: assemble_mode(star15, l, n=256).sigma_min() for l in (2, 3, 4)}
+    sigs = {l: weighted_sigma_min(*assemble_mode(ep_model, l, n=256))
+            for l in (0, 2, 3, 4)}
     for l in (2, 3, 4):
         assert sigs[l] > 0.03
     assert sigs[2] == pytest.approx(0.0408, rel=0.02)
-    assert assemble_mode(star15, 0, n=256).sigma_min() == \
-        pytest.approx(9.683e-3, rel=1e-3)
+    assert sigs[0] == pytest.approx(9.683e-3, rel=1e-3)
 
 
-def test_l1_translation_null_vector(star15):
+def test_l1_translation_null_vector(ep_model):
     # xi(r) = r is the translation direction: the density perturbation
     # rho0'(r) (xi/r) Y_1 is a rigid shift of the star, so the mode-1 block
     # has a genuine kernel
-    op = assemble_mode(star15, 1, n=256)
-    sig = op.sigma_min()
-    assert sig < 1e-10
-    ratio = weighted_norm(op, op.matrix @ op.nodes) \
-        / weighted_norm(op, op.nodes)
+    panels, M = assemble_mode(ep_model, 1, n=256)
+    x = panels.x
+    assert weighted_sigma_min(panels, M) < 1e-10
+    ratio = weighted_norm(panels, M @ x) / weighted_norm(panels, x)
     assert ratio < 1e-12
     # and the computed null vector is exactly that direction
-    d = np.sqrt(op.panels.w) * op.nodes
-    B = op.matrix * (d[:, None] / d[None, :])
+    d = np.sqrt(panels.w) * x
+    B = M * (d[:, None] / d[None, :])
     xi = np.linalg.svd(B)[2][-1] / d
     w2 = d * d
-    cos = abs(np.dot(xi * w2, op.nodes)) \
-        / np.sqrt(np.dot(xi * w2, xi) * np.dot(op.nodes * w2, op.nodes))
+    cos = abs(np.dot(xi * w2, x)) \
+        / np.sqrt(np.dot(xi * w2, xi) * np.dot(x * w2, x))
     assert cos > 1.0 - 1e-8
 
 
-def test_apply_matches_ode_identity(star15):
+def test_apply_matches_ode_identity(star15, ep_model):
     # acting on xi = r/u0' * (u0 - a) the operator reduces to closed-form
     # pieces: L xi = (u0 - a) - (Phi - Phi(0)) + rank-one, where the potential
     # of rho0' xi / r = rho0' (u0-a)/u0' is checked through the monopole path
-    op = assemble_mode(star15, 0, n=384)
-    x = op.nodes
+    panels, M = assemble_mode(ep_model, 0, n=384)
+    x = panels.x
     xi = np.atleast_1d(star15.u0_of(x)) - star15.a
     xi = x * xi / np.atleast_1d(star15.u0p_of(x))
-    out = op.matrix @ xi
+    out = M @ xi
     assert np.all(np.isfinite(out))
     with pytest.raises(ValueError):
-        op.matrix @ xi[:-1]
+        M @ xi[:-1]
 
 
-def test_gamma43_kernel_witness(star43):
+def test_gamma43_kernel_witness(star43, ep43_model):
     # converse construction: alpha = v_a - u0/a gives an exact kernel vector
     va_nodes = mass_derivative(star43)[1]
-    op = assemble_mode(star43, 0, n=512)
-    x = op.nodes
+    panels, M = assemble_mode(ep43_model, 0, n=512)
+    x = panels.x
     va = star43.panels.interp(va_nodes, np.minimum(x, star43.R))
     alpha = va - np.atleast_1d(star43.u0_of(x)) / star43.a
     xi = x * alpha / np.atleast_1d(star43.u0p_of(x))
-    ratio = weighted_norm(op, op.matrix @ xi) / weighted_norm(op, xi)
+    ratio = weighted_norm(panels, M @ xi) / weighted_norm(panels, xi)
     assert ratio < 1e-6
 
 
-def test_kernel_margin_ladder_contrast(star15, star43):
-    rows43 = dict(((l, n), s) for l, n, s in
-                  kernel_margin_ladder(star43, ells=(0,), ns=(128, 256, 512)))
-    rows15 = dict(((l, n), s) for l, n, s in
-                  kernel_margin_ladder(star15, ells=(0,), ns=(128, 256, 512)))
+class _NoMassTerm(Model):
+    """A model on star whose l = 0 mass column is zero: its mfac-derivative
+    cancels u0 - a."""
+
+    def __init__(self, star):
+        self.star = star
+
+    def dlocal_dmfac(self, r, mfac):
+        return self.star.a - self.star.u0_of(r)
+
+
+def test_model_owns_the_l0_mass_term(star43, ep43_model):
+    # the gamma = 4/3 polytrope and the matched mu = -1.5 ansatz are one
+    # radial star; only the model's l = 0 mass column tells the fluid's
+    # kernel from the kinetic margin
+    vp43 = solve_radial(VlasovAnsatz.matched_to_power_law(-1.5, psi2=0.1),
+                        1.0)
+    assert abs(vp43.R - star43.R) <= 1e-13 * star43.R
+    r = np.linspace(0.0, 1.0, 201) * star43.R
+    assert np.max(np.abs(vp43.u0_of(r) - star43.u0_of(r))) <= 1e-13 * star43.a
+    vp43_model = VPModel(vp43)
+    scaled = {}
+    columns = {}
+    for name, model in (("ep", ep43_model), ("vp", vp43_model)):
+        star = model.star
+        panels, M = assemble_mode(model, 0, n=256)
+        scaled[name] = weighted_sigma_min(panels, M) * star.R ** 2 / star.a
+        # the mass term is rank one, column times this row: read the
+        # column off the difference to the same block without it
+        x = panels.x
+        row = 4.0 * np.pi * panels.w * x * star.rho0p_of(x)
+        base = assemble_mode(_NoMassTerm(star), 0, n=256)[1]
+        columns[name] = (M - base) @ row / (row @ row)
+    assert scaled["ep"] <= 1e-10
+    assert scaled["vp"] >= 1e-5
+    # EP: (k(rho0(r)) - k(rho0(0)))/M with k = h - p'
+    eos, M = star43.eos, star43.mass
+    rho0 = star43.rho0_of(x)
+    rho_c = eos.hinv(star43.a)
+    want = (eos.h(rho0) - eos.dp(rho0) - eos.h(rho_c) + eos.dp(rho_c)) / M
+    assert np.max(np.abs(columns["ep"] - want)) <= 1e-12 * np.max(np.abs(want))
+    # VP: (u0 - a)/M, from a zero mfac-derivative
+    assert vp43_model.dlocal_dmfac(x, 1.0) == 0.0
+    want = (vp43.u0_of(x) - vp43.a) / vp43.mass
+    assert np.max(np.abs(columns["vp"] - want)) <= 1e-12 * np.max(np.abs(want))
+    # the EP derivative is pointwise: a node alone gives its bits in an array
+    d = ep43_model.dlocal_dmfac(x, 1.0)
+    assert d.shape == x.shape
+    assert all(ep43_model.dlocal_dmfac(x[i:i + 1], 1.0)[0] == d[i]
+               for i in range(0, len(x), 17))
+
+
+def test_kernel_margin_ladder_contrast(ep_model, ep43_model):
+    rows43 = dict(((l, n), s) for l, n, s in kernel_margin_ladder(
+        ep43_model, ells=(0,), ns=(128, 256, 512)))
+    rows15 = dict(((l, n), s) for l, n, s in kernel_margin_ladder(
+        ep_model, ells=(0,), ns=(128, 256, 512)))
     # degenerate case: sigma_min tracks the discretization error downward
     assert rows43[(0, 256)] < 0.5 * rows43[(0, 128)]
     assert rows43[(0, 512)] < 0.5 * rows43[(0, 256)]
@@ -81,40 +133,42 @@ def test_kernel_margin_ladder_contrast(star15, star43):
     assert abs(rows15[(0, 512)] / rows15[(0, 128)] - 1.0) < 0.1
 
 
-def test_negative_mode_rejected(star15):
+def test_negative_mode_rejected(ep_model):
     with pytest.raises(ValueError):
-        assemble_mode(star15, -1)
+        assemble_mode(ep_model, -1)
 
 
 @pytest.fixture(scope="module")
-def sweep_stars(star43, star15, vp_star):
-    stars = {"ep 4/3": star43, "ep 1.5": star15, "vp 0.25": vp_star}
+def sweep_models(ep43_model, ep_model, vp_model, rot_profile):
+    models = {"ep 4/3": ep43_model, "ep 1.5": ep_model, "vp 0.25": vp_model}
     for gamma in (1.22, 1.3, 1.9):
-        stars[f"ep {gamma}"] = solve_radial(power_law(gamma), 1.0)
-    stars["vp -1.5"] = solve_vp_radial(
-        VlasovAnsatz.matched_to_power_law(-1.5, psi2=0.1), 1.0)
-    return stars
+        models[f"ep {gamma}"] = EPModel(solve_radial(power_law(gamma), 1.0),
+                                        rot_profile)
+    models["vp -1.5"] = VPModel(solve_radial(
+        VlasovAnsatz.matched_to_power_law(-1.5, psi2=0.1), 1.0))
+    return models
 
 
 @pytest.mark.parametrize("n, order, n_sub", [
     (128, LADDER_ORDER, LADDER_SUB), (256, LADDER_ORDER, LADDER_SUB),
     (256, 8, 12)])
-def test_sigma_min_matches_svd(sweep_stars, n, order, n_sub):
-    # the weighted mode matrices of ModeOperator.sigma_min, healthy,
+def test_sigma_min_matches_svd(sweep_models, n, order, n_sub):
+    # the weighted mode matrices of numerics.weighted_sigma_min, healthy,
     # degenerate (gamma = 4/3, l = 0) and translation (l = 1) blocks alike:
     # relative accuracy where the SVD has it, eps-level against sigma_max
     # below that
-    for name, star in sweep_stars.items():
+    for name, model in sweep_models.items():
         for l in range(5):
-            op = assemble_mode(star, l, n=n, order=order, n_sub=n_sub)
-            d = np.sqrt(op.panels.w) * op.nodes
-            s = np.linalg.svd(op.matrix * (d[:, None] / d[None, :]),
+            panels, M = assemble_mode(model, l, n=n, order=order, n_sub=n_sub)
+            d = np.sqrt(panels.w) * panels.x
+            s = np.linalg.svd(M * (d[:, None] / d[None, :]),
                               compute_uv=False)
-            err = abs(op.sigma_min() - s[-1])
+            err = abs(weighted_sigma_min(panels, M) - s[-1])
             assert err <= max(1e-8 * s[-1], 1e-14 * s[0]), (name, l)
 
 
-def test_kernel_margin_and_gate_take_no_svd(monkeypatch, star43, star15):
+def test_kernel_margin_and_gate_take_no_svd(monkeypatch, star43, star15,
+                                            ep43_model):
     # sigma_min of the ladder's modes and of sphere_step's degeneracy gate
     # comes from the Gram eigenvalues or a converged inverse iteration: the
     # healthy gamma = 1.5 block passes, the degenerate gamma = 4/3 one is
@@ -122,7 +176,7 @@ def test_kernel_margin_and_gate_take_no_svd(monkeypatch, star43, star15):
     def refuse(*args, **kw):
         raise AssertionError("np.linalg.svd called")
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    rows = kernel_margin_ladder(star43)
+    rows = kernel_margin_ladder(ep43_model)
     assert len(rows) == 15 and all(sig > 0.0 for _, _, sig in rows)
     for star in (star15, star43):
         model = EPModel(star, constant_rotation())
