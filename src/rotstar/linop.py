@@ -9,7 +9,7 @@ For xi(x) = xi_l(r) Y_{l0}(theta),
 where Phi_l is the potential mode of the source sigma_l(t) = rho0'(t) xi_l(t)/t.
 The rank-one term is c(r) int rho0' xi/|y| dy with the column
 c = (u0 - a + d local/d mfac)/M, the mfac-derivative of the model's local
-term at mfac = 1 (Model.dlocal_dmfac): zero for Vlasov-Poisson, and
+term at mfac = 1 (Model.dlocal_dmfac; mass_column): zero for Vlasov-Poisson, and
 dh(rho0) rho0 at 0 minus the same at r for Euler-Poisson, which makes c
 (k(rho0) - k(rho0(0)))/M with k = h - p'.  So the model, not the star,
 decides the mass term.  Any l is assembled, odd ones included, which the
@@ -25,6 +25,16 @@ from .potentials import mode_potential_matrices, origin_row
 
 #: panel order and split-panel nodes of kernel_margin_ladder
 LADDER_ORDER, LADDER_SUB = 2, 4
+
+
+def mass_column(model, r):
+    """The column c(r) = (u0 - a + model.dlocal_dmfac(r, 1))/M of the l = 0
+    mass term at radii r, in the shape of r (a scalar gives a 0-d array)."""
+    star = model.star
+    r = np.asarray(r, dtype=float)
+    x = r.ravel()
+    c = (star.u0_of(x) - star.a + model.dlocal_dmfac(x, 1.0)) / star.mass
+    return c.reshape(r.shape)
 
 
 def assemble_mode(model, l, n=256, order=8, n_sub=12):
@@ -45,9 +55,8 @@ def assemble_mode(model, l, n=256, order=8, n_sub=12):
     D = rho0p / x
     M = np.diag(u0p / x) - A * D[None, :]
     if l == 0:
-        column = (star.u0_of(x) - star.a + model.dlocal_dmfac(x, 1.0)) \
-            / star.mass
-        M = M + np.outer(column, 4.0 * np.pi * panels.w * x * rho0p)
+        M = M + np.outer(mass_column(model, x),
+                         4.0 * np.pi * panels.w * x * rho0p)
     if not np.all(np.isfinite(M)):
         raise SolverError(f"mode {l} operator is not finite")
     return panels, M

@@ -1,9 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from rotstar import radial
 from rotstar.eos import PowerLawEOS, power_law, power_sum
 from rotstar.errors import EOSError, SolverError, UnboundStarError
+from rotstar.linop import mass_column
 from reference import (dense_radial_jacobian, dense_radial_kernel,
                        gamma_43_identity_check, shoot_profile)
 from rotstar.radial import mass_curve, mass_derivative, solve_radial
@@ -49,12 +52,18 @@ def test_flux_identity(model, param):
 
 
 @pytest.mark.parametrize("which", ["ep", "vp"])
-@pytest.mark.parametrize("method", ["u0_of", "u0p_of", "rho0_of", "rho0p_of"])
-def test_profiles_keep_the_shape_of_r(star15, vp_star, which, method):
+@pytest.mark.parametrize("method", ["u0_of", "u0p_of", "rho0_of", "rho0p_of",
+                                    "mass_column"])
+def test_profiles_keep_the_shape_of_r(star15, vp_star, ep_model, vp_model,
+                                      which, method):
     # a scalar gives a 0-d array, any array its own shape, and every value
-    # is bit-equal to the same point evaluated in a 1-d array
-    star = star15 if which == "ep" else vp_star
-    f = getattr(star, method)
+    # is bit-equal to the same point evaluated in a 1-d array; the l = 0
+    # mass column is the model's, on the same star
+    star, model = (star15, ep_model) if which == "ep" else (vp_star, vp_model)
+    if method == "mass_column":
+        f = partial(mass_column, model)
+    else:
+        f = getattr(star, method)
     r = np.array([[0.0, 0.3], [0.7, 1.0]]) * star.R
     flat = f(r.ravel())
     out = f(r)
