@@ -39,4 +39,4 @@ if __name__ == "__main__":
     print(f"\nmin |M'| a / M over the sweep: "
           f"{np.min(np.abs(mp) * a / M):.4f}")
     rep = check_mass_condition_b(eos)
-    print(f"structural mass condition: {'pass' if rep.passed else 'FAIL'}")
+    print(f"structural mass condition: {'pass' if rep['passed'] else 'FAIL'}")

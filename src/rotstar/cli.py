@@ -3,7 +3,9 @@
 Subcommands map one-to-one onto the library computations; configuration is a
 flat key = value text file so that regression baselines are reproducible.
 All output files are written atomically (temp + rename) and deterministically,
-so reruns with an identical config are bit-identical.
+so reruns with an identical config are bit-identical.  Each file's layout is
+defined here alone: the library returns plain data (profiles, solution
+attributes, dicts) and writes nothing.
 
 Exit codes: 0 success, 2 config error, 3 solver error, 4 degenerate operator.
 """
@@ -51,6 +53,8 @@ def write_json(path, obj):
 #: largest side of a dense operator: the kernel-margin blocks are ns x ns,
 #: and perturb's Newton matrix has n rows per mode of its Discretization
 MAX_NODES = 4096
+#: points of the uniform grid on [0, R] at which star.json samples the star
+STAR_GRID = 512
 
 
 def parse_config(path):
@@ -85,7 +89,7 @@ class RunConfig:
         self.ode_tol = self._float("ode_tol", 1e-12)
         if self.tol <= 0 or self.ode_tol <= 0:
             raise ConfigError("tolerances must be positive")
-        self.n = self._int("n", 256)
+        self.n = self._count("n", 256)
         self.kappas = self._floats("kappas", [0.0, 1e-3])
         if self.kappas[0] != 0.0:
             raise ConfigError("kappa schedule must start at 0")
@@ -101,7 +105,7 @@ class RunConfig:
         self._check_nodes("ns", self.ns, linop.LADDER_ORDER, MAX_NODES)
         self.a_min = self._float("a_min", 0.5)
         self.a_max = self._float("a_max", 2.0)
-        self.n_samples = self._int("n_samples", 9)
+        self.n_samples = self._count("n_samples", 9)
         self.mu = self._float("mu", 0.25)
         self.psi2 = self._float("psi2", 0.0)
         self.psi0 = self._float("psi0", None) if "psi0" in self.raw else None
@@ -137,12 +141,6 @@ class RunConfig:
     def _float(self, key, default):
         return self._number(key, self.raw.get(key, default))
 
-    def _int(self, key, default):
-        try:
-            return int(self.raw.get(key, default))
-        except ValueError as e:
-            raise ConfigError(f"bad int for {key}: {self.raw[key]!r}") from e
-
     def _floats(self, key, default):
         if key not in self.raw:
             return list(default)
@@ -153,12 +151,20 @@ class RunConfig:
         return vals
 
     def _counts(self, key, default):
-        """A list of nonnegative integers (mode indices, node counts)."""
+        """A list of nonnegative integers (mode indices, node counts); a
+        float that equals one, such as 64.0, reads as it."""
         vals = self._floats(key, default)
         if any(x < 0 or x != int(x) for x in vals):
-            raise ConfigError(f"{key} must list nonnegative integers, got "
+            raise ConfigError(f"{key} takes nonnegative integers only, got "
                               f"{self.raw[key]!r}")
         return [int(x) for x in vals]
+
+    def _count(self, key, default):
+        """One nonnegative integer, read as by _counts."""
+        vals = self._counts(key, [default])
+        if len(vals) != 1:
+            raise ConfigError(f"{key} takes one value, got {self.raw[key]!r}")
+        return vals[0]
 
     def _pairs(self, key, default):
         if key not in self.raw:
@@ -172,10 +178,17 @@ class RunConfig:
             out.append(tuple(self._number(key, x) for x in parts))
         return out
 
-    def make_eos(self):
-        """The configured EOS; a law value out of its range is a config
-        error."""
+    def make_law(self):
+        """The density law of the configured model: the ansatz for vp, the
+        EOS for ep.  A law value out of its range (gamma outside (1, 2],
+        psi0 <= 0, mu >= 1, ...) is a config error."""
         try:
+            if self.model == "vp":
+                if self.psi0 is None:
+                    return vlasov.VlasovAnsatz.matched_to_power_law(
+                        self.mu, psi2=self.psi2)
+                return vlasov.VlasovAnsatz(self.mu, psi0=self.psi0,
+                                           psi2=self.psi2)
             if self.eos_kind == "power_law":
                 return power_law(self.gamma)
             if self.eos_kind == "power_sum":
@@ -184,26 +197,9 @@ class RunConfig:
             raise ConfigError(str(e)) from e
         raise ConfigError(f"unknown eos {self.eos_kind!r}")
 
-    def make_ansatz(self):
-        """The configured ansatz; a law value out of its range (psi0 <= 0,
-        mu >= 1) is a config error."""
-        try:
-            if self.psi0 is None:
-                return vlasov.VlasovAnsatz.matched_to_power_law(
-                    self.mu, psi2=self.psi2)
-            return vlasov.VlasovAnsatz(self.mu, psi0=self.psi0,
-                                       psi2=self.psi2)
-        except EOSError as e:
-            raise ConfigError(str(e)) from e
-
-    def make_star(self):
-        """The radial star of the configured model."""
-        law = self.make_ansatz() if self.model == "vp" else self.make_eos()
-        return radial.solve_radial(law, self.a, tol=self.ode_tol)
-
     def make_model(self):
         """The rotation problem of the configured star."""
-        star = self.make_star()
+        star = radial.solve_radial(self.make_law(), self.a, tol=self.ode_tol)
         if self.model == "vp":
             return vlasov.VPModel(star)
         return rotating.EPModel(star, constant_rotation(self.omega))
@@ -229,32 +225,36 @@ def cmd_radial(cfg):
     """The radial star; flags an EP star whose M'(a) vanishes and a VP
     ansatz whose gamma_eq lies outside the paper's (6/5, 2), on the output
     line or, when the solve fails, on the error."""
+    law = cfg.make_law()
     flag = ""
     if cfg.model == "vp":
-        g = cfg.make_ansatz().equivalent_gamma()
+        g = law.equivalent_gamma()
         if not 6.0 / 5.0 < g < 2.0:
             flag = f"  gamma_eq={g:g} outside (6/5, 2)"
     try:
-        star = cfg.make_star()
+        star = radial.solve_radial(law, cfg.a, tol=cfg.ode_tol)
     except SolverError as e:
         raise type(e)(f"{e}{flag}") from e
-    out = star.to_json_dict()
+    grid = np.linspace(0.0, star.R, STAR_GRID)
+    out = {"a": star.a, "R": star.R, "mass": star.mass,
+           "grid": grid.tolist(), "u0": star.u0_of(grid).tolist(),
+           "rho0": star.rho0_of(grid).tolist()}
     if cfg.model == "vp":
-        # the kinetic star names its ansatz and leaves out u0'
-        out["mu"] = star.eos.mu
-        del out["u0p"]
+        out["mu"] = law.mu          # the kinetic star names its ansatz
+    else:
+        out["u0p"] = star.u0p_of(grid).tolist()
     write_json(cfg.path("star.json"), out)
     if cfg.model == "vp":
         # flux identity: R^2 u0'(R) = -M by the divergence theorem
         flux = abs(star.R ** 2 * float(star.u0p_of(star.R)) + star.mass) \
             / star.mass
-        print(f"radial vp: mu={star.eos.mu:g} a={cfg.a:g} R={star.R:.9f} "
+        print(f"radial vp: mu={law.mu:g} a={cfg.a:g} R={star.R:.9f} "
               f"M={star.mass:.9f} flux-identity residual={flux:.3e}{flag}")
         return 0
     mp = radial.mass_derivative(star)[0]
     flag = ""
     if abs(mp) < 1e-6 * star.mass / star.a:
-        gamma = getattr(star.eos, "gamma", None)
+        gamma = getattr(law, "gamma", None)
         gtxt = f" (gamma={gamma:g})" if gamma is not None else ""
         flag = f"  mass condition FAILED{gtxt}"
     print(f"radial ep: a={cfg.a:g} R={star.R:.9f} M={star.mass:.9f} "
@@ -263,9 +263,9 @@ def cmd_radial(cfg):
 
 
 def cmd_mass_curve(cfg):
-    eos = cfg.make_eos()
-    curve = radial.mass_curve(eos, (cfg.a_min, cfg.a_max), cfg.n_samples,
-                              tol=cfg.ode_tol)
+    """M(a) over [a_min, a_max] for the configured model's law."""
+    curve = radial.mass_curve(cfg.make_law(), (cfg.a_min, cfg.a_max),
+                              cfg.n_samples, tol=cfg.ode_tol)
     write_csv(cfg.path("mass_curve.csv"),
               ["a_enthalpy", "R_length", "M_mass", "Mprime_mass_per_enthalpy"],
               curve)
@@ -331,7 +331,8 @@ def cmd_continue(cfg):
     write_csv(path, header, rows)
 
     def record(sol):
-        rows.append(sol.to_row())
+        rows.append([sol.kappa, sol.R_eq, sol.R_pole, sol.mass_value,
+                     sol.residual_sup, sol.iters])
         write_csv(path, header, rows)
         stem = cfg.path(f"solution_k{sol.kappa:.6e}")
         meta = {"kappa": sol.kappa, "R_eq": sol.R_eq, "R_pole": sol.R_pole,
@@ -352,13 +353,18 @@ def cmd_continue(cfg):
 
 
 def cmd_eos_check(cfg):
-    eos = cfg.make_eos()
+    """Grade the configured EOS: the pressure assumptions and the mass
+    condition (b).  EP only: a VP ansatz has no pressure law."""
+    if cfg.model != "ep":
+        raise ConfigError("eos-check grades a pressure law: it needs "
+                          "model = ep")
+    eos = cfg.make_law()
     assum = validate_assumptions(eos)
     cond = check_mass_condition_b(eos)
-    out = {"assumptions": assum.as_dict(), "mass_condition_b": cond.as_dict()}
-    write_json(cfg.path("eos_check.json"), out)
-    print(f"eos-check: assumptions {'pass' if assum.passed else 'FAIL'}, "
-          f"condition (b) {'pass' if cond.passed else 'FAIL'}")
+    write_json(cfg.path("eos_check.json"),
+               {"assumptions": assum, "mass_condition_b": cond})
+    print(f"eos-check: assumptions {'pass' if assum['passed'] else 'FAIL'}, "
+          f"condition (b) {'pass' if cond['passed'] else 'FAIL'}")
     return 0
 
 

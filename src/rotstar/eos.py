@@ -1,5 +1,6 @@
 """Equations of state: pressure laws, enthalpy, inverse enthalpy, and the
-mass-condition diagnostics.
+mass-condition diagnostics, which return plain dicts of margins and pass
+flags (the CLI writes them to eos_check.json).
 
 The specific enthalpy is h(rho) = int_0^rho p'(s)/s ds, so h'(s) = p'(s)/s.
 A power law p = s^gamma carries its gamma; a power sum has no single one.
@@ -201,72 +202,30 @@ def constant_rotation(omega=1.0):
     return RotationProfile(lambda r: w2 * np.ones_like(np.asarray(r, dtype=float)))
 
 
-class AssumptionReport:
-    """Outcome of validate_assumptions: measured exponents and pass flags."""
-
-    def __init__(self, monotone, small_exp, large_exp):
-        self.monotone = monotone
-        self.small_exp = small_exp
-        self.large_exp = large_exp
-        self.pass_positivity = monotone
-        # assum 3: gamma in (1, 2)  <=>  small-s exponent of p' in (0, 1)
-        self.pass_small = 0.0 < small_exp < 1.0
-        # assum 4: gamma* in (6/5, 2)
-        self.pass_large = 0.2 < large_exp < 1.0
-        self.passed = self.pass_positivity and self.pass_small and self.pass_large
-
-    def as_dict(self):
-        return {
-            "monotone": bool(self.monotone),
-            "small_exp": self.small_exp,
-            "large_exp": self.large_exp,
-            "pass_positivity": bool(self.pass_positivity),
-            "pass_small": bool(self.pass_small),
-            "pass_large": bool(self.pass_large),
-            "passed": bool(self.passed),
-        }
-
-
 def validate_assumptions(eos):
     """Sample [1e-8, 1e8] at 160 log-spaced points and grade the pressure
-    assumptions."""
+    assumptions: a dict of the log-slopes of p' at both ends (small_exp,
+    large_exp), whether p' > 0 (monotone) and a pass flag per assumption."""
     s = np.logspace(-8, 8, 160)
     dp = np.asarray(eos.dp(s), dtype=float)
     monotone = bool(np.all(dp > 0))
     small_exp = float(np.log(dp[2] / dp[0]) / np.log(s[2] / s[0]))
     large_exp = float(np.log(dp[-1] / dp[-3]) / np.log(s[-1] / s[-3]))
-    return AssumptionReport(monotone, small_exp, large_exp)
-
-
-class MassConditionReport:
-    """Margins for the sufficient mass condition p' < h <= 2p' and the
-    equivalent g-function conditions."""
-
-    def __init__(self, left_margin, right_margin, g1, g2, g3):
-        self.left_margin = left_margin      # min (h - p')/h, want > 0
-        self.right_margin = right_margin    # min (2p' - h)/h, want >= 0
-        self.g1_margin = g1                 # max (g - w g_w), want < 0
-        self.g2_margin = g2                 # max g_r, want <= 0
-        self.g3_margin = g3                 # min (r g_r + 3g - w g_w), want >= 0
-        tol = 1e-12
-        self.passed = (left_margin > 0 and right_margin >= -tol
-                       and g1 < 0 and g2 <= tol and g3 >= -tol)
-
-    def as_dict(self):
-        return {
-            "left_margin": self.left_margin,
-            "right_margin": self.right_margin,
-            "g1_margin": self.g1_margin,
-            "g2_margin": self.g2_margin,
-            "g3_margin": self.g3_margin,
-            "passed": bool(self.passed),
-        }
+    # assum 3: gamma in (1, 2)  <=>  small-s exponent of p' in (0, 1)
+    pass_small = 0.0 < small_exp < 1.0
+    # assum 4: gamma* in (6/5, 2)
+    pass_large = 0.2 < large_exp < 1.0
+    return {"monotone": monotone, "small_exp": small_exp,
+            "large_exp": large_exp, "pass_positivity": monotone,
+            "pass_small": pass_small, "pass_large": pass_large,
+            "passed": monotone and pass_small and pass_large}
 
 
 def check_mass_condition_b(eos):
     """Pointwise check of p' < h <= 2p' and the three g-conditions for
     g(w, r) = 4 pi r h^-1(w/r), on 200 log-spaced densities in [1e-6, 1e3]
-    and 40 radii in [0.05, 2]."""
+    and 40 radii in [0.05, 2]: a dict of the five margins and the pass
+    flag."""
     s = np.logspace(-6, 3, 200)
     h = np.asarray(eos.h(s), dtype=float)
     dp = np.asarray(eos.dp(s), dtype=float)
@@ -286,4 +245,11 @@ def check_mass_condition_b(eos):
     g1 = float(np.max((g - w * g_w)[pos] / g[pos]))
     g2 = float(np.max((r * g_r)[pos] / g[pos]))
     g3 = float(np.min((r * g_r + 3 * g - w * g_w)[pos] / g[pos]))
-    return MassConditionReport(left, right, g1, g2, g3)
+    tol = 1e-12
+    return {"left_margin": left,     # min (h - p')/h, want > 0
+            "right_margin": right,   # min (2p' - h)/h, want >= 0
+            "g1_margin": g1,         # max (g - w g_w), want < 0
+            "g2_margin": g2,         # max g_r, want <= 0
+            "g3_margin": g3,         # min (r g_r + 3g - w g_w), want >= 0
+            "passed": (left > 0 and right >= -tol and g1 < 0 and g2 <= tol
+                       and g3 >= -tol)}

@@ -16,7 +16,10 @@ integrals and never formed.  It is zero above its diagonal panel blocks
 and rank two below them, so each Newton system is solved panel by panel
 with R eliminated by its Schur complement (_solve_bordered); no n x n
 matrix is formed.  One more such solve differentiates the star along a:
-M'(a) and du0/da (mass_derivative).
+M'(a) and du0/da (mass_derivative); mass_curve sweeps a for either law.
+
+A star exposes its profiles as functions of r and samples no output grid:
+the CLI picks the points of star.json.
 """
 
 import numpy as np
@@ -24,8 +27,6 @@ import numpy as np
 from .errors import EOSError, SolverError, UnboundStarError
 from .numerics import Panels, reference_matrices
 
-#: nodes of the uniform output grid of a star (to_json_dict)
-N_GRID = 512
 #: nodes and order of the panels on [0, R] that carry the stored profile
 PROFILE_NODES, PROFILE_ORDER = 512, 16
 #: the same panels on [0, 1], in x = r/R, where the radial system is solved
@@ -172,7 +173,6 @@ class RadialStar:
         self.mass = _enclosed(self.R, rho)
         self.panels = Panels.graded(self.R, PROFILE_NODES, PROFILE_ORDER)
         self._u0_nodes, self._u0p_nodes = u, _flux(self.R, rho)
-        self.grid = np.linspace(0.0, self.R, N_GRID)   # output grid
 
     # profile evaluation, r clamped to [0, R] --------------------------------
     # every profile is an array of r's shape, 0-d for a scalar; it is
@@ -196,19 +196,6 @@ class RadialStar:
     def rho0p_of(self, r):
         """rho0'(r) = (h^-1)'(u0) u0'."""
         return np.asarray(self.eos.dhinv(self.u0_of(r)) * self.u0p_of(r))
-
-    # serialization -----------------------------------------------------------
-
-    def to_json_dict(self):
-        return {
-            "a": self.a,
-            "R": self.R,
-            "mass": self.mass,
-            "grid": self.grid.tolist(),
-            "u0": self.u0_of(self.grid).tolist(),
-            "u0p": self.u0p_of(self.grid).tolist(),
-            "rho0": self.rho0_of(self.grid).tolist(),
-        }
 
 
 def solve_radial(eos, a, tol=1e-12):
@@ -248,8 +235,9 @@ def mass_derivative(star):
 
 
 def mass_curve(eos, a_range, n, tol=1e-12):
-    """n log-spaced samples over a_range = (a_lo, a_hi): an (n, 4) array
-    with rows (a, R, M, M')."""
+    """n log-spaced samples over a_range = (a_lo, a_hi) of the stars of the
+    density law eos (as in solve_radial): an (n, 4) array with rows
+    (a, R, M, M')."""
     a_lo, a_hi = a_range
     if not (0 < a_lo < a_hi) or n < 2:
         raise EOSError("need 0 < a_lo < a_hi and n >= 2")

@@ -233,10 +233,6 @@ class RotatingSolution:
     def zeta_field(self):
         return ModalField(self.disc.panels_c, self.disc.ells, self.coefs)
 
-    def to_row(self):
-        return [self.kappa, self.R_eq, self.R_pole, self.mass_value,
-                self.residual_sup, self.iters]
-
 
 def _newton_at(model, kappa, coefs, disc, tol, geo=None):
     """Newton iteration at fixed kappa from the warm start coefs; geo, when

@@ -50,7 +50,7 @@ def test_runconfig_validation():
         RunConfig({"a": "not-a-number"})
     cfg = RunConfig({"eos": "mystery"})
     with pytest.raises(ConfigError):
-        cfg.make_eos()
+        cfg.make_law()
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -111,12 +111,18 @@ def test_vp_radial_flags_gamma_outside_paper_range(tmp_path, capsys):
 
 
 def test_vp_star_json_names_its_ansatz(tmp_path):
-    # one radial star for both models; the kinetic star.json adds mu and
-    # leaves out u0p
-    assert run(tmp_path, "radial", "model = vp\nmu = 0.25\n") == 0
-    star = json.loads((tmp_path / "star.json").read_text())
-    assert sorted(star) == ["R", "a", "grid", "mass", "mu", "rho0", "u0"]
-    assert star["mu"] == 0.25
+    # one radial star for both models, sampled on 512 points of [0, R]; the
+    # kinetic star.json adds mu and leaves out u0p
+    for text, keys, mu in [
+            ("model = ep\ngamma = 1.5\n",
+             ["R", "a", "grid", "mass", "rho0", "u0", "u0p"], None),
+            ("model = vp\nmu = 0.25\n",
+             ["R", "a", "grid", "mass", "mu", "rho0", "u0"], 0.25)]:
+        assert run(tmp_path, "radial", text) == 0
+        star = json.loads((tmp_path / "star.json").read_text())
+        assert sorted(star) == keys and star.get("mu") == mu
+        assert len(star["grid"]) == len(star["u0"]) == 512
+        assert star["grid"][-1] == star["R"]
 
 
 def test_vp_rotation_needs_psi2(tmp_path, capsys):
@@ -196,6 +202,10 @@ def test_node_counts_fill_whole_panels(tmp_path, capsys):
         assert "node count n" in capsys.readouterr().err
     RunConfig({"n": "16", "ns": "4,4096"})
     RunConfig({"n": "584"})
+    # every count reads by one rule: a float that equals an integer is it
+    cfg = RunConfig({"n": "64.0", "n_samples": "2.0", "ns": "64.0",
+                     "ells": "0.0,2"})
+    assert (cfg.n, cfg.n_samples, cfg.ns, cfg.ells) == (64, 2, [64], [0, 2])
 
 
 def test_perturb_node_count_is_capped_by_the_newton_matrix(tmp_path, capsys):
@@ -212,6 +222,11 @@ def test_ells_and_ns_must_be_nonnegative_integers(tmp_path, capsys):
     for text in ("ells = -2\nns = 64\n", "ells = 2.7\nns = 64\n",
                  "ells = 2\nns = 64.5\n"):
         assert run(tmp_path, "kernel-margin", "gamma = 1.5\n" + text) == 2
+        assert "nonnegative integers" in capsys.readouterr().err
+    # the single counts too: a negative n_samples was a solver error
+    for command, text in (("mass-curve", "n_samples = -2\n"),
+                          ("perturb", "n = 64.5\n")):
+        assert run(tmp_path, command, "gamma = 1.5\n" + text) == 2
         assert "nonnegative integers" in capsys.readouterr().err
 
 
@@ -231,6 +246,27 @@ def test_mass_curve_csv_units_header(tmp_path):
     lines = (tmp_path / "mass_curve.csv").read_text().strip().splitlines()
     assert lines[0] == "a_enthalpy,R_length,M_mass,Mprime_mass_per_enthalpy"
     assert len(lines) == 4
+
+
+def test_mass_curve_runs_the_configured_model(tmp_path, capsys):
+    # mass-curve ran the EP gamma 1.5 law whatever the model; the VP ansatz
+    # at mu = -1.5 has gamma_eq = 4/3, where M does not depend on a
+    def min_margin(text):
+        assert run(tmp_path, "mass-curve", text + "n_samples = 3\n") == 0
+        out = capsys.readouterr().out
+        return float(out.split("min |M'| a/M = ")[1])
+
+    assert min_margin("model = vp\nmu = -1.5\n") < 1e-10
+    assert min_margin("model = vp\nmu = 0.25\n") == pytest.approx(0.875)
+    assert min_margin("model = ep\ngamma = 1.5\n") == pytest.approx(0.5)
+
+
+def test_eos_check_needs_model_ep(tmp_path, capsys):
+    # eos-check graded the default power law whatever the model; an
+    # ansatz has no pressure law to grade
+    assert run(tmp_path, "eos-check", "model = vp\nmu = 0.25\n") == 2
+    assert "model = ep" in capsys.readouterr().err
+    assert not (tmp_path / "eos_check.json").exists()
 
 
 def test_kernel_margin_csv(tmp_path):

@@ -141,32 +141,33 @@ def test_generic_hinv_raises_when_bracket_never_closes():
 
 def test_validate_assumptions_measures_exponents():
     rep = validate_assumptions(power_law(1.5))
-    assert rep.passed
-    assert rep.small_exp == pytest.approx(0.5, abs=1e-9)
-    assert rep.large_exp == pytest.approx(0.5, abs=1e-9)
+    assert rep["passed"]
+    assert rep["small_exp"] == pytest.approx(0.5, abs=1e-9)
+    assert rep["large_exp"] == pytest.approx(0.5, abs=1e-9)
     # measured log-slopes on a finite grid: loose tolerance
     rep2 = validate_assumptions(power_sum([(1.0, 1.3), (1.0, 1.9)]))
-    assert rep2.small_exp == pytest.approx(0.3, abs=1e-3)
-    assert rep2.large_exp == pytest.approx(0.9, abs=1e-3)
-    assert rep2.passed
+    assert rep2["small_exp"] == pytest.approx(0.3, abs=1e-3)
+    assert rep2["large_exp"] == pytest.approx(0.9, abs=1e-3)
+    assert rep2["passed"]
 
 
 def test_validate_assumptions_flags_shallow_large_s():
     # large-s exponent 0.15 falls below the 0.2 threshold
     rep = validate_assumptions(power_sum([(1.0, 1.05), (1.0, 1.15)]))
-    assert not rep.pass_large and not rep.passed
+    assert not rep["pass_large"] and not rep["passed"]
 
 
 def test_mass_condition_b_verdicts():
-    assert check_mass_condition_b(power_sum([(1.0, 1.5), (1.0, 1.8)])).passed
+    assert check_mass_condition_b(
+        power_sum([(1.0, 1.5), (1.0, 1.8)]))["passed"]
     # gamma = 1.5 pure power law sits exactly on the h = 2p' boundary
     rep = check_mass_condition_b(power_law(1.5))
-    assert rep.passed
-    assert rep.right_margin == pytest.approx(0.0, abs=1e-12)
+    assert rep["passed"]
+    assert rep["right_margin"] == pytest.approx(0.0, abs=1e-12)
     # gamma = 4/3 violates h <= 2p'
     rep43 = check_mass_condition_b(power_law(4.0 / 3.0))
-    assert not rep43.passed
-    assert rep43.right_margin < -0.3
+    assert not rep43["passed"]
+    assert rep43["right_margin"] < -0.3
 
 
 def test_rotation_profile_cumulative():
