@@ -8,6 +8,7 @@ defined here alone: the library returns plain data (profiles, solution
 attributes, dicts) and writes nothing.
 
 Exit codes: 0 success, 2 config error, 3 solver error, 4 degenerate operator.
+A config key that RunConfig does not read is named on stderr and ignored.
 """
 
 import argparse
@@ -76,14 +77,19 @@ def parse_config(path):
 
 
 class RunConfig:
-    """Validated run parameters shared by the subcommands."""
+    """Validated run parameters shared by the subcommands; unknown lists
+    the keys of data that it did not read."""
 
     def __init__(self, data, out_dir=None):
         self.raw = dict(data)
+        self._read = set()
         self.model = self._str("model", "ep")
         if self.model not in ("ep", "vp"):
             raise ConfigError(f"model must be ep or vp, got {self.model!r}")
         self.a = self._float("a", 1.0)
+        if not self.a > 0:
+            raise ConfigError(f"central value a must be positive, got "
+                              f"{self.a!r}")
         self.omega = self._float("omega", 1.0)
         self.tol = self._float("tol", 1e-8)
         self.ode_tol = self._float("ode_tol", 1e-12)
@@ -106,13 +112,21 @@ class RunConfig:
         self.a_min = self._float("a_min", 0.5)
         self.a_max = self._float("a_max", 2.0)
         self.n_samples = self._count("n_samples", 9)
+        if not 0 < self.a_min < self.a_max:
+            raise ConfigError(f"need 0 < a_min < a_max, got a_min = "
+                              f"{self.a_min!r}, a_max = {self.a_max!r}")
+        if self.n_samples < 2:
+            raise ConfigError(f"n_samples must be at least 2, got "
+                              f"{self.n_samples}")
         self.mu = self._float("mu", 0.25)
         self.psi2 = self._float("psi2", 0.0)
         self.psi0 = self._float("psi0", None) if "psi0" in self.raw else None
         self.gamma = self._float("gamma", 1.5)
         self.eos_kind = self._str("eos", "power_law")
         self.terms = self._pairs("terms", [(1.0, 1.5), (1.0, 1.8)])
-        self.out_dir = out_dir or self._str("out", ".")
+        out = self._str("out", ".")   # read even where out_dir overrides it
+        self.out_dir = out_dir or out
+        self.unknown = [key for key in self.raw if key not in self._read]
 
     @staticmethod
     def _check_nodes(key, counts, order, most):
@@ -126,6 +140,8 @@ class RunConfig:
                     f"order {order} from {2 * order} to {most}")
 
     def _str(self, key, default):
+        """The text of key, or default; every key is read through here."""
+        self._read.add(key)
         return self.raw.get(key, default)
 
     @staticmethod
@@ -139,13 +155,13 @@ class RunConfig:
         return x
 
     def _float(self, key, default):
-        return self._number(key, self.raw.get(key, default))
+        return self._number(key, self._str(key, default))
 
     def _floats(self, key, default):
-        if key not in self.raw:
+        text = self._str(key, None)
+        if text is None:
             return list(default)
-        vals = [self._number(key, x) for x in self.raw[key].split(",")
-                if x.strip()]
+        vals = [self._number(key, x) for x in text.split(",") if x.strip()]
         if not vals:
             raise ConfigError(f"{key} needs at least one value")
         return vals
@@ -167,14 +183,14 @@ class RunConfig:
         return vals[0]
 
     def _pairs(self, key, default):
-        if key not in self.raw:
+        text = self._str(key, None)
+        if text is None:
             return list(default)
         out = []
-        for item in self.raw[key].split(","):
+        for item in text.split(","):
             parts = item.split(":")
             if len(parts) != 2:
-                raise ConfigError(f"bad term list for {key}: "
-                                  f"{self.raw[key]!r}")
+                raise ConfigError(f"bad term list for {key}: {text!r}")
             out.append(tuple(self._number(key, x) for x in parts))
         return out
 
@@ -388,6 +404,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         cfg = RunConfig(parse_config(args.config), out_dir=args.out)
+        for key in cfg.unknown:
+            print(f"config: unknown key {key!r} ignored", file=sys.stderr)
         return COMMANDS[args.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -4,30 +4,20 @@ flags (the CLI writes them to eos_check.json).
 
 The specific enthalpy is h(rho) = int_0^rho p'(s)/s ds, so h'(s) = p'(s)/s.
 A power law p = s^gamma carries its gamma; a power sum has no single one.
+Every law method, and RotationProfile.J, is numerics.pointwise: it takes
+any shape, 0-d for a scalar, and computes at 1-d points.
 """
 
-import functools
 import warnings
 
 import numpy as np
 
 from .errors import EOSError
+from .numerics import gl_nodes, pointwise
 
 _HINV_ITERS = 100  # step cap of the generic inverse-enthalpy Newton
 _J_NODES = 64      # Gauss-Legendre nodes of RotationProfile.J
 _S_MIN = 5e-324    # smallest positive double: lo = 0 in the h^-1 bisection
-
-
-def pointwise(method):
-    """Run a method of one array argument at np.atleast_1d of it and return
-    the argument's shape, 0-d for a scalar: numpy's 0-d arithmetic can round
-    differently from its array loops, so a scalar and a one-entry array give
-    the same bits."""
-    @functools.wraps(method)
-    def wrapped(self, x):
-        x = np.asarray(x, dtype=float)
-        return method(self, np.atleast_1d(x)).reshape(x.shape)
-    return wrapped
 
 
 class EquationOfState:
@@ -35,9 +25,10 @@ class EquationOfState:
 
     Subclasses provide p, dp and h, and may override hinv/dhinv with closed
     forms; otherwise hinv is a log-space Newton on h that meets
-    |h(s) - u| <= 1e-13 u or raises EOSError.  Every method is pointwise:
-    it returns an ndarray of the input's shape, 0-d for a scalar, with the
-    bits of the same entry in an array.
+    |h(s) - u| <= 1e-13 u or raises EOSError.  Every method is
+    numerics.pointwise (a subclass decorates its p, dp and h): it returns
+    an ndarray of the input's shape, 0-d for a scalar, with the bits of the
+    same entry in an array.
     """
 
     def p(self, s):
@@ -185,16 +176,13 @@ class RotationProfile:
     def __init__(self, omega_sq):
         self.omega_sq = omega_sq
 
+    @pointwise
     def J(self, r):
-        from .numerics import gl_nodes
-        r = np.asarray(r, dtype=float)
-        flat = r.ravel()
         x, w = gl_nodes(_J_NODES)
         # map [-1,1] -> [0, r] per entry
-        t = 0.5 * flat[:, None] * (x[None, :] + 1.0)
+        t = 0.5 * r[:, None] * (x[None, :] + 1.0)
         vals = self.omega_sq(t) * t
-        out = 0.5 * flat * np.einsum("ij,j->i", vals, w)
-        return out.reshape(r.shape)
+        return 0.5 * r * np.einsum("ij,j->i", vals, w)
 
 
 def constant_rotation(omega=1.0):
@@ -207,7 +195,7 @@ def validate_assumptions(eos):
     assumptions: a dict of the log-slopes of p' at both ends (small_exp,
     large_exp), whether p' > 0 (monotone) and a pass flag per assumption."""
     s = np.logspace(-8, 8, 160)
-    dp = np.asarray(eos.dp(s), dtype=float)
+    dp = eos.dp(s)
     monotone = bool(np.all(dp > 0))
     small_exp = float(np.log(dp[2] / dp[0]) / np.log(s[2] / s[0]))
     large_exp = float(np.log(dp[-1] / dp[-3]) / np.log(s[-1] / s[-3]))
@@ -227,16 +215,16 @@ def check_mass_condition_b(eos):
     and 40 radii in [0.05, 2]: a dict of the five margins and the pass
     flag."""
     s = np.logspace(-6, 3, 200)
-    h = np.asarray(eos.h(s), dtype=float)
-    dp = np.asarray(eos.dp(s), dtype=float)
+    h = eos.h(s)
+    dp = eos.dp(s)
     left = float(np.min((h - dp) / h))
     right = float(np.min((2 * dp - h) / h))
 
     r = np.linspace(0.05, 2.0, 40)[:, None]
     w = (s[None, :] * r)  # so that w/r sweeps s at every r
     sr = w / r
-    hinv = np.asarray(eos.hinv(sr.ravel()), dtype=float).reshape(sr.shape)
-    dhinv = np.asarray(eos.dhinv(sr.ravel()), dtype=float).reshape(sr.shape)
+    hinv = eos.hinv(sr)
+    dhinv = eos.dhinv(sr)
     g = 4 * np.pi * r * hinv
     g_w = 4 * np.pi * dhinv
     g_r = 4 * np.pi * (hinv - sr * dhinv)

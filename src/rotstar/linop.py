@@ -20,21 +20,19 @@ responses) does not carry.
 import numpy as np
 
 from .errors import SolverError
-from .numerics import Panels, weighted_sigma_min
+from .numerics import Panels, pointwise, weighted_sigma_min
 from .potentials import mode_potential_matrices, origin_row
 
 #: panel order and split-panel nodes of kernel_margin_ladder
 LADDER_ORDER, LADDER_SUB = 2, 4
 
 
+@pointwise
 def mass_column(model, r):
     """The column c(r) = (u0 - a + model.dlocal_dmfac(r, 1))/M of the l = 0
     mass term at radii r, in the shape of r (a scalar gives a 0-d array)."""
     star = model.star
-    r = np.asarray(r, dtype=float)
-    x = r.ravel()
-    c = (star.u0_of(x) - star.a + model.dlocal_dmfac(x, 1.0)) / star.mass
-    return c.reshape(r.shape)
+    return (star.u0_of(r) - star.a + model.dlocal_dmfac(r, 1.0)) / star.mass
 
 
 def assemble_mode(model, l, n=256, order=8, n_sub=12):

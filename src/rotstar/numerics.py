@@ -7,6 +7,12 @@ reference matrices per order), axisymmetric spherical harmonics, and the
 smallest singular value of a dense matrix, also in the L2(B_R) norm of the
 nodal profiles of an operator block on its Panels (weighted_sigma_min).
 
+pointwise is the one rule for scalar versus array values, for the EOS and
+VP laws, the radial profiles and the columns built from them: a scalar
+gives a 0-d array with the bits of the same entry in an array, since it is
+computed as a 1-d array (numpy's 0-d arithmetic can round unlike its array
+loops).
+
 smallest_singular_value reads the smallest eigenvalue of the Gram matrix
 A^T A when it stands clear of the eigenvalue rounding error (lam[0] >=
 1e-10 lam[-1]); below that, where the Gram value is lost, it power-iterates
@@ -20,6 +26,20 @@ import functools
 import numpy as np
 
 _GL_CACHE = {}
+
+
+def pointwise(method):
+    """Decorate method(obj, *args): run it at the raveled 1-d points of the
+    broadcast args and return an array of their shape, 0-d for scalars.
+    One argument skips np.broadcast_arrays, which costs more than the call."""
+    @functools.wraps(method)
+    def wrapped(obj, *args):
+        if len(args) == 1:
+            x = np.asarray(args[0], dtype=float)
+            return method(obj, x.ravel()).reshape(x.shape)
+        args = np.broadcast_arrays(*[np.asarray(a, float) for a in args])
+        return method(obj, *[a.ravel() for a in args]).reshape(args[0].shape)
+    return wrapped
 
 
 def gl_nodes(n):

@@ -19,13 +19,15 @@ matrix is formed.  One more such solve differentiates the star along a:
 M'(a) and du0/da (mass_derivative); mass_curve sweeps a for either law.
 
 A star exposes its profiles as functions of r and samples no output grid:
-the CLI picks the points of star.json.
+the CLI picks the points of star.json.  The profiles of r and the density
+law are numerics.pointwise: any shape, 0-d for a scalar, computed at 1-d
+points.
 """
 
 import numpy as np
 
 from .errors import EOSError, SolverError, UnboundStarError
-from .numerics import Panels, reference_matrices
+from .numerics import Panels, pointwise, reference_matrices
 
 #: nodes and order of the panels on [0, R] that carry the stored profile
 PROFILE_NODES, PROFILE_ORDER = 512, 16
@@ -175,27 +177,23 @@ class RadialStar:
         self._u0_nodes, self._u0p_nodes = u, _flux(self.R, rho)
 
     # profile evaluation, r clamped to [0, R] --------------------------------
-    # every profile is an array of r's shape, 0-d for a scalar; it is
-    # computed at the points r as a 1-d array, because a 0-d einsum can
-    # round differently (the density law is pointwise, see eos.pointwise)
 
-    def _profile(self, nodes, r):
-        """Interpolant of nodes at the points r."""
-        x = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), 0.0, self.R)
-        return self.panels.interp(nodes, x).reshape(np.shape(r))
-
+    @pointwise
     def u0_of(self, r):
-        return np.asarray(np.maximum(self._profile(self._u0_nodes, r), 0.0))
+        return np.maximum(
+            self.panels.interp(self._u0_nodes, np.clip(r, 0.0, self.R)), 0.0)
 
+    @pointwise
     def u0p_of(self, r):
-        return self._profile(self._u0p_nodes, r)
+        return self.panels.interp(self._u0p_nodes, np.clip(r, 0.0, self.R))
 
     def rho0_of(self, r):
         return self.eos.hinv(self.u0_of(r))
 
+    @pointwise
     def rho0p_of(self, r):
         """rho0'(r) = (h^-1)'(u0) u0'."""
-        return np.asarray(self.eos.dhinv(self.u0_of(r)) * self.u0p_of(r))
+        return self.eos.dhinv(self.u0_of(r)) * self.u0p_of(r)
 
 
 def solve_radial(eos, a, tol=1e-12):

@@ -285,9 +285,11 @@ def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
     kappa with exact mass.
 
     Returns one RotatingSolution per requested kappa.  Steps between
-    requested values are halved when Newton fails to converge.  on_solution
-    is called with each accepted solution as it is produced, so callers can
-    persist partial curves before a later step fails."""
+    requested values are halved when Newton fails to converge; a failure
+    at the accepted kappa (a zero step: the schedule's first 0 or a
+    repeated kappa) raises at once, since halving would repeat it.
+    on_solution is called with each accepted solution as it is produced,
+    so callers can persist partial curves before a later step fails."""
     kappas = list(kappas)
     if any(b < a - _TINY for a, b in zip([0.0] + kappas, kappas)):
         raise SolverError("kappa schedule must be nondecreasing")
@@ -321,7 +323,7 @@ def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
                     model, k_try, coefs + predictor, disc, tol, geo=geo)
             except SolverError:
                 halvings += 1
-                if halvings > _HALVINGS:
+                if step == 0.0 or halvings > _HALVINGS:
                     raise
                 step *= 0.5
                 continue

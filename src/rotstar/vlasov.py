@@ -7,41 +7,29 @@ density at rotation intensity kappa is
     w(kappa, r, u) = 2 pi int_{-u}^0 int_{-S}^{S} phi(E, kappa r s) ds dE,
     S = sqrt(2(E + u)),
 
-closed-form in Beta functions; w(0, r, u) does not depend on r.  The
-radial star is radial.solve_radial(ansatz, a), the Newton solve with the
-density law h^-1(u) = w(0, r, u), and the same star as the matched
-polytrope's; the rotation problem is VPModel, whose response from the
-sphere (rotating.sphere_response), Newton continuation
-(rotating.newton_continue) and l = 0 mass column (linop.assemble_mode,
-with Model's zero mfac-derivative of the local term) are the
-Euler-Poisson model's.
+closed-form in Beta functions; w(0, r, u) does not depend on r.  w and
+dw/du are numerics.pointwise in (kappa, r, u): the three broadcast
+together, and scalars give a 0-d array.  The radial star is
+radial.solve_radial(ansatz, a), the Newton solve with the density law
+h^-1(u) = w(0, r, u), and the same star as the matched polytrope's; the
+rotation problem is VPModel, whose response from the sphere
+(rotating.sphere_response), Newton continuation (rotating.newton_continue)
+and l = 0 mass column (linop.assemble_mode, with Model's zero
+mfac-derivative of the local term) are the Euler-Poisson model's.
 """
 
-import functools
 import math
 
 import numpy as np
 
 from .errors import EOSError
+from .numerics import pointwise
 from .rotating import Model
 
 
 def beta_fn(a, b):
     """The Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0."""
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-def _pointwise_in_r_u(method):
-    """eos.pointwise for a method of (kappa, r, u): r and u are broadcast
-    together and computed at np.atleast_1d, kappa stays a number, and the
-    result has the broadcast shape, 0-d for scalars."""
-    @functools.wraps(method)
-    def wrapped(self, kappa, r, u):
-        r, u = np.broadcast_arrays(np.asarray(r, dtype=float),
-                                   np.asarray(u, dtype=float))
-        return method(self, kappa, np.atleast_1d(r),
-                      np.atleast_1d(u)).reshape(r.shape)
-    return wrapped
 
 
 def _check_mu(mu):
@@ -85,23 +73,23 @@ class VlasovAnsatz:
         return 1.0 + 1.0 / (1.5 - self.mu)
 
     # w and its derivatives (closed forms: psi is an even quadratic); the
-    # rotation term is formed only at kappa != 0: it is zero at kappa = 0,
-    # where its power of u may overflow although w does not
+    # rotation term is formed only where some kappa != 0: it is zero at
+    # kappa = 0, where its power of u may overflow although w does not
 
-    @_pointwise_in_r_u
+    @pointwise
     def w(self, kappa, r, u):
         u = np.maximum(u, 0.0)
         out = self._cG * u ** (1.5 - self.mu)
-        if kappa:
+        if np.any(kappa):
             out += 0.5 * kappa ** 2 * r ** 2 * self._cK * u ** (2.5 - self.mu)
         return out
 
-    @_pointwise_in_r_u
+    @pointwise
     def dw_du(self, kappa, r, u):
         uu = np.maximum(u, 1e-300)
         with np.errstate(invalid="ignore"):
             out = self._cGp * uu ** (0.5 - self.mu)
-            if kappa:
+            if np.any(kappa):
                 out += 0.5 * kappa ** 2 * r ** 2 * self._cKp \
                     * uu ** (1.5 - self.mu)
         return np.where(u > 0, out, 0.0)

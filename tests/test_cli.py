@@ -140,6 +140,29 @@ def test_vp_rotation_needs_psi2(tmp_path, capsys):
 
 def test_config_error_exit_code(tmp_path):
     assert run(tmp_path, "radial", "model = bogus\n") == 2
+    # a value out of its range is a config error, not the solver error of
+    # the library's own guards in radial._solve_profile and mass_curve
+    for text in ("a = -1\n", "a = 0\n"):
+        for command in ("radial", "perturb", "continue", "kernel-margin"):
+            assert run(tmp_path, command, text) == 2, (command, text)
+    for text in ("n_samples = 1\n", "a_min = 2\na_max = 1\n",
+                 "a_min = -1\n"):
+        assert run(tmp_path, "mass-curve", text) == 2, text
+
+
+def test_unknown_config_key_is_named_and_ignored(tmp_path, capsys):
+    # a typo such as gama runs the default gamma 1.5, as with no such key,
+    # and says so on stderr; a key that RunConfig reads is known, out too
+    # where --out overrides it
+    typo, plain = tmp_path / "typo", tmp_path / "plain"
+    assert run(tmp_path, "radial", "gama = 1.3\n", out=typo) == 0
+    assert capsys.readouterr().err == "config: unknown key 'gama' ignored\n"
+    assert run(tmp_path, "radial", "out = elsewhere\n", out=plain) == 0
+    assert capsys.readouterr().err == ""
+    assert (typo / "star.json").read_bytes() == \
+        (plain / "star.json").read_bytes()
+    assert RunConfig({"gama": "1.3", "a": "1", "threads": "1"}).unknown \
+        == ["gama", "threads"]
 
 
 def test_empty_list_is_config_error(tmp_path):

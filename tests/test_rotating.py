@@ -339,6 +339,61 @@ def test_newton_cap_failure(ep_model, disc15):
         newton_continue(ep_model, [0.05], disc=disc15)
 
 
+def test_failure_at_the_accepted_kappa_is_not_retried(monkeypatch):
+    # at a = 1e150 the VP Newton matrix overflows at kappa = 0; a zero step
+    # cannot be halved, so one Newton matrix is built, not seven
+    import rotstar.rotating as rotating
+    model = VPModel(solve_radial(
+        VlasovAnsatz.matched_to_power_law(0.25, psi2=0.1), 1e150))
+    jacobian, matrices = rotating.Model.jacobian, []
+
+    def counted(self, geo, kappa):
+        matrices.append(kappa)
+        return jacobian(self, geo, kappa)
+
+    monkeypatch.setattr(rotating.Model, "jacobian", counted)
+    with pytest.raises(SolverError, match="Newton matrix is not finite"):
+        newton_continue(model, [0.0, 1e-2])
+    assert matrices == [0.0]
+
+
+def test_step_halving_reaches_the_target(ep_model, monkeypatch):
+    # a Newton failure at the target halves the step: the state is reached
+    # through the midpoint and matches the unforced run; a solve that fails
+    # every time raises after the first try and _HALVINGS halvings
+    import rotstar.rotating as rotating
+    disc = Discretization(ep_model.star.R)
+    plain = newton_continue(ep_model, [0.0, 1e-3], disc=disc)[-1]
+    newton_at, tried = rotating._newton_at, []
+
+    def fail_once_at_target(model, kappa, *args, **kwargs):
+        tried.append(kappa)
+        if tried.count(1e-3) == 1 and kappa == 1e-3:
+            raise SolverError("forced failure")
+        return newton_at(model, kappa, *args, **kwargs)
+
+    monkeypatch.setattr(rotating, "_newton_at", fail_once_at_target)
+    forced = newton_continue(ep_model, [0.0, 1e-3], disc=disc)[-1]
+    assert tried == [0.0, 1e-3, 5e-4, 1e-3]
+    assert forced.kappa == plain.kappa
+    # the two states match to tol in the X-norm of deformations
+    assert ModalField(disc.panels_c, disc.ells,
+                      forced.coefs - plain.coefs).xnorm() <= 1e-8
+    for a, b in ((forced.R_eq, plain.R_eq), (forced.R_pole, plain.R_pole),
+                 (forced.mass_value, plain.mass_value)):
+        assert abs(a - b) <= 1e-8
+
+    def always_fail(model, kappa, *args, **kwargs):
+        tried.append(kappa)
+        raise SolverError("forced failure")
+
+    tried.clear()
+    monkeypatch.setattr(rotating, "_newton_at", always_fail)
+    with pytest.raises(SolverError, match="forced failure"):
+        newton_continue(ep_model, [1e-3], disc=disc)
+    assert tried == [1e-3 * 0.5 ** i for i in range(rotating._HALVINGS + 1)]
+
+
 def test_predictor_follows_a_quadratic_branch():
     # on z(k) = t k + c k^2 the step from z(k_cur) lands on z(k_try)
     rng = np.random.default_rng(2)
