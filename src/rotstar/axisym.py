@@ -220,8 +220,9 @@ class Geometry:
     def model_fields(self, model, kappa):
         """The volume integral Mcal of the model's density
         w(kappa, r_cyl, u0(z0)) on the source grid, the mass factor
-        mfac = M/Mcal, and the density's potential V, V' at the targets and
-        V0 at the origin, computed once per model and kappa."""
+        mfac = M/Mcal, and at the targets the density's potential less its
+        origin value, dV = V - V(0), and V', computed once per model and
+        kappa."""
         key = (model, kappa)
         if key not in self._fields:
             W = np.where(self.inside,
@@ -229,7 +230,7 @@ class Geometry:
             Mcal = self.volume_integral_src(W)
             V, Vp, V0 = self.potential_at_targets(self.project_modes(W))
             self._fields[key] = {"Mcal": Mcal, "mfac": self.star.mass / Mcal,
-                                 "V": V, "Vp": Vp, "V0": V0}
+                                 "dV": V - V0, "Vp": Vp}
         return self._fields[key]
 
     def mass_integral(self, model, kappa):
@@ -308,15 +309,14 @@ class Geometry:
         w = wt[:, None, None] * cY * self.disc.wmu[None, None, :]
         return np.einsum("ikj,ijc->kc", w, rows).ravel()
 
-    def target_jacobian(self, weight):
-        """Projected residual modes of weight * xi at the collocation targets
-        for every basis field.  The targets sit on the nodes of
-        disc.panels_c, where the basis field e_c Y_k is delta_ic Y_k, so the
-        matrix is block diagonal in the radial node."""
+    def add_target_jacobian(self, J, weight):
+        """Add the projected residual modes of weight * xi at the collocation
+        targets for every basis field into the C-contiguous Newton matrix J
+        in place.  The targets sit on the nodes of disc.panels_c, where the
+        basis field e_c Y_k is delta_ic Y_k, so the term is block diagonal
+        in the radial node."""
         disc = self.disc
         n_l, n = len(disc.ells), len(self.rc)
-        blk = np.einsum("lj,ij,kj->ilk", disc.proj, weight, disc.Yt)
-        J = np.zeros((n_l, n, n_l, n))
         idx = np.arange(n)
-        J[:, idx, :, idx] = blk
-        return J.reshape(n_l * n, n_l * n)
+        J.reshape(n_l, n, n_l, n)[:, idx, :, idx] += np.einsum(
+            "lj,ij,kj->ilk", disc.proj, weight, disc.Yt)

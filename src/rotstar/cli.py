@@ -58,6 +58,11 @@ MAX_NODES = 4096
 STAR_GRID = 512
 
 
+def solution_stem(kappa):
+    """The file name, without extension, of continue's state at kappa."""
+    return f"solution_k{kappa:.6e}"
+
+
 def parse_config(path):
     """Flat key = value file; '#' starts a comment."""
     data = {}
@@ -101,6 +106,12 @@ class RunConfig:
             raise ConfigError("kappa schedule must start at 0")
         if any(k2 < k1 for k1, k2 in zip(self.kappas, self.kappas[1:])):
             raise ConfigError("kappa schedule must be nondecreasing")
+        # a repeated kappa is one state; two unequal ones must not share
+        # their solution files
+        for k1, k2 in zip(self.kappas, self.kappas[1:]):
+            if k1 != k2 and solution_stem(k1) == solution_stem(k2):
+                raise ConfigError(f"kappas {k1!r} and {k2!r} share the "
+                                  f"solution file stem {solution_stem(k1)}")
         # rotation enters squared (x * x overflows to inf, x ** 2 raises)
         for key, x in [("omega", self.omega)] + [("kappas", self.kappas[-1])]:
             if not np.isfinite(x * x):
@@ -350,7 +361,7 @@ def cmd_continue(cfg):
         rows.append([sol.kappa, sol.R_eq, sol.R_pole, sol.mass_value,
                      sol.residual_sup, sol.iters])
         write_csv(path, header, rows)
-        stem = cfg.path(f"solution_k{sol.kappa:.6e}")
+        stem = cfg.path(solution_stem(sol.kappa))
         meta = {"kappa": sol.kappa, "R_eq": sol.R_eq, "R_pole": sol.R_pole,
                 "mass": sol.mass_value, "mass_factor": sol.mass_factor,
                 "residual_sup": sol.residual_sup, "iters": sol.iters,

@@ -22,12 +22,8 @@ class EOSError(RotstarError):
 
 
 class DegenerateOperatorError(RotstarError):
-    """The linearized operator has a (near-)kernel; mass condition violated."""
-
-    def __init__(self, msg, sigma_min=None, diagnostics=None):
-        super().__init__(msg)
-        self.sigma_min = sigma_min
-        self.diagnostics = diagnostics or {}
+    """The linearized operator has a (near-)kernel; mass condition violated.
+    The message carries the margin that was refused."""
 
 
 class DeformationError(RotstarError):

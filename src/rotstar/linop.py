@@ -6,8 +6,9 @@ For xi(x) = xi_l(r) Y_{l0}(theta),
     (L xi)_l(r) = (u0'/r) xi_l(r) - [Phi_l(r) - delta_{l0} Phi_0(0)]
                   + delta_{l0} rank-one mass term,
 
-where Phi_l is the potential mode of the source sigma_l(t) = rho0'(t) xi_l(t)/t.
-The rank-one term is c(r) int rho0' xi/|y| dy with the column
+where Phi_l is the potential mode of the source
+sigma_l(t) = rho0'(t) xi_l(t)/t, applied as the dense matrix of
+potentials.PotentialQuadrature.  The rank-one term is c(r) int rho0' xi/|y| dy with the column
 c = (u0 - a + d local/d mfac)/M, the mfac-derivative of the model's local
 term at mfac = 1 (Model.dlocal_dmfac; mass_column): zero for Vlasov-Poisson, and
 dh(rho0) rho0 at 0 minus the same at r for Euler-Poisson, which makes c
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import SolverError
 from .numerics import Panels, pointwise, weighted_sigma_min
-from .potentials import mode_potential_matrices, origin_row
+from .potentials import PotentialQuadrature, origin_row
 
 #: panel order and split-panel nodes of kernel_margin_ladder
 LADDER_ORDER, LADDER_SUB = 2, 4
@@ -47,7 +48,7 @@ def assemble_mode(model, l, n=256, order=8, n_sub=12):
     x = panels.x
     u0p = star.u0p_of(x)
     rho0p = star.rho0p_of(x)
-    [A] = mode_potential_matrices(panels, (l,), x, n_sub=n_sub)
+    [A] = PotentialQuadrature(panels, (l,), x, n_sub=n_sub).dense()
     if l == 0:
         A = A - origin_row(panels)[None, :]  # the -1/|y| monopole correction
     D = rho0p / x

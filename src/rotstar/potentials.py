@@ -23,10 +23,10 @@ I_in and suffix sums I_out over whole panels, groups the targets by row
 and panel, contracts each group's weights over the target axis, and
 applies all groups of one panel q in one product against I_in[q],
 I_out[q + 1] and the sources' values on panel q, with no per-node block
-and no matrix over all panels.  dense expands the quadrature into the
-per-target matrices A of Phi_l of mode_potential_matrices.  The
-split-panel quadrature does not depend on l, so it is built once for all
-modes.
+and no matrix over all panels.  dense expands the quadrature into one
+matrix A of Phi_l per mode, over all targets, which linop.assemble_mode
+reads.  The split-panel quadrature does not depend on l, so it is built
+once for all modes.
 """
 
 import numpy as np
@@ -209,9 +209,3 @@ class PotentialQuadrature:
             Iin *= self.pref[i]
             out.append(Iin)
         return out
-
-
-def mode_potential_matrices(panels, ells, s_targets, n_sub=12):
-    """Matrices A with A @ sigma = Phi_l(s) for sigma given at panels.x,
-    one per mode l in ells: the dense expansion of PotentialQuadrature."""
-    return PotentialQuadrature(panels, ells, s_targets, n_sub).dense()

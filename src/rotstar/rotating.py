@@ -13,16 +13,17 @@ the gravity and enthalpy terms cancel against the radial equilibrium and
 F = kappa J up to quadrature.
 
 Model holds what the Euler-Poisson and Vlasov-Poisson problems share: a
-density law turned into Mfac and V on the source grid, one residual and one
-Newton matrix.  EPModel adds the enthalpy and centrifugal local term;
-vlasov.VPModel adds its own.  At zeta = 0 the Newton matrix is the
-linearized operator L = D_zeta F(0, 0), block diagonal in l and invertible
-exactly when the mass condition holds; sphere_step gates its l = 0 block and
-solves L xi = -rhs mode by mode.  That one solve gives the continuation's
-tangent at the sphere (rhs = dF/dkappa) and the perturb response
-(sphere_response, rhs = F(0, kappa) - F(0, 0)).  newton_continue runs Newton
-iteration on the spherical-harmonic coefficients of zeta for either model
-along a schedule of rotation intensities kappa.  Its predictor is the
+density law turned into Mfac and V - V(0) on the source grid, one residual
+and one Newton matrix.  EPModel adds the enthalpy and centrifugal local
+term with one hook per derivative of it; vlasov.VPModel adds its own.  At
+zeta = 0 the Newton matrix is the linearized operator L = D_zeta F(0, 0),
+block diagonal in l and invertible exactly when the mass condition holds;
+sphere_step gates its l = 0 block and solves L xi = -rhs mode by mode.
+That one solve gives the continuation's tangent at the sphere
+(rhs = dF/dkappa) and the perturb response (sphere_response,
+rhs = F(0, kappa) - F(0, 0)).  newton_continue runs Newton iteration on
+the spherical-harmonic coefficients of zeta for either model along a
+schedule of rotation intensities kappa.  Its predictor is the
 quadratic in kappa through the sphere, with that tangent, and through the
 last accepted state, so the corrector takes fewer Newton matrices per step
 than from the tangent alone.  A model whose tangent is zero (VP, whose law
@@ -57,16 +58,16 @@ class Model:
     gives the law w(kappa, r_cyl, u) with dw_du (the density at rotation
     intensity kappa where the radial potential is u) and local(geo, kappa,
     mfac) at the targets.  Geometry.model_fields turns the law into
-    mfac = M/Mcal and the potential V; the residual is
+    mfac = M/Mcal and the potential difference V - V(0); the residual is
     mfac (V - V(0)) + local, and the Newton matrix one shared block plus
-    the local term's target weight and mfac-derivative (local_derivatives,
-    zero unless overridden).  dlocal_dmfac is that mfac-derivative at radii
-    r, which also gives linop.assemble_mode its l = 0 mass column, and
-    kappa_forcing is dF/dkappa at zeta = 0; both are zero unless
-    overridden."""
+    one hook per derivative of the local term, each zero unless
+    overridden: dlocal_ds, its derivative in the deformed target radius s
+    (the target weight); dlocal_dmfac, its mfac-derivative at radii r,
+    which also gives linop.assemble_mode its l = 0 mass column; and
+    kappa_forcing, dF/dkappa at zeta = 0."""
 
-    def local_derivatives(self, geo, kappa, mfac):
-        return 0.0, 0.0
+    def dlocal_ds(self, geo, kappa):
+        return 0.0
 
     def dlocal_dmfac(self, r, mfac):
         return 0.0
@@ -76,8 +77,7 @@ class Model:
 
     def residual(self, geo, kappa):
         f = geo.model_fields(self, kappa)
-        return f["mfac"] * (f["V"] - f["V0"]) + self.local(geo, kappa,
-                                                           f["mfac"])
+        return f["mfac"] * f["dV"] + self.local(geo, kappa, f["mfac"])
 
     def jacobian(self, geo, kappa):
         """The Newton matrix, shape (n_l n_rc, n_l n_c): the derivative of
@@ -88,17 +88,16 @@ class Model:
         with np.errstate(all="ignore"):
             f = geo.model_fields(self, kappa)
             mfac = f["mfac"]
-            target, column = self.local_derivatives(geo, kappa, mfac)
             dw = np.where(geo.inside,
                           self.dw_du(kappa, geo.rcyl_src, geo.u_src), 0.0)
             c = dw * self.star.u0p_of(geo.z_src) / geo.g1_src
             J = -mfac * geo.density_jacobian(c)               # moved density
-            J += geo.target_jacobian(
-                (mfac * f["Vp"] + target) / geo.rc[:, None])
+            w_t = mfac * f["Vp"] + self.dlocal_ds(geo, kappa)  # moved target
+            geo.add_target_jacobian(J, w_t / geo.rc[:, None])
             mfac_p = (mfac / f["Mcal"]) * geo.source_integral_gradient(c)
-            J += np.outer(
-                geo.project_modes(f["V"] - f["V0"] + column).ravel(),
-                mfac_p)                                           # mass factor
+            column = np.reshape(self.dlocal_dmfac(geo.rc, mfac), (-1, 1))
+            J += np.outer(geo.project_modes(f["dV"] + column).ravel(),
+                          mfac_p)                                 # mass factor
         if not np.all(np.isfinite(J)):
             raise SolverError(
                 f"Newton matrix is not finite at kappa={kappa:g}")
@@ -137,12 +136,13 @@ class EPModel(Model):
         dh_rho = self.star.eos.dh(mfac * rho) * rho
         return dh_rho[-1] - dh_rho[:-1]
 
-    def local_derivatives(self, geo, kappa, mfac):
+    def dlocal_ds(self, geo, kappa):
+        """d/ds of the centrifugal term kappa J(s sin(theta)) at the
+        targets: kappa omega^2(r_cyl) r_cyl sin(theta)."""
         sin = geo.disc.sin_theta[None, :]
         r_cyl = geo.s_t * sin
         omega2 = self.profile.omega_sq(r_cyl.ravel()).reshape(r_cyl.shape)
-        return (kappa * omega2 * r_cyl * sin,
-                self.dlocal_dmfac(geo.rc, mfac)[:, None])
+        return kappa * omega2 * r_cyl * sin
 
 
 def evaluate_F(zeta, kappa, model, disc=None):
@@ -185,9 +185,7 @@ def sphere_step(model, geo0, rhs):
         raise DegenerateOperatorError(
             "degenerate operator (mass condition violated?): "
             f"sigma_min={sig:.3e}, sigma_min R^2/a={scaled:.3e}"
-            + (f", gamma={gamma}" if gamma is not None else ""),
-            sigma_min=sig, diagnostics={"l": 0, "gamma": gamma,
-                                        "sigma_min_scaled": scaled})
+            + (f", gamma={gamma}" if gamma is not None else ""))
     xi = np.linalg.solve(blocks, -geo0.project_modes(rhs)[..., None])[..., 0]
     if not np.all(np.isfinite(xi)):
         raise SolverError("sphere step is not finite")

@@ -9,9 +9,11 @@ density at rotation intensity kappa is
 
 closed-form in Beta functions; w(0, r, u) does not depend on r.  w and
 dw/du are numerics.pointwise in (kappa, r, u): the three broadcast
-together, and scalars give a 0-d array.  The radial star is
+together, and scalars give a 0-d array.  Their L^0 term, the psi0 part,
+is the one-argument hinv(u) = w(0, r, u) with dhinv, and they add the
+L^2 term where kappa != 0.  The radial star is
 radial.solve_radial(ansatz, a), the Newton solve with the density law
-h^-1(u) = w(0, r, u), and the same star as the matched polytrope's; the
+hinv, and the same star as the matched polytrope's; the
 rotation problem is VPModel, whose response from the sphere
 (rotating.sphere_response), Newton continuation (rotating.newton_continue)
 and l = 0 mass column (linop.assemble_mode, with Model's zero
@@ -72,35 +74,38 @@ class VlasovAnsatz:
     def equivalent_gamma(self):
         return 1.0 + 1.0 / (1.5 - self.mu)
 
-    # w and its derivatives (closed forms: psi is an even quadratic); the
-    # rotation term is formed only where some kappa != 0: it is zero at
-    # kappa = 0, where its power of u may overflow although w does not
+    # the radial star's density law h^-1(u) = w(0, r, u) and its derivative
+    # are the L^0 term of w; w and dw_du add the L^2 (rotation) term only
+    # where some kappa != 0: it is zero at kappa = 0, where its power of u
+    # may overflow although w does not
+
+    @pointwise
+    def hinv(self, u):
+        return self._cG * np.maximum(u, 0.0) ** (1.5 - self.mu)
+
+    @pointwise
+    def dhinv(self, u):
+        with np.errstate(invalid="ignore"):
+            out = self._cGp * np.maximum(u, 1e-300) ** (0.5 - self.mu)
+        return np.where(u > 0, out, 0.0)
 
     @pointwise
     def w(self, kappa, r, u):
-        u = np.maximum(u, 0.0)
-        out = self._cG * u ** (1.5 - self.mu)
+        out = self.hinv(u)
         if np.any(kappa):
-            out += 0.5 * kappa ** 2 * r ** 2 * self._cK * u ** (2.5 - self.mu)
+            out += 0.5 * kappa ** 2 * r ** 2 * self._cK \
+                * np.maximum(u, 0.0) ** (2.5 - self.mu)
         return out
 
     @pointwise
     def dw_du(self, kappa, r, u):
-        uu = np.maximum(u, 1e-300)
-        with np.errstate(invalid="ignore"):
-            out = self._cGp * uu ** (0.5 - self.mu)
-            if np.any(kappa):
-                out += 0.5 * kappa ** 2 * r ** 2 * self._cKp \
-                    * uu ** (1.5 - self.mu)
-        return np.where(u > 0, out, 0.0)
-
-    # the radial star's density law: h^-1(u) = w(0, ., u), (h^-1)' = dw/du
-
-    def hinv(self, u):
-        return self.w(0.0, 0.0, u)
-
-    def dhinv(self, u):
-        return self.dw_du(0.0, 0.0, u)
+        out = self.dhinv(u)
+        if np.any(kappa):
+            with np.errstate(invalid="ignore"):
+                rot = 0.5 * kappa ** 2 * r ** 2 * self._cKp \
+                    * np.maximum(u, 1e-300) ** (1.5 - self.mu)
+            out += np.where(u > 0, rot, 0.0)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rotstar.eos import power_law, power_sum, constant_rotation
-from rotstar.radial import solve_radial
+from rotstar.radial import mass_curve, mass_derivative, solve_radial
 from rotstar.vlasov import VlasovAnsatz
 
 
@@ -26,6 +26,29 @@ def star43():
 @pytest.fixture(scope="session")
 def star_sum():
     return solve_radial(power_sum([(1.0, 1.5), (1.0, 1.8)]), 1.0)
+
+
+#: a law whose mass curve turns: its M(a) has a minimum near a = 3.6
+TURNING_TERMS = [(1.0, 1.25), (1.0, 1.8)]
+
+
+@pytest.fixture(scope="session")
+def turning_a():
+    """The minimum a* of the TURNING_TERMS law's mass curve: the sign
+    change of M' among 9 mass_curve samples on (2, 6), bisected on
+    mass_derivative to 1e-9 relative."""
+    law = power_sum(TURNING_TERMS)
+    a, _, _, mp = mass_curve(law, (2.0, 6.0), 9).T
+    i = np.flatnonzero(np.diff(np.sign(mp)))[0]
+    lo, hi = a[i], a[i + 1]
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if np.sign(mass_derivative(solve_radial(law, mid))[0]) \
+                == np.sign(mp[i]):
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
 
 
 @pytest.fixture(scope="session")

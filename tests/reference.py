@@ -251,7 +251,7 @@ def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
 
     rc = geo.rc[:, None]
     xi_t = xi.value(rc, disc.theta)
-    out = mfac_p * (f["V"] - f["V0"])                         # M' F1
+    out = mfac_p * f["dV"]                                    # M' F1
     out += -mfac * (Vq - Vq0)                                 # moved density
     out += mfac * f["Vp"] * (xi_t / rc)                       # moved target
     if isinstance(model, VPModel):

@@ -8,8 +8,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import TURNING_TERMS
 import rotstar
-from rotstar.cli import RunConfig, main, parse_config
+from rotstar.cli import RunConfig, main, parse_config, solution_stem
 from rotstar.errors import ConfigError
 
 
@@ -344,23 +345,27 @@ def test_continue_degenerate_exit_code(tmp_path, capsys):
                      "residual_sup,newton_iters"]
 
 
-_TURNING = "eos = power_sum\nterms = 1:1.25,1:1.8\n"
+_TURNING = "eos = power_sum\nterms = " + ",".join(
+    f"{c!r}:{g!r}" for c, g in TURNING_TERMS) + "\n"
 
 
 @pytest.mark.parametrize("command", ["perturb", "continue"])
-def test_power_sum_turning_point_is_degenerate(tmp_path, capsys, command):
-    # a = 3.6255326 is the minimum of this law's mass curve, where the
-    # l = 0 block has a kernel (scaled sigma_min 7e-11 on 256 nodes, 2e-10
-    # on 48); the law's smallest exponent 1.25 is not its gamma
-    assert run(tmp_path, command, _TURNING + "a = 3.6255326\n") == 4
+def test_power_sum_turning_point_is_degenerate(tmp_path, capsys, command,
+                                               turning_a):
+    # turning_a is the minimum of this law's mass curve, where the l = 0
+    # block has a kernel (scaled sigma_min 7e-11 on 256 nodes, 2e-10 on
+    # 48); the law's smallest exponent 1.25 is not its gamma
+    assert run(tmp_path, command, _TURNING + f"a = {turning_a!r}\n") == 4
     err = capsys.readouterr().err
     assert "sigma_min R^2/a=" in err and "gamma=1.25" not in err
 
 
-def test_power_sum_near_turning_point_is_healthy(tmp_path, capsys):
+def test_power_sum_near_turning_point_is_healthy(tmp_path, capsys,
+                                                 turning_a):
     # 1% above the minimum the scaled sigma_min is 9e-5
-    assert run(tmp_path, "perturb", _TURNING + "a = 3.661787926\n") == 0
-    assert run(tmp_path, "radial", _TURNING + "a = 3.6255326\n") == 0
+    assert run(tmp_path, "perturb",
+               _TURNING + f"a = {1.01 * turning_a!r}\n") == 0
+    assert run(tmp_path, "radial", _TURNING + f"a = {turning_a!r}\n") == 0
     out = capsys.readouterr().out
     assert "mass condition FAILED" in out and "gamma=" not in out
 
@@ -415,6 +420,21 @@ def test_continue_writes_curve(tmp_path):
     assert lines[0].startswith("kappa_intensity,R_eq_length,R_pole_length")
     assert len(lines) == 3
     assert (tmp_path / "solution_k1.000000e-03.json").exists()
+
+
+def test_kappas_sharing_a_solution_stem_are_config_error(tmp_path, capsys):
+    # 1e-3 and 1.0000001e-3 both name their files solution_k1.000000e-03:
+    # the second state's files would replace the first's
+    text = "gamma = 1.5\nkappas = 0,1e-3,1.0000001e-3\n"
+    assert run(tmp_path, "continue", text) == 2
+    err = capsys.readouterr().err
+    assert "0.001 and 0.0010000001" in err
+    assert not (tmp_path / "continue.csv").exists()
+    # a repeated kappa is one state, written once per request
+    text = "gamma = 1.5\nkappas = 0,1e-3,1e-3\n"
+    assert run(tmp_path, "continue", text) == 0
+    lines = (tmp_path / "continue.csv").read_text().strip().splitlines()
+    assert len(lines) == 4
 
 
 def test_continue_cap_leaves_partial_curve(tmp_path, capsys):
@@ -533,7 +553,8 @@ _MODEL = st.one_of(
                                                                  for k in x)))
 def test_fuzzed_continue_converges_or_exits_with_a_code(tmp_path_factory,
                                                         model, a, kappas):
-    # continue on either model: exit 0, 3 or 4 without a traceback, and on
+    # continue on either model: exit 0, 3 or 4 without a traceback (2 for a
+    # schedule whose unequal kappas share a solution file stem), and on
     # exit 0 every state below the default tol 1e-8 within the Newton step
     # budget of 8
     text = model + f"a = {a!r}\nkappas = {','.join(map(repr, kappas))}\n"
@@ -541,7 +562,8 @@ def test_fuzzed_continue_converges_or_exits_with_a_code(tmp_path_factory,
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = run(out, "continue", text)
-    assert code in (0, 3, 4)
+    shared = len(set(map(solution_stem, kappas))) < len(set(kappas))
+    assert code in ((2,) if shared else (0, 3, 4))
     assert "Traceback" not in err.getvalue()
     if code == 0:
         rows = (out / "continue.csv").read_text().strip().splitlines()[1:]

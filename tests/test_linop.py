@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import zero_field
+from conftest import TURNING_TERMS, zero_field
 from reference import weighted_norm
 from rotstar.axisym import Discretization, Geometry
-from rotstar.eos import constant_rotation, power_law
+from rotstar.eos import constant_rotation, power_law, power_sum
 from rotstar.errors import DegenerateOperatorError
 from rotstar.linop import (LADDER_ORDER, LADDER_SUB, assemble_mode,
                            kernel_margin_ladder)
@@ -119,6 +119,24 @@ def test_model_owns_the_l0_mass_term(star43, ep43_model):
     assert d.shape == x.shape
     assert all(ep43_model.dlocal_dmfac(x[i:i + 1], 1.0)[0] == d[i]
                for i in range(0, len(x), 17))
+
+
+def test_turning_point_ladder(turning_a, rot_profile):
+    # at the computed minimum a* of the power-sum mass curve the l = 0
+    # margin is discretization error, falling by at least 8x per doubling
+    # (5e-10, 3e-11, 2e-12), while l = 2 stays put; 1% above it the l = 0
+    # margin (3.74e-6) stays put as well
+    def ladder(a):
+        model = EPModel(solve_radial(power_sum(TURNING_TERMS), a),
+                        rot_profile)
+        rows = kernel_margin_ladder(model, ells=(0, 2), ns=(128, 256, 512))
+        return {l: np.array([s for l2, _, s in rows if l2 == l])
+                for l in (0, 2)}
+
+    at, near = ladder(turning_a), ladder(1.01 * turning_a)
+    assert np.all(at[0][1:] <= at[0][:-1] / 8.0)
+    for sig in (at[2], near[0]):
+        assert np.ptp(sig) <= 0.01 * np.min(sig)
 
 
 def test_kernel_margin_ladder_contrast(ep_model, ep43_model):

@@ -4,7 +4,7 @@ from scipy.integrate import quad, solve_ivp
 
 from rotstar.axisym import Discretization
 from rotstar.numerics import Panels, Ytilde
-from rotstar.potentials import PotentialQuadrature, mode_potential_matrices
+from rotstar.potentials import PotentialQuadrature
 from reference import dense_potential_matrices
 
 #: the constant l = 0 harmonic
@@ -37,7 +37,7 @@ def test_monopole_of_uniform_ball():
     pan = Panels.graded(b, 96, order=8)
     sigma = np.ones(len(pan)) * np.sqrt(4 * np.pi)  # Y00 coefficient of 1
     s = np.linspace(0.0, b, 41)
-    [A] = mode_potential_matrices(pan, (0,), s)
+    [A] = PotentialQuadrature(pan, (0,), s).dense()
     phi = (A @ sigma) * Y00
     exact = 4 * np.pi * (b ** 2 / 2 - s ** 2 / 6)
     assert np.max(np.abs(phi - exact)) < 1e-12
@@ -64,17 +64,17 @@ def _edge_grid(order, n_nodes):
 @pytest.mark.parametrize("order, n_nodes", [(8, 96), (2, 64)])
 def test_batched_blocks_equal_single_mode_calls(order, n_nodes):
     pan, s = _edge_grid(order, n_nodes)
-    batched = mode_potential_matrices(pan, ELLS, s)
+    batched = PotentialQuadrature(pan, ELLS, s).dense()
     assert len(batched) == len(ELLS)
     for l, A in zip(ELLS, batched):
-        [A1] = mode_potential_matrices(pan, (l,), s)
+        [A1] = PotentialQuadrature(pan, (l,), s).dense()
         assert np.array_equal(A, A1)
 
 
 @pytest.mark.parametrize("order, n_nodes", [(8, 96), (2, 64)])
 def test_dense_expansion_equals_per_target_matrices(order, n_nodes):
     pan, s = _edge_grid(order, n_nodes)
-    for A, (A1, _) in zip(mode_potential_matrices(pan, ELLS, s),
+    for A, (A1, _) in zip(PotentialQuadrature(pan, ELLS, s).dense(),
                           dense_potential_matrices(pan, ELLS, s)):
         assert np.array_equal(A, A1)
 
@@ -158,7 +158,7 @@ def test_uniform_ball_monopole_on_edges_and_nodes():
     pan = Panels.graded(b, 96, order=8)
     sigma = np.ones(len(pan)) * np.sqrt(4 * np.pi)
     s = np.concatenate([pan.edges, pan.x])
-    [A] = mode_potential_matrices(pan, (0,), s)
+    [A] = PotentialQuadrature(pan, (0,), s).dense()
     phi = (A @ sigma) * Y00
     exact = 4 * np.pi * (b ** 2 / 2 - s ** 2 / 6)
     assert np.max(np.abs(phi - exact)) < 1e-12
@@ -170,12 +170,12 @@ def test_quadrupole_closed_form():
     pan = Panels.graded(b, 96, order=8)
     sigma = pan.x ** 2
     s = np.linspace(0.05, b - 0.05, 31)
-    [A] = mode_potential_matrices(pan, (2,), s)
+    [A] = PotentialQuadrature(pan, (2,), s).dense()
     exact = 4 * np.pi / 5 * (s ** 4 / 7 + s ** 2 * (b ** 2 - s ** 2) / 2)
     assert np.max(np.abs(A @ sigma - exact)) < 1e-11
     h = 1e-6
-    [Ah] = mode_potential_matrices(pan, (2,), s + h)
-    [Al] = mode_potential_matrices(pan, (2,), s - h)
+    [Ah] = PotentialQuadrature(pan, (2,), s + h).dense()
+    [Al] = PotentialQuadrature(pan, (2,), s - h).dense()
     fd = (Ah @ sigma - Al @ sigma) / (2 * h)
     # Phi_2' from the factored quadrature the solver applies
     dphi = PotentialQuadrature(pan, (2,), s).apply(sigma[None])[1, 0]
@@ -187,8 +187,8 @@ def test_monopole_reproduces_radial_potential(star15):
     pan = Panels.graded(star15.R, 256, order=8)
     sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
     s = np.linspace(0.0, star15.R, 101)
-    [A] = mode_potential_matrices(pan, (0,), s)
-    [A0] = mode_potential_matrices(pan, (0,), [0.0])
+    [A] = PotentialQuadrature(pan, (0,), s).dense()
+    [A0] = PotentialQuadrature(pan, (0,), [0.0]).dense()
     phi = ((A - A0) @ sigma) * Y00
     assert np.max(np.abs(phi - (star15.u0_of(s) - star15.a))) < 1e-11
 
@@ -197,7 +197,7 @@ def test_far_field_is_mass_over_radius(star15):
     pan = Panels.graded(star15.R, 256, order=8)
     sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
     s = np.array([2.0 * star15.R, 5.0 * star15.R])
-    [A] = mode_potential_matrices(pan, (0,), s)
+    [A] = PotentialQuadrature(pan, (0,), s).dense()
     phi = (A @ sigma) * Y00
     assert np.allclose(phi, star15.mass / s, rtol=1e-10)
 
@@ -207,7 +207,7 @@ def test_mode_potential_against_ode_oracle(star15):
     pan = Panels.graded(star15.R, 256, order=8)
     sigma_vals = np.atleast_1d(star15.rho0p_of(pan.x)) * pan.x
     s = np.linspace(0.15, star15.R * 0.98, 25)
-    [A] = mode_potential_matrices(pan, (2,), s)
+    [A] = PotentialQuadrature(pan, (2,), s).dense()
     direct = A @ sigma_vals
 
     def sigma_of(r):
@@ -220,7 +220,7 @@ def test_mode_potential_against_ode_oracle(star15):
 def test_potential_at_zero_row(star15):
     pan = Panels.graded(star15.R, 192, order=8)
     sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
-    [A0] = mode_potential_matrices(pan, (0,), [0.0])
+    [A0] = PotentialQuadrature(pan, (0,), [0.0]).dense()
     val = float(A0[0] @ sigma) * Y00
     ref, _ = quad(lambda t: 4 * np.pi * float(star15.rho0_of(t)) * t,
                   0.0, star15.R, limit=200)

@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -246,3 +247,45 @@ def test_singular_radial_system_is_solver_error():
     # LinAlgError or an inf step
     with pytest.raises(SolverError, match="radial Jacobian"):
         solve_radial(_NaNSlopeLaw(1.5), 1.0)
+
+
+def _virial(star, p):
+    """The potential energy W = -int 4 pi r^2 rho0 m/r and the pressure
+    integral Pi = int 4 pi r^2 p on star.panels, m(r) the enclosed mass and
+    p the pressure at the panel nodes."""
+    pan = star.panels
+    x, w = pan.x, pan.w
+    rho = star.rho0_of(x)
+    m = pan.cumulative(4.0 * np.pi * x ** 2 * rho)
+    return (-np.sum(w * 4.0 * np.pi * x * rho * m),
+            np.sum(w * 4.0 * np.pi * x ** 2 * p))
+
+
+def _vp_pressure(star, nodes=64):
+    """p(u0) = int_0^u0 h^-1 of the kinetic star at the nodes of
+    star.panels, by a Gauss-Legendre rule on [0, u0]."""
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    u = star.u0_of(star.panels.x)
+    return 0.5 * u * (star.eos.hinv(0.5 * u[:, None] * (xg + 1.0)) @ wg)
+
+
+@pytest.mark.parametrize("model, param", [("ep", g) for g in
+                                           (1.3, 1.5, 1.8, 1.9, 2.0)]
+                         + [("vp", -1.5)])
+def test_radial_star_meets_lane_emden_virial(model, param):
+    # an oracle the solver never uses: the virial theorem 3 Pi + W = 0 and
+    # the polytrope's W = -3 M^2/((5 - n) R) (Chandrasekhar 1939); the VP
+    # star at mu = -1.5 is the n = 3 polytrope, whose p(u) is a polynomial
+    # the 64-node rule integrates exactly
+    if model == "vp":
+        star = solve_radial(VlasovAnsatz.matched_to_power_law(param), 1.0)
+        n, p = 1.5 - param, _vp_pressure(star)
+    else:
+        with warnings.catch_warnings():     # gamma = 2 is on the boundary
+            warnings.simplefilter("ignore", UserWarning)
+            star = solve_radial(PowerLawEOS(param), 1.0)
+        n, p = 1.0 / (param - 1.0), star.eos.p(star.rho0_of(star.panels.x))
+    W, Pi = _virial(star, p)
+    assert abs(3.0 * Pi + W) <= 1e-10 * abs(W)
+    W_cf = -3.0 * star.mass ** 2 / ((5.0 - n) * star.R)
+    assert abs(W / W_cf - 1.0) <= 1e-10

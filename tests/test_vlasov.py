@@ -36,9 +36,10 @@ def test_hinv_matches_quadrature(vp_ansatz):
 
 @pytest.mark.parametrize("psi2", [0.0, 0.1, -0.2, 3.0])
 def test_hinv_is_the_kappa0_law_bit_for_bit(psi2):
-    # hinv and dhinv read w and dw_du at kappa = 0, whose rotation terms
-    # are not formed; they give the bits of the closed forms G and G' of
-    # reference_vp_law, also where u^(5/2 - mu) overflows and G does not
+    # hinv and dhinv are the closed forms G and G' of reference_vp_law, bit
+    # for bit, and w and dw_du at kappa = 0, whose rotation terms are not
+    # formed, are hinv and dhinv, also where u^(5/2 - mu) overflows and G
+    # does not
     rng = np.random.default_rng(19)
     special = [-1.0, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e200]
     u = np.concatenate([special, 10.0 ** rng.uniform(-12.0, 30.0, 4000)])
@@ -52,6 +53,9 @@ def test_hinv_is_the_kappa0_law_bit_for_bit(psi2):
                            for g in got)
                 assert all(np.array_equal(g, want) for g, want in
                            zip(got, reference_vp_law(ansatz, x)))
+                assert all(np.array_equal(g, want) for g, want in
+                           zip((ansatz.w(0.0, 0.7, x),
+                                ansatz.dw_du(0.0, 0.7, x)), got))
 
 
 def test_w_matches_quadrature_with_rotation(vp_ansatz):
