@@ -5,9 +5,9 @@ mass-condition diagnostics, linearized-operator spectra, and nonlinear Newton
 continuation in the rotation intensity.
 """
 
-from .eos import (EquationOfState, PowerLawEOS, PowerSumEOS,
-                  RotationProfile, power_law, power_sum, constant_rotation,
-                  validate_assumptions, check_mass_condition_b)
+from .eos import (EquationOfState, RotationProfile, power_law, power_sum,
+                  constant_rotation, validate_assumptions,
+                  check_mass_condition_b)
 from .radial import RadialStar, solve_radial, mass_derivative, mass_curve
 from .linop import assemble_mode, kernel_margin_ladder
 from .axisym import EPS0, Discretization, Geometry, ModalField

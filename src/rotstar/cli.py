@@ -281,8 +281,7 @@ def cmd_radial(cfg):
     mp = radial.mass_derivative(star)[0]
     flag = ""
     if abs(mp) < 1e-6 * star.mass / star.a:
-        gamma = getattr(law, "gamma", None)
-        gtxt = f" (gamma={gamma:g})" if gamma is not None else ""
+        gtxt = f" (gamma={law.gamma:g})" if law.gamma is not None else ""
         flag = f"  mass condition FAILED{gtxt}"
     print(f"radial ep: a={cfg.a:g} R={star.R:.9f} M={star.mass:.9f} "
           f"Mprime={mp:.9f}{flag}")

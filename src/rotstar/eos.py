@@ -3,7 +3,10 @@ mass-condition diagnostics, which return plain dicts of margins and pass
 flags (the CLI writes them to eos_check.json).
 
 The specific enthalpy is h(rho) = int_0^rho p'(s)/s ds, so h'(s) = p'(s)/s.
-A power law p = s^gamma carries its gamma; a power sum has no single one.
+One class, EquationOfState, holds every law p = sum_i c_i s^{gamma_i}: a
+one-term law (power_law, or power_sum of one term) carries its gamma and
+inverts h in closed form; a sum of several has gamma None and inverts h by
+a bracketed Newton.
 Every law method, and RotationProfile.J, is numerics.pointwise: it takes
 any shape, 0-d for a scalar, and computes at 1-d points.
 """
@@ -21,24 +24,46 @@ _S_MIN = 5e-324    # smallest positive double: lo = 0 in the h^-1 bisection
 
 
 class EquationOfState:
-    """Barotropic pressure law with derived enthalpy machinery.
+    """The pressure law p(s) = sum_i c_i s^{gamma_i}, c_i > 0,
+    1 < gamma_i <= 2, with its enthalpy and inverse enthalpy.
 
-    Subclasses provide p, dp and h, and may override hinv/dhinv with closed
-    forms; otherwise hinv is a log-space Newton on h that meets
-    |h(s) - u| <= 1e-13 u or raises EOSError.  Every method is
-    numerics.pointwise (a subclass decorates its p, dp and h): it returns
-    an ndarray of the input's shape, 0-d for a scalar, with the bits of the
-    same entry in an array.
+    A one-term law c s^gamma carries its exponent as gamma and inverts h in
+    closed form; a sum of several has gamma = None and inverts h by a
+    log-space Newton that meets |h(s) - u| <= 1e-13 u or raises EOSError.
+    Every method is numerics.pointwise: it returns an ndarray of the
+    input's shape, 0-d for a scalar, with the bits of the same entry in an
+    array.
     """
 
+    def __init__(self, terms):
+        terms = [(float(c), float(g)) for c, g in terms]
+        if not terms:
+            raise EOSError("need at least one term")
+        for c, g in terms:
+            if c <= 0:
+                raise EOSError("coefficients must be positive")
+            if g <= 1.0 or g > 2.0:
+                raise EOSError(f"exponent {g} outside (1, 2]")
+        self.terms = terms
+        self.gamma = terms[0][1] if len(terms) == 1 else None
+        if self.gamma is not None:
+            # h = k s^(gamma - 1): h^-1 = (u/k)^e, (h^-1)' = d u^(e - 1)
+            c, g = terms[0]
+            self._k, self._e = c * g / (g - 1.0), 1.0 / (g - 1.0)
+            with np.errstate(over="ignore"):
+                self._d = np.float64(1.0 / self._k) ** self._e / (g - 1.0)
+
+    @pointwise
     def p(self, s):
-        raise NotImplementedError
+        return sum(c * s ** g for c, g in self.terms)
 
+    @pointwise
     def dp(self, s):
-        raise NotImplementedError
+        return sum(c * g * s ** (g - 1.0) for c, g in self.terms)
 
+    @pointwise
     def h(self, rho):
-        raise NotImplementedError
+        return sum(c * g / (g - 1.0) * rho ** (g - 1.0) for c, g in self.terms)
 
     @pointwise
     def dh(self, s):
@@ -50,26 +75,33 @@ class EquationOfState:
 
     @pointwise
     def hinv(self, u):
-        """Inverse enthalpy h^-1(u), zero at u <= 0, for every entry at once.
-
-        Newton on log h(e^y) = log u from s = 1: s <- s (h/u)^(-h/p'), exact
-        in one step for a power law.  A step that leaves the bracket [lo, hi]
-        (from [0, inf]) or is not finite bisects instead: it doubles s while
-        hi = inf, else takes sqrt(lo) sqrt(hi), reading lo = 0 as the
-        smallest positive double, so each bisection halves the exponent
-        range.  Stops at |h(s) - u| <= 1e-13 u or when no double lies inside
-        the bracket (a root below every positive double gives the smallest
-        one); raises EOSError after _HINV_ITERS steps, e.g. when h stays
-        below u.
-        """
-        return self._hinv_root(u)[0]
+        """Inverse enthalpy h^-1(u), zero at u <= 0, for every entry at once:
+        (u/k)^(1/(gamma - 1)), k = c gamma/(gamma - 1), for one term
+        c s^gamma, else _hinv_root."""
+        if self.gamma is None:
+            return self._hinv_root(u)[0]
+        return np.where(u > 0, (np.maximum(u, 0.0) / self._k) ** self._e, 0.0)
 
     @pointwise
     def dhinv(self, u):
         """(h^-1)'(u) = s/p'(s) at s = h^-1(u); zero at u <= 0."""
-        return self._hinv_root(u)[1]
+        if self.gamma is None:
+            return self._hinv_root(u)[1]
+        with np.errstate(invalid="ignore"):
+            return np.where(u > 0, self._d * np.maximum(u, 1e-300) ** (
+                (2.0 - self.gamma) / (self.gamma - 1.0)), 0.0)
 
     def _hinv_root(self, u):
+        """(h^-1(u), (h^-1)'(u)) of a law of several terms by Newton on
+        log h(e^y) = log u from s = 1: s <- s (h/u)^(-h/p').  A step that
+        leaves the bracket [lo, hi] (from [0, inf]) or is not finite
+        bisects instead: it doubles s while hi = inf, else takes
+        sqrt(lo) sqrt(hi), reading lo = 0 as the smallest positive double,
+        so each bisection halves the exponent range.  Stops at
+        |h(s) - u| <= 1e-13 u or when no double lies inside the bracket (a
+        root below every positive double gives the smallest one); raises
+        EOSError after _HINV_ITERS steps, e.g. when h stays below u.
+        """
         pos = u > 0
         t = np.where(pos, u, 1.0)
         x, lo, hi = np.ones_like(t), np.zeros_like(t), np.full_like(t, np.inf)
@@ -93,81 +125,18 @@ class EquationOfState:
         raise EOSError(f"h^-1({t.flat[i]:.6g}): {why} after {_HINV_ITERS} steps")
 
 
-class PowerLawEOS(EquationOfState):
-    """p(s) = s^gamma with closed-form enthalpy."""
-
-    def __init__(self, gamma):
-        if gamma <= 1.0:
-            raise EOSError(f"power law needs gamma > 1, got {gamma}")
-        if gamma > 2.0:
-            raise EOSError(f"power law needs gamma <= 2, got {gamma}")
-        if gamma == 2.0:
-            warnings.warn("gamma=2 is on the boundary of the admissible range; "
-                          "accepted for oracle testing", stacklevel=2)
-        self.gamma = float(gamma)
-        self._c = gamma / (gamma - 1.0)
-
-    @pointwise
-    def p(self, s):
-        return s ** self.gamma
-
-    @pointwise
-    def dp(self, s):
-        return self.gamma * s ** (self.gamma - 1.0)
-
-    @pointwise
-    def h(self, rho):
-        return self._c * rho ** (self.gamma - 1.0)
-
-    @pointwise
-    def hinv(self, u):
-        g = self.gamma
-        return np.where(u > 0, (np.maximum(u, 0.0) / self._c) ** (1.0 / (g - 1.0)), 0.0)
-
-    @pointwise
-    def dhinv(self, u):
-        g = self.gamma
-        c = (1.0 / self._c) ** (1.0 / (g - 1.0)) / (g - 1.0)
-        with np.errstate(invalid="ignore"):
-            out = np.where(u > 0, c * np.maximum(u, 1e-300) ** ((2.0 - g) / (g - 1.0)), 0.0)
-        return out
-
-
-class PowerSumEOS(EquationOfState):
-    """p(s) = sum_i c_i s^{gamma_i}, c_i > 0, 1 < gamma_i <= 2."""
-
-    def __init__(self, terms):
-        terms = [(float(c), float(g)) for c, g in terms]
-        if not terms:
-            raise EOSError("need at least one term")
-        for c, g in terms:
-            if c <= 0:
-                raise EOSError("coefficients must be positive")
-            if g <= 1.0 or g > 2.0:
-                raise EOSError(f"exponent {g} outside (1, 2]")
-        self.terms = terms
-
-    @pointwise
-    def p(self, s):
-        return sum(c * s ** g for c, g in self.terms)
-
-    @pointwise
-    def dp(self, s):
-        return sum(c * g * s ** (g - 1.0) for c, g in self.terms)
-
-    @pointwise
-    def h(self, rho):
-        return sum(c * g / (g - 1.0) * rho ** (g - 1.0) for c, g in self.terms)
-
-
 def power_law(gamma):
     """EquationOfState for p(s) = s^gamma."""
-    return PowerLawEOS(gamma)
+    eos = EquationOfState([(1.0, gamma)])
+    if eos.gamma == 2.0:
+        warnings.warn("gamma=2 is on the boundary of the admissible range; "
+                      "accepted for oracle testing", stacklevel=2)
+    return eos
 
 
 def power_sum(terms):
     """EquationOfState for p(s) = sum c_i s^{gamma_i}."""
-    return PowerSumEOS(terms)
+    return EquationOfState(terms)
 
 
 class RotationProfile:
@@ -213,7 +182,7 @@ def check_mass_condition_b(eos):
     """Pointwise check of p' < h <= 2p' and the three g-conditions for
     g(w, r) = 4 pi r h^-1(w/r), on 200 log-spaced densities in [1e-6, 1e3]
     and 40 radii in [0.05, 2]: a dict of the five margins and the pass
-    flag."""
+    flag.  Raises EOSError when h^-1 overflows there."""
     s = np.logspace(-6, 3, 200)
     h = eos.h(s)
     dp = eos.dp(s)
@@ -223,8 +192,10 @@ def check_mass_condition_b(eos):
     r = np.linspace(0.05, 2.0, 40)[:, None]
     w = (s[None, :] * r)  # so that w/r sweeps s at every r
     sr = w / r
-    hinv = eos.hinv(sr)
-    dhinv = eos.dhinv(sr)
+    with np.errstate(all="ignore"):
+        hinv, dhinv = eos.hinv(sr), eos.dhinv(sr)
+    if not np.all(np.isfinite(hinv) & np.isfinite(dhinv)):
+        raise EOSError("h^-1 is not finite on the sampled enthalpies")
     g = 4 * np.pi * r * hinv
     g_w = 4 * np.pi * dhinv
     g_r = 4 * np.pi * (hinv - sr * dhinv)

@@ -115,21 +115,26 @@ def _solve_bordered(R, rho_u, k_rho, d, rhs_u, rhs_R):
     return du, dR
 
 
+@np.errstate(all="ignore")
 def _solve_profile(eos, a, tol):
     """Nodal u and rho(u) on _UNIT and R for central value a, rho = eos.hinv:
     Newton with backtracking on _residual from u = a sinc(x),
     R = pi sqrt(a / (4 pi rho(a))), exact for a linear rho (gamma = 2),
-    until |residual|_inf <= tol a.  Raises UnboundStarError when R leaves
+    until |residual|_inf <= tol a.  Raises UnboundStarError when the source
+    4 pi rho(a) is not positive and finite, when R leaves
     (0, 1e3 sqrt(6 a / (4 pi rho(a)))), a thousand curvature scales, or
-    after _NEWTON_ITERS steps, and SolverError when no halving lowers |F|.
+    after _NEWTON_ITERS steps, and SolverError when no halving lowers |F|
+    or a Newton system is not finite; numpy warnings are not printed, the
+    checks say what overflowed.
     """
     if not a > 0:
         raise EOSError("central value a must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
     s_a = 4.0 * np.pi * float(eos.hinv(a))
-    if not s_a > 0:
-        raise UnboundStarError(f"source({a}) = {s_a} is not positive")
+    if not 0.0 < s_a < np.inf:
+        raise UnboundStarError(f"source({a}) = {s_a} is not positive and "
+                               "finite")
     r_max = 1e3 * np.sqrt(6.0 * a / s_a)
     n = len(_UNIT)
     u, R = a * np.sinc(_UNIT.x), np.pi * np.sqrt(a / s_a)
@@ -203,6 +208,7 @@ def solve_radial(eos, a, tol=1e-12):
     return RadialStar(eos, a, tol=tol)
 
 
+@np.errstate(all="ignore")
 def variation(star, c, sigma):
     """d/dp at p = 0 along the stars of
     u(r) = a + c p - 4 pi (1 + sigma p) int_0^r t (1 - t/r) rho(u) dt
@@ -212,7 +218,8 @@ def variation(star, c, sigma):
     w = du/dp at fixed x = r/R and R_p = dR/dp.  w vanishes at the
     surface, where rho'(u0) may be singular, so rho'(u0) w integrates
     smoothly.  Returns v = du/dp at fixed r, v = w - r u0' R_p/R, as nodal
-    values on star.panels, and m = dM/dp + sigma M = -R^2 v'(R)."""
+    values on star.panels, and m = dM/dp + sigma M = -R^2 v'(R).  A system
+    that is not finite raises SolverError, with no numpy warning."""
     R, u, up = star.R, star._u0_nodes, star._u0p_nodes
     x = _UNIT.x
     rho, d = star.eos.hinv(u), star.eos.dhinv(u)

@@ -183,8 +183,8 @@ def sphere_step(model, geo0, rhs):
     if scaled <= DEGENERACY_FLOOR:
         gamma = getattr(star.eos, "gamma", None)
         raise DegenerateOperatorError(
-            "degenerate operator (mass condition violated?): "
-            f"sigma_min={sig:.3e}, sigma_min R^2/a={scaled:.3e}"
+            f"mass condition violated? sigma_min={sig:.3e}, "
+            f"sigma_min R^2/a={scaled:.3e}"
             + (f", gamma={gamma}" if gamma is not None else ""))
     xi = np.linalg.solve(blocks, -geo0.project_modes(rhs)[..., None])[..., 0]
     if not np.all(np.isfinite(xi)):

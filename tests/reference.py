@@ -46,7 +46,6 @@ from scipy.integrate import solve_ivp
 from scipy.special import roots_jacobi
 
 from rotstar.axisym import N_SUB, Discretization, Geometry, ModalField
-from rotstar.eos import PowerLawEOS
 from rotstar.errors import EOSError
 from rotstar.linop import assemble_mode
 from rotstar.numerics import Ytilde, dY_dtheta, gl_nodes
@@ -128,7 +127,7 @@ def gamma_43_identity_check(star):
     Returns |LHS - RHS| / max(|RHS|, 1e-8 |u0'(R)|), so the gamma=4/3 case
     (both sides ~ 0) is graded on an absolute scale.
     """
-    if not isinstance(star.eos, PowerLawEOS):
+    if getattr(star.eos, "gamma", None) is None:
         raise EOSError("identity check requires a pure power law")
     g = star.eos.gamma
     vap = -mass_derivative(star)[0] / star.R ** 2   # the flux at R

@@ -340,6 +340,7 @@ def test_continue_degenerate_exit_code(tmp_path, capsys):
     assert run(tmp_path, "continue", f"gamma = {4.0 / 3.0!r}\n") == 4
     err = capsys.readouterr().err
     assert err.startswith("degenerate operator:") and "Traceback" not in err
+    assert err.count("degenerate operator") == 1
     lines = (tmp_path / "continue.csv").read_text().strip().splitlines()
     assert lines == ["kappa_intensity,R_eq_length,R_pole_length,M_mass,"
                      "residual_sup,newton_iters"]
@@ -378,16 +379,21 @@ def test_perturb_below_four_thirds_exits_zero(tmp_path):
                "model = vp\nmu = -3\npsi2 = 0.1\nn = 192\n") == 0
 
 
-def _vp_a_1e150(tmp_path, command):
-    """command on the VP star at a = 1e150, in a fresh interpreter so that
-    numpy's warnings reach stderr."""
-    cfg = _write(tmp_path / "run.cfg",
-                 "model = vp\nmu = 0.25\npsi2 = 0.1\na = 1e150\n")
+def _fresh_run(tmp_path, command, config_text):
+    """command on config_text in a fresh interpreter, so that numpy's
+    warnings reach stderr."""
+    cfg = _write(tmp_path / "run.cfg", config_text)
     src = os.path.dirname(os.path.dirname(rotstar.__file__))
     return subprocess.run(
         [sys.executable, "-m", "rotstar", command, "--config", cfg,
          "--out", str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=300)
+
+
+def _vp_a_1e150(tmp_path, command):
+    """command on the VP star at a = 1e150 (see _fresh_run)."""
+    return _fresh_run(tmp_path, command,
+                      "model = vp\nmu = 0.25\npsi2 = 0.1\na = 1e150\n")
 
 
 def test_continue_non_finite_newton_matrix_is_solver_error(tmp_path):
@@ -398,6 +404,28 @@ def test_continue_non_finite_newton_matrix_is_solver_error(tmp_path):
     out = _vp_a_1e150(tmp_path, "continue")
     assert out.returncode == 3
     assert "not finite" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command, text", [
+    ("radial", "a = 1e300\n"),
+    ("continue", "a = 1e150\n"),
+    ("radial", "eos = power_sum\nterms = 1e300:1.01\n"),
+    ("radial", "eos = power_sum\nterms = 1e-300:1.5\n"),
+    ("eos-check", "eos = power_sum\nterms = 1e-300:1.5\n"),
+    ("kernel-margin", "ells = 200\nns = 64\n")],
+    ids=["radial-a1e300", "continue-a1e150", "sum-c1e300", "sum-c1e-300",
+         "eos-check-c1e-300", "margin-l200"])
+def test_overflowing_input_is_one_solver_error_line(tmp_path, command, text):
+    # the source, the radial Newton system, h^-1 on eos-check's samples or
+    # the mode-200 potential overflows: one typed line on stderr, with no
+    # numpy RuntimeWarning before it (there were up to 15 lines) and no
+    # traceback
+    out = _fresh_run(tmp_path, command, text)
+    assert out.returncode == 3
+    assert out.stderr.startswith("solver error: ")
+    assert len(out.stderr.splitlines()) == 1
     assert "RuntimeWarning" not in out.stderr
     assert "Traceback" not in out.stderr
 

@@ -96,17 +96,31 @@ def test_power_sum_generic_hinv_matches():
 
 @pytest.mark.parametrize("g", [1.2, 1.5, 1.8, 2.0])
 def test_generic_hinv_matches_power_law_closed_form(g):
-    # power_sum of one term runs the generic Newton; power_law is closed form
+    # a one-term law inverts h in closed form; the generic Newton, which a
+    # law of several terms runs, must agree with it
     u = np.concatenate([np.logspace(-16, 3, 400), [0.0, -1.0, -1e-300]])
-    eos = power_sum([(1.0, g)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # gamma = 2 boundary
-        ref = power_law(g)
+        eos = power_law(g)
     pos = u > 0
-    for name in ("hinv", "dhinv"):
-        got, want = getattr(eos, name)(u), getattr(ref, name)(u)
-        assert np.max(np.abs(got[pos] / want[pos] - 1.0)) <= 1e-12, name
-        assert np.all(got[~pos] == 0.0), name
+    for got, want in zip(eos._hinv_root(u), (eos.hinv(u), eos.dhinv(u))):
+        assert np.max(np.abs(got[pos] / want[pos] - 1.0)) <= 1e-12
+        assert np.all(got[~pos] == 0.0)
+
+
+@pytest.mark.parametrize("g", [4.0 / 3.0, 1.5, 1.9])
+def test_one_term_power_sum_is_the_power_law_bit_for_bit(g):
+    # one law reached two ways is one law: the same gamma and the same bits
+    u = np.append(np.logspace(-16, 3, 400), 0.0)
+    law, one = power_law(g), power_sum([(1.0, g)])
+    assert law.gamma == one.gamma == g
+    for name in ("p", "dp", "h", "dh", "hinv", "dhinv"):
+        assert np.array_equal(getattr(law, name)(u), getattr(one, name)(u)), \
+            name
+    # a coefficient other than 1 keeps the closed form exact
+    eos = power_sum([(2.0, 1.5)])
+    s = np.logspace(-8, 8, 50)
+    assert np.max(np.abs(eos.hinv(eos.h(s)) / s - 1.0)) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,7 +134,8 @@ def test_generic_hinv_roundtrip(terms, logs):
 
 
 class _BoundedEnthalpy(EquationOfState):
-    """h(s) = s/(1+s) < 1: h^-1(u) does not exist for u >= 1."""
+    """h(s) = s/(1+s) < 1: h^-1(u) does not exist for u >= 1.  Built from
+    two terms, so that it inverts h by the generic Newton."""
 
     def dp(self, s):
         return np.asarray(np.asarray(s, dtype=float) / (1.0 + s) ** 2)
@@ -131,7 +146,7 @@ class _BoundedEnthalpy(EquationOfState):
 
 
 def test_generic_hinv_raises_when_bracket_never_closes():
-    eos = _BoundedEnthalpy()
+    eos = _BoundedEnthalpy([(1.0, 1.5), (1.0, 1.8)])
     assert float(eos.hinv(0.5)) == pytest.approx(1.0, rel=1e-13)
     with pytest.raises(EOSError, match="h stays below u"):
         eos.hinv(2.0)

@@ -139,6 +139,25 @@ def test_turning_point_ladder(turning_a, rot_profile):
         assert np.ptp(sig) <= 0.01 * np.min(sig)
 
 
+def test_turning_point_margin_is_proportional_to_mass_slope(turning_a,
+                                                           rot_profile):
+    # the l = 0 block is invertible exactly when M'(a) != 0, and near the
+    # minimum a* its scale-free margin sigma_min R^2/a goes as the
+    # scale-free slope |M'| a/M: the ratio stays within 10% over
+    # a* (1 +- 1e-6 .. 1e-2), while |M'| spans four decades (measured
+    # 0.02370 .. 0.02445 at n = 256 and order 8)
+    def ratio(a):
+        star = solve_radial(power_sum(TURNING_TERMS), a)
+        sig = weighted_sigma_min(*assemble_mode(EPModel(star, rot_profile),
+                                                0, n=256))
+        slope = abs(mass_derivative(star)[0]) * a / star.mass
+        return (sig * star.R ** 2 / a) / slope
+
+    ref = ratio(turning_a * (1.0 + 1e-6))
+    for e in (-1e-6, 1e-4, -1e-4, 1e-2, -1e-2):
+        assert abs(ratio(turning_a * (1.0 + e)) / ref - 1.0) <= 0.1, e
+
+
 def test_kernel_margin_ladder_contrast(ep_model, ep43_model):
     rows43 = dict(((l, n), s) for l, n, s in kernel_margin_ladder(
         ep43_model, ells=(0,), ns=(128, 256, 512)))

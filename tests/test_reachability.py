@@ -5,10 +5,9 @@ The commands run once each through cli.main, in one fresh interpreter (so
 no cache that an earlier test filled hides a call), on small configs that
 reach every command and exit path, under sys.setprofile from after the
 import of the package; the functions are found by ast.
-Three rules exempt a definition: a body that only raises
-NotImplementedError (an abstract law method), a function used as a
-decorator (it runs at import), and the pressure p of each law, which no
-command reads until the virial identity of D13 does.
+Two rules exempt a definition: a function used as a decorator (it runs at
+import), and the pressure p of each law, which no command reads until the
+virial identity of D13 does.
 
 The same interpreter checks that no command imports numpy.ma: numpy loads
 it lazily, at a cost of about 8.5 ms, on the first call of a function such
@@ -57,15 +56,6 @@ print(json.dumps({"codes": codes, "called": sorted(called),
 """
 
 
-def _only_raises_not_implemented(node):
-    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
-    if len(body) != 1 or not isinstance(body[0], ast.Raise):
-        return False
-    exc = body[0].exc
-    exc = exc.func if isinstance(exc, ast.Call) else exc
-    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
-
-
 def _decorator_names(tree):
     names = set()
     for node in ast.walk(tree):
@@ -97,7 +87,7 @@ def _functions(tree):
 
 def _library_functions():
     """(file, qualname) of every function in src/rotstar that a command
-    must call, the three exemptions applied."""
+    must call, the two exemptions applied."""
     trees = {}
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
@@ -108,7 +98,7 @@ def _library_functions():
     want = set()
     for path, tree in trees.items():
         for qualname, node, cls in _functions(tree):
-            if _only_raises_not_implemented(node) or node.name in decorators:
+            if node.name in decorators:
                 continue
             if cls is not None and node.name == "p":   # a law's pressure
                 continue

@@ -45,6 +45,10 @@ RUNS = [
     ("vp-15-continue", "continue",
      "model = vp\nmu = -1.5\npsi2 = 0.1\nkappas = 0,1e-2,2e-2\n"),
     ("vp-4-radial", "radial", "model = vp\nmu = -4\n"),
+    ("sum1-radial", "radial", "eos = power_sum\nterms = 1:1.5\n"),
+    ("sum-overflow-radial", "radial", "eos = power_sum\nterms = 1e-300:1.5\n"),
+    ("ep-a1e300-radial", "radial", "a = 1e300\n"),
+    ("margin-l200", "kernel-margin", "ells = 200\nns = 64\n"),
 ]
 
 
