@@ -182,9 +182,8 @@ class Geometry:
         z = np.where(self.inside, t * (R / self.tb), R)
         for _ in range(INVERSION_STEPS):
             ratio, stretch = zeta.ratio_and_stretch(z, th)
-            with np.errstate(all="ignore"):
-                step = np.where(self.inside, (z * (1.0 + ratio) - t)
-                                / (1.0 + ratio + stretch), 0.0)
+            step = np.where(self.inside, (z * (1.0 + ratio) - t)
+                            / (1.0 + ratio + stretch), 0.0)
             if not np.all(np.isfinite(step)):
                 raise DeformationError("ray inversion: non-finite Newton step")
             z -= step

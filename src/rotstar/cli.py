@@ -8,7 +8,10 @@ defined here alone: the library returns plain data (profiles, solution
 attributes, dicts) and writes nothing.
 
 Exit codes: 0 success, 2 config error, 3 solver error, 4 degenerate operator.
-A config key that RunConfig does not read is named on stderr and ignored.
+A config key that RunConfig does not read, a key of the other model
+included, is named on stderr and ignored, and a warning that building the
+configuration raises (gamma = 2) is one config line.  main runs under one
+np.errstate(all="ignore"): the library's checks say what overflowed.
 """
 
 import argparse
@@ -16,6 +19,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -82,8 +86,9 @@ def parse_config(path):
 
 
 class RunConfig:
-    """Validated run parameters shared by the subcommands; unknown lists
-    the keys of data that it did not read."""
+    """Validated run parameters shared by the subcommands: law and, for ep,
+    profile, built from that model's keys alone; unknown lists the keys of
+    data that it did not read."""
 
     def __init__(self, data, out_dir=None):
         self.raw = dict(data)
@@ -95,7 +100,8 @@ class RunConfig:
         if not self.a > 0:
             raise ConfigError(f"central value a must be positive, got "
                               f"{self.a!r}")
-        self.omega = self._float("omega", 1.0)
+        # omega sets the EP rotation profile; vp reads none
+        omega = self._float("omega", 1.0) if self.model == "ep" else 0.0
         self.tol = self._float("tol", 1e-8)
         self.ode_tol = self._float("ode_tol", 1e-12)
         if self.tol <= 0 or self.ode_tol <= 0:
@@ -113,7 +119,7 @@ class RunConfig:
                 raise ConfigError(f"kappas {k1!r} and {k2!r} share the "
                                   f"solution file stem {solution_stem(k1)}")
         # rotation enters squared (x * x overflows to inf, x ** 2 raises)
-        for key, x in [("omega", self.omega)] + [("kappas", self.kappas[-1])]:
+        for key, x in [("omega", omega), ("kappas", self.kappas[-1])]:
             if not np.isfinite(x * x):
                 raise ConfigError(f"{key} squared must be finite, got {x!r}")
         self.ells = self._counts("ells", [0, 1, 2, 3, 4])
@@ -129,12 +135,9 @@ class RunConfig:
         if self.n_samples < 2:
             raise ConfigError(f"n_samples must be at least 2, got "
                               f"{self.n_samples}")
-        self.mu = self._float("mu", 0.25)
-        self.psi2 = self._float("psi2", 0.0)
-        self.psi0 = self._float("psi0", None) if "psi0" in self.raw else None
-        self.gamma = self._float("gamma", 1.5)
-        self.eos_kind = self._str("eos", "power_law")
-        self.terms = self._pairs("terms", [(1.0, 1.5), (1.0, 1.8)])
+        self.law = self._law()
+        self.profile = constant_rotation(omega) if self.model == "ep" \
+            else None
         out = self._str("out", ".")   # read even where out_dir overrides it
         self.out_dir = out_dir or out
         self.unknown = [key for key in self.raw if key not in self._read]
@@ -205,36 +208,37 @@ class RunConfig:
             out.append(tuple(self._number(key, x) for x in parts))
         return out
 
-    def make_law(self):
+    def _law(self):
         """The density law of the configured model: the ansatz for vp, the
         EOS for ep.  A law value out of its range (gamma outside (1, 2],
         psi0 <= 0, mu >= 1, ...) is a config error."""
         try:
             if self.model == "vp":
-                if self.psi0 is None:
-                    return vlasov.VlasovAnsatz.matched_to_power_law(
-                        self.mu, psi2=self.psi2)
-                return vlasov.VlasovAnsatz(self.mu, psi0=self.psi0,
-                                           psi2=self.psi2)
-            if self.eos_kind == "power_law":
-                return power_law(self.gamma)
-            if self.eos_kind == "power_sum":
-                return power_sum(self.terms)
+                mu, psi2 = self._float("mu", 0.25), self._float("psi2", 0.0)
+                if "psi0" not in self.raw:
+                    return vlasov.VlasovAnsatz.matched_to_power_law(mu, psi2)
+                psi0 = self._float("psi0", None)
+                return vlasov.VlasovAnsatz(mu, psi0, psi2)
+            kind = self._str("eos", "power_law")
+            if kind == "power_law":
+                return power_law(self._float("gamma", 1.5))
+            if kind == "power_sum":
+                return power_sum(self._pairs("terms", [(1, 1.5), (1, 1.8)]))
         except EOSError as e:
             raise ConfigError(str(e)) from e
-        raise ConfigError(f"unknown eos {self.eos_kind!r}")
+        raise ConfigError(f"unknown eos {kind!r}")
 
     def make_model(self):
         """The rotation problem of the configured star."""
-        star = radial.solve_radial(self.make_law(), self.a, tol=self.ode_tol)
+        star = radial.solve_radial(self.law, self.a, tol=self.ode_tol)
         if self.model == "vp":
             return vlasov.VPModel(star)
-        return rotating.EPModel(star, constant_rotation(self.omega))
+        return rotating.EPModel(star, self.profile)
 
     def make_rotating_model(self):
         """make_model for the commands that rotate the star: a VP law at
         psi2 = 0 does not depend on kappa, so it is a config error there."""
-        if self.model == "vp" and self.psi2 == 0.0:
+        if self.model == "vp" and self.law.psi2 == 0.0:
             raise ConfigError("model = vp needs psi2 != 0 to rotate: at "
                               "psi2 = 0 its law does not depend on kappa")
         return self.make_model()
@@ -252,7 +256,7 @@ def cmd_radial(cfg):
     """The radial star; flags an EP star whose M'(a) vanishes and a VP
     ansatz whose gamma_eq lies outside the paper's (6/5, 2), on the output
     line or, when the solve fails, on the error."""
-    law = cfg.make_law()
+    law = cfg.law
     flag = ""
     if cfg.model == "vp":
         g = law.equivalent_gamma()
@@ -290,7 +294,7 @@ def cmd_radial(cfg):
 
 def cmd_mass_curve(cfg):
     """M(a) over [a_min, a_max] for the configured model's law."""
-    curve = radial.mass_curve(cfg.make_law(), (cfg.a_min, cfg.a_max),
+    curve = radial.mass_curve(cfg.law, (cfg.a_min, cfg.a_max),
                               cfg.n_samples, tol=cfg.ode_tol)
     write_csv(cfg.path("mass_curve.csv"),
               ["a_enthalpy", "R_length", "M_mass", "Mprime_mass_per_enthalpy"],
@@ -384,9 +388,8 @@ def cmd_eos_check(cfg):
     if cfg.model != "ep":
         raise ConfigError("eos-check grades a pressure law: it needs "
                           "model = ep")
-    eos = cfg.make_law()
-    assum = validate_assumptions(eos)
-    cond = check_mass_condition_b(eos)
+    assum = validate_assumptions(cfg.law)
+    cond = check_mass_condition_b(cfg.law)
     write_json(cfg.path("eos_check.json"),
                {"assumptions": assum, "mass_condition_b": cond})
     print(f"eos-check: assumptions {'pass' if assum['passed'] else 'FAIL'}, "
@@ -412,20 +415,24 @@ def main(argv=None):
     ap.add_argument("--config", required=True, help="flat key=value file")
     ap.add_argument("--out", default=None, help="output directory")
     args = ap.parse_args(argv)
-    try:
-        cfg = RunConfig(parse_config(args.config), out_dir=args.out)
-        for key in cfg.unknown:
-            print(f"config: unknown key {key!r} ignored", file=sys.stderr)
-        return COMMANDS[args.command](cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except DegenerateOperatorError as e:
-        print(f"degenerate operator: {e}", file=sys.stderr)
-        return 4
-    except RotstarError as e:
-        print(f"solver error: {e}", file=sys.stderr)
-        return 3
+    with np.errstate(all="ignore"):
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cfg = RunConfig(parse_config(args.config), out_dir=args.out)
+            for note in [w.message for w in caught] + [
+                    f"unknown key {key!r} ignored" for key in cfg.unknown]:
+                print(f"config: {note}", file=sys.stderr)
+            return COMMANDS[args.command](cfg)
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return 2
+        except DegenerateOperatorError as e:
+            print(f"degenerate operator: {e}", file=sys.stderr)
+            return 4
+        except RotstarError as e:
+            print(f"solver error: {e}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

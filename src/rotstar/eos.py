@@ -50,8 +50,7 @@ class EquationOfState:
             # h = k s^(gamma - 1): h^-1 = (u/k)^e, (h^-1)' = d u^(e - 1)
             c, g = terms[0]
             self._k, self._e = c * g / (g - 1.0), 1.0 / (g - 1.0)
-            with np.errstate(over="ignore"):
-                self._d = np.float64(1.0 / self._k) ** self._e / (g - 1.0)
+            self._d = np.float64(1.0 / self._k) ** self._e / (g - 1.0)
 
     @pointwise
     def p(self, s):
@@ -87,9 +86,8 @@ class EquationOfState:
         """(h^-1)'(u) = s/p'(s) at s = h^-1(u); zero at u <= 0."""
         if self.gamma is None:
             return self._hinv_root(u)[1]
-        with np.errstate(invalid="ignore"):
-            return np.where(u > 0, self._d * np.maximum(u, 1e-300) ** (
-                (2.0 - self.gamma) / (self.gamma - 1.0)), 0.0)
+        return np.where(u > 0, self._d * np.maximum(u, 1e-300) ** (
+            (2.0 - self.gamma) / (self.gamma - 1.0)), 0.0)
 
     def _hinv_root(self, u):
         """(h^-1(u), (h^-1)'(u)) of a law of several terms by Newton on
@@ -192,8 +190,7 @@ def check_mass_condition_b(eos):
     r = np.linspace(0.05, 2.0, 40)[:, None]
     w = (s[None, :] * r)  # so that w/r sweeps s at every r
     sr = w / r
-    with np.errstate(all="ignore"):
-        hinv, dhinv = eos.hinv(sr), eos.dhinv(sr)
+    hinv, dhinv = eos.hinv(sr), eos.dhinv(sr)
     if not np.all(np.isfinite(hinv) & np.isfinite(dhinv)):
         raise EOSError("h^-1 is not finite on the sampled enthalpies")
     g = 4 * np.pi * r * hinv

@@ -36,13 +36,12 @@ def mass_column(model, r):
     return (star.u0_of(r) - star.a + model.dlocal_dmfac(r, 1.0)) / star.mass
 
 
-@np.errstate(all="ignore")
 def assemble_mode(model, l, n=256, order=8, n_sub=12):
     """The mode-l block of L at model.star on the n nodes of the graded
     panels of [0, R]: (panels, matrix), the matrix acting on the nodal
     values of xi_l at panels.x; numerics.weighted_sigma_min reads its
     margin.  A matrix that is not finite (r^l overflows at a large l)
-    raises SolverError, with no numpy warning."""
+    raises SolverError."""
     if l < 0:
         raise ValueError("harmonic index must be nonnegative")
     star = model.star

@@ -226,9 +226,12 @@ class Panels:
 
     @classmethod
     def graded(cls, b, n_nodes, order=8):
-        """Panels on [0, b] with cosine-graded edges (clustered at both ends)."""
-        npan = max(2, int(round(n_nodes / order)))
-        u = np.linspace(0.0, 1.0, npan + 1)
+        """Panels on [0, b] with cosine-graded edges (clustered at both
+        ends); n_nodes must fill at least two whole panels of the order."""
+        if n_nodes % order or n_nodes < 2 * order:
+            raise ValueError(f"{n_nodes} nodes do not fill two or more "
+                             f"whole panels of order {order}")
+        u = np.linspace(0.0, 1.0, n_nodes // order + 1)
         edges = b * 0.5 * (1.0 - np.cos(np.pi * u))
         return cls(edges, order)
 

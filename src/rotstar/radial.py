@@ -115,7 +115,6 @@ def _solve_bordered(R, rho_u, k_rho, d, rhs_u, rhs_R):
     return du, dR
 
 
-@np.errstate(all="ignore")
 def _solve_profile(eos, a, tol):
     """Nodal u and rho(u) on _UNIT and R for central value a, rho = eos.hinv:
     Newton with backtracking on _residual from u = a sinc(x),
@@ -124,8 +123,7 @@ def _solve_profile(eos, a, tol):
     4 pi rho(a) is not positive and finite, when R leaves
     (0, 1e3 sqrt(6 a / (4 pi rho(a)))), a thousand curvature scales, or
     after _NEWTON_ITERS steps, and SolverError when no halving lowers |F|
-    or a Newton system is not finite; numpy warnings are not printed, the
-    checks say what overflowed.
+    or a Newton system is not finite.
     """
     if not a > 0:
         raise EOSError("central value a must be positive")
@@ -208,7 +206,6 @@ def solve_radial(eos, a, tol=1e-12):
     return RadialStar(eos, a, tol=tol)
 
 
-@np.errstate(all="ignore")
 def variation(star, c, sigma):
     """d/dp at p = 0 along the stars of
     u(r) = a + c p - 4 pi (1 + sigma p) int_0^r t (1 - t/r) rho(u) dt
@@ -219,7 +216,7 @@ def variation(star, c, sigma):
     surface, where rho'(u0) may be singular, so rho'(u0) w integrates
     smoothly.  Returns v = du/dp at fixed r, v = w - r u0' R_p/R, as nodal
     values on star.panels, and m = dM/dp + sigma M = -R^2 v'(R).  A system
-    that is not finite raises SolverError, with no numpy warning."""
+    that is not finite raises SolverError."""
     R, u, up = star.R, star._u0_nodes, star._u0p_nodes
     x = _UNIT.x
     rho, d = star.eos.hinv(u), star.eos.dhinv(u)

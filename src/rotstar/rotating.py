@@ -83,21 +83,20 @@ class Model:
         """The Newton matrix, shape (n_l n_rc, n_l n_c): the derivative of
         the projected residual modes along every basis field
         e_c(r) Y_k(theta) at once, assembled as dense products; raises
-        SolverError, without numpy warnings, when it is not finite (its
-        potentials overflow for a dense enough star)."""
-        with np.errstate(all="ignore"):
-            f = geo.model_fields(self, kappa)
-            mfac = f["mfac"]
-            dw = np.where(geo.inside,
-                          self.dw_du(kappa, geo.rcyl_src, geo.u_src), 0.0)
-            c = dw * self.star.u0p_of(geo.z_src) / geo.g1_src
-            J = -mfac * geo.density_jacobian(c)               # moved density
-            w_t = mfac * f["Vp"] + self.dlocal_ds(geo, kappa)  # moved target
-            geo.add_target_jacobian(J, w_t / geo.rc[:, None])
-            mfac_p = (mfac / f["Mcal"]) * geo.source_integral_gradient(c)
-            column = np.reshape(self.dlocal_dmfac(geo.rc, mfac), (-1, 1))
-            J += np.outer(geo.project_modes(f["dV"] + column).ravel(),
-                          mfac_p)                                 # mass factor
+        SolverError when it is not finite (its potentials overflow for a
+        dense enough star)."""
+        f = geo.model_fields(self, kappa)
+        mfac = f["mfac"]
+        dw = np.where(geo.inside,
+                      self.dw_du(kappa, geo.rcyl_src, geo.u_src), 0.0)
+        c = dw * self.star.u0p_of(geo.z_src) / geo.g1_src
+        J = -mfac * geo.density_jacobian(c)               # moved density
+        w_t = mfac * f["Vp"] + self.dlocal_ds(geo, kappa)  # moved target
+        geo.add_target_jacobian(J, w_t / geo.rc[:, None])
+        mfac_p = (mfac / f["Mcal"]) * geo.source_integral_gradient(c)
+        column = np.reshape(self.dlocal_dmfac(geo.rc, mfac), (-1, 1))
+        J += np.outer(geo.project_modes(f["dV"] + column).ravel(),
+                      mfac_p)                                 # mass factor
         if not np.all(np.isfinite(J)):
             raise SolverError(
                 f"Newton matrix is not finite at kappa={kappa:g}")
@@ -197,12 +196,11 @@ def sphere_response(model, kappa, disc):
     F(0, 0)), as a ModalField on disc.  F(0, .) is affine in kappa for the
     EP fluid, so at kappa = 1 this is its first-order response per unit
     kappa; for the VP gas it is the kappa^2 response with its O(kappa^4)
-    part.  The sphere's Geometry and the difference are formed without
-    numpy warnings (a dense enough star overflows its potentials): what is
-    not finite there makes L or xi so, and sphere_step raises SolverError."""
-    with np.errstate(all="ignore"):
-        geo0 = _sphere(model, disc)
-        rhs = model.residual(geo0, kappa) - model.residual(geo0, 0.0)
+    part.  What is not finite in the sphere's Geometry or the difference
+    (a dense enough star overflows its potentials) makes L or xi so, and
+    sphere_step raises SolverError."""
+    geo0 = _sphere(model, disc)
+    rhs = model.residual(geo0, kappa) - model.residual(geo0, 0.0)
     return ModalField(disc.panels_c, disc.ells, sphere_step(model, geo0, rhs))
 
 

@@ -85,8 +85,7 @@ class VlasovAnsatz:
 
     @pointwise
     def dhinv(self, u):
-        with np.errstate(invalid="ignore"):
-            out = self._cGp * np.maximum(u, 1e-300) ** (0.5 - self.mu)
+        out = self._cGp * np.maximum(u, 1e-300) ** (0.5 - self.mu)
         return np.where(u > 0, out, 0.0)
 
     @pointwise
@@ -101,10 +100,8 @@ class VlasovAnsatz:
     def dw_du(self, kappa, r, u):
         out = self.dhinv(u)
         if np.any(kappa):
-            with np.errstate(invalid="ignore"):
-                rot = 0.5 * kappa ** 2 * r ** 2 * self._cKp \
-                    * np.maximum(u, 1e-300) ** (1.5 - self.mu)
-            out += np.where(u > 0, rot, 0.0)
+            out += np.where(u > 0, 0.5 * kappa ** 2 * r ** 2 * self._cKp
+                            * np.maximum(u, 1e-300) ** (1.5 - self.mu), 0.0)
         return out
 
 

@@ -39,6 +39,11 @@ model's residual term by term, for one ModalField xi; the solver assembles
 Model.jacobian on all basis fields at once instead.  The tests compare the
 two column by column and check this reference against finite differences
 of the residual.
+
+energy_integrals gives the kinetic, potential and internal energies and
+the moment of inertia of a rotating EP state on its own Geometry, the
+terms of the first law dE = Omega dJ along the fixed-mass curve, which the
+solver never forms.
 """
 
 import numpy as np
@@ -49,7 +54,7 @@ from rotstar.axisym import N_SUB, Discretization, Geometry, ModalField
 from rotstar.errors import EOSError
 from rotstar.linop import assemble_mode
 from rotstar.numerics import Ytilde, dY_dtheta, gl_nodes
-from rotstar.potentials import _split_panels
+from rotstar.potentials import PotentialQuadrature, _split_panels
 from rotstar.radial import mass_derivative
 from rotstar.vlasov import VPModel, beta_fn
 
@@ -331,3 +336,24 @@ def dense_density_jacobian(geo, c):
         V += (A[:-1] @ sigma[i]).reshape(shp) * disc.Yt[i][None, :, None]
     V0 = (mats[0][0][-1] @ sigma[0]) * Ytilde([0], 1.0)[0]
     return geo.project_modes(V - V0).reshape(n_l * len(geo.rc), -1)
+
+
+def energy_integrals(model, sol):
+    """The energies of the rotating state sol of a power-law EPModel with
+    omega = 1, on the Geometry of sol: the kinetic energy T = kappa I/2 of
+    rigid rotation at Omega^2 = kappa, the potential energy
+    W = -(1/2) int rho U, the internal energy U_int = int p/(gamma - 1)
+    and the moment of inertia I = int rho s^2.  rho = mfac w is the density
+    on the source grid, s its cylinder radius, and U the potential of rho
+    at the source points by a PotentialQuadrature at geo.tq."""
+    geo = Geometry(sol.zeta_field(), model.star, sol.disc)
+    kappa, disc, eos = sol.kappa, sol.disc, model.star.eos
+    rho = geo.model_fields(model, kappa)["mfac"] * np.where(
+        geo.inside, model.w(kappa, geo.rcyl_src, geo.u_src), 0.0)
+    quad = PotentialQuadrature(geo.panels_t, disc.ells, geo.tq, n_sub=N_SUB)
+    phi = quad.apply(geo.project_modes(rho))[0]
+    U = np.einsum("li,lj->ij", phi, disc.Yt)
+    I = geo.volume_integral_src(rho * geo.rcyl_src ** 2)
+    return {"T": 0.5 * kappa * I, "W": -0.5 * geo.volume_integral_src(rho * U),
+            "U_int": geo.volume_integral_src(eos.p(rho)) / (eos.gamma - 1.0),
+            "I": I}

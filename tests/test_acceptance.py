@@ -11,10 +11,10 @@ import pytest
 
 from conftest import (oblateness_slope, rand_deformation, shifted, xi_at_R,
                       zero_field)
-from reference import frechet_apply, w_quad, weighted_norm
+from reference import energy_integrals, frechet_apply, w_quad, weighted_norm
 from rotstar.axisym import Discretization, Geometry
-from rotstar.eos import (check_mass_condition_b, constant_rotation,
-                         power_law, power_sum)
+from rotstar.eos import (RotationProfile, check_mass_condition_b,
+                         constant_rotation, power_law, power_sum)
 from rotstar.linop import assemble_mode, kernel_margin_ladder
 from rotstar.radial import (mass_curve, mass_derivative, solve_radial,
                             variation)
@@ -236,3 +236,38 @@ def test_13_vp_through_four_thirds(star43, ep43_model):
     ep = [s for _, _, s in kernel_margin_ladder(ep43_model, ells=(0,))]
     assert max(abs(s / vp[0] - 1.0) for s in vp) < 0.01
     assert ep[1] <= 0.5 * ep[0] and ep[2] <= 0.5 * ep[1]
+
+
+def _first_law_defect(model, kappa_scaled, hs=(0.05, 0.025)):
+    """dE/dJ / Omega - 1 at kappa = kappa_scaled M/R^3 on the fixed-mass
+    curve of model: central differences over kappa (1 +- h) of
+    E = T + W + U_int and J = Omega I (reference.energy_integrals, Omega^2
+    = kappa) for each h of hs, then Richardson-extrapolated, as the
+    difference is second order in h."""
+    star = model.star
+    kappa = kappa_scaled * star.mass / star.R ** 3
+    ks = sorted(kappa * (1.0 + s * h) for h in hs for s in (-1.0, 1.0))
+    E, J = {}, {}
+    for sol in newton_continue(model, ks, disc=Discretization(star.R)):
+        e = energy_integrals(model, sol)
+        E[sol.kappa] = e["T"] + e["W"] + e["U_int"]
+        J[sol.kappa] = np.sqrt(sol.kappa) * e["I"]
+    d = [(E[kp] - E[km]) / (J[kp] - J[km]) / np.sqrt(kappa) - 1.0
+         for kp, km in ((kappa * (1.0 + h), kappa * (1.0 - h)) for h in hs)]
+    return (4.0 * d[1] - d[0]) / 3.0
+
+
+@pytest.mark.parametrize("kappa_scaled", [0.01, 0.02])
+def test_14_first_law_along_the_fixed_mass_curve(ep_model, kappa_scaled):
+    # the states of the fixed-mass curve obey dE = Omega dJ, the Newtonian
+    # form of Hartle & Sharp (1967) for rigid rotation of a barotropic
+    # fluid; each difference alone is off by 3e-4 (h = 0.05), Richardson
+    # leaves about 6e-8
+    assert abs(_first_law_defect(ep_model, kappa_scaled)) <= 1e-6
+
+
+def test_14b_first_law_sees_a_wrong_centrifugal_term(star15):
+    # the solver's centrifugal term scaled by 1.01 (J and its derivative),
+    # against the energies at Omega^2 = kappa: about 1.75e-4
+    model = EPModel(star15, RotationProfile(lambda r: 1.01 * np.ones_like(r)))
+    assert abs(_first_law_defect(model, 0.02)) > 1e-5

@@ -49,9 +49,8 @@ def test_runconfig_validation():
         RunConfig({"kappas": "0,2e-3,1e-3"})  # nondecreasing
     with pytest.raises(ConfigError):
         RunConfig({"a": "not-a-number"})
-    cfg = RunConfig({"eos": "mystery"})
-    with pytest.raises(ConfigError):
-        cfg.make_law()
+    with pytest.raises(ConfigError, match="unknown eos 'mystery'"):
+        RunConfig({"eos": "mystery"})
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -164,6 +163,39 @@ def test_unknown_config_key_is_named_and_ignored(tmp_path, capsys):
         (plain / "star.json").read_bytes()
     assert RunConfig({"gama": "1.3", "a": "1", "threads": "1"}).unknown \
         == ["gama", "threads"]
+
+
+@pytest.mark.parametrize("command, text, foreign", [
+    ("continue", "model = vp\nmu = 0.25\npsi2 = 0.1\nkappas = 0,1e-2\n",
+     "omega = 3\n"),
+    ("radial", "gamma = 1.5\n", "psi2 = 0.1\nmu = 0.3\n")],
+    ids=["vp-omega", "ep-psi2-mu"])
+def test_a_key_of_the_other_model_is_named_and_ignored(tmp_path, capsys,
+                                                       command, text,
+                                                       foreign):
+    # each model's law reads its own keys: omega set no VP rotation and psi2
+    # and mu no EP law, and neither said so
+    mixed, plain = tmp_path / "mixed", tmp_path / "plain"
+    assert run(tmp_path, command, text + foreign, out=mixed) == 0
+    keys = [line.split("=")[0].strip() for line in foreign.splitlines()]
+    assert capsys.readouterr().err == "".join(
+        f"config: unknown key {key!r} ignored\n" for key in keys)
+    assert run(tmp_path, command, text, out=plain) == 0
+    assert capsys.readouterr().err == ""
+    names = sorted(os.listdir(plain))
+    assert sorted(os.listdir(mixed)) == names and len(names) >= 1
+    for name in names:
+        assert (mixed / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_gamma_2_is_one_config_notice(tmp_path):
+    # the boundary exponent ran with Python's two-line UserWarning on
+    # stderr, which named the path and a source line of cli.py
+    out = _fresh_run(tmp_path, "radial", "gamma = 2\n")
+    assert out.returncode == 0
+    assert out.stderr == ("config: gamma=2 is on the boundary of the "
+                          "admissible range; accepted for oracle testing\n")
+    assert out.stdout.startswith("radial ep: a=1 R=1.25331")
 
 
 def test_empty_list_is_config_error(tmp_path):

@@ -211,3 +211,26 @@ def test_panels_interpolation_rejects_points_outside(r):
 def test_panels_rejects_bad_edges():
     with pytest.raises(ValueError):
         Panels([0.0, 1.0, 0.5], 4)
+
+
+@pytest.mark.parametrize("n_nodes, order", [(50, 8), (100, 8), (8, 8),
+                                            (0, 8), (6, 4)])
+def test_graded_panels_refuse_a_count_that_is_not_whole_panels(n_nodes,
+                                                              order):
+    # the count was rounded to whole panels, at least two: 50 nodes of
+    # order 8 gave 48 and 8 gave 16, so a caller ran on a grid it had not
+    # asked for
+    with pytest.raises(ValueError, match="whole panels"):
+        Panels.graded(1.0, n_nodes, order)
+
+
+def test_graded_panels_callers_get_the_count_they_ask_for(ep_model):
+    from rotstar.axisym import Discretization
+    from rotstar.linop import assemble_mode
+    for n_nodes, order in ((16, 8), (48, 8), (8, 4), (512, 16)):
+        pan = Panels.graded(1.0, n_nodes, order)
+        assert (len(pan), pan.n_panels) == (n_nodes, n_nodes // order)
+    with pytest.raises(ValueError, match="whole panels"):
+        Discretization(ep_model.star.R, n_rc=50)
+    with pytest.raises(ValueError, match="whole panels"):
+        assemble_mode(ep_model, 0, n=100)

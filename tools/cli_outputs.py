@@ -49,6 +49,10 @@ RUNS = [
     ("sum-overflow-radial", "radial", "eos = power_sum\nterms = 1e-300:1.5\n"),
     ("ep-a1e300-radial", "radial", "a = 1e300\n"),
     ("margin-l200", "kernel-margin", "ells = 200\nns = 64\n"),
+    ("vp-omega-continue", "continue",
+     _VP_ROT + "kappas = 0,1e-2\nomega = 3\n"),
+    ("ep-psi2-radial", "radial", "gamma = 1.5\npsi2 = 0.1\nmu = 0.3\n"),
+    ("ep20-radial", "radial", "gamma = 2\n"),
 ]
 
 
