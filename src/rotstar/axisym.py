@@ -68,7 +68,7 @@ class ModalField:
         points one colatitude each."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        p, rows = self.panels._rows_at(np.clip(r, 0.0, self.R_dom))
+        p, rows = self.panels._rows_at(r)
         # flat index of each point's panel nodes in its own profile
         first = (np.arange(theta.size).reshape(theta.shape) * len(self.panels)
                  + p * self.panels.order)
@@ -92,14 +92,13 @@ class ModalField:
         return self.value(rr, theta) / rr ** 2
 
     def ratio_and_stretch(self, r, theta):
-        """ratio and r d(ratio)/dr under the same clamps (zero inside
-        r_small, -2 ratio past R_dom, where the field is held at its edge
-        value), so the radial stretch of g_zeta is 1 + ratio + stretch."""
+        """ratio and r d(ratio)/dr under the same clamp (zero inside
+        r_small), so the radial stretch of g_zeta is 1 + ratio + stretch."""
         r = np.asarray(r, dtype=float)
         rr = np.maximum(r, self.r_small)
         v, d = self._eval(rr, theta, "value", "d_r")
         ratio = v / rr ** 2
-        stretch = np.where(rr > self.R_dom, 0.0, d / rr) - 2.0 * ratio
+        stretch = d / rr - 2.0 * ratio
         return ratio, np.where(r >= self.r_small, stretch, 0.0)
 
     def xnorm(self):
@@ -175,27 +174,28 @@ class Geometry:
         # inverse map z(y) on the source grid, one column per colatitude:
         # Newton on z (1 + ratio(z)) = t along each in-body ray, whose
         # derivative is the radial stretch 1 + ratio + stretch, from the
-        # uniform dilation t R/tb of its column; the preimage z0 of every
-        # source point outside the body is R
+        # uniform dilation t R/tb of its column, each iterate held in the
+        # body (z <= R); the preimage z0 of every outside source point is R
         t = self.tq[:, None]
         self.inside = t <= self.tb * (1.0 + 1e-14)
-        z = np.where(self.inside, t * (R / self.tb), R)
+        z = np.minimum(t * (R / self.tb), R)
         for _ in range(INVERSION_STEPS):
             ratio, stretch = zeta.ratio_and_stretch(z, th)
             step = np.where(self.inside, (z * (1.0 + ratio) - t)
                             / (1.0 + ratio + stretch), 0.0)
             if not np.all(np.isfinite(step)):
                 raise DeformationError("ray inversion: non-finite Newton step")
-            z -= step
+            z = np.minimum(z - step, R)
             if np.max(np.abs(step)) < 1e-13 * R:
                 break
         else:
             raise DeformationError("ray inversion did not converge in "
                                    f"{INVERSION_STEPS} Newton steps")
-        self.z_src = np.minimum(z, R)
+        self.z_src = z
 
         # the arguments of every model's density law on the source grid:
-        # u0 pulled back (zero outside the body) and the cylinder radius
+        # u0 pulled back (zero outside the body, where every law gives zero
+        # density) and the cylinder radius
         self.u_src = np.zeros_like(z)
         self.u_src[self.inside] = star.u0_of(self.z_src[self.inside])
         self.rcyl_src = t * disc.sin_theta
@@ -224,8 +224,7 @@ class Geometry:
         kappa."""
         key = (model, kappa)
         if key not in self._fields:
-            W = np.where(self.inside,
-                         model.w(kappa, self.rcyl_src, self.u_src), 0.0)
+            W = model.w(kappa, self.rcyl_src, self.u_src)
             Mcal = self.volume_integral_src(W)
             V, Vp, V0 = self.potential_at_targets(self.project_modes(W))
             self._fields[key] = {"Mcal": Mcal, "mfac": self.star.mass / Mcal,

@@ -25,28 +25,21 @@ import functools
 
 import numpy as np
 
-_GL_CACHE = {}
-
 
 def pointwise(method):
     """Decorate method(obj, *args): run it at the raveled 1-d points of the
-    broadcast args and return an array of their shape, 0-d for scalars.
-    One argument skips np.broadcast_arrays, which costs more than the call."""
+    broadcast args and return an array of their shape, 0-d for scalars."""
     @functools.wraps(method)
     def wrapped(obj, *args):
-        if len(args) == 1:
-            x = np.asarray(args[0], dtype=float)
-            return method(obj, x.ravel()).reshape(x.shape)
         args = np.broadcast_arrays(*[np.asarray(a, float) for a in args])
         return method(obj, *[a.ravel() for a in args]).reshape(args[0].shape)
     return wrapped
 
 
+@functools.cache
 def gl_nodes(n):
     """Gauss-Legendre nodes/weights on [-1, 1], cached."""
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def legendre_table(lmax, mu):
@@ -150,10 +143,9 @@ def smallest_singular_value(A):
     lam = np.linalg.eigvalsh(A.T @ A)
     if lam[0] >= _GRAM_TAU * lam[-1]:
         return float(np.sqrt(lam[0]))
-    if A.shape[0] == A.shape[1]:
-        sig = _inverse_iteration(A)
-        if sig is not None:
-            return sig
+    sig = _inverse_iteration(A)
+    if sig is not None:
+        return sig
     return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
@@ -265,7 +257,7 @@ class Panels:
         ValueError for points outside [edges[0], edges[-1]]."""
         if not np.all((r >= self.edges[0]) & (r <= self.edges[-1])):
             raise ValueError("interpolation point outside the panels "
-                             f"[{self.edges[0]!r}, {self.edges[-1]!r}]")
+                             f"{[float(e) for e in self.edges[[0, -1]]]}")
         p = self.panel_of(r)
         return p, self.local_rows(p, r)
 

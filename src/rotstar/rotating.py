@@ -87,9 +87,8 @@ class Model:
         dense enough star)."""
         f = geo.model_fields(self, kappa)
         mfac = f["mfac"]
-        dw = np.where(geo.inside,
-                      self.dw_du(kappa, geo.rcyl_src, geo.u_src), 0.0)
-        c = dw * self.star.u0p_of(geo.z_src) / geo.g1_src
+        c = (self.dw_du(kappa, geo.rcyl_src, geo.u_src)
+             * self.star.u0p_of(geo.z_src) / geo.g1_src)
         J = -mfac * geo.density_jacobian(c)               # moved density
         w_t = mfac * f["Vp"] + self.dlocal_ds(geo, kappa)  # moved target
         geo.add_target_jacobian(J, w_t / geo.rc[:, None])

@@ -40,10 +40,11 @@ Model.jacobian on all basis fields at once instead.  The tests compare the
 two column by column and check this reference against finite differences
 of the residual.
 
-energy_integrals gives the kinetic, potential and internal energies and
-the moment of inertia of a rotating EP state on its own Geometry, the
-terms of the first law dE = Omega dJ along the fixed-mass curve, which the
-solver never forms.
+energy_integrals gives the kinetic, potential and internal energies, the
+pressure integral and the moment of inertia of a rotating EP state on its
+own Geometry: the terms of the first law dE = Omega dJ along the
+fixed-mass curve and of the virial identity 2T + W + 3 Pi = 0, neither of
+which the solver forms.
 """
 
 import numpy as np
@@ -218,7 +219,7 @@ def dense_modal_eval(field, r, theta, *parts):
     r, theta = np.broadcast_arrays(np.asarray(r, dtype=float),
                                    np.asarray(theta, dtype=float))
     th = theta.ravel()
-    T = field.panels.interp_rows(np.clip(r.ravel(), 0.0, field.R_dom))
+    T = field.panels.interp_rows(r.ravel())
     Y = Ytilde(field.ells, np.cos(th))
     out = []
     for part in parts:
@@ -342,8 +343,9 @@ def energy_integrals(model, sol):
     """The energies of the rotating state sol of a power-law EPModel with
     omega = 1, on the Geometry of sol: the kinetic energy T = kappa I/2 of
     rigid rotation at Omega^2 = kappa, the potential energy
-    W = -(1/2) int rho U, the internal energy U_int = int p/(gamma - 1)
-    and the moment of inertia I = int rho s^2.  rho = mfac w is the density
+    W = -(1/2) int rho U, the pressure integral Pi = int p, the internal
+    energy U_int = Pi/(gamma - 1) and the moment of inertia
+    I = int rho s^2.  rho = mfac w is the density
     on the source grid, s its cylinder radius, and U the potential of rho
     at the source points by a PotentialQuadrature at geo.tq."""
     geo = Geometry(sol.zeta_field(), model.star, sol.disc)
@@ -354,6 +356,6 @@ def energy_integrals(model, sol):
     phi = quad.apply(geo.project_modes(rho))[0]
     U = np.einsum("li,lj->ij", phi, disc.Yt)
     I = geo.volume_integral_src(rho * geo.rcyl_src ** 2)
+    Pi = geo.volume_integral_src(eos.p(rho))
     return {"T": 0.5 * kappa * I, "W": -0.5 * geo.volume_integral_src(rho * U),
-            "U_int": geo.volume_integral_src(eos.p(rho)) / (eos.gamma - 1.0),
-            "I": I}
+            "Pi": Pi, "U_int": Pi / (eos.gamma - 1.0), "I": I}

@@ -208,6 +208,13 @@ def test_panels_interpolation_rejects_points_outside(r):
         pan.interp(np.ones(len(pan)), r)
 
 
+def test_panels_name_their_interval_in_plain_numbers():
+    pan = Panels.graded(1.5, 16, 8)
+    with pytest.raises(ValueError) as err:
+        pan.interp(np.ones(len(pan)), [2.0])
+    assert str(err.value) == "interpolation point outside the panels [0.0, 1.5]"
+
+
 def test_panels_rejects_bad_edges():
     with pytest.raises(ValueError):
         Panels([0.0, 1.0, 0.5], 4)

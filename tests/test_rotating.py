@@ -1,4 +1,6 @@
 import re
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from conftest import (density_jacobian_error, jacobian_column_error,
                       oblateness_slope, radial_field, rand_deformation,
                       shifted, xi_at_R, zero_field)
 from reference import dense_modal_eval, frechet_apply, mode_operator_response
-from rotstar.axisym import (INVERSION_STEPS, Discretization, Geometry,
-                            ModalField)
-from rotstar.eos import constant_rotation, power_law
+from rotstar import axisym
+from rotstar.axisym import Discretization, Geometry, ModalField
+from rotstar.eos import constant_rotation, power_law, power_sum
 from rotstar.errors import (DegenerateOperatorError, DeformationError,
                             SolverError)
 from rotstar.linop import assemble_mode
@@ -60,8 +62,8 @@ def random_field(disc15):
 
 def _points(disc, R):
     """(r, theta) cases: a column grid, a grid of radii against the 1-D
-    colatitudes, scattered pairs, the nodes and panel edges themselves, and
-    radii past the panels."""
+    colatitudes, scattered pairs, and the nodes and panel edges
+    themselves."""
     rng = np.random.default_rng(6)
     pan = disc.panels_c
     col = rng.uniform(0.0, R, (40, len(disc.theta)))
@@ -70,12 +72,11 @@ def _points(disc, R):
             "radii x columns": (pan.x[:, None], disc.theta),
             "scattered": (rng.uniform(0.0, R, 200),
                           rng.uniform(0.0, np.pi, 200)),
-            "nodes and edges": (on, rng.uniform(0.0, np.pi, len(on))),
-            "past R_dom": (R * rng.uniform(1.0, 3.0, (30, 1)), disc.theta)}
+            "nodes and edges": (on, rng.uniform(0.0, np.pi, len(on)))}
 
 
 @pytest.mark.parametrize("case", ["columns", "radii x columns", "scattered",
-                                  "nodes and edges", "past R_dom"])
+                                  "nodes and edges"])
 def test_modal_eval_matches_dense_oracle(disc15, random_field, case):
     r, theta = _points(disc15, random_field.R_dom)[case]
     parts = ("value", "d_r", "d_theta")
@@ -84,6 +85,18 @@ def test_modal_eval_matches_dense_oracle(disc15, random_field, case):
     for g, w in zip(got, want):
         assert g.shape == np.broadcast_shapes(np.shape(r), np.shape(theta))
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_modal_eval_refuses_points_past_R_dom(disc15, random_field):
+    # the field lives on its panels: a point past R_dom is an error
+    f = random_field
+    r = f.R_dom * np.array([[1.0 + 1e-12], [1.2], [3.0]])
+    msg = re.escape(f"outside the panels [0.0, {f.R_dom}]")
+    for part in ("value", "d_r", "d_theta"):
+        with pytest.raises(ValueError, match=msg):
+            f._eval(r, disc15.theta, part)
+    with pytest.raises(ValueError, match=msg):
+        f.ratio_and_stretch(r, disc15.theta)
 
 
 def test_ratio_holds_inside_r_small(disc15, random_field):
@@ -101,12 +114,10 @@ def test_ratio_holds_inside_r_small(disc15, random_field):
 
 
 def test_stretch_is_radial_derivative_of_ratio(disc15, random_field):
-    # r d(ratio)/dr by central differences inside the last two panels and
-    # past R_dom, where the field is held at its edge value
+    # r d(ratio)/dr by central differences inside the last two panels
     f = random_field
     e = f.panels.edges
-    r = np.concatenate([0.5 * (e[-3:-1] + e[-2:]),
-                        f.R_dom * np.array([1.2, 2.0, 3.8])])[:, None]
+    r = 0.5 * (e[-3:-1] + e[-2:])[:, None]
     h = 1e-6 * f.R_dom
     _, stretch = f.ratio_and_stretch(r, disc15.theta)
     fd = r * (f.ratio(r + h, disc15.theta) - f.ratio(r - h, disc15.theta)) \
@@ -143,6 +154,27 @@ def test_geometry_undeformed_is_identity(star15, ep_model, geo15):
                                                                rel=1e-10)
 
 
+@pytest.mark.parametrize("law", ["gamma1.3", "gamma1.5", "gamma2",
+                                 "power_sum", "vp025", "vp-15"])
+def test_every_law_is_zero_at_u_zero(law):
+    # Geometry passes u0 = 0 outside the body to the density law unmasked,
+    # so every law's w and dw_du must be exactly 0 there, at any kappa
+    if law.startswith("vp"):
+        mu = 0.25 if law == "vp025" else -1.5
+        model = VPModel(SimpleNamespace(
+            eos=VlasovAnsatz.matched_to_power_law(mu, psi2=0.1)))
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # gamma = 2
+            eos = (power_sum([(1.0, 1.5), (1.0, 1.8)]) if law == "power_sum"
+                   else power_law(float(law[5:])))
+        model = EPModel(SimpleNamespace(eos=eos), None)
+    r_cyl = np.linspace(0.0, 3.0, 7)[:, None]
+    for kappa in (0.0, 2e-2):
+        for f in (model.w, model.dw_du):
+            assert np.all(f(kappa, r_cyl, np.zeros((7, 4))) == 0.0)
+
+
 def test_geometry_inverts_steep_ray_equation(star15, disc15):
     # zeta = 0.5 x^6/R^4 has radial stretch g1 = 3.5 at R and det Dg > 0;
     # the fixed-point iteration z -> t/(1 + ratio(z)) has slope 4/3 there,
@@ -155,17 +187,29 @@ def test_geometry_inverts_steep_ray_equation(star15, disc15):
     assert np.max(np.abs(gap[geo.inside])) < 1e-11 * R
 
 
-def test_geometry_rejects_unconverged_inversion(star15, disc15):
-    # z (1 + 20 z^4/R^4) = t: from the uniform dilation z = t/21 the first
-    # Newton step overshoots to 3.8 R, past the panels, where the field is
-    # held at its edge value, so z (1 + ratio(z)) = z + 20 R^2/z falls up to
-    # sqrt(20) R, and the iterates do not come back even in 200 steps (34,
-    # when the stretch past R still read the edge derivative of the field)
+def _overshooting_field(disc, R):
+    """zeta = 20 x^6/R^4: on z (1 + 20 z^4/R^4) = t the first Newton step
+    from the uniform dilation z = t/21 overshoots past R, to 3.8 R."""
+    return radial_field(disc, lambda r: 20.0 * r ** 6 / R ** 4)
+
+
+def test_geometry_inversion_returns_from_an_overshoot(star15, disc15):
+    # each iterate is held at R, from where the Newton step points inward,
+    # so the overshooting witness converges (in 10 steps, to 1.2e-14 R)
     R = star15.R
-    zeta = radial_field(disc15, lambda r: 20.0 * r ** 6 / R ** 4)
-    assert INVERSION_STEPS < 34
-    with pytest.raises(DeformationError, match="inversion"):
-        Geometry(zeta, star15, disc15)
+    zeta = _overshooting_field(disc15, R)
+    geo = Geometry(zeta, star15, disc15)
+    z0 = geo.z_src
+    assert np.all(z0 <= R)
+    gap = z0 * (1.0 + zeta.ratio(z0, disc15.theta)) - geo.tq[:, None]
+    assert np.max(np.abs(gap[geo.inside])) <= 1e-12 * R
+
+
+def test_geometry_rejects_unconverged_inversion(monkeypatch, star15, disc15):
+    # the overshooting witness needs more than one Newton step
+    monkeypatch.setattr(axisym, "INVERSION_STEPS", 1)
+    with pytest.raises(DeformationError, match="did not converge in 1 "):
+        Geometry(_overshooting_field(disc15, star15.R), star15, disc15)
 
 
 def test_geometry_rejects_non_finite_inversion_step(star15, disc15):

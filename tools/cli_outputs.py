@@ -33,6 +33,7 @@ RUNS = [
     ("ep43-kernel-margin", "kernel-margin", f"gamma = {4.0 / 3.0!r}\n"),
     ("ep43-continue", "continue", f"gamma = {4.0 / 3.0!r}\n"),
     ("ep19-continue", "continue", "gamma = 1.9\nkappas = 0,5e-3,1e-2\n"),
+    ("ep13-continue", "continue", "gamma = 1.3\nkappas = 0,1.5e-6,3e-6\n"),
     ("sum-mass-curve", "mass-curve", _SUM),
     ("sum-eos-check", "eos-check", _SUM),
     ("sum-continue", "continue", _SUM + "kappas = 0,5e-4\n"),
