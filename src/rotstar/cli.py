@@ -8,10 +8,13 @@ defined here alone: the library returns plain data (profiles, solution
 attributes, dicts) and writes nothing.
 
 Exit codes: 0 success, 2 config error, 3 solver error, 4 degenerate operator.
-A config key that RunConfig does not read, a key of the other model
-included, is named on stderr and ignored, and a warning that building the
-configuration raises (gamma = 2) is one config line.  main runs under one
-np.errstate(all="ignore"): the library's checks say what overflowed.
+COMMAND_KEYS states, once, which keys each command reads besides model, out
+and the configured model's law keys; RunConfig reads and checks those alone.
+Any other key, one of another command or of the other model, is named on
+stderr and ignored, a key set twice is a config error, and a warning that
+building the configuration raises (gamma = 2) is one config line.  main runs
+under one np.errstate(all="ignore"): the library's checks say what
+overflowed.
 """
 
 import argparse
@@ -68,8 +71,9 @@ def solution_stem(kappa):
 
 
 def parse_config(path):
-    """Flat key = value file; '#' starts a comment."""
-    data = {}
+    """Flat key = value file; '#' starts a comment.  A key set twice is a
+    config error that names both lines."""
+    data, lines = {}, {}
     try:
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
@@ -78,69 +82,108 @@ def parse_config(path):
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, val = line.split("=", 1)
-                data[key.strip()] = val.strip()
+                key, val = (part.strip() for part in line.split("=", 1))
+                if key in lines:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is "
+                                      f"already set on line {lines[key]}")
+                data[key], lines[key] = val, lineno
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return data
 
 
 class RunConfig:
-    """Validated run parameters shared by the subcommands: law and, for ep,
-    profile, built from that model's keys alone; unknown lists the keys of
-    data that it did not read."""
+    """The validated parameters of one command: model, out, the configured
+    model's law and the keys COMMAND_KEYS lists for the command, each set as
+    an attribute by its reader _key_<name>.  A key the command does not
+    read is no attribute, so a command that reads one raises
+    AttributeError; unknown lists the keys of data that were not read."""
 
-    def __init__(self, data, out_dir=None):
+    def __init__(self, command, data, out_dir=None):
         self.raw = dict(data)
         self._read = set()
         self.model = self._str("model", "ep")
         if self.model not in ("ep", "vp"):
             raise ConfigError(f"model must be ep or vp, got {self.model!r}")
-        self.a = self._float("a", 1.0)
-        if not self.a > 0:
-            raise ConfigError(f"central value a must be positive, got "
-                              f"{self.a!r}")
-        # omega sets the EP rotation profile; vp reads none
-        omega = self._float("omega", 1.0) if self.model == "ep" else 0.0
-        self.tol = self._float("tol", 1e-8)
-        self.ode_tol = self._float("ode_tol", 1e-12)
-        if self.tol <= 0 or self.ode_tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        self.n = self._count("n", 256)
-        self.kappas = self._floats("kappas", [0.0, 1e-3])
-        if self.kappas[0] != 0.0:
-            raise ConfigError("kappa schedule must start at 0")
-        if any(k2 < k1 for k1, k2 in zip(self.kappas, self.kappas[1:])):
-            raise ConfigError("kappa schedule must be nondecreasing")
-        # a repeated kappa is one state; two unequal ones must not share
-        # their solution files
-        for k1, k2 in zip(self.kappas, self.kappas[1:]):
-            if k1 != k2 and solution_stem(k1) == solution_stem(k2):
-                raise ConfigError(f"kappas {k1!r} and {k2!r} share the "
-                                  f"solution file stem {solution_stem(k1)}")
-        # rotation enters squared (x * x overflows to inf, x ** 2 raises)
-        for key, x in [("omega", omega), ("kappas", self.kappas[-1])]:
-            if not np.isfinite(x * x):
-                raise ConfigError(f"{key} squared must be finite, got {x!r}")
-        self.ells = self._counts("ells", [0, 1, 2, 3, 4])
-        self.ns = self._counts("ns", [128, 256, 512])
-        self._check_nodes("n", [self.n], ORDER, MAX_NODES // len(ELLS))
-        self._check_nodes("ns", self.ns, linop.LADDER_ORDER, MAX_NODES)
-        self.a_min = self._float("a_min", 0.5)
-        self.a_max = self._float("a_max", 2.0)
-        self.n_samples = self._count("n_samples", 9)
-        if not 0 < self.a_min < self.a_max:
-            raise ConfigError(f"need 0 < a_min < a_max, got a_min = "
-                              f"{self.a_min!r}, a_max = {self.a_max!r}")
-        if self.n_samples < 2:
-            raise ConfigError(f"n_samples must be at least 2, got "
-                              f"{self.n_samples}")
+        for key in COMMAND_KEYS[command]:
+            if key != "omega" or self.model == "ep":   # vp reads no omega
+                setattr(self, key, getattr(self, "_key_" + key)())
         self.law = self._law()
-        self.profile = constant_rotation(omega) if self.model == "ep" \
-            else None
         out = self._str("out", ".")   # read even where out_dir overrides it
         self.out_dir = out_dir or out
         self.unknown = [key for key in self.raw if key not in self._read]
+
+    def _key_a(self):
+        a = self._float("a", 1.0)
+        if not a > 0:
+            raise ConfigError(f"central value a must be positive, got {a!r}")
+        return a
+
+    def _key_ode_tol(self):
+        return self._tolerance("ode_tol", 1e-12)
+
+    def _key_tol(self):
+        return self._tolerance("tol", 1e-8)
+
+    def _key_omega(self):
+        """The rigid rotation of an EP star."""
+        omega = self._float("omega", 1.0)
+        self._check_square("omega", omega)
+        return omega
+
+    def _key_kappas(self):
+        kappas = self._floats("kappas", [0.0, 1e-3])
+        if kappas[0] != 0.0:
+            raise ConfigError("kappa schedule must start at 0")
+        if any(k2 < k1 for k1, k2 in zip(kappas, kappas[1:])):
+            raise ConfigError("kappa schedule must be nondecreasing")
+        # a repeated kappa is one state; two unequal ones must not share
+        # their solution files
+        for k1, k2 in zip(kappas, kappas[1:]):
+            if k1 != k2 and solution_stem(k1) == solution_stem(k2):
+                raise ConfigError(f"kappas {k1!r} and {k2!r} share the "
+                                  f"solution file stem {solution_stem(k1)}")
+        self._check_square("kappas", kappas[-1])
+        return kappas
+
+    def _key_n(self):
+        n = self._count("n", 256)
+        self._check_nodes("n", [n], ORDER, MAX_NODES // len(ELLS))
+        return n
+
+    def _key_ells(self):
+        return self._counts("ells", [0, 1, 2, 3, 4])
+
+    def _key_ns(self):
+        ns = self._counts("ns", [128, 256, 512])
+        self._check_nodes("ns", ns, linop.LADDER_ORDER, MAX_NODES)
+        return ns
+
+    def _key_a_min(self):
+        return self._float("a_min", 0.5)
+
+    def _key_a_max(self):
+        return self._float("a_max", 2.0)
+
+    def _key_n_samples(self):
+        n_samples = self._count("n_samples", 9)
+        if n_samples < 2:
+            raise ConfigError(f"n_samples must be at least 2, got "
+                              f"{n_samples}")
+        return n_samples
+
+    def _tolerance(self, key, default):
+        tol = self._float(key, default)
+        if tol <= 0:
+            raise ConfigError(f"tolerance {key} must be positive, got "
+                              f"{tol!r}")
+        return tol
+
+    @staticmethod
+    def _check_square(key, x):
+        """Rotation enters squared: x * x overflows to inf, x ** 2 raises."""
+        if not np.isfinite(x * x):
+            raise ConfigError(f"{key} squared must be finite, got {x!r}")
 
     @staticmethod
     def _check_nodes(key, counts, order, most):
@@ -228,17 +271,22 @@ class RunConfig:
             raise ConfigError(str(e)) from e
         raise ConfigError(f"unknown eos {kind!r}")
 
-    def make_model(self):
-        """The rotation problem of the configured star."""
+    def make_model(self, profile=None):
+        """The rotation problem of the configured star, an EP one with the
+        rotation profile given: kernel-margin's needs none, since linop
+        reads none."""
         star = radial.solve_radial(self.law, self.a, tol=self.ode_tol)
         if self.model == "vp":
             return vlasov.VPModel(star)
-        return rotating.EPModel(star, self.profile)
+        return rotating.EPModel(star, profile)
 
     def make_rotating_model(self):
-        """make_model for the commands that rotate the star: a VP law at
-        psi2 = 0 does not depend on kappa, so it is a config error there."""
-        if self.model == "vp" and self.law.psi2 == 0.0:
+        """make_model for the commands that rotate the star, EP at the
+        rigid rotation omega: a VP law at psi2 = 0 does not depend on kappa,
+        so it is a config error there."""
+        if self.model == "ep":
+            return self.make_model(constant_rotation(self.omega))
+        if self.law.psi2 == 0.0:
             raise ConfigError("model = vp needs psi2 != 0 to rotate: at "
                               "psi2 = 0 its law does not depend on kappa")
         return self.make_model()
@@ -294,6 +342,9 @@ def cmd_radial(cfg):
 
 def cmd_mass_curve(cfg):
     """M(a) over [a_min, a_max] for the configured model's law."""
+    if not 0 < cfg.a_min < cfg.a_max:
+        raise ConfigError(f"need 0 < a_min < a_max, got a_min = "
+                          f"{cfg.a_min!r}, a_max = {cfg.a_max!r}")
     curve = radial.mass_curve(cfg.law, (cfg.a_min, cfg.a_max),
                               cfg.n_samples, tol=cfg.ode_tol)
     write_csv(cfg.path("mass_curve.csv"),
@@ -397,6 +448,18 @@ def cmd_eos_check(cfg):
     return 0
 
 
+#: the keys each command reads, besides model, out and the configured
+#: model's law keys; RunConfig reads each through its _key_<name> reader,
+#: and omega, the EP rotation, only for model = ep
+COMMAND_KEYS = {
+    "radial": ("a", "ode_tol"),
+    "mass-curve": ("a_min", "a_max", "n_samples", "ode_tol"),
+    "kernel-margin": ("a", "ode_tol", "ells", "ns"),
+    "perturb": ("a", "ode_tol", "omega", "n", "kappas"),
+    "continue": ("a", "ode_tol", "omega", "tol", "kappas"),
+    "eos-check": (),
+}
+
 COMMANDS = {
     "radial": cmd_radial,
     "mass-curve": cmd_mass_curve,
@@ -419,7 +482,8 @@ def main(argv=None):
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                cfg = RunConfig(parse_config(args.config), out_dir=args.out)
+                cfg = RunConfig(args.command, parse_config(args.config),
+                                out_dir=args.out)
             for note in [w.message for w in caught] + [
                     f"unknown key {key!r} ignored" for key in cfg.unknown]:
                 print(f"config: {note}", file=sys.stderr)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import TURNING_TERMS
 import rotstar
-from rotstar.cli import RunConfig, main, parse_config, solution_stem
+from rotstar.cli import (COMMAND_KEYS, RunConfig, main, parse_config,
+                         solution_stem)
 from rotstar.errors import ConfigError
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _write(path, text):
@@ -37,20 +42,20 @@ def test_parse_config_comments_and_errors(tmp_path):
 
 
 def test_runconfig_validation():
-    with pytest.raises(ConfigError):
-        RunConfig({"model": "xx"})
-    with pytest.raises(ConfigError):
-        RunConfig({"tol": "-1"})
-    with pytest.raises(ConfigError):
-        RunConfig({"ode_tol": "0"})
-    with pytest.raises(ConfigError):
-        RunConfig({"kappas": "1e-3,2e-3"})  # must start at 0
-    with pytest.raises(ConfigError):
-        RunConfig({"kappas": "0,2e-3,1e-3"})  # nondecreasing
-    with pytest.raises(ConfigError):
-        RunConfig({"a": "not-a-number"})
+    # every command reads model and the law; each other key is checked by
+    # the commands that read it
+    bad = [{"model": "xx"}, {"eos": "mystery"}, {"tol": "-1"},
+           {"ode_tol": "0"}, {"kappas": "1e-3,2e-3"},  # must start at 0
+           {"kappas": "0,2e-3,1e-3"},                 # nondecreasing
+           {"a": "not-a-number"}]
+    for data in bad:
+        [key] = data
+        for command, keys in COMMAND_KEYS.items():
+            if key in ("model", "eos") or key in keys:
+                with pytest.raises(ConfigError):
+                    RunConfig(command, data)
     with pytest.raises(ConfigError, match="unknown eos 'mystery'"):
-        RunConfig({"eos": "mystery"})
+        RunConfig("eos-check", {"eos": "mystery"})
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -161,20 +166,30 @@ def test_unknown_config_key_is_named_and_ignored(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert (typo / "star.json").read_bytes() == \
         (plain / "star.json").read_bytes()
-    assert RunConfig({"gama": "1.3", "a": "1", "threads": "1"}).unknown \
-        == ["gama", "threads"]
+    data = {"gama": "1.3", "a": "1", "threads": "1"}
+    assert RunConfig("radial", data).unknown == ["gama", "threads"]
+    assert RunConfig("mass-curve", data).unknown == ["gama", "a", "threads"]
 
 
 @pytest.mark.parametrize("command, text, foreign", [
     ("continue", "model = vp\nmu = 0.25\npsi2 = 0.1\nkappas = 0,1e-2\n",
      "omega = 3\n"),
-    ("radial", "gamma = 1.5\n", "psi2 = 0.1\nmu = 0.3\n")],
-    ids=["vp-omega", "ep-psi2-mu"])
+    ("radial", "gamma = 1.5\n", "psi2 = 0.1\nmu = 0.3\n"),
+    ("radial", "gamma = 1.5\n", "a_min = 3\n"),
+    ("radial", "gamma = 1.5\n", "ns = 3\n"),
+    ("radial", "gamma = 1.5\n", "kappas = 1\n"),
+    ("radial", "gamma = 1.5\n", "tol = 5\n"),
+    ("radial", "gamma = 1.5\n", "a_min = 3\nns = 3\nkappas = 1\ntol = 5\n"),
+    ("continue", "gamma = 1.5\nkappas = 0,1e-3\n", "a_min = 3\n")],
+    ids=["vp-omega", "ep-psi2-mu", "radial-a_min", "radial-ns",
+         "radial-kappas", "radial-tol", "radial-all", "continue-a_min"])
 def test_a_key_of_the_other_model_is_named_and_ignored(tmp_path, capsys,
                                                        command, text,
                                                        foreign):
     # each model's law reads its own keys: omega set no VP rotation and psi2
-    # and mu no EP law, and neither said so
+    # and mu no EP law, and neither said so; and each command its own keys:
+    # radial exited 2 on a_min = 3, ns = 3 or kappas = 1, keys it never
+    # reads, and ran tol = 5 without a word
     mixed, plain = tmp_path / "mixed", tmp_path / "plain"
     assert run(tmp_path, command, text + foreign, out=mixed) == 0
     keys = [line.split("=")[0].strip() for line in foreign.splitlines()]
@@ -186,6 +201,67 @@ def test_a_key_of_the_other_model_is_named_and_ignored(tmp_path, capsys,
     assert sorted(os.listdir(mixed)) == names and len(names) >= 1
     for name in names:
         assert (mixed / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_a_command_config_has_only_its_keys():
+    # COMMAND_KEYS is the one statement of what a command reads: any other
+    # key is no attribute of its RunConfig, so a command that read one
+    # would raise (and the reachability runs would fail)
+    every = set().union(*COMMAND_KEYS.values())
+    for command, keys in COMMAND_KEYS.items():
+        cfg = RunConfig(command, {})
+        for key in keys:
+            getattr(cfg, key)
+        for key in every - set(keys):
+            with pytest.raises(AttributeError):
+                getattr(cfg, key)
+    # omega is the EP rotation: a VP config reads none
+    for command in ("perturb", "continue"):
+        with pytest.raises(AttributeError):
+            RunConfig(command, {"model": "vp", "omega": "1"}).omega
+
+
+#: values that no key reads: not a number, not finite, or no list entry
+_BAD = st.one_of(st.sampled_from(["", ",", "nan", "-inf", "1e999", "1,x"]),
+                 st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1))
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, keys in COMMAND_KEYS.items()
+    for key in keys])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(value=_BAD)
+def test_a_bad_value_of_a_key_the_command_reads_exits_2(
+        tmp_path_factory, command, key, value):
+    # a fuzz over COMMAND_KEYS: a key a command reads is checked there, so
+    # that a bad value exits 2 before any solve
+    out = tmp_path_factory.mktemp("bad")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(out, command, f"gamma = 1.5\n{key} = {value}\n") == 2
+    assert err.getvalue().startswith("config error:")
+
+
+def test_a_repeated_key_is_config_error(tmp_path, capsys):
+    # parse_config kept the last value: gamma 1.3 then 1.5 ran gamma 1.5
+    text = "gamma = 1.3\na = 1\ngamma = 1.5\n"
+    assert run(tmp_path, "radial", text) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {tmp_path / 'run.cfg'}:3: key 'gamma' is already "
+        f"set on line 1\n")
+    assert not (tmp_path / "star.json").exists()
+
+
+def test_readme_lists_each_command_s_keys():
+    # the README restates COMMAND_KEYS as one list, a line per command
+    # whose remarks stand in parentheses; it must not drift
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    listed = {m.group(1): tuple(re.findall(
+                  r"`(\w+)`", re.sub(r"\(.*?\)", "", m.group(2))))
+              for m in re.finditer(r"^- `([\w-]+)`: (.*)$", section,
+                                   re.MULTILINE)}
+    assert listed == COMMAND_KEYS
 
 
 def test_gamma_2_is_one_config_notice(tmp_path):
@@ -256,12 +332,14 @@ def test_node_counts_fill_whole_panels(tmp_path, capsys):
     for n in (8, 100, 4104):
         assert run(tmp_path, "perturb", f"gamma = 1.5\nn = {n}\n") == 2
         assert "node count n" in capsys.readouterr().err
-    RunConfig({"n": "16", "ns": "4,4096"})
-    RunConfig({"n": "584"})
+    RunConfig("perturb", {"n": "16"})
+    RunConfig("kernel-margin", {"ns": "4,4096"})
+    RunConfig("perturb", {"n": "584"})
     # every count reads by one rule: a float that equals an integer is it
-    cfg = RunConfig({"n": "64.0", "n_samples": "2.0", "ns": "64.0",
-                     "ells": "0.0,2"})
-    assert (cfg.n, cfg.n_samples, cfg.ns, cfg.ells) == (64, 2, [64], [0, 2])
+    assert RunConfig("perturb", {"n": "64.0"}).n == 64
+    assert RunConfig("mass-curve", {"n_samples": "2.0"}).n_samples == 2
+    cfg = RunConfig("kernel-margin", {"ns": "64.0", "ells": "0.0,2"})
+    assert (cfg.ns, cfg.ells) == ([64], [0, 2])
 
 
 def test_perturb_node_count_is_capped_by_the_newton_matrix(tmp_path, capsys):
@@ -587,10 +665,10 @@ _CONFIGS = st.fixed_dictionaries({}, optional={
 @given(command=st.sampled_from(["radial", "eos-check", "perturb"]),
        data=_CONFIGS)
 def test_fuzzed_configs_exit_with_a_code(tmp_path_factory, command, data):
-    # any config: RunConfig builds or raises ConfigError, and main returns
-    # 0, 2, 3 or 4 without a traceback
+    # any config: the command's RunConfig builds or raises ConfigError, and
+    # main returns 0, 2, 3 or 4 without a traceback
     try:
-        RunConfig(data)
+        RunConfig(command, data)
     except ConfigError:
         pass
     out = tmp_path_factory.mktemp("fuzz")

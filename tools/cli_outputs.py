@@ -54,6 +54,9 @@ RUNS = [
      _VP_ROT + "kappas = 0,1e-2\nomega = 3\n"),
     ("ep-psi2-radial", "radial", "gamma = 1.5\npsi2 = 0.1\nmu = 0.3\n"),
     ("ep20-radial", "radial", "gamma = 2\n"),
+    ("radial-foreign-keys", "radial",
+     "a_min = 3\nns = 3\nkappas = 1\ntol = 5\n"),
+    ("continue-foreign-keys", "continue", "a_min = 3\n"),
 ]
 
 
