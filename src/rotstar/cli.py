@@ -137,12 +137,6 @@ class RunConfig:
             raise ConfigError("kappa schedule must start at 0")
         if any(k2 < k1 for k1, k2 in zip(kappas, kappas[1:])):
             raise ConfigError("kappa schedule must be nondecreasing")
-        # a repeated kappa is one state; two unequal ones must not share
-        # their solution files
-        for k1, k2 in zip(kappas, kappas[1:]):
-            if k1 != k2 and solution_stem(k1) == solution_stem(k2):
-                raise ConfigError(f"kappas {k1!r} and {k2!r} share the "
-                                  f"solution file stem {solution_stem(k1)}")
         self._check_square("kappas", kappas[-1])
         return kappas
 
@@ -404,6 +398,13 @@ def cmd_perturb(cfg):
 def cmd_continue(cfg):
     """Newton continuation of the configured model; per-kappa CSV rows are
     flushed as they arrive, so a partial curve survives solver failure."""
+    # a repeated kappa is one state; two unequal ones must not share their
+    # solution files
+    kappas = cfg.kappas
+    for k1, k2 in zip(kappas, kappas[1:]):
+        if k1 != k2 and solution_stem(k1) == solution_stem(k2):
+            raise ConfigError(f"kappas {k1!r} and {k2!r} share the "
+                              f"solution file stem {solution_stem(k1)}")
     model = cfg.make_rotating_model()
     rows = []
     header = ["kappa_intensity", "R_eq_length", "R_pole_length", "M_mass",

@@ -21,7 +21,7 @@ responses) does not carry.
 import numpy as np
 
 from .errors import SolverError
-from .numerics import Panels, pointwise, weighted_sigma_min
+from .numerics import Panels, pointwise, weighted_sigma_min_ladder
 from .potentials import PotentialQuadrature, origin_row
 
 #: panel order and split-panel nodes of kernel_margin_ladder
@@ -68,8 +68,15 @@ def kernel_margin_ladder(model, ells=(0, 1, 2, 3, 4), ns=(128, 256, 512)):
     Uses a fixed low-order composite rule so the discretization error
     shrinks at a visible algebraic rate: at a degenerate point (power law
     gamma=4/3, l=0) sigma_min tracks that error downward under refinement,
-    while healthy margins stay put.  Returns rows (l, n, sigma_min).
+    while healthy margins stay put.  Each mode's sizes run in the order of
+    ns through numerics.weighted_sigma_min_ladder, so a mode whose Gram
+    value was lost at one size tries the inverse iteration first at the
+    next.  Returns rows (l, n, sigma_min).
     """
-    return [(l, n, weighted_sigma_min(*assemble_mode(
-        model, l, n=n, order=LADDER_ORDER, n_sub=LADDER_SUB)))
-        for l in ells for n in ns]
+    rows = []
+    for l in ells:
+        blocks = (assemble_mode(model, l, n=n, order=LADDER_ORDER,
+                                n_sub=LADDER_SUB) for n in ns)
+        rows += [(l, n, sig)
+                 for n, sig in zip(ns, weighted_sigma_min_ladder(blocks))]
+    return rows

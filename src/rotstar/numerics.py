@@ -18,7 +18,13 @@ A^T A when it stands clear of the eigenvalue rounding error (lam[0] >=
 1e-10 lam[-1]); below that, where the Gram value is lost, it power-iterates
 on inv(A)^T inv(A) until the eigen-residual test passes, which takes 2-4
 steps on the degenerate and translation mode blocks; only an iteration that
-has not converged falls back to the full SVD.
+has not converged falls back to the full SVD.  Asked to try the inverse
+iteration first, it runs the same three methods in the order inverse,
+Gram, SVD.  weighted_sigma_min_ladder asks for that order on the blocks of
+a refinement ladder whose previous block had its Gram value lost (sigma_min
+below sqrt(1e-10) times its largest entry, a lower bound on sigma_max), so
+a degenerate mode pays no Gram eigensolve after its first size; a block on
+its own keeps the Gram-first order.
 """
 
 import functools
@@ -135,33 +141,62 @@ def _inverse_iteration(A):
     return None
 
 
-def smallest_singular_value(A):
+def smallest_singular_value(A, inverse_first=False):
     """Smallest singular value of A, without a full SVD where it can.
 
     From the Gram eigenvalues lam = eigvalsh(A^T A) when lam[0] >=
     _GRAM_TAU lam[-1]; otherwise by inverse iteration on inv(A)^T inv(A),
     which converges in a few steps when sigma_min sits well apart from
     sigma_2 (the degenerate and translation mode blocks); and by the full
-    SVD when that iteration has not converged (or A is not square)."""
+    SVD when that iteration has not converged (or A is not square).  With
+    inverse_first the inverse iteration runs first, then the Gram
+    eigenvalues, then the SVD; either order gives the same bits wherever
+    both end in the same method, such as the iteration on a block whose
+    Gram value is lost (weighted_sigma_min_ladder asks for this order)."""
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
+    if inverse_first:
+        sig = _inverse_iteration(A)
+        if sig is not None:
+            return sig
     lam = np.linalg.eigvalsh(A.T @ A)
     if lam[0] >= _GRAM_TAU * lam[-1]:
         return float(np.sqrt(lam[0]))
-    sig = _inverse_iteration(A)
+    sig = None if inverse_first else _inverse_iteration(A)
     if sig is not None:
         return sig
     return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
+def _weighted(panels, block):
+    """D block D^-1 with D = diag(sqrt(w) r): block in the L2(B_R) norm
+    ||f||^2 = sum w r^2 f^2 of the nodal profiles at panels.x."""
+    d = np.sqrt(panels.w) * panels.x
+    return block * (d[:, None] / d[None, :])
+
+
 def weighted_sigma_min(panels, block):
     """sigma_min of a nodal block acting on radial profiles at panels.x,
-    measured in the L2(B_R) norm ||f||^2 = sum w r^2 f^2 of the profiles
-    (the proxy for the paper's X-norm): the smallest singular value of
-    D block D^-1 with D = diag(sqrt(w) r)."""
-    d = np.sqrt(panels.w) * panels.x
-    return smallest_singular_value(block * (d[:, None] / d[None, :]))
+    measured in the L2(B_R) norm of the profiles (the proxy for the
+    paper's X-norm): the smallest singular value of _weighted(panels,
+    block)."""
+    return smallest_singular_value(_weighted(panels, block))
+
+
+def weighted_sigma_min_ladder(blocks):
+    """weighted_sigma_min of each (panels, block) of one mode's refinement
+    ladder, in order, as a generator.  Each block after a block whose Gram
+    value was lost tries the inverse iteration first: that block's
+    sigma_min lay below sqrt(_GRAM_TAU) times its largest entry, and the
+    largest entry is at most sigma_max, so lam[0] < _GRAM_TAU lam[-1]."""
+    inverse_first = False
+    for panels, block in blocks:
+        A = _weighted(panels, block)
+        sig = smallest_singular_value(A, inverse_first)
+        inverse_first = sig < np.sqrt(_GRAM_TAU) * np.max(np.abs(A))
+        del block, A    # not held while the caller builds the next block
+        yield sig
 
 
 def _bary_weights(x):

@@ -567,7 +567,11 @@ def test_kappas_sharing_a_solution_stem_are_config_error(tmp_path, capsys):
     assert run(tmp_path, "continue", text) == 2
     err = capsys.readouterr().err
     assert "0.001 and 0.0010000001" in err
-    assert not (tmp_path / "continue.csv").exists()
+    assert not list(tmp_path.glob("*.csv"))
+    # perturb writes no solution file, so the clash is none of its business
+    assert run(tmp_path, "perturb", text) == 0
+    assert {p.name for p in tmp_path.glob("*.csv")} == {"shape.csv",
+                                                         "modes.csv"}
     # a repeated kappa is one state, written once per request
     text = "gamma = 1.5\nkappas = 0,1e-3,1e-3\n"
     assert run(tmp_path, "continue", text) == 0
@@ -643,7 +647,15 @@ def _text(floats):
     return st.one_of(floats, st.floats(-4.0, 4.0)).map(repr)
 
 
-_CONFIGS = st.fixed_dictionaries({}, optional={
+#: ns and ells are always drawn, so no kernel-margin run pays the default
+#: 512-node ladder (0.15 s); the other commands name and ignore them
+_CONFIGS = st.fixed_dictionaries({
+    # mostly config errors, then valid ladder sizes; l = 200 overflows
+    "ns": st.lists(st.one_of(st.integers(1, 24), st.sampled_from(
+        range(4, 65, 2))).map(str), min_size=1, max_size=3).map(",".join),
+    "ells": st.lists(st.one_of(st.integers(0, 6), st.just(200)).map(str),
+                     min_size=1, max_size=3).map(",".join),
+}, optional={
     "model": st.sampled_from(["ep", "vp"]),
     "eos": st.sampled_from(["power_law", "power_sum"]),
     "a": _text(_FLOATS), "omega": _text(_FLOATS), "gamma": _text(_FLOATS),
@@ -652,8 +664,6 @@ _CONFIGS = st.fixed_dictionaries({}, optional={
     # mostly config errors, then valid perturb grids and one above the cap
     "n": st.one_of(st.integers(1, 24), st.sampled_from(range(16, 65, 8)),
                    st.just(592)).map(str),
-    "ns": st.lists(st.integers(1, 24).map(str), min_size=1,
-                   max_size=3).map(",".join),
     "kappas": st.lists(st.floats(0.0, 1e300), max_size=2).map(
         lambda k: ",".join(map(repr, [0.0] + sorted(k)))),
     "terms": st.lists(st.tuples(_text(_FLOATS), _text(_FLOATS)).map(
@@ -661,8 +671,9 @@ _CONFIGS = st.fixed_dictionaries({}, optional={
 })
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(command=st.sampled_from(["radial", "eos-check", "perturb"]),
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["radial", "eos-check", "perturb",
+                                 "kernel-margin"]),
        data=_CONFIGS)
 def test_fuzzed_configs_exit_with_a_code(tmp_path_factory, command, data):
     # any config: the command's RunConfig builds or raises ConfigError, and

@@ -185,9 +185,18 @@ def test_mass_condition_b_verdicts():
     assert rep43["right_margin"] < -0.3
 
 
-def test_rotation_profile_cumulative():
+def test_rotation_profile_cumulative(star15):
     prof = constant_rotation(2.0)
     r = np.array([0.5, 1.0, 3.0])
     assert np.allclose(prof.J(r), 4.0 * r ** 2 / 2.0, rtol=1e-13)
     prof2 = RotationProfile(lambda r: 1.0 / (1.0 + np.asarray(r) ** 2))
     assert np.allclose(prof2.J(r), 0.5 * np.log(1.0 + r ** 2), rtol=1e-12)
+    # the Lorentzian omega^2(s) = 1/(1 + s^2/A^2) has J(r) = (A^2/2)
+    # log1p(r^2/A^2); the fixed Gauss-Legendre rule of J keeps 1e-13
+    # relative on [0, R] of the seed-0 star at A = R/2 and at the sharper
+    # A = 0.1 (1e-15 and 5e-14 measured)
+    r = np.linspace(0.0, star15.R, 513)
+    for A in (star15.R / 2, 0.1):
+        prof = RotationProfile(lambda s: 1.0 / (1.0 + s ** 2 / A ** 2))
+        want = 0.5 * A ** 2 * np.log1p(r ** 2 / A ** 2)
+        assert np.all(np.abs(prof.J(r) - want) <= 1e-13 * want), A

@@ -8,7 +8,8 @@ from rotstar.eos import constant_rotation, power_law, power_sum
 from rotstar.errors import DegenerateOperatorError
 from rotstar.linop import (LADDER_ORDER, LADDER_SUB, assemble_mode,
                            kernel_margin_ladder)
-from rotstar.numerics import weighted_sigma_min
+from rotstar import numerics
+from rotstar.numerics import smallest_singular_value, weighted_sigma_min
 from rotstar.radial import mass_derivative, solve_radial
 from rotstar.rotating import EPModel, Model, sphere_step
 from rotstar.vlasov import VlasovAnsatz, VPModel
@@ -198,10 +199,34 @@ def test_sigma_min_matches_svd(sweep_models, n, order, n_sub):
         for l in range(5):
             panels, M = assemble_mode(model, l, n=n, order=order, n_sub=n_sub)
             d = np.sqrt(panels.w) * panels.x
-            s = np.linalg.svd(M * (d[:, None] / d[None, :]),
-                              compute_uv=False)
-            err = abs(weighted_sigma_min(panels, M) - s[-1])
-            assert err <= max(1e-8 * s[-1], 1e-14 * s[0]), (name, l)
+            assert _matches_svd(weighted_sigma_min(panels, M),
+                                M * (d[:, None] / d[None, :])), (name, l)
+
+
+def _matches_svd(sig, A):
+    """sig is sigma_min of A to 1e-8 relative, or to 1e-14 of sigma_max."""
+    s = np.linalg.svd(A, compute_uv=False)
+    return abs(sig - s[-1]) <= max(1e-8 * s[-1], 1e-14 * s[0])
+
+
+def test_ladder_sigma_min_matches_svd(monkeypatch, sweep_models):
+    # test_sigma_min_matches_svd's bound on every row of the ladder, whose
+    # finer rows take the inverse iteration first after a lost Gram value,
+    # as gamma 1.22's l = 0 does at 256 nodes
+    blocks = []
+
+    def recorded(A, inverse_first=False):
+        blocks.append((A, inverse_first))
+        return smallest_singular_value(A, inverse_first)
+    monkeypatch.setattr(numerics, "smallest_singular_value", recorded)
+    for name, model in sweep_models.items():
+        blocks.clear()
+        rows = kernel_margin_ladder(model, ells=range(5), ns=(128, 256))
+        assert len(blocks) == len(rows) == 10
+        for (l, n, sig), (A, _) in zip(rows, blocks):
+            assert len(A) == n and _matches_svd(sig, A), (name, l, n)
+        if name == "ep 1.22":
+            assert blocks[1][1]     # l = 0 at 256 nodes, inverse first
 
 
 def test_kernel_margin_and_gate_take_no_svd(monkeypatch, star43, star15,
@@ -209,12 +234,25 @@ def test_kernel_margin_and_gate_take_no_svd(monkeypatch, star43, star15,
     # sigma_min of the ladder's modes and of sphere_step's degeneracy gate
     # comes from the Gram eigenvalues or a converged inverse iteration: the
     # healthy gamma = 1.5 block passes, the degenerate gamma = 4/3 one is
-    # refused
+    # refused.  The ladder's degenerate l = 0 and translation l = 1 modes
+    # pay one Gram eigensolve each, at 128 nodes: 15 - 4 in all
     def refuse(*args, **kw):
         raise AssertionError("np.linalg.svd called")
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    calls = {"eigvalsh": 0, "inverse": 0}
+
+    def counted(f, key):
+        def wrapped(*args, **kw):
+            calls[key] += 1
+            return f(*args, **kw)
+        return wrapped
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted(np.linalg.eigvalsh, "eigvalsh"))
+    monkeypatch.setattr(numerics, "_inverse_iteration",
+                        counted(numerics._inverse_iteration, "inverse"))
     rows = kernel_margin_ladder(ep43_model)
     assert len(rows) == 15 and all(sig > 0.0 for _, _, sig in rows)
+    assert calls == {"eigvalsh": 11, "inverse": 6}
     for star in (star15, star43):
         model = EPModel(star, constant_rotation())
         disc = Discretization(star.R)

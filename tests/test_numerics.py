@@ -123,8 +123,8 @@ def test_smallest_singular_value_known_matrix():
 
 
 def _counted_linalg(monkeypatch):
-    """Count the calls of np.linalg.inv and np.linalg.svd."""
-    calls = {"inv": 0, "svd": 0}
+    """Count the calls of np.linalg.eigvalsh, inv and svd."""
+    calls = {"eigvalsh": 0, "inv": 0, "svd": 0}
     for name in calls:
         def counted(*args, _f=getattr(np.linalg, name), _name=name, **kw):
             calls[_name] += 1
@@ -140,21 +140,30 @@ def _with_singular_values(s, seed=0):
     return (q * s) @ q.T
 
 
+#: (calls of eigvalsh, inv, svd) in the Gram-first order, then in the
+#: inverse-first order
 @pytest.mark.parametrize("tail, path", [
-    ([0.25, 0.5], {"inv": 0, "svd": 0}),          # Gram eigenvalues
-    ([1e-13, 1e-3], {"inv": 1, "svd": 0}),        # inverse iteration
-    ([1e-13, 1.01e-13], {"inv": 1, "svd": 1}),    # no convergence: SVD
+    ([0.25, 0.5], [(1, 0, 0), (1, 1, 0)]),           # Gram eigenvalues
+    ([1e-13, 1e-3], [(1, 1, 0), (0, 1, 0)]),         # inverse iteration
+    ([1e-13, 1.01e-13], [(1, 1, 1), (1, 1, 1)]),     # no convergence: SVD
+    ([0.25, 0.2525], [(1, 0, 0), (1, 1, 0)]),        # clustered: Gram
 ])
 def test_smallest_singular_value_paths(monkeypatch, tail, path):
-    # each path on a matrix made to reach it, against the full SVD; two
-    # near-equal smallest singular values stall the inverse iteration
+    # each path on a matrix made to reach it, in either order, against the
+    # full SVD; both orders give the same bits.  Two near-equal smallest
+    # singular values stall the inverse iteration, and a Gram value that
+    # stands clear then gives the answer
     s = np.concatenate([tail, np.linspace(1.0, 3.0, 38)])
     A = _with_singular_values(s)
     want = np.linalg.svd(A, compute_uv=False)
     calls = _counted_linalg(monkeypatch)
-    got = smallest_singular_value(A)
-    assert calls == path
-    assert abs(got - want[-1]) <= max(1e-8 * want[-1], 1e-14 * want[0])
+    got = []
+    for inverse_first, counts in zip((False, True), path):
+        calls.update(dict.fromkeys(calls, 0))
+        got.append(smallest_singular_value(A, inverse_first))
+        assert tuple(calls.values()) == counts
+    assert got[0] == got[1]
+    assert abs(got[0] - want[-1]) <= max(1e-8 * want[-1], 1e-14 * want[0])
 
 
 def test_smallest_singular_value_singular_and_wide():

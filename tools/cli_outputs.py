@@ -38,6 +38,7 @@ RUNS = [
     ("sum-eos-check", "eos-check", _SUM),
     ("sum-continue", "continue", _SUM + "kappas = 0,5e-4\n"),
     ("turning-perturb", "perturb", _TURNING + "a = 3.661787926\n"),
+    ("turning-kernel-margin", "kernel-margin", _TURNING + "a = 3.6255326\n"),
     ("vp025-radial", "radial", "model = vp\nmu = 0.25\n"),
     ("vp025-perturb", "perturb", _VP_ROT + "kappas = 0,1e-2\n"),
     ("vp025-continue", "continue", _VP_ROT + "kappas = 0,1e-2,2e-2\n"),
