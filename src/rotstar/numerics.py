@@ -141,6 +141,15 @@ def _inverse_iteration(A):
     return None
 
 
+def _gram(A):
+    """sqrt(lam[0]) of the Gram eigenvalues lam = eigvalsh(A^T A), or None
+    where lam[0] < _GRAM_TAU lam[-1] and that value is lost."""
+    lam = np.linalg.eigvalsh(A.T @ A)
+    if lam[0] >= _GRAM_TAU * lam[-1]:
+        return float(np.sqrt(lam[0]))
+    return None
+
+
 def smallest_singular_value(A, inverse_first=False):
     """Smallest singular value of A, without a full SVD where it can.
 
@@ -156,16 +165,12 @@ def smallest_singular_value(A, inverse_first=False):
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    if inverse_first:
-        sig = _inverse_iteration(A)
+    methods = ((_inverse_iteration, _gram) if inverse_first
+               else (_gram, _inverse_iteration))
+    for method in methods:
+        sig = method(A)
         if sig is not None:
             return sig
-    lam = np.linalg.eigvalsh(A.T @ A)
-    if lam[0] >= _GRAM_TAU * lam[-1]:
-        return float(np.sqrt(lam[0]))
-    sig = None if inverse_first else _inverse_iteration(A)
-    if sig is not None:
-        return sig
     return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
