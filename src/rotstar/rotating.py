@@ -38,7 +38,6 @@ from .axisym import EPS0, Discretization, Geometry, ModalField
 from .errors import DeformationError, DegenerateOperatorError, SolverError
 from .numerics import weighted_sigma_min
 
-_TINY = 1e-14
 #: Newton steps per kappa value, and step halvings per requested kappa
 _NEWTON_ITERS, _HALVINGS = 8, 6
 #: sphere_step refuses an l = 0 block whose sigma_min R^2/a is at or below
@@ -279,14 +278,17 @@ def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
     """Continuation of model (EPModel or VPModel) in the rotation intensity
     kappa with exact mass.
 
-    Returns one RotatingSolution per requested kappa.  Steps between
-    requested values are halved when Newton fails to converge; a failure
-    at the accepted kappa (a zero step: the schedule's first 0 or a
-    repeated kappa) raises at once, since halving would repeat it.
-    on_solution is called with each accepted solution as it is produced,
-    so callers can persist partial curves before a later step fails."""
+    Returns one RotatingSolution per requested kappa, solved at that kappa
+    exactly.  Steps between requested values are halved when Newton fails
+    to converge, so each try reaches a dyadic fraction of the way from the
+    last requested kappa; the fractions add up exactly, and the try that
+    completes the way is the requested kappa itself.  A failure at the
+    accepted kappa (a zero step: the schedule's first 0 or a repeated
+    kappa) raises at once, since halving would repeat it.  on_solution is
+    called with each accepted solution as it is produced, so callers can
+    persist partial curves before a later step fails."""
     kappas = list(kappas)
-    if any(b < a - _TINY for a, b in zip([0.0] + kappas, kappas)):
+    if any(b < a for a, b in zip([0.0] + kappas, kappas)):
         raise SolverError("kappa schedule must be nondecreasing")
     if disc is None:
         disc = Discretization(model.star.R)
@@ -302,11 +304,13 @@ def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
     k_cur = 0.0
     coefs = np.zeros_like(tangent)
     for target in kappas:
-        step = max(target - k_cur, 0.0)
+        # each try reaches the dyadic fraction frac of the way from the last
+        # requested kappa k0 to the target; the last is the target itself
+        k0, reached, step = k_cur, 0.0, 1.0
         halvings = 0
-        done = False
-        while not done:
-            k_try = min(target, k_cur + step) if step > 0 else target
+        while reached < 1.0:
+            frac = reached + step
+            k_try = target if frac == 1.0 else k0 + frac * (target - k0)
             predictor = _predictor(tangent, coefs, k_cur, k_try)
             # a zero predictor (always for VP, and for a repeated kappa)
             # starts on the accepted state's Geometry; any other on a new
@@ -318,18 +322,15 @@ def newton_continue(model, kappas, disc=None, tol=1e-8, on_solution=None):
                     model, k_try, coefs + predictor, disc, tol, geo=geo)
             except SolverError:
                 halvings += 1
-                if step == 0.0 or halvings > _HALVINGS:
+                if target == k0 or halvings > _HALVINGS:
                     raise
                 step *= 0.5
                 continue
-            k_cur, coefs, geo = k_try, coefs_new, geo_new
-            if abs(k_cur - target) <= _TINY:
-                mfac = geo.model_fields(model, k_cur)["mfac"]
-                sol = RotatingSolution(model.star, k_cur, disc, coefs,
-                                       res_sup, iters, mfac,
-                                       mfac * geo.mass_integral(model, k_cur))
-                sols.append(sol)
-                if on_solution is not None:
-                    on_solution(sol)
-                done = True
+            k_cur, coefs, geo, reached = k_try, coefs_new, geo_new, frac
+        mfac = geo.model_fields(model, k_cur)["mfac"]
+        sol = RotatingSolution(model.star, k_cur, disc, coefs, res_sup, iters,
+                               mfac, mfac * geo.mass_integral(model, k_cur))
+        sols.append(sol)
+        if on_solution is not None:
+            on_solution(sol)
     return sols

@@ -55,7 +55,7 @@ from rotstar.axisym import N_SUB, Discretization, Geometry, ModalField
 from rotstar.errors import EOSError
 from rotstar.linop import assemble_mode
 from rotstar.numerics import Ytilde, dY_dtheta, gl_nodes
-from rotstar.potentials import PotentialQuadrature, _split_panels
+from rotstar.potentials import PotentialQuadrature, _split_panels, origin_row
 from rotstar.radial import mass_derivative
 from rotstar.vlasov import VPModel, beta_fn
 
@@ -275,25 +275,20 @@ def frechet_apply(zeta, kappa, xi, model, disc=None, geo=None):
 
 def dense_potential_matrices(panels, ells, s_targets, n_sub=12):
     """Matrices (A, Ap) with A @ sigma = Phi_l(s) and Ap @ sigma = Phi_l'(s)
-    for sigma given at panels.x, one pair per mode l in ells, each row formed
-    from its target's panel masks and split-panel quadrature."""
+    for sigma given at panels.x and targets s in (0, b], one pair per mode l
+    in ells, each row formed from its target's panel masks and the split
+    quadrature of the panel that holds it."""
     s = np.asarray(s_targets, dtype=float)
-    b = panels.edges[-1]
     m = panels.order
-    tiny = 1e-12 * b
-    pidx = panels.panel_of(np.clip(s, panels.edges[0], b))
-    # panel p lies wholly inside [0, s] (below) or [s, b] (above)
-    below = panels.edges[None, 1:] <= (s + tiny)[:, None]
-    above = panels.edges[None, :-1] >= (s - tiny)[:, None]
-    at = np.arange(len(s))
-    idx = (~below[at, pidx] & ~above[at, pidx]).nonzero()[0]
-    below = np.repeat(below, m, axis=1)
-    above = np.repeat(above, m, axis=1)
-    # targets inside a panel split it; their rows fill that panel's columns
-    cols = pidx[idx, None] * m + np.arange(m)
-    halves = _split_panels(panels, pidx[idx], s[idx], n_sub)
-    small = s < tiny
-    ss = np.where(small, 1.0, s)
+    pidx = panels.panel_of(s)
+    # the panels below the target's own lie in [0, s], those above in [s, b]
+    col_panel = np.arange(len(panels.x)) // m
+    below = col_panel[None, :] < pidx[:, None]
+    above = col_panel[None, :] > pidx[:, None]
+    # every target splits its panel; its row fills that panel's columns
+    at = np.arange(len(s))[:, None]
+    cols = pidx[:, None] * m + np.arange(m)
+    halves = _split_panels(panels, pidx, s, n_sub)
     out = []
     for l in ells:
         win = panels.w * panels.x ** (l + 2)
@@ -301,29 +296,22 @@ def dense_potential_matrices(panels, ells, s_targets, n_sub=12):
         Iin = np.where(below, win, 0.0)
         Iout = np.where(above, wout, 0.0)
         for I, (t, w, T), power in zip((Iin, Iout), halves, (l + 2, 1 - l)):
-            I[idx[:, None], cols] += np.einsum("sq,sqm->sm", w * t ** power, T)
+            I[at, cols] += np.einsum("sq,sqm->sm", w * t ** power, T)
         pref = 4.0 * np.pi / (2 * l + 1)
-        A = pref * (ss[:, None] ** -(l + 1) * Iin + ss[:, None] ** l * Iout)
-        Ap = pref * (-(l + 1) * ss[:, None] ** -(l + 2) * Iin
-                     + l * ss[:, None] ** (l - 1) * Iout)
-        if np.any(small):
-            # limit s -> 0: only the l=0 outer integral survives in Phi; Phi'(0)=0
-            A[small] = 0.0
-            Ap[small] = 0.0
-            if l == 0:
-                A[small] = pref * wout[None, :]
+        A = pref * (s[:, None] ** -(l + 1) * Iin + s[:, None] ** l * Iout)
+        Ap = pref * (-(l + 1) * s[:, None] ** -(l + 2) * Iin
+                     + l * s[:, None] ** (l - 1) * Iout)
         out.append((A, Ap))
     return out
 
 
 def dense_density_jacobian(geo, c):
     """Geometry.density_jacobian(c) from dense_potential_matrices at the
-    deformed targets and the origin: the potential of every basis field's
-    moved density at every target, minus its origin value, projected onto
-    the residual modes."""
+    deformed targets: the potential of every basis field's moved density at
+    every target, minus its origin value by origin_row, projected onto the
+    residual modes."""
     disc = geo.disc
-    mats = dense_potential_matrices(geo.panels_t, disc.ells,
-                                    np.append(geo.s_t.ravel(), 0.0),
+    mats = dense_potential_matrices(geo.panels_t, disc.ells, geo.s_t.ravel(),
                                     n_sub=N_SUB)
     rows, cY = geo._source_basis(c)
     n_tq, n_l, n_c = len(geo.tq), len(disc.ells), rows.shape[-1]
@@ -334,8 +322,8 @@ def dense_density_jacobian(geo, c):
     shp = geo.s_t.shape + sigma.shape[2:]
     V = np.zeros(shp)
     for i, (A, _) in enumerate(mats):
-        V += (A[:-1] @ sigma[i]).reshape(shp) * disc.Yt[i][None, :, None]
-    V0 = (mats[0][0][-1] @ sigma[0]) * Ytilde([0], 1.0)[0]
+        V += (A @ sigma[i]).reshape(shp) * disc.Yt[i][None, :, None]
+    V0 = (origin_row(geo.panels_t) @ sigma[0]) * Ytilde([0], 1.0)[0]
     return geo.project_modes(V - V0).reshape(n_l * len(geo.rc), -1)
 
 

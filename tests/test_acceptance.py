@@ -9,8 +9,8 @@ fixtures in conftest.
 import numpy as np
 import pytest
 
-from conftest import (oblateness_slope, rand_deformation, shifted, xi_at_R,
-                      zero_field)
+from conftest import (TURNING_TERMS, oblateness_slope, rand_deformation,
+                      shifted, xi_at_R, zero_field)
 from reference import energy_integrals, frechet_apply, w_quad, weighted_norm
 from rotstar.axisym import Discretization, Geometry
 from rotstar.eos import (RotationProfile, check_mass_condition_b,
@@ -307,3 +307,37 @@ def test_15b_virial_sees_a_wrong_centrifugal_term(star15):
     sol = newton_continue(model, [kappa], disc=Discretization(star15.R),
                           tol=1e-10)[-1]
     assert _virial_defect(model, sol) > 1e-5
+
+
+def test_16_two_stars_of_one_mass(turning_a, rot_profile):
+    # above the minimum M(a*) of the TURNING_TERMS mass curve each mass is
+    # taken twice, at a = 2.42769 (M' = -0.885, R = 24.74) and at
+    # a = 5.29846 (M' = +0.453, R = 7.126) for 1.05 M(a*); each branch
+    # rotates at fixed mass on its own curve
+    law = power_sum(TURNING_TERMS)
+    target = 1.05 * solve_radial(law, turning_a).mass
+
+    def mass_above(a):
+        return solve_radial(law, a).mass > target
+
+    stars = []
+    for lo, hi in ((2.0, turning_a), (turning_a, 6.0)):
+        side = mass_above(lo)
+        assert side != mass_above(hi)
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            if mass_above(mid) == side:
+                lo = mid
+            else:
+                hi = mid
+        stars.append(solve_radial(law, 0.5 * (lo + hi)))
+    slopes = [mass_derivative(star)[0] for star in stars]
+    assert slopes[0] < 0.0 < slopes[1]
+    for star in stars:
+        assert abs(star.mass - target) <= 1e-8 * target
+        model = EPModel(star, rot_profile)
+        ks = [k * star.mass / star.R ** 3 for k in (0.01, 0.02)]
+        sols = newton_continue(model, ks)
+        assert [s.kappa for s in sols] == ks
+        assert max(s.iters for s in sols) <= 2
+        _mass_invariance(star, model, sols)

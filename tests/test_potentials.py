@@ -4,7 +4,7 @@ from scipy.integrate import quad, solve_ivp
 
 from rotstar.axisym import Discretization
 from rotstar.numerics import Panels, Ytilde
-from rotstar.potentials import PotentialQuadrature
+from rotstar.potentials import PotentialQuadrature, origin_row
 from reference import dense_potential_matrices
 
 #: the constant l = 0 harmonic
@@ -36,7 +36,7 @@ def test_monopole_of_uniform_ball():
     b = 1.3
     pan = Panels.graded(b, 96, order=8)
     sigma = np.ones(len(pan)) * np.sqrt(4 * np.pi)  # Y00 coefficient of 1
-    s = np.linspace(0.0, b, 41)
+    s = np.linspace(0.0, b, 41)[1:]
     [A] = PotentialQuadrature(pan, (0,), s).dense()
     phi = (A @ sigma) * Y00
     exact = 4 * np.pi * (b ** 2 / 2 - s ** 2 / 6)
@@ -51,13 +51,12 @@ ELLS = (0, 1, 2, 4, 12)
 
 
 def _edge_grid(order, n_nodes):
-    """Panels of [0, 1.3] and targets at 0, on every edge and node, at
-    random points and beyond the outer edge."""
+    """Panels of [0, 1.3] and targets on every edge but the first, on every
+    node and at random points in (0, 1.3]."""
     b = 1.3
     pan = Panels.graded(b, n_nodes, order=order)
     rng = np.random.default_rng(7)
-    s = np.concatenate([[0.0], pan.edges, pan.x, rng.uniform(0.0, b, 40),
-                        [1.01 * b, 2.0 * b]])
+    s = np.concatenate([pan.edges[1:], pan.x, b * (1.0 - rng.random(40))])
     return pan, s
 
 
@@ -92,21 +91,22 @@ def test_factored_quadrature_matches_dense_products(order, n_nodes):
 
 
 def _contraction_rows(pan):
-    """Targets of shape (7, 5): a row at s = 0, on panel edges and past the
-    outer edge (no split panel); a row splitting five panels; a row mixing
-    both; random rows; a row inside one panel; and a row with targets on a
-    panel's left edge and inside that panel (one group), on the last edge
-    and past it."""
+    """Targets of shape (7, 5): a row on panel edges, the first interior
+    one and the last included; a row in five panels; a row mixing edges and
+    interiors; random rows; a row inside one panel; and a row with targets
+    on a panel's left edge and inside that panel (one group) and on the
+    last edge."""
     b, e = pan.edges[-1], pan.edges
     mid = 0.5 * (e[:-1] + e[1:])
     rng = np.random.default_rng(11)
-    return np.array([[0.0, e[3], e[5], 1.01 * b, 2.0 * b],
+    return np.array([[e[1], e[3], e[5], e[-2], e[-1]],
                      mid[2:7],
-                     [0.3 * e[7] + 0.7 * e[8], mid[7], e[8], 0.0, mid[-1]],
-                     rng.uniform(0.0, b, 5),
-                     rng.uniform(0.0, b, 5),
+                     [0.3 * e[7] + 0.7 * e[8], mid[7], e[8], e[2], mid[-1]],
+                     b * (1.0 - rng.random(5)),
+                     b * (1.0 - rng.random(5)),
                      e[4] + (e[5] - e[4]) * np.linspace(0.1, 0.9, 5),
-                     [e[4], mid[4], 0.8 * e[4] + 0.2 * e[5], e[-1], 1.5 * b]])
+                     [e[4], mid[4], 0.8 * e[4] + 0.2 * e[5], e[-1],
+                      0.3 * e[4] + 0.7 * e[5]]])
 
 
 def _check_contracted(quad, s, n_o, n_b=4):
@@ -129,15 +129,9 @@ def test_contracted_batch_matches_dense(order, n_nodes):
     pan = Panels.graded(1.3, n_nodes, order=order)
     s = _contraction_rows(pan)
     quad = PotentialQuadrature(pan, ELLS, s)
-    split = np.zeros(s.size, dtype=bool)
-    split[quad.split] = True
-    split = split.reshape(s.shape)
-    nb = quad.nb.reshape(s.shape)
-    assert not split[0].any() and split[1].all()
-    assert len(set(nb[1])) == 5
-    assert split[2].tolist() == [True, True, False, False, True]
-    assert split[6].tolist() == [False, True, True, False, False]
-    assert nb[6].tolist() == [4, 4, 4, pan.n_panels, pan.n_panels]
+    p = quad.p.reshape(s.shape)
+    assert len(set(p[1])) == 5
+    assert p[6].tolist() == [4, 4, 4, pan.n_panels - 1, 4]
     _check_contracted(quad, s, 3)
 
 
@@ -146,10 +140,10 @@ def test_contracted_batch_matches_dense_at_fine_grid_shape():
     pan = Panels.graded(1.3, 272, order=8)
     ells = tuple(range(0, 25, 2))
     rng = np.random.default_rng(3)
-    s = np.sort(rng.uniform(0.0, 1.1 * pan.edges[-1], (6, 48)), axis=1)
-    s[0, ::6] = pan.edges[::4][:8]
+    s = np.sort(pan.edges[-1] * (1.0 - rng.random((6, 48))), axis=1)
+    s[0, ::6] = pan.edges[1::4][:8]
     quad = PotentialQuadrature(pan, ells, s)
-    assert 0 < len(quad.split) < s.size
+    assert np.count_nonzero(np.isin(s, pan.edges)) == 8
     _check_contracted(quad, s, len(ells))
 
 
@@ -157,7 +151,7 @@ def test_uniform_ball_monopole_on_edges_and_nodes():
     b = 1.3
     pan = Panels.graded(b, 96, order=8)
     sigma = np.ones(len(pan)) * np.sqrt(4 * np.pi)
-    s = np.concatenate([pan.edges, pan.x])
+    s = np.concatenate([pan.edges[1:], pan.x])
     [A] = PotentialQuadrature(pan, (0,), s).dense()
     phi = (A @ sigma) * Y00
     exact = 4 * np.pi * (b ** 2 / 2 - s ** 2 / 6)
@@ -186,20 +180,19 @@ def test_monopole_reproduces_radial_potential(star15):
     # the potential of rho0 is u0 - a up to the value at the origin
     pan = Panels.graded(star15.R, 256, order=8)
     sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
-    s = np.linspace(0.0, star15.R, 101)
+    s = np.linspace(0.0, star15.R, 101)[1:]
     [A] = PotentialQuadrature(pan, (0,), s).dense()
-    [A0] = PotentialQuadrature(pan, (0,), [0.0]).dense()
-    phi = ((A - A0) @ sigma) * Y00
+    phi = ((A - origin_row(pan)) @ sigma) * Y00
     assert np.max(np.abs(phi - (star15.u0_of(s) - star15.a))) < 1e-11
 
 
 def test_far_field_is_mass_over_radius(star15):
+    # at the surface s = R, the outermost target, Phi_0 = M/R
     pan = Panels.graded(star15.R, 256, order=8)
     sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
-    s = np.array([2.0 * star15.R, 5.0 * star15.R])
-    [A] = PotentialQuadrature(pan, (0,), s).dense()
+    [A] = PotentialQuadrature(pan, (0,), [star15.R]).dense()
     phi = (A @ sigma) * Y00
-    assert np.allclose(phi, star15.mass / s, rtol=1e-10)
+    assert np.allclose(phi, star15.mass / star15.R, rtol=1e-10)
 
 
 def test_mode_potential_against_ode_oracle(star15):
@@ -220,11 +213,35 @@ def test_mode_potential_against_ode_oracle(star15):
 def test_potential_at_zero_row(star15):
     pan = Panels.graded(star15.R, 192, order=8)
     sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
-    [A0] = PotentialQuadrature(pan, (0,), [0.0]).dense()
-    val = float(A0[0] @ sigma) * Y00
+    val = float(origin_row(pan) @ sigma) * Y00
     ref, _ = quad(lambda t: 4 * np.pi * float(star15.rho0_of(t)) * t,
                   0.0, star15.R, limit=200)
     assert val == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [0.0, -0.1, 1.3 * (1.0 + 1e-12), 2.6, np.nan])
+def test_target_outside_the_panels_raises(s):
+    # targets lie in (0, b]: the origin is origin_row, and no target lies
+    # past the outer edge
+    pan = Panels.graded(1.3, 96, order=8)
+    with pytest.raises(ValueError, match=r"outside \(0.0, 1.3\]"):
+        PotentialQuadrature(pan, ELLS, [0.5, s])
+
+
+def test_potential_is_continuous_off_a_panel_edge():
+    # a target on an edge splits the panel above it like any other target
+    # in that panel, one half empty: moving it 1e-11 b off every interior
+    # edge into that panel moves Phi_l in proportion (1.2e-9 relative at
+    # l = 12)
+    b = 1.3
+    pan = Panels.graded(b, 96, order=8)
+    ells = (0, 2, 12)
+    sigma = np.tile(1.5 - (pan.x / b) ** 2, (len(ells), 1))
+    e = pan.edges[1:-1]
+    phi = PotentialQuadrature(pan, ells, e).apply(sigma)[0]
+    moved = PotentialQuadrature(pan, ells, e + 1e-11 * b).apply(sigma)[0]
+    assert np.all(phi > 0.0)
+    assert np.max(np.abs(moved / phi - 1.0)) < 1e-8
 
 
 def test_mode_projection_recovers_band_limited_field():

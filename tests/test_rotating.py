@@ -345,11 +345,11 @@ def test_frechet_matches_finite_differences(star15, ep_model, disc15):
 
 
 def test_density_jacobian_matches_dense_reference(star15, ep_model, disc15):
-    # the deformed field of test_jacobian_columns_match_frechet, where every
-    # target splits a panel
+    # the deformed field of test_jacobian_columns_match_frechet, whose
+    # deformed targets all lie inside the source panels
     zeta = rand_deformation(np.random.default_rng(31), star15.R)
     geo = Geometry(zeta, star15, disc15)
-    assert len(geo.quad.split) == geo.s_t.size
+    assert np.all((geo.s_t > 0.0) & (geo.s_t < geo.panels_t.edges[-1]))
     assert density_jacobian_error(ep_model, geo, 2e-3) < 1e-13
 
 
@@ -401,7 +401,9 @@ def test_failure_at_the_accepted_kappa_is_not_retried(monkeypatch):
         return jacobian(self, geo, kappa)
 
     monkeypatch.setattr(rotating.Model, "jacobian", counted)
-    with pytest.raises(SolverError, match="Newton matrix is not finite"):
+    # a library caller sees numpy's warnings where an input overflows
+    with pytest.raises(SolverError, match="Newton matrix is not finite"), \
+            pytest.warns(RuntimeWarning):
         newton_continue(model, [0.0, 1e-2])
     assert matrices == [0.0]
 
@@ -441,6 +443,28 @@ def test_step_halving_reaches_the_target(ep_model, monkeypatch):
     with pytest.raises(SolverError, match="forced failure"):
         newton_continue(ep_model, [1e-3], disc=disc)
     assert tried == [1e-3 * 0.5 ** i for i in range(rotating._HALVINGS + 1)]
+
+
+@pytest.mark.parametrize("halve", [False, True], ids=["direct", "halved"])
+def test_each_state_is_solved_at_its_requested_kappa(ep_model, monkeypatch,
+                                                     halve):
+    # 4.8e-5 + (4.03e-4 - 4.8e-5) rounds to 4.0299999999999993e-4; the try
+    # that reaches a requested kappa is that kappa, also after a Newton
+    # failure at the target halves the step
+    import rotstar.rotating as rotating
+    kappas = [0.0, 4.8e-5, 4.03e-4]
+    newton_at, tried = rotating._newton_at, []
+
+    def fail_once_at_target(model, kappa, *args, **kwargs):
+        tried.append(kappa)
+        if halve and kappa == kappas[-1] and tried.count(kappa) == 1:
+            raise SolverError("forced failure")
+        return newton_at(model, kappa, *args, **kwargs)
+
+    monkeypatch.setattr(rotating, "_newton_at", fail_once_at_target)
+    sols = newton_continue(ep_model, kappas)
+    assert [sol.kappa for sol in sols] == kappas
+    assert len(tried) == (5 if halve else 3)
 
 
 def test_predictor_follows_a_quadratic_branch():

@@ -30,6 +30,8 @@ RUNS = [
     ("ep15-radial", "radial", "gamma = 1.5\n"),
     ("ep15-perturb", "perturb", "gamma = 1.5\nkappas = 0,1e-3\n"),
     ("ep15-continue", "continue", "gamma = 1.5\nkappas = 0,5e-4,1e-3\n"),
+    ("ep15-continue-inexact-step", "continue",
+     "gamma = 1.5\nkappas = 0,4.8e-5,4.03e-4\n"),
     ("ep43-kernel-margin", "kernel-margin", f"gamma = {4.0 / 3.0!r}\n"),
     ("ep43-continue", "continue", f"gamma = {4.0 / 3.0!r}\n"),
     ("ep19-continue", "continue", "gamma = 1.9\nkappas = 0,5e-3,1e-2\n"),
