@@ -41,8 +41,8 @@ if __name__ == "__main__":
     panels, M = assemble_mode(ep43, 0, n=512)
     x = panels.x
     va = star43.panels.interp(va_nodes, np.minimum(x, star43.R))
-    alpha = va - np.atleast_1d(star43.u0_of(x)) / star43.a
-    xi = x * alpha / np.atleast_1d(star43.u0p_of(x))
+    alpha = va - star43.u0_of(x) / star43.a
+    xi = x * alpha / star43.u0p_of(x)
     ratio = weighted_norm(panels, M @ xi) / weighted_norm(panels, xi)
     print(f"\nkernel witness at gamma=4/3: ||L xi|| / ||xi|| = {ratio:.3e}")
 

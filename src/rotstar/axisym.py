@@ -109,13 +109,19 @@ class ModalField:
 
 
 class Discretization:
-    """Grids and mode set for the nonlinear solvers: the modes ells (ells[0]
-    is l = 0), n_mu quadrature colatitudes, the n_rt-node source-grid
-    budget and the n_rc collocation nodes that carry the unknowns."""
+    """Grids and mode set for the nonlinear solvers: the modes ells, n_mu
+    quadrature colatitudes, the n_rt-node source-grid budget and the n_rc
+    collocation nodes that carry the unknowns.  ells[0] is l = 0 (Geometry's
+    V0 and origin term read row 0 as it), and the others are even and
+    increasing: the colatitudes cover [0, pi/2], which carries even l only."""
 
     def __init__(self, R, ells=ELLS, n_mu=24, n_rt=104, n_rc=N_RC):
         self.R = float(R)
         self.ells = tuple(ells)
+        if self.ells[:1] != (0,) or any(
+                l % 2 or l <= k for k, l in zip(self.ells, self.ells[1:])):
+            raise ValueError(f"ells must start at 0, hold even l only and "
+                             f"strictly increase, got {self.ells}")
         self.panels_c = Panels.graded(R, n_rc, ORDER)   # collocation / unknowns
         self.n_rt = n_rt
         xm, wm = gl_nodes(n_mu)

@@ -8,13 +8,13 @@ defined here alone: the library returns plain data (profiles, solution
 attributes, dicts) and writes nothing.
 
 Exit codes: 0 success, 2 config error, 3 solver error, 4 degenerate operator.
-COMMAND_KEYS states, once, which keys each command reads besides model, out
-and the configured model's law keys; RunConfig reads and checks those alone.
-Any other key, one of another command or of the other model, is named on
-stderr and ignored, a key set twice is a config error, and a warning that
-building the configuration raises (gamma = 2) is one config line.  main runs
-under one np.errstate(all="ignore"): the library's checks say what
-overflowed.
+COMMANDS maps each command to its function and the keys it reads besides
+model, out and the configured model's law keys, the same for both models;
+RunConfig reads and checks those alone.  Any other key, one of another
+command or of the other model, is named on stderr and ignored, a key set
+twice is a config error, and a warning that building the configuration
+raises (gamma = 2) is one config line.  main runs under one
+np.errstate(all="ignore"): the library's checks say what overflowed.
 """
 
 import argparse
@@ -94,8 +94,8 @@ def parse_config(path):
 
 class RunConfig:
     """The validated parameters of one command: model, out, the configured
-    model's law and the keys COMMAND_KEYS lists for the command, each set as
-    an attribute by its reader _key_<name>.  A key the command does not
+    model's law and the keys COMMANDS lists for the command, each set as an
+    attribute by its reader _key_<name>.  A key the command does not
     read is no attribute, so a command that reads one raises
     AttributeError; unknown lists the keys of data that were not read."""
 
@@ -105,9 +105,8 @@ class RunConfig:
         self.model = self._str("model", "ep")
         if self.model not in ("ep", "vp"):
             raise ConfigError(f"model must be ep or vp, got {self.model!r}")
-        for key in COMMAND_KEYS[command]:
-            if key != "omega" or self.model == "ep":   # vp reads no omega
-                setattr(self, key, getattr(self, "_key_" + key)())
+        for key in COMMANDS[command][1]:
+            setattr(self, key, getattr(self, "_key_" + key)())
         self.law = self._law()
         out = self._str("out", ".")   # read even where out_dir overrides it
         self.out_dir = out_dir or out
@@ -119,17 +118,11 @@ class RunConfig:
             raise ConfigError(f"central value a must be positive, got {a!r}")
         return a
 
-    def _key_ode_tol(self):
-        return self._tolerance("ode_tol", 1e-12)
-
     def _key_tol(self):
-        return self._tolerance("tol", 1e-8)
-
-    def _key_omega(self):
-        """The rigid rotation of an EP star."""
-        omega = self._float("omega", 1.0)
-        self._check_square("omega", omega)
-        return omega
+        tol = self._float("tol", 1e-8)
+        if tol <= 0:
+            raise ConfigError(f"tolerance tol must be positive, got {tol!r}")
+        return tol
 
     def _key_kappas(self):
         kappas = self._floats("kappas", [0.0, 1e-3])
@@ -137,7 +130,10 @@ class RunConfig:
             raise ConfigError("kappa schedule must start at 0")
         if any(k2 < k1 for k1, k2 in zip(kappas, kappas[1:])):
             raise ConfigError("kappa schedule must be nondecreasing")
-        self._check_square("kappas", kappas[-1])
+        # the VP law reads kappa^2: k * k overflows to inf, k ** 2 raises
+        if not np.isfinite(kappas[-1] * kappas[-1]):
+            raise ConfigError(f"kappas squared must be finite, got "
+                              f"{kappas[-1]!r}")
         return kappas
 
     def _key_n(self):
@@ -165,19 +161,6 @@ class RunConfig:
             raise ConfigError(f"n_samples must be at least 2, got "
                               f"{n_samples}")
         return n_samples
-
-    def _tolerance(self, key, default):
-        tol = self._float(key, default)
-        if tol <= 0:
-            raise ConfigError(f"tolerance {key} must be positive, got "
-                              f"{tol!r}")
-        return tol
-
-    @staticmethod
-    def _check_square(key, x):
-        """Rotation enters squared: x * x overflows to inf, x ** 2 raises."""
-        if not np.isfinite(x * x):
-            raise ConfigError(f"{key} squared must be finite, got {x!r}")
 
     @staticmethod
     def _check_nodes(key, counts, order, most):
@@ -265,22 +248,18 @@ class RunConfig:
             raise ConfigError(str(e)) from e
         raise ConfigError(f"unknown eos {kind!r}")
 
-    def make_model(self, profile=None):
-        """The rotation problem of the configured star, an EP one with the
-        rotation profile given: kernel-margin's needs none, since linop
-        reads none."""
-        star = radial.solve_radial(self.law, self.a, tol=self.ode_tol)
+    def make_model(self):
+        """The rotation problem of the configured star.  An EP star rotates
+        rigidly at omega^2 = 1, so kappa is its one rotation amplitude."""
+        star = radial.solve_radial(self.law, self.a)
         if self.model == "vp":
             return vlasov.VPModel(star)
-        return rotating.EPModel(star, profile)
+        return rotating.EPModel(star, constant_rotation())
 
     def make_rotating_model(self):
-        """make_model for the commands that rotate the star, EP at the
-        rigid rotation omega: a VP law at psi2 = 0 does not depend on kappa,
-        so it is a config error there."""
-        if self.model == "ep":
-            return self.make_model(constant_rotation(self.omega))
-        if self.law.psi2 == 0.0:
+        """make_model for the commands that rotate the star: a VP law at
+        psi2 = 0 does not depend on kappa, so it is a config error there."""
+        if self.model == "vp" and self.law.psi2 == 0.0:
             raise ConfigError("model = vp needs psi2 != 0 to rotate: at "
                               "psi2 = 0 its law does not depend on kappa")
         return self.make_model()
@@ -305,7 +284,7 @@ def cmd_radial(cfg):
         if not 6.0 / 5.0 < g < 2.0:
             flag = f"  gamma_eq={g:g} outside (6/5, 2)"
     try:
-        star = radial.solve_radial(law, cfg.a, tol=cfg.ode_tol)
+        star = radial.solve_radial(law, cfg.a)
     except SolverError as e:
         raise type(e)(f"{e}{flag}") from e
     grid = np.linspace(0.0, star.R, STAR_GRID)
@@ -340,7 +319,7 @@ def cmd_mass_curve(cfg):
         raise ConfigError(f"need 0 < a_min < a_max, got a_min = "
                           f"{cfg.a_min!r}, a_max = {cfg.a_max!r}")
     curve = radial.mass_curve(cfg.law, (cfg.a_min, cfg.a_max),
-                              cfg.n_samples, tol=cfg.ode_tol)
+                              cfg.n_samples)
     write_csv(cfg.path("mass_curve.csv"),
               ["a_enthalpy", "R_length", "M_mass", "Mprime_mass_per_enthalpy"],
               curve)
@@ -449,25 +428,16 @@ def cmd_eos_check(cfg):
     return 0
 
 
-#: the keys each command reads, besides model, out and the configured
-#: model's law keys; RunConfig reads each through its _key_<name> reader,
-#: and omega, the EP rotation, only for model = ep
-COMMAND_KEYS = {
-    "radial": ("a", "ode_tol"),
-    "mass-curve": ("a_min", "a_max", "n_samples", "ode_tol"),
-    "kernel-margin": ("a", "ode_tol", "ells", "ns"),
-    "perturb": ("a", "ode_tol", "omega", "n", "kappas"),
-    "continue": ("a", "ode_tol", "omega", "tol", "kappas"),
-    "eos-check": (),
-}
-
+#: each command's function and the keys it reads, besides model, out and
+#: the configured model's law keys; RunConfig reads each key through its
+#: _key_<name> reader
 COMMANDS = {
-    "radial": cmd_radial,
-    "mass-curve": cmd_mass_curve,
-    "kernel-margin": cmd_margin,
-    "perturb": cmd_perturb,
-    "continue": cmd_continue,
-    "eos-check": cmd_eos_check,
+    "radial": (cmd_radial, ("a",)),
+    "mass-curve": (cmd_mass_curve, ("a_min", "a_max", "n_samples")),
+    "kernel-margin": (cmd_margin, ("a", "ells", "ns")),
+    "perturb": (cmd_perturb, ("a", "n", "kappas")),
+    "continue": (cmd_continue, ("a", "tol", "kappas")),
+    "eos-check": (cmd_eos_check, ()),
 }
 
 
@@ -488,7 +458,7 @@ def main(argv=None):
             for note in [w.message for w in caught] + [
                     f"unknown key {key!r} ignored" for key in cfg.unknown]:
                 print(f"config: {note}", file=sys.stderr)
-            return COMMANDS[args.command](cfg)
+            return COMMANDS[args.command][0](cfg)
         except ConfigError as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2

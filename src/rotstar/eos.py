@@ -152,9 +152,10 @@ class RotationProfile:
         return 0.5 * r * np.einsum("ij,j->i", vals, w)
 
 
-def constant_rotation(omega=1.0):
-    w2 = float(omega) ** 2
-    return RotationProfile(lambda r: w2 * np.ones_like(np.asarray(r, dtype=float)))
+def constant_rotation():
+    """Rigid rotation at omega^2 = 1: kappa is then the rotation amplitude
+    kappa omega^2 of any rigid rotation."""
+    return RotationProfile(lambda r: np.ones_like(np.asarray(r, dtype=float)))
 
 
 def validate_assumptions(eos):

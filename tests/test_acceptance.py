@@ -75,8 +75,8 @@ def test_05_gamma43_kernel_witness(star43, ep43_model):
     panels, M = assemble_mode(ep43_model, 0, n=512)
     x = panels.x
     va = star43.panels.interp(va_nodes, np.minimum(x, star43.R))
-    alpha = va - np.atleast_1d(star43.u0_of(x)) / star43.a
-    xi = x * alpha / np.atleast_1d(star43.u0p_of(x))
+    alpha = va - star43.u0_of(x) / star43.a
+    xi = x * alpha / star43.u0p_of(x)
     ratio = weighted_norm(panels, M @ xi) / weighted_norm(panels, xi)
     assert ratio < 1e-4
 

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import TURNING_TERMS
 import rotstar
-from rotstar.cli import (COMMAND_KEYS, RunConfig, main, parse_config,
-                         solution_stem)
+from rotstar.cli import COMMANDS, RunConfig, main, parse_config, solution_stem
 from rotstar.errors import ConfigError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -45,12 +44,12 @@ def test_runconfig_validation():
     # every command reads model and the law; each other key is checked by
     # the commands that read it
     bad = [{"model": "xx"}, {"eos": "mystery"}, {"tol": "-1"},
-           {"ode_tol": "0"}, {"kappas": "1e-3,2e-3"},  # must start at 0
+           {"kappas": "1e-3,2e-3"},                   # must start at 0
            {"kappas": "0,2e-3,1e-3"},                 # nondecreasing
            {"a": "not-a-number"}]
     for data in bad:
         [key] = data
-        for command, keys in COMMAND_KEYS.items():
+        for command, (_, keys) in COMMANDS.items():
             if key in ("model", "eos") or key in keys:
                 with pytest.raises(ConfigError):
                     RunConfig(command, data)
@@ -180,16 +179,21 @@ def test_unknown_config_key_is_named_and_ignored(tmp_path, capsys):
     ("radial", "gamma = 1.5\n", "kappas = 1\n"),
     ("radial", "gamma = 1.5\n", "tol = 5\n"),
     ("radial", "gamma = 1.5\n", "a_min = 3\nns = 3\nkappas = 1\ntol = 5\n"),
-    ("continue", "gamma = 1.5\nkappas = 0,1e-3\n", "a_min = 3\n")],
+    ("continue", "gamma = 1.5\nkappas = 0,1e-3\n", "a_min = 3\n"),
+    ("continue", "gamma = 1.5\nkappas = 0,1e-3\n", "omega = 2\n"),
+    ("radial", "gamma = 1.5\n", "ode_tol = 1e-10\n")],
     ids=["vp-omega", "ep-psi2-mu", "radial-a_min", "radial-ns",
-         "radial-kappas", "radial-tol", "radial-all", "continue-a_min"])
+         "radial-kappas", "radial-tol", "radial-all", "continue-a_min",
+         "ep-omega", "radial-ode_tol"])
 def test_a_key_of_the_other_model_is_named_and_ignored(tmp_path, capsys,
                                                        command, text,
                                                        foreign):
     # each model's law reads its own keys: omega set no VP rotation and psi2
     # and mu no EP law, and neither said so; and each command its own keys:
     # radial exited 2 on a_min = 3, ns = 3 or kappas = 1, keys it never
-    # reads, and ran tol = 5 without a word
+    # reads, and ran tol = 5 without a word; and no command reads omega, as
+    # kappa is the one rotation amplitude, or ode_tol, as the radial solve
+    # keeps the library's tolerance
     mixed, plain = tmp_path / "mixed", tmp_path / "plain"
     assert run(tmp_path, command, text + foreign, out=mixed) == 0
     keys = [line.split("=")[0].strip() for line in foreign.splitlines()]
@@ -204,21 +208,19 @@ def test_a_key_of_the_other_model_is_named_and_ignored(tmp_path, capsys,
 
 
 def test_a_command_config_has_only_its_keys():
-    # COMMAND_KEYS is the one statement of what a command reads: any other
-    # key is no attribute of its RunConfig, so a command that read one
-    # would raise (and the reachability runs would fail)
-    every = set().union(*COMMAND_KEYS.values())
-    for command, keys in COMMAND_KEYS.items():
-        cfg = RunConfig(command, {})
-        for key in keys:
-            getattr(cfg, key)
-        for key in every - set(keys):
-            with pytest.raises(AttributeError):
+    # COMMANDS is the one statement of what a command reads, the same for
+    # both models: any other key is no attribute of its RunConfig, so a
+    # command that read one would raise (and the reachability runs would
+    # fail)
+    every = set().union(*(keys for _, keys in COMMANDS.values()))
+    for command, (_, keys) in COMMANDS.items():
+        for model in ("ep", "vp"):
+            cfg = RunConfig(command, {"model": model})
+            for key in keys:
                 getattr(cfg, key)
-    # omega is the EP rotation: a VP config reads none
-    for command in ("perturb", "continue"):
-        with pytest.raises(AttributeError):
-            RunConfig(command, {"model": "vp", "omega": "1"}).omega
+            for key in every - set(keys):
+                with pytest.raises(AttributeError):
+                    getattr(cfg, key)
 
 
 #: values that no key reads: not a number, not finite, or no list entry
@@ -227,13 +229,13 @@ _BAD = st.one_of(st.sampled_from(["", ",", "nan", "-inf", "1e999", "1,x"]),
 
 
 @pytest.mark.parametrize("command, key", [
-    (command, key) for command, keys in COMMAND_KEYS.items()
+    (command, key) for command, (_, keys) in COMMANDS.items()
     for key in keys])
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(value=_BAD)
 def test_a_bad_value_of_a_key_the_command_reads_exits_2(
         tmp_path_factory, command, key, value):
-    # a fuzz over COMMAND_KEYS: a key a command reads is checked there, so
+    # a fuzz over COMMANDS: a key a command reads is checked there, so
     # that a bad value exits 2 before any solve
     out = tmp_path_factory.mktemp("bad")
     err = io.StringIO()
@@ -253,7 +255,8 @@ def test_a_repeated_key_is_config_error(tmp_path, capsys):
 
 
 def test_readme_lists_each_command_s_keys():
-    # the README restates COMMAND_KEYS as one list, a line per command
+    # the README restates the keys of COMMANDS as one list, a line per
+    # command
     # whose remarks stand in parentheses; it must not drift
     readme = (ROOT / "README.md").read_text()
     section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
@@ -261,7 +264,8 @@ def test_readme_lists_each_command_s_keys():
                   r"`(\w+)`", re.sub(r"\(.*?\)", "", m.group(2))))
               for m in re.finditer(r"^- `([\w-]+)`: (.*)$", section,
                                    re.MULTILINE)}
-    assert listed == COMMAND_KEYS
+    assert listed == {command: keys
+                      for command, (_, keys) in COMMANDS.items()}
 
 
 def test_gamma_2_is_one_config_notice(tmp_path):
@@ -630,12 +634,13 @@ def test_no_temp_files_left(tmp_path):
 
 
 def test_rotation_whose_square_overflows_is_config_error(tmp_path, capsys):
-    # omega^2 and the VP kappa^2 overflowed: OverflowError tracebacks
-    for command in ("perturb", "continue"):
-        assert run(tmp_path, command, "gamma = 1.5\nomega = 1e200\n") == 2
-        assert "omega squared must be finite" in capsys.readouterr().err
-    assert run(tmp_path, "perturb", "model = vp\nkappas = 0,1e200\n") == 2
-    assert "kappas squared must be finite" in capsys.readouterr().err
+    # the VP kappa^2 overflowed: an OverflowError traceback; the last
+    # kappa is checked for either model
+    for model in ("ep", "vp"):
+        for command in ("perturb", "continue"):
+            assert run(tmp_path, command,
+                       f"model = {model}\nkappas = 0,1e200\n") == 2
+            assert "kappas squared must be finite" in capsys.readouterr().err
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -658,6 +663,7 @@ _CONFIGS = st.fixed_dictionaries({
 }, optional={
     "model": st.sampled_from(["ep", "vp"]),
     "eos": st.sampled_from(["power_law", "power_sum"]),
+    # omega and ode_tol, keys that no command reads, are named and ignored
     "a": _text(_FLOATS), "omega": _text(_FLOATS), "gamma": _text(_FLOATS),
     "mu": _text(_FLOATS), "psi0": _text(_FLOATS), "psi2": _text(_FLOATS),
     "tol": _text(_POSITIVE), "ode_tol": _text(_POSITIVE),

@@ -44,9 +44,9 @@ def test_scalar_in_gives_0d_array_out(eos):
         out = getattr(eos, name)(2.0)
         assert type(out) is np.ndarray and out.shape == (), name
         assert getattr(eos, name)(np.full((2, 3), 2.0)).shape == (2, 3), name
-    J = constant_rotation(2.0).J
+    J = constant_rotation().J
     assert type(J(0.5)) is np.ndarray and J(0.5).shape == ()
-    assert np.allclose(J(np.full((2, 3), 0.5)), 4.0 * 0.25 / 2.0, rtol=1e-13)
+    assert np.allclose(J(np.full((2, 3), 0.5)), 0.25 / 2.0, rtol=1e-13)
 
 
 @pytest.mark.parametrize("eos", [
@@ -186,9 +186,9 @@ def test_mass_condition_b_verdicts():
 
 
 def test_rotation_profile_cumulative(star15):
-    prof = constant_rotation(2.0)
+    prof = constant_rotation()
     r = np.array([0.5, 1.0, 3.0])
-    assert np.allclose(prof.J(r), 4.0 * r ** 2 / 2.0, rtol=1e-13)
+    assert np.allclose(prof.J(r), r ** 2 / 2.0, rtol=1e-13)
     prof2 = RotationProfile(lambda r: 1.0 / (1.0 + np.asarray(r) ** 2))
     assert np.allclose(prof2.J(r), 0.5 * np.log(1.0 + r ** 2), rtol=1e-12)
     # the Lorentzian omega^2(s) = 1/(1 + s^2/A^2) has J(r) = (A^2/2)

@@ -50,8 +50,8 @@ def test_apply_matches_ode_identity(star15, ep_model):
     # of rho0' xi / r = rho0' (u0-a)/u0' is checked through the monopole path
     panels, M = assemble_mode(ep_model, 0, n=384)
     x = panels.x
-    xi = np.atleast_1d(star15.u0_of(x)) - star15.a
-    xi = x * xi / np.atleast_1d(star15.u0p_of(x))
+    xi = star15.u0_of(x) - star15.a
+    xi = x * xi / star15.u0p_of(x)
     out = M @ xi
     assert np.all(np.isfinite(out))
     with pytest.raises(ValueError):
@@ -64,8 +64,8 @@ def test_gamma43_kernel_witness(star43, ep43_model):
     panels, M = assemble_mode(ep43_model, 0, n=512)
     x = panels.x
     va = star43.panels.interp(va_nodes, np.minimum(x, star43.R))
-    alpha = va - np.atleast_1d(star43.u0_of(x)) / star43.a
-    xi = x * alpha / np.atleast_1d(star43.u0p_of(x))
+    alpha = va - star43.u0_of(x) / star43.a
+    xi = x * alpha / star43.u0p_of(x)
     ratio = weighted_norm(panels, M @ xi) / weighted_norm(panels, xi)
     assert ratio < 1e-6
 

@@ -179,7 +179,7 @@ def test_quadrupole_closed_form():
 def test_monopole_reproduces_radial_potential(star15):
     # the potential of rho0 is u0 - a up to the value at the origin
     pan = Panels.graded(star15.R, 256, order=8)
-    sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
+    sigma = star15.rho0_of(pan.x) * np.sqrt(4 * np.pi)
     s = np.linspace(0.0, star15.R, 101)[1:]
     [A] = PotentialQuadrature(pan, (0,), s).dense()
     phi = ((A - origin_row(pan)) @ sigma) * Y00
@@ -189,7 +189,7 @@ def test_monopole_reproduces_radial_potential(star15):
 def test_far_field_is_mass_over_radius(star15):
     # at the surface s = R, the outermost target, Phi_0 = M/R
     pan = Panels.graded(star15.R, 256, order=8)
-    sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
+    sigma = star15.rho0_of(pan.x) * np.sqrt(4 * np.pi)
     [A] = PotentialQuadrature(pan, (0,), [star15.R]).dense()
     phi = (A @ sigma) * Y00
     assert np.allclose(phi, star15.mass / star15.R, rtol=1e-10)
@@ -198,7 +198,7 @@ def test_far_field_is_mass_over_radius(star15):
 def test_mode_potential_against_ode_oracle(star15):
     # l = 2 with the kernel-type source rho0'(t) t: fully independent solver
     pan = Panels.graded(star15.R, 256, order=8)
-    sigma_vals = np.atleast_1d(star15.rho0p_of(pan.x)) * pan.x
+    sigma_vals = star15.rho0p_of(pan.x) * pan.x
     s = np.linspace(0.15, star15.R * 0.98, 25)
     [A] = PotentialQuadrature(pan, (2,), s).dense()
     direct = A @ sigma_vals
@@ -212,7 +212,7 @@ def test_mode_potential_against_ode_oracle(star15):
 
 def test_potential_at_zero_row(star15):
     pan = Panels.graded(star15.R, 192, order=8)
-    sigma = np.atleast_1d(star15.rho0_of(pan.x)) * np.sqrt(4 * np.pi)
+    sigma = star15.rho0_of(pan.x) * np.sqrt(4 * np.pi)
     val = float(origin_row(pan) @ sigma) * Y00
     ref, _ = quad(lambda t: 4 * np.pi * float(star15.rho0_of(t)) * t,
                   0.0, star15.R, limit=200)

@@ -150,7 +150,7 @@ def test_invalid_central_value():
         solve_radial(power_law(1.5), -1.0)
 
 
-def test_mass_curve_threads_and_csv(tmp_path, monkeypatch):
+def test_mass_curve_csv_parses_back(tmp_path, monkeypatch):
     # the cells of the CLI's mass_curve.csv parse back to the samples of
     # the curve it computed
     from rotstar import radial

@@ -11,7 +11,8 @@ from conftest import (density_jacobian_error, jacobian_column_error,
 from reference import dense_modal_eval, frechet_apply, mode_operator_response
 from rotstar import axisym
 from rotstar.axisym import Discretization, Geometry, ModalField
-from rotstar.eos import constant_rotation, power_law, power_sum
+from rotstar.eos import (RotationProfile, constant_rotation, power_law,
+                         power_sum)
 from rotstar.errors import (DegenerateOperatorError, DeformationError,
                             SolverError)
 from rotstar.linop import assemble_mode
@@ -31,6 +32,30 @@ def disc15(star15):
 @pytest.fixture(scope="module")
 def geo15(star15, disc15):
     return Geometry(zero_field(disc15), star15, disc15)
+
+
+@pytest.mark.parametrize("ells", [(2, 4, 6), (0, 1, 2, 3, 4), (4, 2, 0),
+                                  (0, 2, 2, 4)])
+def test_discretization_refuses_a_mode_set_the_solver_cannot_use(star15,
+                                                                 ells):
+    # Geometry reads row 0 as l = 0 and the colatitudes on [0, pi/2] carry
+    # even l only: newton_continue on these mode sets stalled at kappa = 0
+    # or hit the deformation cap, at kappa = 0 or 1e-3
+    with pytest.raises(ValueError, match="ells must start at 0, hold even"):
+        Discretization(star15.R, ells=ells)
+
+
+def test_kappa_is_the_one_rotation_amplitude(star15):
+    # an EP star sees its rigid rotation only through kappa omega^2: omega^2
+    # = 4 at kappa 2.5e-4 is omega^2 = 1 at kappa 1e-3, bit for bit
+    fast = newton_continue(
+        EPModel(star15, RotationProfile(lambda r: 4.0 * np.ones_like(r))),
+        [0.0, 2.5e-4])
+    unit = newton_continue(EPModel(star15, constant_rotation()), [0.0, 1e-3])
+    assert len(fast) == len(unit) == 2
+    for a, b in zip(fast, unit):
+        for name in ("R_eq", "R_pole", "mass_value", "residual_sup", "iters"):
+            assert getattr(a, name) == getattr(b, name), name
 
 
 def test_modal_field_evaluation_and_derivative(disc15):

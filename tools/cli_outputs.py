@@ -55,6 +55,9 @@ RUNS = [
     ("margin-l200", "kernel-margin", "ells = 200\nns = 64\n"),
     ("vp-omega-continue", "continue",
      _VP_ROT + "kappas = 0,1e-2\nomega = 3\n"),
+    ("ep15-omega-continue", "continue",
+     "gamma = 1.5\nomega = 2\nkappas = 0,2.5e-4\n"),
+    ("ep15-ode-tol-radial", "radial", "gamma = 1.5\node_tol = 1e-10\n"),
     ("ep-psi2-radial", "radial", "gamma = 1.5\npsi2 = 0.1\nmu = 0.3\n"),
     ("ep20-radial", "radial", "gamma = 2\n"),
     ("radial-foreign-keys", "radial",
